@@ -283,6 +283,9 @@ def bench_native_backend(
     affords the real width).  When ``large_width`` is set (full mode),
     a second row demonstrates the raised exhaustive cap at B=12 --
     single repeat, the bigint side alone takes tens of seconds there.
+    No sweep caches its input planes between runs (native generates the
+    pair product inside the kernel, bigint packs it per shard), so every
+    repeat is cold; only the compiled program is reused.
 
     On hosts where the kernel cannot build, the section records the
     fallback reason and no timings; the gate is skipped (the fallback

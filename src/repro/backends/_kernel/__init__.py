@@ -24,7 +24,7 @@ import subprocess
 import sys
 import tempfile
 
-_KERNEL_ABI = 2
+_KERNEL_ABI = 3
 _SOURCE_PATH = os.path.join(os.path.dirname(__file__), "kernel.c")
 _CFLAGS = ["-O3", "-shared", "-fPIC", "-std=c99"]
 
@@ -110,7 +110,7 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     u64 = ctypes.c_uint64
     lib.repro_kernel_abi.argtypes = []
     lib.repro_kernel_abi.restype = ctypes.c_int32
-    lib.repro_run_program.argtypes = [ptr, i64, ptr, ptr, i64, u64]
+    lib.repro_run_program.argtypes = [ptr, i64, ptr, ptr, i64]
     lib.repro_run_program.restype = None
     lib.repro_popcount.argtypes = [ptr, i64]
     lib.repro_popcount.restype = i64
@@ -120,25 +120,20 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.repro_bitwise.restype = None
     lib.repro_not_masked.argtypes = [ptr, ptr, i64, u64]
     lib.repro_not_masked.restype = None
-    lib.repro_fill_pattern.argtypes = [ptr, i64, ptr, i64, i64]
-    lib.repro_fill_pattern.restype = None
-    lib.repro_fill_expand.argtypes = [ptr, i64, ptr, i64, i64]
-    lib.repro_fill_expand.restype = None
-    lib.repro_fill_prefix.argtypes = [ptr, i64, i64, i64, i64]
-    lib.repro_fill_prefix.restype = None
     lib.repro_tile_words.argtypes = []
     lib.repro_tile_words.restype = i64
-    lib.repro_run_program_select_diff.argtypes = [
+    lib.repro_pair_shard.argtypes = [
         ptr, i64,            # prog
-        ptr, ptr, ptr, i64,  # preset slots + plane row pointer tables
-        ptr, i64,            # zeroed slots
         ptr, i64,            # [slot, a_slot, b_slot] compare triples
-        ptr,                 # sel row
+        ptr, i64,            # [slot, p0_ones, p1_ones] preset rows
+        ptr,                 # input slots: g bits then h bits
+        ptr, ptr,            # m0 / m1 string-mask rows
+        i64, i64,            # width, words per mask row
+        i64, i64,            # g_lo, g_hi
         ptr, i64,            # scratch, n_slots
-        i64, u64,            # words, tail_mask
         ptr,                 # diff
     ]
-    lib.repro_run_program_select_diff.restype = i64
+    lib.repro_pair_shard.restype = i64
     return lib
 
 

@@ -2,11 +2,18 @@
  *
  * The Python side (repro.backends.native) lowers a compiled op list --
  * (opcode, dst, a, b) tuples over plane slots, see repro.circuits.compiled
- * -- to a flat int32 array once per program, packs the slot planes into
- * two contiguous slabs (plane 0 / plane 1, one row of `words` uint64 lane
- * words per slot, lane j at bit j&63 of word j>>6), and calls
- * repro_run_program once per shard.  The whole gate sweep then runs here
- * without re-entering the interpreter between ops.
+ * -- to a flat int32 array once per program.  Two entry points run it:
+ *
+ *   repro_run_program   over caller-packed slot slabs (plane 0 / plane 1,
+ *                       one row of `words` uint64 lane words per slot,
+ *                       lane j at bit j&63 of word j>>6) -- run_ops;
+ *   repro_pair_shard    over one g-row shard of the exhaustive 2-sort
+ *                       pair product, which it generates itself from the
+ *                       per-bit string masks, fused with the Table 2
+ *                       select-compare -- one call per verification
+ *                       shard, no Python-built planes.
+ *
+ * Both share apply_ops, the single copy of the opcode switch.
  *
  * Two-plane Kleene semantics (Table 3 of the paper):
  *   AND: d1 = a1 & b1, d0 = a0 | b0        OR is the plane-dual
@@ -16,16 +23,14 @@
  * Opcode values mirror repro.backends.base (OP_AND..OP_BUF); the Python
  * loader checks repro_kernel_abi() before trusting a cached build.
  *
- * Tail-mask note: every input row is already masked (bits at lane index
- * >= lanes are zero) and all five ops preserve that invariant, so the
- * sweep needs no re-masking; `tail_mask` is still applied to each written
- * row's last word as a guard, and repro_not_masked is the one primitive
- * that genuinely re-masks.
+ * Tail-mask note: every op is lane-wise, so garbage in lanes >= lanes
+ * never reaches a real lane.  run_program's input rows are already
+ * masked and all five ops preserve that; pair_shard masks its diff row.
  */
 
 #include <stdint.h>
 
-#define REPRO_KERNEL_ABI 2
+#define REPRO_KERNEL_ABI 3
 
 #define OP_AND 0
 #define OP_OR 1
@@ -35,206 +40,79 @@
 
 int32_t repro_kernel_abi(void) { return REPRO_KERNEL_ABI; }
 
-/* Lane-word tile: the program loop runs all ops over one column block
- * of the slot slab before moving on, so the working set per tile is
- * 2 planes * n_slots * REPRO_TILE_WORDS * 8 bytes -- cache-resident for
- * realistic slot counts (a few hundred) -- instead of streaming every
+/* Lane-word tile: both entry points run all ops over one column block of
+ * the slot rows before moving on, so the working set per tile is
+ * 2 planes * n_slots * REPRO_TILE_WORDS * 8 bytes -- 170 KB for
+ * 2-sort(13)'s 340 slots, cache-resident -- instead of streaming every
  * slot row through memory once per op.  Ops are independent across
  * words, so tiling the word axis does not change results. */
-#define REPRO_TILE_WORDS 256
+#define REPRO_TILE_WORDS 32
+
+#if defined(__GNUC__) || defined(__clang__)
+#define REPRO_NOINLINE __attribute__((noinline))
+#else
+#define REPRO_NOINLINE
+#endif
+
+/* Run the whole program over `span` words of every slot row; slot s's
+ * rows start at p0 + s * stride and p1 + s * stride.  Kept out of line
+ * so the switch is compiled once, not once per entry point. */
+static REPRO_NOINLINE void apply_ops(const int32_t *prog, int64_t n_ops,
+                                     uint64_t *p0, uint64_t *p1,
+                                     int64_t stride, int64_t span) {
+    for (int64_t i = 0; i < n_ops; i++) {
+        const int32_t *q = prog + 4 * i;
+        uint64_t *d0 = p0 + q[1] * stride, *d1 = p1 + q[1] * stride;
+        const uint64_t *a0 = p0 + q[2] * stride, *a1 = p1 + q[2] * stride;
+        const uint64_t *b0 = p0 + q[3] * stride, *b1 = p1 + q[3] * stride;
+        int64_t w;
+        switch (q[0]) {
+        case OP_AND:
+            for (w = 0; w < span; w++) {
+                d1[w] = a1[w] & b1[w];
+                d0[w] = a0[w] | b0[w];
+            }
+            break;
+        case OP_OR:
+            for (w = 0; w < span; w++) {
+                d0[w] = a0[w] & b0[w];
+                d1[w] = a1[w] | b1[w];
+            }
+            break;
+        case OP_INV:
+            for (w = 0; w < span; w++) {
+                d0[w] = a1[w];
+                d1[w] = a0[w];
+            }
+            break;
+        case OP_XOR:
+            for (w = 0; w < span; w++) {
+                const uint64_t x0 = a0[w], x1 = a1[w];
+                const uint64_t y0 = b0[w], y1 = b1[w];
+                d0[w] = (x0 & y0) | (x1 & y1);
+                d1[w] = (x0 & y1) | (x1 & y0);
+            }
+            break;
+        default: /* OP_BUF */
+            for (w = 0; w < span; w++) {
+                d0[w] = a0[w];
+                d1[w] = a1[w];
+            }
+            break;
+        }
+    }
+}
 
 void repro_run_program(const int32_t *prog, int64_t n_ops, uint64_t *p0,
-                       uint64_t *p1, int64_t words, uint64_t tail_mask) {
+                       uint64_t *p1, int64_t words) {
     for (int64_t t0 = 0; t0 < words; t0 += REPRO_TILE_WORDS) {
-        const int64_t t1 =
-            t0 + REPRO_TILE_WORDS < words ? t0 + REPRO_TILE_WORDS : words;
-        const int64_t span = t1 - t0;
-        const int last = t1 == words;
-        for (int64_t i = 0; i < n_ops; i++) {
-            const int32_t op = prog[4 * i];
-            uint64_t *d0 = p0 + (int64_t)prog[4 * i + 1] * words + t0;
-            uint64_t *d1 = p1 + (int64_t)prog[4 * i + 1] * words + t0;
-            const uint64_t *a0 = p0 + (int64_t)prog[4 * i + 2] * words + t0;
-            const uint64_t *a1 = p1 + (int64_t)prog[4 * i + 2] * words + t0;
-            const uint64_t *b0 = p0 + (int64_t)prog[4 * i + 3] * words + t0;
-            const uint64_t *b1 = p1 + (int64_t)prog[4 * i + 3] * words + t0;
-            int64_t w;
-            switch (op) {
-            case OP_AND:
-                for (w = 0; w < span; w++) {
-                    d1[w] = a1[w] & b1[w];
-                    d0[w] = a0[w] | b0[w];
-                }
-                break;
-            case OP_OR:
-                for (w = 0; w < span; w++) {
-                    d0[w] = a0[w] & b0[w];
-                    d1[w] = a1[w] | b1[w];
-                }
-                break;
-            case OP_INV:
-                for (w = 0; w < span; w++) {
-                    d0[w] = a1[w];
-                    d1[w] = a0[w];
-                }
-                break;
-            case OP_XOR:
-                for (w = 0; w < span; w++) {
-                    const uint64_t x0 = a0[w], x1 = a1[w];
-                    const uint64_t y0 = b0[w], y1 = b1[w];
-                    d0[w] = (x0 & y0) | (x1 & y1);
-                    d1[w] = (x0 & y1) | (x1 & y0);
-                }
-                break;
-            default: /* OP_BUF */
-                for (w = 0; w < span; w++) {
-                    d0[w] = a0[w];
-                    d1[w] = a1[w];
-                }
-                break;
-            }
-            if (last && span) {
-                d0[span - 1] &= tail_mask;
-                d1[span - 1] &= tail_mask;
-            }
-        }
+        const int64_t span =
+            words - t0 < REPRO_TILE_WORDS ? words - t0 : REPRO_TILE_WORDS;
+        apply_ops(prog, n_ops, p0 + t0, p1 + t0, words, span);
     }
 }
 
 int64_t repro_tile_words(void) { return REPRO_TILE_WORDS; }
-
-int64_t repro_popcount(const uint64_t *a, int64_t words);
-
-/* Fused program + select-compare: run the ops and reduce the compared
- * slots into one mismatch plane, per tile, entirely inside a
- * caller-provided scratch slab (2 * n_slots * REPRO_TILE_WORDS words)
- * that stays cache-resident.  Each compared slot ``cmp[3j]`` is checked
- * against the lane-wise mux of two other slots:
- *
- *   expected = (sel & slot cmp[3j+1]) | (~sel & slot cmp[3j+2])
- *
- * computed in-tile on both planes -- the expected planes never
- * materialize.  Only the input rows, ``sel``, and ``diff`` touch their
- * full-width buffers, so the whole verification shard streams DRAM
- * once instead of once per op.
- *
- *   prog/n_ops      flat [op,dst,a,b] int32 program
- *   in_slots/in0/in1/n_in    slot index + row pointers per preset slot
- *   zero_slots/n_zero        slots read or compared but never written
- *   cmp/n_out       flat [slot, a_slot, b_slot] int32 triples
- *   sel             `words` select mask row (tail-masked)
- *   scratch         2 * n_slots * REPRO_TILE_WORDS words
- *   diff            `words` words, fully overwritten
- *
- * Returns the popcount of `diff` (mismatching lanes).  Input rows and
- * `sel` must already be tail-masked; `tail_mask` is applied to the
- * final diff word as a guard. */
-int64_t repro_run_program_select_diff(
-    const int32_t *prog, int64_t n_ops, const int32_t *in_slots,
-    const uint64_t **in0, const uint64_t **in1, int64_t n_in,
-    const int32_t *zero_slots, int64_t n_zero, const int32_t *cmp,
-    int64_t n_out, const uint64_t *sel, uint64_t *scratch, int64_t n_slots,
-    int64_t words, uint64_t tail_mask, uint64_t *diff) {
-    uint64_t *s0 = scratch;
-    uint64_t *s1 = scratch + n_slots * REPRO_TILE_WORDS;
-    for (int64_t t0 = 0; t0 < words; t0 += REPRO_TILE_WORDS) {
-        const int64_t span =
-            words - t0 < REPRO_TILE_WORDS ? words - t0 : REPRO_TILE_WORDS;
-        int64_t i, w;
-        for (i = 0; i < n_zero; i++) {
-            uint64_t *r0 = s0 + (int64_t)zero_slots[i] * REPRO_TILE_WORDS;
-            uint64_t *r1 = s1 + (int64_t)zero_slots[i] * REPRO_TILE_WORDS;
-            for (w = 0; w < span; w++) {
-                r0[w] = 0;
-                r1[w] = 0;
-            }
-        }
-        for (i = 0; i < n_in; i++) {
-            uint64_t *r0 = s0 + (int64_t)in_slots[i] * REPRO_TILE_WORDS;
-            uint64_t *r1 = s1 + (int64_t)in_slots[i] * REPRO_TILE_WORDS;
-            const uint64_t *v0 = in0[i] + t0;
-            const uint64_t *v1 = in1[i] + t0;
-            for (w = 0; w < span; w++) {
-                r0[w] = v0[w];
-                r1[w] = v1[w];
-            }
-        }
-        for (i = 0; i < n_ops; i++) {
-            const int32_t op = prog[4 * i];
-            uint64_t *d0 = s0 + (int64_t)prog[4 * i + 1] * REPRO_TILE_WORDS;
-            uint64_t *d1 = s1 + (int64_t)prog[4 * i + 1] * REPRO_TILE_WORDS;
-            const uint64_t *a0 =
-                s0 + (int64_t)prog[4 * i + 2] * REPRO_TILE_WORDS;
-            const uint64_t *a1 =
-                s1 + (int64_t)prog[4 * i + 2] * REPRO_TILE_WORDS;
-            const uint64_t *b0 =
-                s0 + (int64_t)prog[4 * i + 3] * REPRO_TILE_WORDS;
-            const uint64_t *b1 =
-                s1 + (int64_t)prog[4 * i + 3] * REPRO_TILE_WORDS;
-            switch (op) {
-            case OP_AND:
-                for (w = 0; w < span; w++) {
-                    d1[w] = a1[w] & b1[w];
-                    d0[w] = a0[w] | b0[w];
-                }
-                break;
-            case OP_OR:
-                for (w = 0; w < span; w++) {
-                    d0[w] = a0[w] & b0[w];
-                    d1[w] = a1[w] | b1[w];
-                }
-                break;
-            case OP_INV:
-                for (w = 0; w < span; w++) {
-                    d0[w] = a1[w];
-                    d1[w] = a0[w];
-                }
-                break;
-            case OP_XOR:
-                for (w = 0; w < span; w++) {
-                    const uint64_t x0 = a0[w], x1 = a1[w];
-                    const uint64_t y0 = b0[w], y1 = b1[w];
-                    d0[w] = (x0 & y0) | (x1 & y1);
-                    d1[w] = (x0 & y1) | (x1 & y0);
-                }
-                break;
-            default: /* OP_BUF */
-                for (w = 0; w < span; w++) {
-                    d0[w] = a0[w];
-                    d1[w] = a1[w];
-                }
-                break;
-            }
-        }
-        for (w = 0; w < span; w++)
-            diff[t0 + w] = 0;
-        for (i = 0; i < n_out; i++) {
-            const uint64_t *r0 = s0 + (int64_t)cmp[3 * i] * REPRO_TILE_WORDS;
-            const uint64_t *r1 = s1 + (int64_t)cmp[3 * i] * REPRO_TILE_WORDS;
-            const uint64_t *a0 =
-                s0 + (int64_t)cmp[3 * i + 1] * REPRO_TILE_WORDS;
-            const uint64_t *a1 =
-                s1 + (int64_t)cmp[3 * i + 1] * REPRO_TILE_WORDS;
-            const uint64_t *b0 =
-                s0 + (int64_t)cmp[3 * i + 2] * REPRO_TILE_WORDS;
-            const uint64_t *b1 =
-                s1 + (int64_t)cmp[3 * i + 2] * REPRO_TILE_WORDS;
-            const uint64_t *sl = sel + t0;
-            uint64_t *d = diff + t0;
-            for (w = 0; w < span; w++) {
-                /* ~sl leaves tail bits set, but the b-plane rows are
-                 * tail-masked, so the mux result stays masked. */
-                const uint64_t s = sl[w];
-                const uint64_t e0 = (s & a0[w]) | (~s & b0[w]);
-                const uint64_t e1 = (s & a1[w]) | (~s & b1[w]);
-                d[w] |= (r0[w] ^ e0) | (r1[w] ^ e1);
-            }
-        }
-    }
-    if (words)
-        diff[words - 1] &= tail_mask;
-    return repro_popcount(diff, words);
-}
 
 static int64_t popcount64(uint64_t x) {
 #if defined(__GNUC__) || defined(__clang__)
@@ -254,6 +132,173 @@ int64_t repro_popcount(const uint64_t *a, int64_t words) {
     for (int64_t w = 0; w < words; w++)
         total += popcount64(a[w]);
     return total;
+}
+
+/* ------------------------------------------------------------------ */
+/* The exhaustive pair product, generated in-tile.                     */
+/* ------------------------------------------------------------------ */
+
+/* The low n bits set, 0 <= n <= 64. */
+static uint64_t low_ones(int64_t n) {
+    return n >= 64 ? ~(uint64_t)0 : ((uint64_t)1 << n) - 1;
+}
+
+/* 64 bits of a bit string starting at bit `pos`; `m` carries one zero
+ * pad word past its last bit so the window never reads beyond it.  The
+ * split shift keeps pos % 64 == 0 well defined without a branch. */
+static uint64_t window64(const uint64_t *m, int64_t pos) {
+    const int64_t w = pos >> 6;
+    const int sh = (int)(pos & 63);
+    return (m[w] >> sh) | ((m[w + 1] << 1) << (63 - sh));
+}
+
+/* All-ones when bit `i` of `m` is set, else zero. */
+static uint64_t bit_smear(const uint64_t *m, int64_t i) {
+    return (uint64_t)0 - ((m[i >> 6] >> (i & 63)) & 1);
+}
+
+/* A run of lanes inside one word that share a g-row: bits [p, p + n),
+ * g-row k (relative to g_lo), h-indices [r, r + n). */
+typedef struct {
+    int32_t p, n, k, r;
+} segment;
+
+/* Every word holds at most 64 / S + 2 runs; S >= 3 (width >= 1). */
+#define REPRO_MAX_SEGMENTS (REPRO_TILE_WORDS * 24)
+
+/* Verify one g-row shard of the 2-sort(width) pair product in one call.
+ *
+ * Lane L = (gi - g_lo) * S + hi for gi in [g_lo, g_hi), hi in [0, S):
+ * input slot in_slots[b] (g bit b) holds bit gi of m0/m1 row b, and
+ * in_slots[width + b] (h bit b) bit hi.  m0/m1 are `width` rows of
+ * `mw` words each (row b = the can-be-0 / can-be-1 mask of bit b over
+ * the S valid strings), plus one trailing zero pad word.
+ *
+ * Per tile the call writes, into the scratch slab (2 * n_slots *
+ * REPRO_TILE_WORDS words): the g-side rows (one bit per S-lane g-row
+ * block), the h-side rows (64-bit windowed reads of each bit's string
+ * pattern, period S), and the select mask (lanes with hi <= gi).  Then
+ * it runs the program and checks each compared slot cmp[3j] against the
+ * lane-wise mux of two other slots on both planes,
+ *
+ *   expected = (sel & slot cmp[3j+1]) | (~sel & slot cmp[3j+2])
+ *
+ * OR-ing mismatches into `diff` (ceil(lanes / 64) words, fully written
+ * and tail-masked).  `fill` lists [slot, p0_ones, p1_ones] triples for
+ * rows no op writes and no input provides (constant nets, unwired
+ * reads); they are preset once, since nothing in the sweep writes them.
+ * Returns the popcount of `diff` (mismatching lanes). */
+int64_t repro_pair_shard(const int32_t *prog, int64_t n_ops,
+                         const int32_t *cmp, int64_t n_out,
+                         const int32_t *fill, int64_t n_fill,
+                         const int32_t *in_slots, const uint64_t *m0,
+                         const uint64_t *m1, int64_t width, int64_t mw,
+                         int64_t g_lo, int64_t g_hi, uint64_t *scratch,
+                         int64_t n_slots, uint64_t *diff) {
+    const int64_t T = REPRO_TILE_WORDS;
+    const int64_t S = ((int64_t)1 << (width + 1)) - 1;
+    const int64_t K = g_hi - g_lo;
+    const int64_t lanes = K * S;
+    const int64_t words = (lanes + 63) >> 6;
+    uint64_t *s0 = scratch;
+    uint64_t *s1 = scratch + n_slots * T;
+    uint64_t sel[REPRO_TILE_WORDS];
+    segment seg[REPRO_MAX_SEGMENTS];
+    int64_t i, j, w;
+
+    for (i = 0; i < n_fill; i++) {
+        const uint64_t v0 = fill[3 * i + 1] ? ~(uint64_t)0 : 0;
+        const uint64_t v1 = fill[3 * i + 2] ? ~(uint64_t)0 : 0;
+        uint64_t *r0 = s0 + fill[3 * i] * T, *r1 = s1 + fill[3 * i] * T;
+        for (w = 0; w < T; w++) {
+            r0[w] = v0;
+            r1[w] = v1;
+        }
+    }
+
+    /* (k, r): g-row and h-index of the next lane to cover. */
+    int64_t k = 0, r = 0;
+    for (int64_t t0 = 0; t0 < words; t0 += T) {
+        const int64_t span = words - t0 < T ? words - t0 : T;
+        /* Word w's runs are seg[first[w]] .. seg[first[w + 1] - 1]. */
+        int64_t first[REPRO_TILE_WORDS + 1];
+        int64_t n_seg = 0;
+        for (w = 0; w < span; w++) {
+            sel[w] = 0;
+            first[w] = n_seg;
+            for (int64_t p = 0; p < 64;) {
+                const int64_t n = S - r < 64 - p ? S - r : 64 - p;
+                if (k < K) {
+                    /* sel: hi <= gi, i.e. the first g_lo + k + 1 h-indices. */
+                    int64_t c = g_lo + k + 1 - r;
+                    c = c < 0 ? 0 : (c > n ? n : c);
+                    sel[w] |= low_ones(c) << p;
+                }
+                seg[n_seg].p = (int32_t)p;
+                seg[n_seg].n = (int32_t)n;
+                seg[n_seg].k = (int32_t)k;
+                seg[n_seg].r = (int32_t)r;
+                n_seg++;
+                p += n;
+                r += n;
+                if (r == S) {
+                    r = 0;
+                    k++;
+                }
+            }
+        }
+        first[span] = n_seg;
+        for (int64_t b = 0; b < width; b++) {
+            const uint64_t *q0 = m0 + b * mw, *q1 = m1 + b * mw;
+            uint64_t *g0 = s0 + in_slots[b] * T, *g1 = s1 + in_slots[b] * T;
+            uint64_t *h0 = s0 + in_slots[width + b] * T;
+            uint64_t *h1 = s1 + in_slots[width + b] * T;
+            for (w = 0; w < span; w++) {
+                const segment *sg = seg + first[w];
+                const segment *end = seg + first[w + 1];
+                if (end - sg == 1) {
+                    /* Fast path once S >= 64: all 64 lanes in one g-row,
+                     * which lies below `lanes`, so k < K. */
+                    g0[w] = bit_smear(q0, g_lo + sg->k);
+                    g1[w] = bit_smear(q1, g_lo + sg->k);
+                    h0[w] = window64(q0, sg->r);
+                    h1[w] = window64(q1, sg->r);
+                    continue;
+                }
+                g0[w] = g1[w] = h0[w] = h1[w] = 0;
+                for (; sg < end; sg++) {
+                    const uint64_t run = low_ones(sg->n) << sg->p;
+                    if (sg->k < K) {
+                        g0[w] |= run & bit_smear(q0, g_lo + sg->k);
+                        g1[w] |= run & bit_smear(q1, g_lo + sg->k);
+                    }
+                    h0[w] |= (window64(q0, sg->r) << sg->p) & run;
+                    h1[w] |= (window64(q1, sg->r) << sg->p) & run;
+                }
+            }
+        }
+
+        apply_ops(prog, n_ops, s0, s1, T, span);
+
+        uint64_t *d = diff + t0;
+        for (w = 0; w < span; w++)
+            d[w] = 0;
+        for (i = 0; i < n_out; i++) {
+            const int32_t *c = cmp + 3 * i;
+            const uint64_t *r0 = s0 + c[0] * T, *r1 = s1 + c[0] * T;
+            const uint64_t *a0 = s0 + c[1] * T, *a1 = s1 + c[1] * T;
+            const uint64_t *b0 = s0 + c[2] * T, *b1 = s1 + c[2] * T;
+            for (w = 0; w < span; w++) {
+                const uint64_t s = sel[w];
+                const uint64_t e0 = (s & a0[w]) | (~s & b0[w]);
+                const uint64_t e1 = (s & a1[w]) | (~s & b1[w]);
+                d[w] |= (r0[w] ^ e0) | (r1[w] ^ e1);
+            }
+        }
+    }
+    if (words)
+        diff[words - 1] &= low_ones(lanes - ((words - 1) << 6));
+    return repro_popcount(diff, words);
 }
 
 /* Ascending indices of set lanes (mismatch-lane extraction for failure
@@ -306,84 +351,4 @@ void repro_not_masked(const uint64_t *a, uint64_t *out, int64_t words,
         out[w] = ~a[w];
     if (words)
         out[words - 1] &= tail_mask;
-}
-
-/* ------------------------------------------------------------------ */
-/* Structured packing: the three bit-layout shapes the exhaustive pair
- * product is built from (PlaneBackend.from_pattern / expand_bits /
- * from_prefix_runs).  All three zero `dst` (length `words`) first and
- * set only bits below `lanes`.                                        */
-/* ------------------------------------------------------------------ */
-
-static void zero_words(uint64_t *dst, int64_t words) {
-    for (int64_t w = 0; w < words; w++)
-        dst[w] = 0;
-}
-
-/* OR the low `nbits` of `src` into `dst` starting at bit `off`. */
-static void or_bits(uint64_t *dst, int64_t words, int64_t off,
-                    const uint64_t *src, int64_t nbits) {
-    const int64_t w = off >> 6;
-    const int sh = (int)(off & 63);
-    const int64_t nw = (nbits + 63) >> 6;
-    for (int64_t i = 0; i < nw; i++) {
-        uint64_t v = src[i];
-        const int64_t rem = nbits - (i << 6);
-        if (rem < 64)
-            v &= ~(uint64_t)0 >> (64 - rem);
-        dst[w + i] |= v << sh;
-        if (sh && w + i + 1 < words)
-            dst[w + i + 1] |= v >> (64 - sh);
-    }
-}
-
-/* Set the bit run [start, start + len). */
-static void set_ones(uint64_t *dst, int64_t start, int64_t len) {
-    if (len <= 0)
-        return;
-    const int64_t end = start + len;
-    const int64_t w0 = start >> 6, w1 = (end - 1) >> 6;
-    const uint64_t first = ~(uint64_t)0 << (start & 63);
-    const uint64_t last = ~(uint64_t)0 >> (63 - ((end - 1) & 63));
-    if (w0 == w1) {
-        dst[w0] |= first & last;
-        return;
-    }
-    dst[w0] |= first;
-    for (int64_t w = w0 + 1; w < w1; w++)
-        dst[w] = ~(uint64_t)0;
-    dst[w1] |= last;
-}
-
-void repro_fill_pattern(uint64_t *dst, int64_t words, const uint64_t *pat,
-                        int64_t period, int64_t lanes) {
-    zero_words(dst, words);
-    for (int64_t off = 0; off < lanes; off += period) {
-        const int64_t n = lanes - off < period ? lanes - off : period;
-        or_bits(dst, words, off, pat, n);
-    }
-}
-
-void repro_fill_expand(uint64_t *dst, int64_t words, const uint64_t *bits,
-                       int64_t run, int64_t lanes) {
-    zero_words(dst, words);
-    int64_t k = 0;
-    for (int64_t off = 0; off < lanes; off += run, k++) {
-        if ((bits[k >> 6] >> (k & 63)) & 1) {
-            const int64_t n = lanes - off < run ? lanes - off : run;
-            set_ones(dst, off, n);
-        }
-    }
-}
-
-void repro_fill_prefix(uint64_t *dst, int64_t words, int64_t first,
-                       int64_t period, int64_t lanes) {
-    zero_words(dst, words);
-    int64_t k = 0;
-    for (int64_t off = 0; off < lanes; off += period, k++) {
-        int64_t n = first + k < period ? first + k : period;
-        if (lanes - off < n)
-            n = lanes - off;
-        set_ones(dst, off, n);
-    }
 }

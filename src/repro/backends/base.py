@@ -26,6 +26,9 @@ A backend owns four concerns:
   op sweep over plane slots.  This is *the* hot loop, so each backend
   specializes it (big-int: inline int operators; numpy: ufuncs into a
   preallocated slab) instead of paying a virtual call per gate.
+  :meth:`~PlaneBackend.run_pair_shard` is the whole verification shard
+  (pair product, sweep, compare), which the native kernel runs in one
+  call.
 
 Invariant: every plane is **tail-masked** -- bits at lane indices
 ``>= lanes`` are zero.  Constructors enforce it, ``bnot`` re-masks, and
@@ -107,14 +110,12 @@ class PlaneBackend(abc.ABC):
     # ------------------------------------------------------------------
     # Structured packing
     #
-    # The exhaustive pair product is built from three bit-layout shapes
-    # (repro.verify.exhaustive): a per-string pattern tiled across
-    # g-row blocks, single bits smeared into row-wide runs, and a
-    # block-triangular prefix mask.  They are representation-level
-    # constructions (ints -> planes), so backends may build them
-    # natively instead of routing ~lanes-bit ints through from_int --
-    # the defaults below are the reference semantics every override
-    # must match bit-for-bit.
+    # The exhaustive pair product (pair_shard_planes, run_pair_shard) is
+    # built from three bit-layout shapes: a per-string pattern tiled
+    # across g-row blocks, single bits smeared into row-wide runs, and a
+    # block-triangular prefix mask.  These defaults are the reference
+    # semantics; the native backend generates the same bits inside its
+    # kernel instead of building planes.
     # ------------------------------------------------------------------
     def from_pattern(self, value: int, period: int, lanes: int) -> Plane:
         """``value`` (a ``period``-bit pattern) tiled every ``period`` bits.
@@ -155,6 +156,44 @@ class PlaneBackend(abc.ABC):
         for k in range(count):
             out |= ((1 << min(first + k, period)) - 1) << (k * period)
         return self.from_int(out, lanes)
+
+    def pair_shard_planes(
+        self,
+        masks: Tuple[Sequence[int], Sequence[int]],
+        width: int,
+        g_lo: int,
+        g_hi: int,
+    ) -> Tuple[Tuple[Tuple[Plane, Plane], ...], int]:
+        """Input planes of one g-row shard of the 2-sort pair product.
+
+        ``masks`` is ``(m0, m1)``: ``m0[b]`` (``m1[b]``) has bit ``i``
+        set iff bit ``b`` of valid string ``i`` can resolve to 0 (1),
+        over the ``S = 2**(width+1) - 1`` strings in ascending rank.  The
+        shard covers ``gi`` in ``[g_lo, g_hi)`` against every ``hi``;
+        lane ``(gi - g_lo) * S + hi``.  Returns the ``2 * width`` input
+        plane pairs (g bits, then h bits) and the lane count.
+        """
+        m0, m1 = masks
+        S = (1 << (width + 1)) - 1
+        K = g_hi - g_lo
+        lanes = K * S
+        g_mask = (1 << K) - 1
+        planes = []
+        for b in range(width):  # g-side: spread bit gi into an S-wide block
+            planes.append(
+                (
+                    self.expand_bits((m0[b] >> g_lo) & g_mask, S, lanes),
+                    self.expand_bits((m1[b] >> g_lo) & g_mask, S, lanes),
+                )
+            )
+        for b in range(width):  # h-side: per-string pattern, replicated
+            planes.append(
+                (
+                    self.from_pattern(m0[b], S, lanes),
+                    self.from_pattern(m1[b], S, lanes),
+                )
+            )
+        return tuple(planes), lanes
 
     # ------------------------------------------------------------------
     # Conversion
@@ -319,6 +358,55 @@ class PlaneBackend(abc.ABC):
             e1 = bor(band(sel, p1[a]), band(nsel, p1[b]))
             diff = bor(diff, bor(bxor(p0[slot], e0), bxor(p1[slot], e1)))
         return diff, self.popcount(diff)
+
+    def run_pair_shard(
+        self,
+        program: Any,
+        cmp: Sequence[Tuple[int, int, int]],
+        width: int,
+        masks: Tuple[Sequence[int], Sequence[int]],
+        g_lo: int,
+        g_hi: int,
+    ) -> Tuple[Plane, int]:
+        """Check one g-row shard of the 2-sort pair product in one step.
+
+        ``program`` is a compiled program (``ops``, ``n_slots``,
+        ``input_slots`` -- g bits then h bits -- and ``const_slots`` as
+        ``(slot, can0, can1)``, :class:`repro.circuits.compiled.CompiledCircuit`);
+        ``cmp`` holds :meth:`run_ops_select_diff` slot triples.  The
+        inputs are the pair product of :meth:`pair_shard_planes`, and
+        ``sel`` is set on lanes where ``rank(g) >= rank(h)`` -- strings
+        are enumerated in ascending rank, so within the block of ``gi``
+        these are the lanes ``hi <= gi``, a block-triangular prefix
+        mask.  The Table 2 order max takes each bit from ``g`` on those
+        lanes and from ``h`` elsewhere; the min is the complementary
+        selection.  Returns ``(diff, mismatches)`` over the shard's
+        ``(g_hi - g_lo) * S`` lanes.
+
+        This default packs the planes through the structured-packing
+        primitives and runs :meth:`run_ops_select_diff`; it is the
+        reference semantics every override must match bit-for-bit.
+        Backends that execute programs natively can generate the pair
+        product in place, so no input plane is ever built.
+        """
+        planes, lanes = self.pair_shard_planes(masks, width, g_lo, g_hi)
+        sel = self.from_prefix_runs(g_lo + 1, (1 << (width + 1)) - 1, lanes)
+        inputs = [
+            (slot, a0, a1) for slot, (a0, a1) in zip(program.input_slots, planes)
+        ]
+        if program.const_slots:
+            zero, full = self.zeros(lanes), self.ones(lanes)
+            for slot, can0, can1 in program.const_slots:
+                inputs.append((slot, full if can0 else zero, full if can1 else zero))
+        return self.run_ops_select_diff(
+            program.ops,
+            program.n_slots,
+            inputs,
+            cmp,
+            sel,
+            self.bnot(sel, lanes),
+            lanes,
+        )
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

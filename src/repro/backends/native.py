@@ -5,11 +5,13 @@ On first use it tries to build/load the C kernel in
 :mod:`repro.backends._kernel`; when that works it becomes a
 :class:`_KernelArrayBackend` -- same uint64 lane-word layout and
 canonical bytes as :class:`~repro.backends.array_backend.ArrayBackend`,
-but :meth:`run_ops` lowers the compiled op list to a flat int32 program
-once, packs the slot planes into two contiguous slabs, and executes the
-entire program (all gates, both planes, tail masking) in a single
-``repro_run_program`` call per shard, never re-entering Python between
-ops.  When the kernel is unavailable (no compiler, build failure,
+but the compiled op list is lowered to a flat int32 program once and
+executed by the kernel without re-entering Python between ops:
+:meth:`run_ops` packs the slot planes into two slabs for one
+``repro_run_program`` call, and :meth:`run_pair_shard` -- a whole
+exhaustive-verification shard -- is one ``repro_pair_shard`` call that
+generates the pair product itself, so no input plane is built in Python.
+When the kernel is unavailable (no compiler, build failure,
 ``REPRO_NO_NATIVE=1``) the proxy degrades to the registered ``bigint``
 backend with a one-time stderr notice, so hosts without a toolchain see
 identical behavior to ``--backend bigint``.
@@ -24,9 +26,10 @@ keys stay consistent because they key on the name, not the variant.
 from __future__ import annotations
 
 import ctypes
+import itertools
 import threading
 from array import array
-from typing import Any, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import _kernel
 from .array_backend import ArrayBackend
@@ -34,11 +37,15 @@ from .base import Plane, PlaneBackend
 
 __all__ = ["NativeBackend"]
 
-_FULL_WORD = (1 << 64) - 1
 #: Lowered programs cached per op-list identity; cleared wholesale past
 #: this many entries (each sweep reuses one program thousands of times,
 #: so eviction policy is irrelevant -- this is just a leak bound).
 _PROGRAM_CACHE_CAP = 32
+
+
+def _int32s(values: Iterable[int]) -> ctypes.Array:
+    flat = list(values)
+    return (ctypes.c_int32 * len(flat))(*flat)
 
 
 def _qptr(plane: array) -> int:
@@ -62,6 +69,7 @@ class _KernelArrayBackend(ArrayBackend):
         self._lib = lib
         self._programs: dict = {}
         self._marshal: dict = {}
+        self._masks = None
         self._tile = int(lib.repro_tile_words())
         self._local = threading.local()
 
@@ -79,6 +87,7 @@ class _KernelArrayBackend(ArrayBackend):
         self._lib = lib
         self._programs = {}
         self._marshal = {}
+        self._masks = None
         self._tile = int(lib.repro_tile_words())
         self._local = threading.local()
 
@@ -116,10 +125,7 @@ class _KernelArrayBackend(ArrayBackend):
         cached = self._programs.get(key)
         if cached is not None and cached[0] is ops:
             return cached[1], cached[2], cached[3]
-        flat = []
-        for quad in ops:
-            flat.extend(quad)
-        prog = (ctypes.c_int32 * len(flat))(*flat)
+        prog = _int32s(itertools.chain(*ops))
         # Only slots read before any write (inputs, constants, unwired
         # defaults) need copying into the slab; every dst is written
         # before it is read (topological order), and only dsts need
@@ -165,12 +171,7 @@ class _KernelArrayBackend(ArrayBackend):
                 slab0[s] = p0[s]
                 slab1[s] = p1[s]
             self._lib.repro_run_program(
-                prog,
-                len(ops),
-                slab0.ctypes.data,
-                slab1.ctypes.data,
-                words,
-                _FULL_WORD,
+                prog, len(ops), slab0.ctypes.data, slab1.ctypes.data, words
             )
             # Slab-row views, not copies: detach() copies on retention.
             for d in dsts:
@@ -183,7 +184,7 @@ class _KernelArrayBackend(ArrayBackend):
             slab0[s * words : (s + 1) * words] = p0[s]
             slab1[s * words : (s + 1) * words] = p1[s]
         self._lib.repro_run_program(
-            prog, len(ops), _qptr(slab0), _qptr(slab1), words, _FULL_WORD
+            prog, len(ops), _qptr(slab0), _qptr(slab1), words
         )
         for d in dsts:
             p0[d] = slab0[d * words : (d + 1) * words]
@@ -215,166 +216,105 @@ class _KernelArrayBackend(ArrayBackend):
         got = self._lib.repro_extract_lanes(self._ptr(a), len(a), out, n)
         return iter(out[:got])
 
-    def _select_diff_marshal(
-        self,
-        ops: Sequence[Tuple[int, int, int, int]],
-        preload: Tuple[int, ...],
-        dsts: Tuple[int, ...],
-        in_slot_ids: Tuple[int, ...],
-        cmp_t: Tuple[Tuple[int, int, int], ...],
-    ):
-        """Cached per-(program, slot layout) ctypes arrays for the C call.
+    # ------------------------------------------------------------------
+    # Verification shards: one C call each, pair product generated in C
+    # ------------------------------------------------------------------
+    def _shard_marshal(self, program, cmp: Sequence[Tuple[int, int, int]]):
+        """Cached per-(program, compare triples) ctypes arrays for the C call.
 
         One verification sweep makes thousands of calls with identical
-        slot structure, so the int32 arrays (preset slots, zero slots,
-        compare triples) are built once and revalidated by tuple
-        compare; only the plane addresses change per shard.
+        slot structure, so the int32 arrays (program, compare triples,
+        preset rows, input slots) are built once and revalidated by
+        identity and tuple compare.
         """
-        key = id(ops)
-        cached = self._marshal.get(key)
-        if (
-            cached is not None
-            and cached[0] is ops
-            and cached[1] == in_slot_ids
-            and cached[2] == cmp_t
-        ):
-            return cached[3]
-        provided = set(in_slot_ids)
-        written = set(dsts)
+        ops = program.ops
+        cmp_t = tuple(cmp)
+        cached = self._marshal.get(id(ops))
+        if cached is not None and cached[0] is ops and cached[1] == cmp_t:
+            return cached[2]
+        prog, preload, dsts = self._lower(ops)
+        fill = list(program.const_slots)
+        seen = {*program.input_slots, *dsts, *(row[0] for row in fill)}
         # Slots the C sweep reads (or compares) without anyone having
         # written them get zero rows, matching the all-zero slot fill of
         # the generic path.
-        zero_slots = [s for s in preload if s not in provided]
-        seen = set(zero_slots)
-        for triple in cmp_t:
-            for s in triple:
-                if s not in written and s not in provided and s not in seen:
-                    seen.add(s)
-                    zero_slots.append(s)
+        for slot in itertools.chain(preload, *cmp_t):
+            if slot not in seen:
+                seen.add(slot)
+                fill.append((slot, 0, 0))
         entry = (
-            (ctypes.c_int32 * len(in_slot_ids))(*in_slot_ids),
-            (ctypes.c_int32 * len(zero_slots))(*zero_slots),
-            len(zero_slots),
-            (ctypes.c_int32 * (3 * len(cmp_t)))(
-                *(s for triple in cmp_t for s in triple)
-            ),
+            prog,
+            len(ops),
+            _int32s(itertools.chain(*cmp_t)),
+            len(cmp_t),
+            _int32s(itertools.chain(*fill)),
+            len(fill),
+            _int32s(program.input_slots),
         )
         if len(self._marshal) >= _PROGRAM_CACHE_CAP:
             self._marshal.clear()
-        self._marshal[key] = (ops, in_slot_ids, cmp_t, entry)
+        self._marshal[id(ops)] = (ops, cmp_t, entry)
         return entry
 
-    def run_ops_select_diff(
-        self,
-        ops: Sequence[Tuple[int, int, int, int]],
-        n_slots: int,
-        inputs: Sequence[Tuple[int, Any, Any]],
-        cmp: Sequence[Tuple[int, int, int]],
-        sel: Any,
-        nsel: Any,
-        lanes: int,
-    ):
-        words = self.words_for(lanes)
-        if not ops or words == 0 or n_slots == 0:
-            return super().run_ops_select_diff(
-                ops, n_slots, inputs, cmp, sel, nsel, lanes
-            )
-        prog, preload, dsts = self._lower(ops)
-        n_in = len(inputs)
-        in_slot_ids = tuple(s for s, _, _ in inputs)
-        cmp_t = tuple(cmp)
-        in_arr, zero_arr, n_zero, cmp_arr = self._select_diff_marshal(
-            ops, preload, dsts, in_slot_ids, cmp_t
+    def _mask_rows(self, masks, width: int):
+        """``(m0, m1, words)``: the string masks as row-major uint64 rows.
+
+        Each side is ``width`` rows of ``words`` words plus one zero pad
+        word for the kernel's windowed reads.  Cached for the last
+        ``masks`` object: a sweep passes the same memoized tuple for
+        every shard.
+        """
+        cached = self._masks
+        if cached is not None and cached[0] is masks and cached[1] == width:
+            return cached[2]
+        if any(len(side) != width for side in masks):
+            raise ValueError(f"masks must hold {width} rows per plane")
+        mw = self.words_for((1 << (width + 1)) - 1)
+        m0, m1 = (
+            array("Q", b"".join(m.to_bytes(8 * mw, "little") for m in side))
+            for side in masks
         )
-        # Plane-row pointer tables as one raw address buffer: [all p0
-        # rows][all p1 rows].  keep pins the (possibly copied) rows for
-        # the duration of the call; nsel is unused -- the kernel
-        # complements sel in-register.
-        keep: List[Any] = []
+        m0.append(0)
+        m1.append(0)
+        self._masks = (masks, width, (m0, m1, mw))
+        return m0, m1, mw
+
+    def run_pair_shard(self, program, cmp, width, masks, g_lo, g_hi):
+        # The kernel indexes the mask rows and input slots by these.
+        S = (1 << (width + 1)) - 1
+        if not 0 <= g_lo < g_hi <= S or len(program.input_slots) != 2 * width:
+            raise ValueError(
+                f"bad 2-sort({width}) shard [{g_lo}, {g_hi}) for a program "
+                f"with {len(program.input_slots)} inputs"
+            )
+        prog, n_ops, cmp_arr, n_cmp, fill_arr, n_fill, in_arr = (
+            self._shard_marshal(program, cmp)
+        )
+        m0, m1, mw = self._mask_rows(masks, width)
+        words = self.words_for((g_hi - g_lo) * S)
         if self._np is not None:
-            np = self._np
-            addr = np.empty(2 * n_in, dtype=np.uintp)
-            for i, (_, a0, a1) in enumerate(inputs):
-                a0 = self._contiguous(a0)
-                a1 = self._contiguous(a1)
-                keep.append(a0)
-                keep.append(a1)
-                addr[i] = a0.ctypes.data
-                addr[n_in + i] = a1.ctypes.data
-            base = addr.ctypes.data
-            sel = self._contiguous(sel)
-            diff = np.empty(words, dtype=np.uint64)
+            diff = self._np.empty(words, dtype=self._np.uint64)
         else:
-            addr = array("Q", bytes(16 * n_in)) if n_in else array("Q")
-            for i, (_, a0, a1) in enumerate(inputs):
-                addr[i] = _qptr(a0)
-                addr[n_in + i] = _qptr(a1)
-            base = _qptr(addr) if n_in else 0
             diff = array("Q", bytes(8 * words))
-        mismatches = self._lib.repro_run_program_select_diff(
+        mismatches = self._lib.repro_pair_shard(
             prog,
-            len(ops),
-            in_arr,
-            base,
-            base + 8 * n_in,
-            n_in,
-            zero_arr,
-            n_zero,
+            n_ops,
             cmp_arr,
-            len(cmp_t),
-            self._ptr(sel),
-            self._scratch_addr(n_slots),
-            n_slots,
-            words,
-            self._tail_mask(lanes),
+            n_cmp,
+            fill_arr,
+            n_fill,
+            in_arr,
+            _qptr(m0),
+            _qptr(m1),
+            width,
+            mw,
+            g_lo,
+            g_hi,
+            self._scratch_addr(program.n_slots),
+            program.n_slots,
             self._ptr(diff),
         )
         return diff, int(mismatches)
-
-    # ------------------------------------------------------------------
-    # Structured packing in C: the pair-product planes are built without
-    # routing ~lanes-bit ints through Python (semantics: base.py).
-    # ------------------------------------------------------------------
-    def _int_plane(self, value: int, words: int):
-        """`value` as a `words`-long lane-word buffer (little-endian)."""
-        return self.from_bytes(value.to_bytes(words * 8, "little"), words * 64)
-
-    def _empty_plane(self, words: int):
-        """Uninitialized destination for the C fills (they zero first)."""
-        if self._np is not None:
-            return self._np.empty(words, dtype=self._np.uint64)
-        return array("Q", bytes(8 * words))
-
-    def from_pattern(self, value: int, period: int, lanes: int):
-        words = self.words_for(lanes)
-        if not words:
-            return self.zeros(lanes)
-        dst = self._empty_plane(words)
-        pat = self._int_plane(value, self.words_for(period))
-        self._lib.repro_fill_pattern(
-            self._ptr(dst), words, self._ptr(pat), period, lanes
-        )
-        return dst
-
-    def expand_bits(self, value: int, run: int, lanes: int):
-        words = self.words_for(lanes)
-        if not words:
-            return self.zeros(lanes)
-        dst = self._empty_plane(words)
-        count = -(-lanes // run)
-        bits = self._int_plane(value & ((1 << count) - 1), self.words_for(count))
-        self._lib.repro_fill_expand(
-            self._ptr(dst), words, self._ptr(bits), run, lanes
-        )
-        return dst
-
-    def from_prefix_runs(self, first: int, period: int, lanes: int):
-        words = self.words_for(lanes)
-        if not words:
-            return self.zeros(lanes)
-        dst = self._empty_plane(words)
-        self._lib.repro_fill_prefix(self._ptr(dst), words, first, period, lanes)
-        return dst
 
     # The stdlib-array variant's word loops are the slowest path in the
     # tree; route its primitive ops through the kernel too (the numpy
@@ -481,15 +421,6 @@ class NativeBackend(PlaneBackend):
     def from_bytes(self, data: bytes, lanes: int) -> Plane:
         return self._resolve().from_bytes(data, lanes)
 
-    def from_pattern(self, value: int, period: int, lanes: int) -> Plane:
-        return self._resolve().from_pattern(value, period, lanes)
-
-    def expand_bits(self, value: int, run: int, lanes: int) -> Plane:
-        return self._resolve().expand_bits(value, run, lanes)
-
-    def from_prefix_runs(self, first: int, period: int, lanes: int) -> Plane:
-        return self._resolve().from_prefix_runs(first, period, lanes)
-
     def coerce(self, plane: Plane, lanes: int) -> Plane:
         return self._resolve().coerce(plane, lanes)
 
@@ -549,6 +480,19 @@ class NativeBackend(PlaneBackend):
     ) -> Tuple[Plane, int]:
         return self._resolve().run_ops_select_diff(
             ops, n_slots, inputs, cmp, sel, nsel, lanes
+        )
+
+    def run_pair_shard(
+        self,
+        program: Any,
+        cmp: Sequence[Tuple[int, int, int]],
+        width: int,
+        masks: Tuple[Sequence[int], Sequence[int]],
+        g_lo: int,
+        g_hi: int,
+    ) -> Tuple[Plane, int]:
+        return self._resolve().run_pair_shard(
+            program, cmp, width, masks, g_lo, g_hi
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

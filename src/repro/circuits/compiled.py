@@ -318,7 +318,8 @@ _OP_INV = 2
 _OP_XOR = 3
 _OP_BUF = 4
 
-#: Single-lane plane encodings, for scalar wrappers.
+#: ``(can0, can1)`` plane flags of each trit: single-lane encodings for
+#: scalar wrappers, and the form constant slots store.
 _TRIT_PLANES = {
     Trit.ZERO: (1, 0),
     Trit.ONE: (0, 1),
@@ -365,10 +366,10 @@ class CompiledCircuit:
         self.n_inputs = len(slot_of)
         self.input_slots: Tuple[int, ...] = tuple(range(self.n_inputs))
 
-        const_slots: List[Tuple[int, Trit]] = []
+        const_slots: List[Tuple[int, int, int]] = []
         for net, value in circuit.const_nets.items():
             slot_of[net] = len(slot_of)
-            const_slots.append((slot_of[net], value))
+            const_slots.append((slot_of[net], *_TRIT_PLANES[value]))
 
         n_slots = len(slot_of)
         ops: List[Tuple[int, int, int, int]] = []
@@ -422,14 +423,14 @@ class CompiledCircuit:
                 t2 = emit(_OP_AND, temp(), src[0], src[2])
                 emit(_OP_OR, dst, t1, t2)
             elif kind in ("CONST0", "CONST1"):
-                const_slots.append(
-                    (dst, Trit.ONE if kind == "CONST1" else Trit.ZERO)
-                )
+                value = Trit.ONE if kind == "CONST1" else Trit.ZERO
+                const_slots.append((dst, *_TRIT_PLANES[value]))
             else:
                 raise CircuitError(
                     f"{circuit.name}: cannot compile gate kind {kind!r}"
                 )
-        self.const_slots: Tuple[Tuple[int, Trit], ...] = tuple(const_slots)
+        #: ``(slot, can0, can1)``: constant nets in plane form.
+        self.const_slots: Tuple[Tuple[int, int, int], ...] = tuple(const_slots)
 
         self.ops: Tuple[Tuple[int, int, int, int], ...] = tuple(ops)
         self.n_slots = n_slots
@@ -470,68 +471,46 @@ class CompiledCircuit:
             p1[slot] = be.coerce(a1, n_vectors)
         if self.const_slots:
             full = be.ones(n_vectors)
-            for slot, value in self.const_slots:
-                if value is Trit.ONE:
-                    p1[slot] = full
-                else:
+            for slot, can0, can1 in self.const_slots:
+                if can0:
                     p0[slot] = full
+                if can1:
+                    p1[slot] = full
         be.run_ops(self.ops, p0, p1)
         return p0, p1
 
-    def run_select_diff(
+    def run_pair_shard(
         self,
-        input_planes: Sequence[Tuple[Plane, Plane]],
-        n_vectors: int,
-        sel: Plane,
-        nsel: Plane,
+        width: int,
+        masks: Tuple[Sequence[int], Sequence[int]],
+        g_lo: int,
+        g_hi: int,
         pairs: Sequence[Tuple[int, int, int]],
     ) -> Tuple[Plane, int]:
-        """Execute and compare outputs against input muxes in one call.
+        """Check one g-row shard of the 2-sort pair product.
 
+        The primary inputs are the shard's pair product (g bits, then h
+        bits; ``masks`` as in :meth:`PlaneBackend.pair_shard_planes`).
         Each ``pairs`` triple ``(out, a, b)`` names an *output index*
         and two *primary input indices*: output ``out`` is expected to
-        equal ``(sel & input a) | (nsel & input b)`` lane-wise on both
-        planes, where ``nsel`` is the tail-masked complement of ``sel``
-        (both backend-native).  Returns the backend's
-        ``(diff, mismatches)`` -- the OR over pairs of
-        ``(got ^ expected)`` on both planes, plus its popcount
-        (:meth:`PlaneBackend.run_ops_select_diff`).  The verification
-        sweeps use this instead of :meth:`run_planes` because every
-        expected two-sort output *is* such a mux; backends with fused
-        native execution then never materialize intermediate or
+        equal input ``a`` on lanes where ``rank(g) >= rank(h)`` and
+        input ``b`` elsewhere, on both planes.  Returns the backend's
+        ``(diff, mismatches)`` (:meth:`PlaneBackend.run_pair_shard`):
+        the OR over pairs of ``got ^ expected``, plus its popcount.
+        Every expected two-sort output *is* such a mux, so backends with
+        fused native execution never materialize input, intermediate or
         expected planes.  Results are bit-identical across backends.
         """
-        if len(input_planes) != self.n_inputs:
+        if self.n_inputs != 2 * width:
             raise ValueError(
-                f"{self.name}: expected planes for {self.n_inputs} inputs, "
-                f"got {len(input_planes)}"
+                f"{self.name}: a 2-sort({width}) shard needs {2 * width} "
+                f"inputs, got {self.n_inputs}"
             )
-        be = self.backend
-        inputs = [
-            (slot, be.coerce(a0, n_vectors), be.coerce(a1, n_vectors))
-            for slot, (a0, a1) in zip(self.input_slots, input_planes)
-        ]
-        if self.const_slots:
-            zero = be.zeros(n_vectors)
-            full = be.ones(n_vectors)
-            for slot, value in self.const_slots:
-                if value is Trit.ONE:
-                    inputs.append((slot, zero, full))
-                else:
-                    inputs.append((slot, full, zero))
         cmp = [
             (self.output_slots[out], self.input_slots[a], self.input_slots[b])
             for out, a, b in pairs
         ]
-        return be.run_ops_select_diff(
-            self.ops,
-            self.n_slots,
-            inputs,
-            cmp,
-            be.coerce(sel, n_vectors),
-            be.coerce(nsel, n_vectors),
-            n_vectors,
-        )
+        return self.backend.run_pair_shard(self, cmp, width, masks, g_lo, g_hi)
 
     # ------------------------------------------------------------------
     # Encoding / decoding

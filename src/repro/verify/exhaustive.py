@@ -7,13 +7,17 @@ closure equality), giving the reproduction its ground truth.
 
 Since the bit-parallel engine landed, both circuit-level sweeps run the
 whole pair domain as a handful of two-plane batches
-(:mod:`repro.circuits.compiled`):
+(:mod:`repro.circuits.compiled`), one g-row shard at a time, through
+:meth:`PlaneBackend.run_pair_shard <repro.backends.PlaneBackend.run_pair_shard>`:
 
-* the *pair product* ``S x S`` is materialised directly in plane space
-  -- the h-side planes are one per-string bit pattern replicated ``S``
-  times by a single big-int multiply, the g-side planes spread each
-  string's bit across an ``S``-wide lane block -- so no per-pair Python
-  loop ever runs on the happy path;
+* the *pair product* ``S x S`` lives directly in plane space -- each
+  h-side input is one per-string bit pattern repeated every ``S`` lanes,
+  each g-side input spreads one string's bit across an ``S``-wide lane
+  block -- so no per-pair Python loop ever runs on the happy path.  The
+  shard's backend gets only the per-bit string masks
+  (:func:`_string_bit_masks`): the reference backends pack the planes
+  from them, and the native kernel generates the lane words in C, tile
+  by tile, without building any input plane;
 * the expected ``(max, min)`` planes come from the total order of
   Table 2 (strings are enumerated in ascending rank, so "max = g iff
   h-index <= g-index" is one block-triangular select mask).  On valid
@@ -21,7 +25,8 @@ whole pair domain as a handful of two-plane batches
   (Lemma 2.9; checked exhaustively in ``tests/test_graycode_ops.py``),
   so comparing planes against it verifies Definition 2.8 exactly;
 * only mismatching lanes -- none, for a correct circuit -- are decoded
-  back to words for the failure report.
+  back to words for the failure report, and only as many as the report
+  keeps; the kernel's mismatch count supplies the total.
 
 Throughput on the full B = 8 domain improves by three orders of
 magnitude over the scalar interpreter (``benchmarks/bench_engines.py``
@@ -56,6 +61,9 @@ _MAX_LANES = 1 << 14
 #: a huge --shard-size would materialise every program slot as a
 #: multi-GB integer at B = 13.
 _MAX_SHARD_LANES = 1 << 22
+
+#: Counterexample messages a report keeps (``failure_count`` has the rest).
+_FAILURE_LIMIT = 20
 
 
 @dataclass(frozen=True)
@@ -139,7 +147,7 @@ class VerificationResult:
     def ok(self) -> bool:
         return self.failure_count == 0
 
-    def record(self, message: str, limit: int = 20) -> None:
+    def record(self, message: str, limit: int = _FAILURE_LIMIT) -> None:
         self.failure_count += 1
         if len(self.failures) < limit:
             self.failures.append(message)
@@ -172,7 +180,9 @@ class VerificationResult:
 
     @classmethod
     def merge(
-        cls, results: Iterable["VerificationResult"], limit: int = 20
+        cls,
+        results: Iterable["VerificationResult"],
+        limit: int = _FAILURE_LIMIT,
     ) -> "VerificationResult":
         """Combine per-shard results deterministically.
 
@@ -227,58 +237,18 @@ def _string_bit_masks(width: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
 def _shard_input_planes(be: PlaneBackend, width: int, g_lo: int, g_hi: int):
     """Backend-native input planes for one g-row shard.
 
-    Covers ``gi`` in ``[g_lo, g_hi)`` against *all* ``hi``; lane index
-    is ``(gi - g_lo) * S + hi`` (h fastest).  Returns the 2*width input
-    planes (g bits then h bits) and the lane count, built through the
-    backend's structured-packing primitives
-    (:meth:`PlaneBackend.from_pattern` and friends) so word-array
-    backends construct lane words directly instead of routing
-    ``lanes``-bit ints through ``from_int``.  The base-class defaults
-    reproduce the original big-int construction exactly, so every
-    backend yields bit-identical planes.
-
-    Memoized: the planes depend only on the shard, not the circuit, and
-    every sweep treats input planes as immutable (``run_ops`` never
-    writes a preset slot's plane).  Region sweeps verify many cones over
-    the *same* shard and re-verification revisits shards wholesale, so
-    a small LRU turns the pack stage into a lookup; backends hash by
-    identity and registry entries are process-long, so the keys are
-    stable.
+    The 2*width input planes (g bits then h bits) and the lane count of
+    :meth:`PlaneBackend.pair_shard_planes`.  The sweeps themselves never
+    build these (:meth:`PlaneBackend.run_pair_shard` owns the pair
+    product); they are for the paths that need every slot plane of a
+    shard -- failure decode, which re-runs the program on a failing
+    shard, and :func:`verify_containment`.  Memoized because input
+    planes are immutable (``run_ops`` never writes a preset slot's
+    plane), so successive edits of one design that fail on the same
+    shard reuse them; backends hash by identity and registry entries
+    are process-long, so the keys are stable.
     """
-    m0, m1 = _string_bit_masks(width)
-    S = (1 << (width + 1)) - 1  # |S^B_rg|
-    K = g_hi - g_lo
-    lanes = K * S
-    g_mask = (1 << K) - 1
-    planes = []
-    for b in range(width):  # g-side: spread bit gi into an S-wide block
-        planes.append(
-            (
-                be.expand_bits((m0[b] >> g_lo) & g_mask, S, lanes),
-                be.expand_bits((m1[b] >> g_lo) & g_mask, S, lanes),
-            )
-        )
-    for b in range(width):  # h-side: per-string pattern, replicated
-        planes.append(
-            (be.from_pattern(m0[b], S, lanes), be.from_pattern(m1[b], S, lanes))
-        )
-    return tuple(planes), lanes
-
-
-def _shard_select_mask(be: PlaneBackend, width: int, g_lo: int, lanes: int):
-    """``(sel, nsel)`` for one g-row shard.
-
-    ``sel`` is set on lanes where ``rank(g) >= rank(h)`` (strings are
-    enumerated in ascending rank, so within the block of ``gi`` these
-    are the lanes ``hi <= gi`` -- a block-triangular prefix mask).  The
-    expected Table 2 order max takes each bit from ``g`` on those lanes
-    and from ``h`` elsewhere; the min is the complementary selection.
-    Both the mux and the compare run fused inside
-    :meth:`CompiledCircuit.run_select_diff`.
-    """
-    S = (1 << (width + 1)) - 1
-    sel = be.from_prefix_runs(g_lo + 1, S, lanes)
-    return sel, be.bnot(sel, lanes)
+    return be.pair_shard_planes(_string_bit_masks(width), width, g_lo, g_hi)
 
 
 def _two_sort_select_pairs(width: int):
@@ -339,31 +309,28 @@ def verify_two_sort_shard(
     """
     strings = all_valid_strings(width)
     S = len(strings)
-    result = VerificationResult()
-
-    be: PlaneBackend = program.backend
-    # The pair product is packed into backend planes exactly once per
-    # shard; run_select_diff accepts the native planes as-is and fuses
-    # the sweep with the expected-output mux and comparison.
-    native, lanes = _shard_input_planes(be, width, g_lo, g_hi)
-    sel, nsel = _shard_select_mask(be, width, g_lo, lanes)
-    diff, mismatches = program.run_select_diff(
-        native, lanes, sel, nsel, _two_sort_select_pairs(width)
-    )
-
-    result.checked += lanes
+    lanes = (g_hi - g_lo) * S
+    result = VerificationResult(checked=lanes)
+    masks = _string_bit_masks(width)
+    pairs = _two_sort_select_pairs(width)
+    diff, mismatches = program.run_pair_shard(width, masks, g_lo, g_hi, pairs)
     if mismatches:
-        # Failures are rare: only then re-run the program for the full
-        # slot planes the per-lane decode needs.
-        p0, p1 = program.run_planes(native, lanes)
-        for lane in be.iter_set_lanes(diff, lanes):
+        # Failures are rare: only then build the shard's input planes and
+        # re-run the program for the slot planes the per-lane decode
+        # needs -- and decode only the lanes the report keeps.
+        result.failure_count = mismatches
+        result.truncated = mismatches > _FAILURE_LIMIT
+        be: PlaneBackend = program.backend
+        planes, _ = _shard_input_planes(be, width, g_lo, g_hi)
+        p0, p1 = program.run_planes(planes, lanes)
+        failing = be.iter_set_lanes(diff, lanes)
+        for lane in itertools.islice(failing, _FAILURE_LIMIT):
             g = strings[g_lo + lane // S]
             h = strings[lane % S]
             out = program.decode_lane(p0, p1, lane)
-            got = (out[:width], out[width:])
             want = two_sort_closure(g, h)
-            result.record(
-                f"({g}, {h}): got {got[0]}/{got[1]}, "
+            result.failures.append(
+                f"({g}, {h}): got {out[:width]}/{out[width:]}, "
                 f"want {want[0]}/{want[1]}"
             )
     return result
@@ -386,19 +353,16 @@ def verify_two_sort_region_shard(
     the canonical full-circuit shard to produce the usual
     :class:`VerificationResult` failure messages byte-for-byte.
     """
-    be: PlaneBackend = program.backend
-    native, lanes = _shard_input_planes(be, width, g_lo, g_hi)
-    sel, nsel = _shard_select_mask(be, width, g_lo, lanes)
-
     if output_index < width:  # a max bit: g where sel, else h
         b = output_index
         pair = (0, b, width + b)
     else:  # a min bit: the complementary selection
         b = output_index - width
         pair = (0, width + b, b)
-    _diff, mismatches = program.run_select_diff(
-        native, lanes, sel, nsel, [pair]
+    _diff, mismatches = program.run_pair_shard(
+        width, _string_bit_masks(width), g_lo, g_hi, [pair]
     )
+    lanes = (g_hi - g_lo) * ((1 << (width + 1)) - 1)
     return {"lanes": lanes, "mismatches": mismatches}
 
 

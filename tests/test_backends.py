@@ -207,6 +207,25 @@ class TestNativeFallback:
         second.zeros(8)
         assert capsys.readouterr().err == ""  # emitted once per process
 
+    def test_abi_mismatch_falls_back(self, monkeypatch, capsys):
+        from repro.backends import _kernel
+
+        if not get_backend("native").built:
+            pytest.skip("needs a kernel that builds on this host")
+        monkeypatch.setattr(_kernel, "_KERNEL_ABI", _kernel._KERNEL_ABI + 1)
+        _kernel._reset_for_tests()
+        try:
+            assert _kernel.load_kernel() is None
+            assert "ABI" in _kernel.load_failure_reason()
+            capsys.readouterr()
+            be = NativeBackend()
+            assert be.variant == "fallback"
+            err = capsys.readouterr().err
+            assert "falling back to bigint planes" in err and "ABI" in err
+        finally:
+            monkeypatch.undo()
+            _kernel._reset_for_tests()
+
     def test_forced_fallback_sharded_sweep(self, no_native):
         original = get_backend("native")
         try:
@@ -440,6 +459,134 @@ class TestSelectDiffContract:
             got = run(backend)
             assert got == want, (trial, lanes)
             assert got[1] == bin(want[0]).count("1")
+
+
+def _swap_gate(base, site):
+    """``base`` with gate ``site`` swapped AND2 <-> OR2 (a real fault)."""
+    out = Circuit(name=f"{base.name}-swap")
+    for net in base.inputs:
+        out.add_input(net=net)
+    for gate in base.gates:
+        kind = gate.kind
+        if gate.output == site:
+            kind = OR2 if kind is AND2 else AND2
+        out.add_gate(kind, gate.inputs, output=gate.output)
+    for net in base.outputs:
+        out.add_output(net)
+    return out
+
+
+def _with_constants(width, fault=False):
+    """2-sort(width) with CONST1/CONST0 nets spliced into two outputs.
+
+    ``AND2(o, 1)`` and ``OR2(o, 0)`` leave the design correct; with
+    ``fault`` the second splice is ``AND2(o, 0)``, which pins an output.
+    """
+    circuit = build_two_sort(width).copy()
+    one, zero = circuit.const(Trit.ONE), circuit.const(Trit.ZERO)
+    a = circuit.add_gate(AND2, [circuit.outputs[0], one], output="k_and1")
+    b = circuit.add_gate(
+        AND2 if fault else OR2, [circuit.outputs[-1], zero], output="k_mix0"
+    )
+    circuit.replace_output(0, a)
+    circuit.replace_output(2 * width - 1, b)
+    return circuit
+
+
+def _sampled(shards):
+    """First two, middle and last two shards (the last may be short)."""
+    if len(shards) <= 5:
+        return shards
+    return shards[:2] + [shards[len(shards) // 2]] + shards[-2:]
+
+
+class TestPairShardFused:
+    """run_pair_shard: the native kernel generates the pair product in
+    C; its diff bytes and mismatch counts must equal the base-class
+    reference (bigint planes packed in Python) on every shard shape --
+    S < 64 and S >= 64, short last shards, single-output cones, real
+    faults, and constant nets preset in-tile."""
+
+    SHARD_SIZES = [None, 64, 100, 1000, 4096]
+
+    @staticmethod
+    def _check(circuit, width, pairs, shards):
+        from repro.verify.exhaustive import _string_bit_masks
+
+        masks = _string_bit_masks(width)
+        ref = compile_circuit(circuit, "bigint")
+        native = compile_circuit(circuit, "native")
+        total = 0
+        for g_lo, g_hi in shards:
+            lanes = (g_hi - g_lo) * ((1 << (width + 1)) - 1)
+            want_diff, want_n = ref.run_pair_shard(width, masks, g_lo, g_hi, pairs)
+            got_diff, got_n = native.run_pair_shard(width, masks, g_lo, g_hi, pairs)
+            want = ref.backend.to_bytes(want_diff, lanes)
+            got = native.backend.to_bytes(got_diff, lanes)
+            assert (got, got_n) == (want, want_n), (circuit.name, g_lo, g_hi)
+            assert got_n == native.backend.popcount(got_diff)
+            total += got_n
+        return total
+
+    @pytest.mark.parametrize("width", range(1, 10))
+    def test_two_sort_all_shard_sizes(self, width):
+        from repro.verify.exhaustive import _two_sort_select_pairs, pair_shards
+
+        pairs = _two_sort_select_pairs(width)
+        circuit = build_two_sort(width)
+        for size in self.SHARD_SIZES:
+            shards = pair_shards(width, size)
+            if width >= 8:
+                shards = _sampled(shards)
+            assert self._check(circuit, width, pairs, shards) == 0
+
+    @pytest.mark.parametrize("width", [1, 3, 6, 7])
+    def test_single_output_cones(self, width):
+        from repro.verify.exhaustive import pair_shards
+
+        circuit = build_two_sort(width)
+        for out in range(2 * width):
+            b = out % width
+            pair = (0, b, width + b) if out < width else (0, width + b, b)
+            cone = circuit.extract_cone(out)
+            for size in (None, 100):
+                shards = pair_shards(width, size)
+                assert self._check(cone, width, [pair], shards) == 0
+
+    @pytest.mark.parametrize("width", [2, 4, 6, 7])
+    def test_and_or_swapped_netlists(self, width):
+        from repro.verify.exhaustive import _two_sort_select_pairs, pair_shards
+
+        base = build_two_sort(width)
+        sites = [g.output for g in base.gates if g.kind in (AND2, OR2)]
+        rng = random.Random(20180319 + width)
+        pairs = _two_sort_select_pairs(width)
+        failing = 0
+        for site in rng.sample(sites, min(4, len(sites))):
+            faulty = _swap_gate(base, site)
+            for size in (None, 1000):
+                failing += self._check(
+                    faulty, width, pairs, pair_shards(width, size)
+                )
+        assert failing > 0
+
+    @pytest.mark.parametrize("width", [1, 5, 7])
+    def test_constant_nets(self, width):
+        from repro.verify.exhaustive import _two_sort_select_pairs, pair_shards
+
+        pairs = _two_sort_select_pairs(width)
+        for fault in (False, True):
+            circuit = _with_constants(width, fault)
+            assert compile_circuit(circuit, "bigint").const_slots
+            for size in (None, 64):
+                n = self._check(circuit, width, pairs, pair_shards(width, size))
+                assert (n > 0) == fault
+
+    def test_constant_net_reports_identical(self):
+        circuit = _with_constants(4, fault=True)
+        ref = verify_two_sort_circuit(circuit, 4, backend="bigint")
+        out = verify_two_sort_circuit(circuit, 4, backend="native")
+        assert not ref.ok and out.to_json() == ref.to_json()
 
 
 # ----------------------------------------------------------------------

@@ -456,7 +456,12 @@ class TestLeaseAccounting:
                 "op": "result", "batch": re_reply["batch"],
                 "index": index, "result": pack(21),
             })
-            # The stale original arrives while the batch is still live.
+            # First arrival wins, and the two sockets are not ordered
+            # against each other: let the re-run land before the stale
+            # original arrives (while the batch is still live).
+            assert _wait_until(
+                lambda: coordinator.stats()["batches"][-1]["done"] == 1, 10
+            )
             slow.send({
                 "op": "result", "batch": reply["batch"],
                 "index": index, "result": pack(999),
