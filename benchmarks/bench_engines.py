@@ -168,108 +168,6 @@ def bench_network_simulation(width: int, vectors: int) -> dict:
     }
 
 
-def bench_plane_backends(
-    width: int, repeats: int = 3, parity_width: int = 0
-) -> dict:
-    """Exhaustive-verification wall clock per plane backend.
-
-    Sweeps the registered backends (``bigint`` big-int planes vs
-    ``array`` lane-word planes) over the identical full pair domain,
-    plus the stdlib ``array`` fallback variant explicitly when numpy is
-    importable (CI covers it by uninstalling numpy; here it is recorded
-    for the trajectory).  Each entry asserts bit-identical counts and
-    reports best-of-``repeats`` -- the ``vs_bigint`` ratio is the
-    acceptance metric (array must stay within 2x of bigint).
-
-    When ``parity_width`` is set (full mode), an extra array-vs-bigint
-    row runs at that width.  Below ~B=8 the array backend is known
-    slower than bigint -- per-ufunc dispatch dominates when shards are
-    a few words wide (documented in :mod:`repro.backends.array_backend`)
-    -- so the tightened acceptance bound is near-parity at B>=10, where
-    slab width amortizes dispatch.
-    """
-    from repro.backends import ArrayBackend, get_backend, numpy_disabled_by_env
-
-    try:
-        import numpy
-
-        numpy_version = numpy.__version__
-    except ImportError:
-        numpy_version = None
-
-    circuit = build_two_sort(width)
-    total_pairs = len(all_valid_strings(width)) ** 2
-
-    candidates = [
-        ("bigint", get_backend("bigint")),
-        ("array", get_backend("array")),
-    ]
-    array_be = get_backend("array")
-    if getattr(array_be, "uses_numpy", False):
-        # The dependency-free fallback, timed alongside for the record.
-        candidates.append(("array-fallback", ArrayBackend(use_numpy=False)))
-
-    backends = {}
-    best_times = {}
-    for label, be in candidates:
-        compile_circuit(circuit, be)  # warm the program cache
-        best = None
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            result = verify_two_sort_circuit(circuit, width, backend=be)
-            elapsed = time.perf_counter() - t0
-            assert result.ok and result.checked == total_pairs, result.summary()
-            best = elapsed if best is None else min(best, elapsed)
-        best_times[label] = best
-        backends[label] = {
-            "variant": getattr(be, "variant", label),
-            "time_s": round(best, 4),
-            "pairs_per_s": round(total_pairs / best, 1),
-        }
-    for label, entry in backends.items():
-        # Ratio from the unrounded times: sub-millisecond runs would
-        # otherwise quantize (or divide by a rounded-to-zero baseline).
-        entry["vs_bigint"] = round(
-            best_times[label] / best_times["bigint"], 2
-        )
-
-    section = {
-        "width": width,
-        "pairs": total_pairs,
-        "numpy": {
-            "available": numpy_version is not None,
-            "version": numpy_version,
-            "disabled_by_env": numpy_disabled_by_env(),
-        },
-        "backends": backends,
-    }
-
-    if parity_width and numpy_version is not None:
-        parity_circuit = build_two_sort(parity_width)
-        times = {}
-        for label in ("bigint", "array"):
-            be = get_backend(label)
-            compile_circuit(parity_circuit, be)
-            best = None
-            for _ in range(repeats):
-                t0 = time.perf_counter()
-                result = verify_two_sort_circuit(
-                    parity_circuit, parity_width, backend=be
-                )
-                elapsed = time.perf_counter() - t0
-                assert result.ok, result.summary()
-                best = elapsed if best is None else min(best, elapsed)
-            times[label] = best
-        section["parity"] = {
-            "width": parity_width,
-            "bigint_time_s": round(times["bigint"], 4),
-            "array_time_s": round(times["array"], 4),
-            "array_vs_bigint": round(times["array"] / times["bigint"], 2),
-        }
-
-    return section
-
-
 def bench_native_backend(
     width: int, large_width: int = 0, repeats: int = 3
 ) -> dict:
@@ -735,7 +633,6 @@ def main(argv=None) -> int:
         verify_width, scalar_sample = 5, 500
         net_width, net_vectors = 5, 32
         parallel_width, parallel_jobs = 6, [1, 2]
-        backend_width, parity_width = 5, 0
         native_width, native_large, native_gate = 8, 0, 5.0
         distributed_width, distributed_workers = 6, [1, 2]
         fault_width = 6
@@ -744,7 +641,6 @@ def main(argv=None) -> int:
         verify_width, scalar_sample = 8, 4000
         net_width, net_vectors = 8, 1024
         parallel_width, parallel_jobs = 9, [1, 2, 4]
-        backend_width, parity_width = 8, 10
         native_width, native_large, native_gate = 8, 12, 10.0
         distributed_width, distributed_workers = 8, [1, 2, 4]
         fault_width = 8
@@ -767,22 +663,6 @@ def main(argv=None) -> int:
     print(f"  scalar:   {network['scalar']['vectors_per_s']:>12,.1f} vectors/s")
     print(f"  compiled: {network['compiled']['vectors_per_s']:>12,.1f} vectors/s")
     print(f"  speedup:  {network['speedup']:,.1f}x")
-
-    print(f"== plane backends (B={backend_width}) ==")
-    plane_backends = bench_plane_backends(backend_width, parity_width=parity_width)
-    for label, entry in plane_backends["backends"].items():
-        print(
-            f"  {label + ' (' + entry['variant'] + ')':24s} "
-            f"{entry['time_s']:>8.4f}s  ({entry['vs_bigint']:.2f}x bigint)"
-        )
-    if "parity" in plane_backends:
-        parity = plane_backends["parity"]
-        print(
-            f"  parity @ B={parity['width']}: array "
-            f"{parity['array_time_s']:.4f}s vs bigint "
-            f"{parity['bigint_time_s']:.4f}s "
-            f"({parity['array_vs_bigint']:.2f}x)"
-        )
 
     print(f"== native backend (B={native_width}) ==")
     native = bench_native_backend(native_width, large_width=native_large)
@@ -878,7 +758,6 @@ def main(argv=None) -> int:
         "python": sys.version.split()[0],
         "exhaustive_verification": exhaustive,
         "network_simulation": network,
-        "plane_backends": plane_backends,
         "native_backend": native,
         "parallel_verification": parallel,
         "distributed_verification": distributed,
@@ -890,27 +769,6 @@ def main(argv=None) -> int:
 
     if exhaustive["speedup"] < 20:
         print("FAIL: compiled engine is less than 20x the scalar interpreter")
-        return 1
-    array_ratio = plane_backends["backends"]["array"]["vs_bigint"]
-    # The 2x bound is defined at B=8; --quick runs B=5 where sub-ms
-    # absolute times are pure per-call overhead, so only report there.
-    if (
-        not args.quick
-        and plane_backends["numpy"]["available"]
-        and array_ratio > 2.0
-    ):
-        print(
-            f"FAIL: array backend is {array_ratio}x bigint "
-            f"(acceptance bound: 2x at B={backend_width})"
-        )
-        return 1
-    parity = plane_backends.get("parity")
-    if parity is not None and parity["array_vs_bigint"] > 1.3:
-        print(
-            f"FAIL: array backend is {parity['array_vs_bigint']}x bigint "
-            f"at B={parity['width']} (acceptance bound: near-parity 1.3x "
-            "-- slab width amortizes ufunc dispatch at B>=10)"
-        )
         return 1
     if native["built"]:
         if not native["reports_identical"] or not native.get(

@@ -7,12 +7,12 @@ table8              regenerate Table 8 (sorting-network costs)
 verify --width B    exhaustively verify 2-sort(B) against the closure spec
        --jobs N     shard the sweep across N worker processes (0 = cores)
        --shard-size approximate pair-lanes per shard
-       --executor   execution strategy: serial/process/array/distributed
+       --executor   execution strategy: serial/process/distributed
        --listen A   (with --executor distributed) coordinator address,
                     PORT or HOST:PORT (bare port binds all interfaces)
        --backend    plane backend: auto (default -- native when its C
                     kernel builds on this host, else bigint), bigint,
-                    array, or native
+                    or native
        --checkpoint durable shard journal: created if missing, resumed
                     if present (completed shards are never re-run)
        --resume P   resume strictly from an existing journal (exit 2
@@ -805,14 +805,14 @@ def _add_verify_args(parser) -> None:
     parser.add_argument(
         "--executor",
         default=None,
-        help="execution strategy (serial, process, array, distributed; "
+        help="execution strategy (serial, process, distributed; "
         "default: process when --jobs > 1, else serial)",
     )
     parser.add_argument(
         "--backend",
         default="auto",
         help="plane backend: auto (default -- native when its C kernel "
-        "builds, else bigint), bigint, array, or native",
+        "builds, else bigint), bigint, or native",
     )
     parser.add_argument(
         "--checkpoint",
@@ -857,12 +857,12 @@ def _add_sort_args(parser) -> None:
         "--executor",
         default=None,
         help="execution strategy for the sharded batch path "
-        "(serial, process, array, distributed)",
+        "(serial, process, distributed)",
     )
     parser.add_argument(
         "--backend",
         default=None,
-        help="plane backend for --engine compiled (auto/bigint/array/native)",
+        help="plane backend for --engine compiled (auto/bigint/native)",
     )
     parser.add_argument(
         "--json", action="store_true", help="print the sorted words as JSON"
@@ -922,7 +922,7 @@ def main(argv=None) -> int:
         "--backend",
         default=None,
         help="default plane backend for requests that omit one "
-        "(auto/bigint/array/native)",
+        "(auto/bigint/native)",
     )
     p.add_argument(
         "--cache-size",
@@ -968,7 +968,7 @@ def main(argv=None) -> int:
         "--backend",
         default=None,
         help="plane backend for sweeps that do not pin one "
-        "(auto/bigint/array/native)",
+        "(auto/bigint/native)",
     )
     p.add_argument("--name", default=None, help="worker name in coordinator stats")
     p.add_argument(

@@ -9,14 +9,11 @@ name registry, mirroring the engine registry in
 :mod:`repro.verify.parallel`:
 
 * ``"bigint"`` -- arbitrary-precision Python ints (the original
-  representation, extracted verbatim; the default),
-* ``"array"``  -- uint64 lane-word arrays: numpy ufuncs when numpy is
-  importable, a stdlib ``array``-of-words fallback otherwise (force the
-  fallback with ``REPRO_NO_NUMPY=1``),
-* ``"native"`` -- the same lane-word layout executed by a C kernel built
-  on first use (one call per shard for the whole compiled program); on
-  hosts without a compiler, or under ``REPRO_NO_NATIVE=1``, it degrades
-  to bigint planes with a one-time notice
+  representation, extracted verbatim; the reference and the default),
+* ``"native"`` -- stdlib ``array("Q")`` lane words executed by a C
+  kernel built on first use (one call per shard for the whole compiled
+  program); on hosts without a compiler, or under ``REPRO_NO_NATIVE=1``,
+  it degrades to bigint planes with a one-time notice
   (:mod:`repro.backends.native`).
 
 ``"auto"`` is an *alias*, not a registered backend: it resolves to
@@ -31,8 +28,8 @@ Selection is by name everywhere a backend crosses an API boundary
 initializers), so backend choices serialize trivially to worker
 processes and compile caches can key on ``(circuit.version, name)``.
 The process-wide default is ``"bigint"`` unless ``REPRO_PLANE_BACKEND``
-says otherwise; :func:`use_backend` scopes an override (used by the
-``"array"`` executor in :mod:`repro.verify.parallel`).
+says otherwise; :func:`use_backend` scopes an override (used by
+distributed workers, :mod:`repro.distributed.worker`).
 """
 
 from __future__ import annotations
@@ -42,14 +39,12 @@ from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Union
 
 from ._kernel import native_disabled_by_env
-from .array_backend import ArrayBackend, numpy_disabled_by_env
 from .base import Plane, PlaneBackend
 from .bigint import BigIntBackend
 from .native import NativeBackend
 
 __all__ = [
     "AUTO_BACKEND",
-    "ArrayBackend",
     "BigIntBackend",
     "NativeBackend",
     "Plane",
@@ -59,7 +54,6 @@ __all__ = [
     "get_backend",
     "known_backend_names",
     "native_disabled_by_env",
-    "numpy_disabled_by_env",
     "register_backend",
     "resolve_backend_name",
     "set_default_backend",
@@ -167,5 +161,4 @@ def get_backend(
 
 
 register_backend("bigint", BigIntBackend())
-register_backend("array", ArrayBackend())
 register_backend("native", NativeBackend())

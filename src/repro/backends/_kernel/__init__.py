@@ -101,7 +101,7 @@ def _build(cc: str, source: str, out_path: str) -> None:
 
 def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     # All pointer parameters are declared c_void_p so callers can pass raw
-    # integer addresses (numpy's arr.ctypes.data, array's buffer_info()[0])
+    # integer addresses (an array("Q")'s buffer_info()[0])
     # without building ctypes pointer objects -- that per-call marshalling
     # is measurable on the hot verification path.  c_void_p also accepts
     # ctypes arrays directly, so cached int32 slot/program arrays pass as-is.

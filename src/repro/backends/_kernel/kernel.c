@@ -324,8 +324,8 @@ int64_t repro_extract_lanes(const uint64_t *a, int64_t words, int32_t *out,
     return n;
 }
 
-/* Primitive plane ops for the no-numpy built variant: op 0=AND 1=OR
- * 2=XOR, matching repro.backends.native._BITWISE. */
+/* Primitive plane ops (band/bor/bxor/bnot of the built native backend):
+ * op 0=AND 1=OR 2=XOR, matching repro.backends.native._KernelBackend. */
 void repro_bitwise(int32_t op, const uint64_t *a, const uint64_t *b,
                    uint64_t *out, int64_t words) {
     int64_t w;

@@ -5,9 +5,9 @@ bit per *lane* (batch vector), two per net (:mod:`repro.circuits.compiled`).
 Until this package existed the plane representation was hardcoded as
 arbitrary-precision Python ints; a :class:`PlaneBackend` abstracts that
 choice so the same compiled programs, verification sweeps, and batch
-simulations can run on fixed-width word arrays (numpy, stdlib
-``array``) -- the bit-slicing-over-words layout that trades big-int
-carry chains for vectorized word ops.
+simulations can run on fixed-width lane words (stdlib ``array("Q")``
+driven by the native C kernel) -- the bit-slicing-over-words layout
+that trades big-int carry chains for machine-word loops.
 
 A backend owns four concerns:
 
@@ -24,8 +24,8 @@ A backend owns four concerns:
   failure reports), :meth:`~PlaneBackend.popcount`;
 * **program execution** -- :meth:`~PlaneBackend.run_ops`, the compiled
   op sweep over plane slots.  This is *the* hot loop, so each backend
-  specializes it (big-int: inline int operators; numpy: ufuncs into a
-  preallocated slab) instead of paying a virtual call per gate.
+  specializes it (big-int: inline int operators; native: one kernel
+  call over two slabs) instead of paying a virtual call per gate.
   :meth:`~PlaneBackend.run_pair_shard` is the whole verification shard
   (pair product, sweep, compare), which the native kernel runs in one
   call.
@@ -43,7 +43,7 @@ from typing import Any, Iterator, List, Sequence, Tuple
 
 __all__ = ["Plane", "PlaneBackend"]
 
-#: A backend-native plane object (int, numpy array, ``array.array`` ...).
+#: A backend-native plane object (an int, an ``array("Q")`` ...).
 Plane = Any
 
 #: Compiled-program opcodes (shared with repro.circuits.compiled; defined
@@ -72,8 +72,8 @@ class PlaneBackend(abc.ABC):
     word_bits: int = 8
     #: Preferred lanes per verification shard: the batch size at which
     #: this representation's op sweep runs best (big ints like planes
-    #: that keep the whole slot file cache-resident; word-array backends
-    #: want more lanes per op to amortize per-call overhead).
+    #: that keep the whole slot file cache-resident; the native kernel
+    #: wants wide shards to amortize each Python-to-C crossing).
     preferred_shard_lanes: int = 1 << 14
 
     # ------------------------------------------------------------------
@@ -248,17 +248,6 @@ class PlaneBackend(abc.ABC):
     @abc.abstractmethod
     def get_lane(self, a: Plane, lane: int) -> int:
         """Bit of one lane (0 or 1)."""
-
-    def detach(self, a: Plane) -> Plane:
-        """A self-contained copy of a plane that may alias shared storage.
-
-        ``run_ops`` implementations are free to hand back views into a
-        per-run scratch slab; callers that *retain* planes beyond the
-        run (e.g. wrapping output slots in TritVecs) detach them so one
-        kept output does not pin the whole slab.  Default: planes are
-        already self-contained.
-        """
-        return a
 
     def iter_set_lanes(self, a: Plane, lanes: int) -> Iterator[int]:
         """Ascending indices of set lanes (mismatch-lane extraction).

@@ -10,8 +10,9 @@ Strengths: zero packing cost from the int-space plane constructions
 (pair products are built with shifts and one big multiply), no per-op
 call overhead in :meth:`BigIntBackend.run_ops` (inline operators, the
 pre-refactor loop).  Weakness: every op walks the carry-normalized limb
-array sequentially; fixed-width word backends (``"array"``) can
-vectorize instead.
+array sequentially, and each op is a Python-level call; the
+``"native"`` backend runs a whole program over fixed-width lane words
+in one C call instead.
 """
 
 from __future__ import annotations

@@ -3,10 +3,11 @@
 ``NativeBackend`` is a self-resolving proxy registered as ``"native"``.
 On first use it tries to build/load the C kernel in
 :mod:`repro.backends._kernel`; when that works it becomes a
-:class:`_KernelArrayBackend` -- same uint64 lane-word layout and
-canonical bytes as :class:`~repro.backends.array_backend.ArrayBackend`,
-but the compiled op list is lowered to a flat int32 program once and
-executed by the kernel without re-entering Python between ops:
+:class:`_KernelBackend` -- planes are stdlib ``array("Q")`` lane words
+(lane ``j`` at bit ``j & 63`` of word ``j >> 6``, so the canonical
+little-endian bytes match the big-int backend exactly), every plane op
+is a kernel call, and the compiled op list is lowered to a flat int32
+program once and executed without re-entering Python between ops:
 :meth:`run_ops` packs the slot planes into two slabs for one
 ``repro_run_program`` call, and :meth:`run_pair_shard` -- a whole
 exhaustive-verification shard -- is one ``repro_pair_shard`` call that
@@ -27,15 +28,18 @@ from __future__ import annotations
 
 import ctypes
 import itertools
+import sys
 import threading
 from array import array
 from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import _kernel
-from .array_backend import ArrayBackend
 from .base import Plane, PlaneBackend
 
 __all__ = ["NativeBackend"]
+
+_WORD_BITS = 64
+_WORD_MASK = (1 << _WORD_BITS) - 1
 
 #: Lowered programs cached per op-list identity; cleared wholesale past
 #: this many entries (each sweep reuses one program thousands of times,
@@ -54,18 +58,23 @@ def _qptr(plane: array) -> int:
     return plane.buffer_info()[0]
 
 
-class _KernelArrayBackend(ArrayBackend):
-    """The built variant: ArrayBackend planes, C-kernel execution."""
+def _words(n: int) -> array:
+    """``n`` zeroed lane words."""
+    return array("Q", bytes(8 * n))
+
+
+class _KernelBackend(PlaneBackend):
+    """The built variant: ``array("Q")`` lane-word planes, C-kernel ops."""
 
     name = "native"
-    #: Much larger than the array budget: the fused one-call sweep tiles
-    #: the word axis internally (cache-resident scratch), so the only
-    #: per-shard costs left are Python crossings -- fewer, wider shards
-    #: win.  1<<18 runs the whole B=8 pair domain as one shard.
+    word_bits = _WORD_BITS
+    #: The fused one-call sweep tiles the word axis internally
+    #: (cache-resident scratch), so the only per-shard costs left are
+    #: Python crossings -- fewer, wider shards win.  1<<18 runs the
+    #: whole B=8 pair domain as one shard.
     preferred_shard_lanes = 1 << 18
 
-    def __init__(self, lib, use_numpy: Optional[bool] = None):
-        super().__init__(use_numpy=use_numpy)
+    def __init__(self, lib):
         self._lib = lib
         self._programs: dict = {}
         self._marshal: dict = {}
@@ -73,23 +82,129 @@ class _KernelArrayBackend(ArrayBackend):
         self._tile = int(lib.repro_tile_words())
         self._local = threading.local()
 
+    # The ctypes handle and caches stay behind; the receiving process
+    # loads its own kernel.
     def __getstate__(self):
-        return {"use_numpy": self._np is not None}
+        return {"name": self.name}
 
     def __setstate__(self, state):
-        super().__setstate__(state)
         lib = _kernel.load_kernel()
         if lib is None:  # pragma: no cover - host lost its compiler
             raise RuntimeError(
                 "native plane kernel unavailable after unpickling; "
                 "forward the backend name instead of the instance"
             )
-        self._lib = lib
-        self._programs = {}
-        self._marshal = {}
-        self._masks = None
-        self._tile = int(lib.repro_tile_words())
-        self._local = threading.local()
+        self.__init__(lib)
+        self.name = state["name"]
+
+    # ------------------------------------------------------------------
+    # Layout helpers
+    # ------------------------------------------------------------------
+    @staticmethod
+    def words_for(lanes: int) -> int:
+        """Lane words needed for ``lanes`` lanes (explicit addressing)."""
+        return (lanes + _WORD_BITS - 1) >> 6
+
+    @staticmethod
+    def lane_address(lane: int) -> Tuple[int, int]:
+        """``(word_index, bit_index)`` of a lane -- the layout contract."""
+        return lane >> 6, lane & 63
+
+    @staticmethod
+    def _tail_mask(lanes: int) -> int:
+        tail = lanes & 63
+        return (1 << tail) - 1 if tail else _WORD_MASK
+
+    # ------------------------------------------------------------------
+    # Allocation / packing / conversion
+    # ------------------------------------------------------------------
+    def zeros(self, lanes: int) -> array:
+        return _words(self.words_for(lanes))
+
+    def ones(self, lanes: int) -> array:
+        words = self.words_for(lanes)
+        plane = array("Q", [_WORD_MASK]) * words
+        if words:
+            plane[-1] = self._tail_mask(lanes)
+        return plane
+
+    def from_int(self, value: int, lanes: int) -> array:
+        words = self.words_for(lanes)
+        value &= (1 << lanes) - 1  # enforce the tail-mask invariant
+        return self.from_bytes(value.to_bytes(words * 8, "little"), lanes)
+
+    def from_bytes(self, data: bytes, lanes: int) -> array:
+        words = self.words_for(lanes)
+        if len(data) < words * 8:
+            data = data + bytes(words * 8 - len(data))
+        plane = array("Q")
+        plane.frombytes(data[: words * 8])
+        if sys.byteorder == "big":
+            plane.byteswap()
+        if words:
+            plane[-1] &= self._tail_mask(lanes)
+        return plane
+
+    def coerce(self, plane, lanes: int) -> array:
+        if isinstance(plane, int):
+            return self.from_int(plane, lanes)
+        if isinstance(plane, array):
+            return plane
+        raise TypeError(f"native backend got a {type(plane).__name__} plane")
+
+    def to_int(self, plane: array, lanes: int) -> int:
+        return int.from_bytes(self.to_bytes(plane, lanes), "little")
+
+    def to_bytes(self, plane: array, lanes: int) -> bytes:
+        if sys.byteorder == "big":
+            plane = array("Q", plane)
+            plane.byteswap()
+        return plane.tobytes()[: (lanes + 7) >> 3]
+
+    # ------------------------------------------------------------------
+    # Plane ops and queries: one kernel call each
+    # ------------------------------------------------------------------
+    def _bitwise(self, op: int, a: array, b: array) -> array:
+        out = _words(len(a))
+        self._lib.repro_bitwise(op, _qptr(a), _qptr(b), _qptr(out), len(a))
+        return out
+
+    def band(self, a, b):
+        return self._bitwise(0, a, b)
+
+    def bor(self, a, b):
+        return self._bitwise(1, a, b)
+
+    def bxor(self, a, b):
+        return self._bitwise(2, a, b)
+
+    def bnot(self, a, lanes: int):
+        out = _words(len(a))
+        self._lib.repro_not_masked(
+            _qptr(a), _qptr(out), len(a), self._tail_mask(lanes)
+        )
+        return out
+
+    def eq(self, a, b) -> bool:
+        return a == b
+
+    def any(self, a) -> bool:
+        return any(a)
+
+    def popcount(self, a) -> int:
+        return int(self._lib.repro_popcount(_qptr(a), len(a)))
+
+    def get_lane(self, a, lane: int) -> int:
+        word, bit = self.lane_address(lane)
+        return (a[word] >> bit) & 1
+
+    def iter_set_lanes(self, a, lanes: int) -> Iterator[int]:
+        n = self.popcount(a)
+        if not n:
+            return iter(())
+        out = (ctypes.c_int32 * n)()
+        got = self._lib.repro_extract_lanes(_qptr(a), len(a), out, n)
+        return iter(out[:got])
 
     def _scratch_addr(self, n_slots: int) -> int:
         """Address of a reusable per-thread tile slab (one C call at a time).
@@ -101,13 +216,8 @@ class _KernelArrayBackend(ArrayBackend):
         nwords = 2 * n_slots * self._tile
         cached = getattr(self._local, "scratch", None)
         if cached is None or cached[1] < nwords:
-            if self._np is not None:
-                buf = self._np.empty(nwords, dtype=self._np.uint64)
-                addr = buf.ctypes.data
-            else:
-                buf = array("Q", bytes(8 * nwords))
-                addr = buf.buffer_info()[0]
-            cached = (buf, nwords, addr)
+            buf = _words(nwords)
+            cached = (buf, nwords, _qptr(buf))
             self._local.scratch = cached
         return cached[2]
 
@@ -163,23 +273,8 @@ class _KernelArrayBackend(ArrayBackend):
             return
         prog, preload, dsts = self._lower(ops)
         n_slots = len(p0)
-        if self._np is not None:
-            np = self._np
-            slab = np.empty((2, n_slots, words), dtype=np.uint64)
-            slab0, slab1 = slab[0], slab[1]
-            for s in preload:
-                slab0[s] = p0[s]
-                slab1[s] = p1[s]
-            self._lib.repro_run_program(
-                prog, len(ops), slab0.ctypes.data, slab1.ctypes.data, words
-            )
-            # Slab-row views, not copies: detach() copies on retention.
-            for d in dsts:
-                p0[d] = slab0[d]
-                p1[d] = slab1[d]
-            return
-        slab0 = array("Q", bytes(8 * n_slots * words))
-        slab1 = array("Q", bytes(8 * n_slots * words))
+        slab0 = _words(n_slots * words)
+        slab1 = _words(n_slots * words)
         for s in preload:
             slab0[s * words : (s + 1) * words] = p0[s]
             slab1[s * words : (s + 1) * words] = p1[s]
@@ -189,32 +284,6 @@ class _KernelArrayBackend(ArrayBackend):
         for d in dsts:
             p0[d] = slab0[d * words : (d + 1) * words]
             p1[d] = slab1[d * words : (d + 1) * words]
-
-    # ------------------------------------------------------------------
-    # Kernel-accelerated primitives
-    # ------------------------------------------------------------------
-    def _ptr(self, plane) -> int:
-        if self._np is not None:
-            return plane.ctypes.data
-        return _qptr(plane)
-
-    def _contiguous(self, plane):
-        if self._np is not None and not plane.flags["C_CONTIGUOUS"]:
-            return self._np.ascontiguousarray(plane)
-        return plane
-
-    def popcount(self, a) -> int:
-        a = self._contiguous(a)
-        return int(self._lib.repro_popcount(self._ptr(a), len(a)))
-
-    def iter_set_lanes(self, a, lanes: int) -> Iterator[int]:
-        a = self._contiguous(a)
-        n = self.popcount(a)
-        if not n:
-            return iter(())
-        out = (ctypes.c_int32 * n)()
-        got = self._lib.repro_extract_lanes(self._ptr(a), len(a), out, n)
-        return iter(out[:got])
 
     # ------------------------------------------------------------------
     # Verification shards: one C call each, pair product generated in C
@@ -292,10 +361,7 @@ class _KernelArrayBackend(ArrayBackend):
         )
         m0, m1, mw = self._mask_rows(masks, width)
         words = self.words_for((g_hi - g_lo) * S)
-        if self._np is not None:
-            diff = self._np.empty(words, dtype=self._np.uint64)
-        else:
-            diff = array("Q", bytes(8 * words))
+        diff = _words(words)
         mismatches = self._lib.repro_pair_shard(
             prog,
             n_ops,
@@ -312,42 +378,9 @@ class _KernelArrayBackend(ArrayBackend):
             g_hi,
             self._scratch_addr(program.n_slots),
             program.n_slots,
-            self._ptr(diff),
+            _qptr(diff),
         )
         return diff, int(mismatches)
-
-    # The stdlib-array variant's word loops are the slowest path in the
-    # tree; route its primitive ops through the kernel too (the numpy
-    # variant keeps its ufuncs -- already native speed).
-    def band(self, a, b):
-        if self._np is not None:
-            return super().band(a, b)
-        out = array("Q", bytes(8 * len(a)))
-        self._lib.repro_bitwise(0, _qptr(a), _qptr(b), _qptr(out), len(a))
-        return out
-
-    def bor(self, a, b):
-        if self._np is not None:
-            return super().bor(a, b)
-        out = array("Q", bytes(8 * len(a)))
-        self._lib.repro_bitwise(1, _qptr(a), _qptr(b), _qptr(out), len(a))
-        return out
-
-    def bxor(self, a, b):
-        if self._np is not None:
-            return super().bxor(a, b)
-        out = array("Q", bytes(8 * len(a)))
-        self._lib.repro_bitwise(2, _qptr(a), _qptr(b), _qptr(out), len(a))
-        return out
-
-    def bnot(self, a, lanes: int):
-        if self._np is not None:
-            return super().bnot(a, lanes)
-        out = array("Q", bytes(8 * len(a)))
-        self._lib.repro_not_masked(
-            _qptr(a), _qptr(out), len(a), self._tail_mask(lanes)
-        )
-        return out
 
 
 class NativeBackend(PlaneBackend):
@@ -368,7 +401,7 @@ class NativeBackend(PlaneBackend):
         if impl is None:
             lib = _kernel.load_kernel()
             if lib is not None:
-                impl = _KernelArrayBackend(lib)
+                impl = _KernelBackend(lib)
                 impl.name = self.name
             else:
                 _kernel.emit_fallback_notice()
@@ -391,7 +424,7 @@ class NativeBackend(PlaneBackend):
     @property
     def built(self) -> bool:
         """True when the C kernel is loaded (not the bigint fallback)."""
-        return isinstance(self._resolve(), _KernelArrayBackend)
+        return isinstance(self._resolve(), _KernelBackend)
 
     @property
     def variant(self) -> str:
@@ -453,9 +486,6 @@ class NativeBackend(PlaneBackend):
 
     def get_lane(self, a: Plane, lane: int) -> int:
         return self._resolve().get_lane(a, lane)
-
-    def detach(self, a: Plane) -> Plane:
-        return self._resolve().detach(a)
 
     def iter_set_lanes(self, a: Plane, lanes: int) -> Iterator[int]:
         return self._resolve().iter_set_lanes(a, lanes)

@@ -31,13 +31,13 @@ at once, at C speed:
   suite re-checks every gate kind over its full ternary truth table).
 
 **Plane storage is pluggable.**  How a plane is represented -- one
-arbitrary-precision int, a numpy ``uint64`` array, a stdlib word array
--- is owned by a :class:`~repro.backends.PlaneBackend`
+arbitrary-precision int or a stdlib ``array("Q")`` of lane words -- is
+owned by a :class:`~repro.backends.PlaneBackend`
 (:mod:`repro.backends`); :class:`TritVec` and :class:`CompiledCircuit`
 are parameterized by one.  The default (``"bigint"``) reproduces the
-original behavior exactly; the ``"array"`` backend trades big-int carry
-chains for fixed-width vectorized word ops.  The backend also owns the
-compiled-op sweep (``run_ops``), so each representation keeps a
+original behavior exactly; the ``"native"`` backend trades big-int carry
+chains for fixed-width word ops in a C kernel.  The backend also owns
+the compiled-op sweep (``run_ops``), so each representation keeps a
 specialized hot loop.
 
 :class:`CompiledCircuit` lowers a :class:`~repro.circuits.netlist.Circuit`
@@ -98,7 +98,7 @@ class TritVec:
         '0MM'
 
     Equality and hashing are *content*-based across backends: the same
-    trits on ``bigint`` and ``array`` planes compare equal.
+    trits on ``bigint`` and ``native`` planes compare equal.
     """
 
     __slots__ = ("n", "p0", "p1", "backend")
@@ -623,12 +623,7 @@ class CompiledCircuit:
                 )
         planes = [(tv.p0, tv.p1) for tv in inputs]
         p0, p1 = self.run_planes(planes, n)
-        # detach: keep only the output planes alive, not the whole
-        # per-run scratch storage some backends return views into.
-        return [
-            TritVec._wrap(n, be.detach(p0[s]), be.detach(p1[s]), be)
-            for s in self.output_slots
-        ]
+        return [TritVec._wrap(n, p0[s], p1[s], be) for s in self.output_slots]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -661,7 +656,7 @@ def compile_circuit(
         circuit._compiled_cache = cache
     program = cache.get(be.name)
     # `backend is not be` catches a re-registered backend instance under
-    # the same name (tests swap the numpy/fallback array variants).
+    # the same name (tests swap in fresh instances).
     if program is None or program.backend is not be:
         program = CompiledCircuit(circuit, be)
         cache[be.name] = program

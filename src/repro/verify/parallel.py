@@ -11,31 +11,29 @@ deterministically with the others.  This module dispatches those shards
 across worker processes.
 
 **Executor registry.**  An executor is a strategy for running a worker
-function over a task list::
+function over a task list, with one calling convention::
 
-    executor(worker, tasks, jobs=..., initializer=..., initargs=...)
+    executor(worker, tasks, jobs=..., initializer=..., initargs=...,
+             on_result=..., should_stop=..., epoch=...)
         -> [worker(t) for t in tasks]      # results in task order
 
-Two executors ship by default:
+Three executors ship:
 
 * ``"serial"``  -- in-process loop; the semantic reference and the
   zero-overhead path for one job,
 * ``"process"`` -- a ``multiprocessing`` pool; the initializer runs once
   per worker (compiling the circuit there, so the netlist is pickled
-  once and the program is reused across that worker's shards).
+  once and the program is reused across that worker's shards),
+* ``"distributed"`` -- leases tasks to socket-connected worker agents
+  on other hosts (:mod:`repro.distributed`, imported lazily by its
+  registration stub); the only one that uses ``epoch``.
 
-:func:`register_executor` is the backend hook, exactly like the engine
-registry in :mod:`repro.networks.simulate`.  Two more executors ride
-on it: ``"distributed"`` leases tasks to socket-connected worker
-agents on other hosts (:mod:`repro.distributed` -- imported lazily by
-its registration stub), and the ``"array"`` executor
-uses it: an in-process executor that pins the ``array`` plane backend
-(:mod:`repro.backends`) for its tasks, so ``--jobs 1 --backend array``
-semantics are reachable purely by executor name, with no caller
-changes.  Orthogonally, every sharded entry point takes a ``backend``
-argument that the pool initializers forward to workers **by name**, so
-any executor can run any plane representation (process pools pickle
-the name, never the backend object).
+:func:`register_executor` is the hook, exactly like the engine registry
+in :mod:`repro.networks.simulate`.  Orthogonally, every sharded entry
+point takes a ``backend`` argument that the pool initializers forward
+to workers **by name**, so any executor can run any plane
+representation (process pools pickle the name, never the backend
+object).
 
 **Determinism.**  Executors must return results in task order; callers
 merge with :meth:`VerificationResult.merge` (or plain concatenation for
@@ -45,7 +43,6 @@ batch workloads), so the outcome is bit-identical for any job count --
 
 from __future__ import annotations
 
-import inspect
 import multiprocessing
 import os
 import socket
@@ -58,7 +55,6 @@ from ..backends import (
     PlaneBackend,
     get_backend,
     resolve_backend_name,
-    use_backend,
 )
 from ..circuits.compiled import BackendLike, compile_circuit
 from ..circuits.netlist import Circuit
@@ -110,62 +106,18 @@ class SweepCancelled(RuntimeError):
 
 
 _EXECUTORS: Dict[str, Executor] = {}
-#: Executors whose signature accepts ``on_result``/``should_stop``
-#: (detected at registration); others get the replay fallback.
-_STREAMING: Dict[str, bool] = {}
-#: Executors whose signature accepts ``epoch`` -- the sweep-setup
-#: descriptor remote workers key their compile caches on.  Local
-#: executors don't need it (the initializer already carries the
-#: circuit), so it is forwarded only where declared.
-_EPOCH_AWARE: Dict[str, bool] = {}
-
-
-def _signature_params(executor: Executor):
-    try:
-        params = inspect.signature(executor).parameters
-    except (TypeError, ValueError):  # pragma: no cover - builtins etc.
-        return None
-    return params
-
-
-def _supports_streaming(executor: Executor) -> bool:
-    params = _signature_params(executor)
-    if params is None:
-        return False
-    if any(
-        p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()
-    ):
-        return True
-    return {"on_result", "should_stop"} <= set(params)
-
-
-def _supports_epoch(executor: Executor) -> bool:
-    params = _signature_params(executor)
-    if params is None:
-        return False
-    if any(
-        p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()
-    ):
-        return True  # same **kwargs rule as the streaming detection
-    return "epoch" in params
 
 
 def register_executor(name: str, executor: Executor) -> None:
     """Register (or replace) an execution backend under ``name``.
 
-    Executors that accept ``on_result``/``should_stop`` keyword
-    arguments (detected by signature) get them forwarded natively for
-    per-task streaming and cooperative cancellation; legacy executors
-    without them still work -- :func:`run_sharded` replays their
-    completed results through ``on_result`` afterwards and only checks
-    ``should_stop`` up front.  Executors declaring an ``epoch``
-    keyword additionally receive the sweep's
-    :class:`~repro.verify.exhaustive.SweepEpoch` (the ``"distributed"``
-    executor ships it to remote workers).
+    ``executor`` takes the worker and task list plus every keyword of
+    the calling convention (module docstring): it streams each result
+    through ``on_result`` in task order, polls ``should_stop`` between
+    tasks, and may ignore ``epoch`` (the sweep-setup descriptor only
+    remote workers key their compile caches on).
     """
     _EXECUTORS[name] = executor
-    _STREAMING[name] = _supports_streaming(executor)
-    _EPOCH_AWARE[name] = _supports_epoch(executor)
 
 
 def available_executors() -> List[str]:
@@ -219,6 +171,7 @@ def _serial_executor(
     initargs: Tuple = (),
     on_result: Optional[OnResult] = None,
     should_stop: Optional[ShouldStop] = None,
+    epoch: Optional[SweepEpoch] = None,
 ) -> List[Any]:
     """Run every task in this process (reference implementation)."""
     if initializer is not None:
@@ -242,6 +195,7 @@ def _process_executor(
     initargs: Tuple = (),
     on_result: Optional[OnResult] = None,
     should_stop: Optional[ShouldStop] = None,
+    epoch: Optional[SweepEpoch] = None,
 ) -> List[Any]:
     """Fan tasks out over a ``multiprocessing`` pool, order-preserving.
 
@@ -273,31 +227,6 @@ def _process_executor(
             if on_result is not None:
                 on_result(i, result)
         return out
-
-
-def _array_executor(
-    worker: Worker,
-    tasks: Sequence[Any],
-    jobs: int = 1,
-    initializer: Optional[Callable[..., None]] = None,
-    initargs: Tuple = (),
-    on_result: Optional[OnResult] = None,
-    should_stop: Optional[ShouldStop] = None,
-) -> List[Any]:
-    """In-process executor pinned to the ``array`` plane backend.
-
-    The ROADMAP's registry hook made concrete: selecting
-    ``executor="array"`` runs the serial loop with the process-default
-    plane backend scoped to ``"array"``, so initializers that compile
-    with the default backend pick up numpy/word-array planes without
-    any caller passing a backend around.  An explicit ``backend=``
-    argument on the caller still wins (it reaches the initializer as a
-    name and overrides the scoped default).
-    """
-    with use_backend("array"):
-        return _serial_executor(
-            worker, tasks, jobs, initializer, initargs, on_result, should_stop
-        )
 
 
 def _distributed_executor(
@@ -336,7 +265,6 @@ def _distributed_executor(
 
 register_executor("serial", _serial_executor)
 register_executor("process", _process_executor)
-register_executor("array", _array_executor)
 register_executor("distributed", _distributed_executor)
 
 
@@ -362,16 +290,12 @@ def run_sharded(
     completes -- the single progress seam shared by the CLI, the async
     service layer, and tests.  ``should_stop()`` is polled between
     tasks; returning true raises :class:`SweepCancelled` carrying the
-    results completed so far.  Executors registered without these
-    keywords still work: their whole-batch result is replayed through
-    ``on_result`` after the fact, and ``should_stop`` is only honoured
-    before dispatch.
+    results completed so far.
 
     ``epoch`` optionally describes the sweep's shared setup
-    (:class:`~repro.verify.exhaustive.SweepEpoch`); it is forwarded
-    only to executors that declare the keyword (``"distributed"``
+    (:class:`~repro.verify.exhaustive.SweepEpoch`); ``"distributed"``
     workers key their compile caches on it and validate circuit
-    identity against it).
+    identity against it, the local executors ignore it.
     """
     tasks = list(tasks)
     jobs = default_jobs() if not jobs else max(1, jobs)
@@ -382,36 +306,16 @@ def run_sharded(
         raise KeyError(
             f"unknown executor {name!r}; available: {available_executors()}"
         ) from None
-    extra: Dict[str, Any] = {}
-    if epoch is not None and _EPOCH_AWARE.get(name, False):
-        extra["epoch"] = epoch
-    if on_result is None and should_stop is None:
-        return run(
-            worker, tasks, jobs=jobs, initializer=initializer,
-            initargs=initargs, **extra
-        )
-    if _STREAMING.get(name, False):
-        return run(
-            worker,
-            tasks,
-            jobs=jobs,
-            initializer=initializer,
-            initargs=initargs,
-            on_result=on_result,
-            should_stop=should_stop,
-            **extra,
-        )
-    # Legacy executor: no mid-run streaming, but the contract holds.
-    if should_stop is not None and should_stop():
-        raise SweepCancelled([])
-    out = run(
-        worker, tasks, jobs=jobs, initializer=initializer,
-        initargs=initargs, **extra
+    return run(
+        worker,
+        tasks,
+        jobs=jobs,
+        initializer=initializer,
+        initargs=initargs,
+        on_result=on_result,
+        should_stop=should_stop,
+        epoch=epoch,
     )
-    if on_result is not None:
-        for i, result in enumerate(out):
-            on_result(i, result)
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -515,8 +419,8 @@ def _default_pair_shard_size(
 
     * **load balance** -- ~4 shards per worker, but never above the
       backend's preferred per-shard lane count (big-int planes want the
-      slot file cache-resident; word-array planes want enough words per
-      op to amortize call overhead);
+      slot file cache-resident; the native kernel wants wide shards to
+      amortize each Python-to-C call);
     * **plane-construction/run split at B = 10..13** -- a g-row of the
       pair product is ``S = 2^(B+1)-1`` lanes, and building its planes
       costs O(width * S) big-int block work *per row* while the program
@@ -621,16 +525,8 @@ def verify_two_sort_sharded(
         # on one concrete backend (workers on compiler-less hosts still
         # degrade via the native proxy's bigint fallback).
         backend = resolve_backend_name(backend)
-    # The executor may scope a different default backend ("array"), in
-    # which case the explicit-backend resolution here still matches
-    # what workers compile: None resolves identically in both places
-    # only for in-process executors, so size (and key the cache) by
-    # the effective backend name.
-    effective_backend = backend if backend is not None else (
-        "array" if executor == "array" else None
-    )
     if shard_size is None:
-        shard_size = _default_pair_shard_size(width, jobs, effective_backend)
+        shard_size = _default_pair_shard_size(width, jobs, backend)
     shards = pair_shards(width, shard_size)
     total = len(shards)
     # The sweep's shared-setup descriptor: remote workers compile once
@@ -662,7 +558,7 @@ def verify_two_sort_sharded(
         )
         return VerificationResult.merge(results)
 
-    backend_name = get_backend(effective_backend).name
+    backend_name = get_backend(backend).name
     circuit_hash = epoch.circuit_hash
     # `store` and `cache` are one seam with two granularities: `store`
     # wins when both are given, and by default switches the sweep to
@@ -678,8 +574,7 @@ def verify_two_sort_sharded(
     if region_mode:
         merged = _run_region_sweep(
             circuit, width, shards, jobs, executor, backend, backend_name,
-            circuit_hash, effective_backend, handle, on_shard, should_stop,
-            epoch,
+            circuit_hash, handle, on_shard, should_stop, epoch,
         )
     else:
         merged = _run_circuit_sweep(
@@ -787,7 +682,6 @@ def _run_region_sweep(
     backend: BackendLike,
     backend_name: str,
     circuit_hash: str,
-    effective_backend: BackendLike,
     store: Optional[Any],
     on_shard: Optional[OnShard],
     should_stop: Optional[ShouldStop],
@@ -842,9 +736,7 @@ def _run_region_sweep(
         if hit is not None:
             return hit
         if full_program is None:
-            full_program = compile_circuit(
-                circuit, get_backend(effective_backend)
-            )
+            full_program = compile_circuit(circuit, get_backend(backend))
         result = verify_two_sort_shard(full_program, width, g_lo, g_hi)
         if store is not None:
             store.put(ckey, result)

@@ -2,9 +2,9 @@
 
 The load-bearing property is that every backend is a *drop-in*
 representation: identical TritVec semantics, identical compiled-program
-results, identical (bit-for-bit) verification reports -- big-int planes,
-numpy lane-word planes, and the dependency-free stdlib ``array``
-fallback must be indistinguishable except in wall-clock time.
+results, identical (bit-for-bit) verification reports -- big-int planes
+and the native kernel's ``array("Q")`` lane words must be
+indistinguishable except in wall-clock time.
 """
 
 import itertools
@@ -15,14 +15,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.backends import (
     AUTO_BACKEND,
-    ArrayBackend,
     BigIntBackend,
     NativeBackend,
     available_backends,
     default_backend_name,
     get_backend,
     known_backend_names,
-    numpy_disabled_by_env,
     register_backend,
     resolve_backend_name,
     set_default_backend,
@@ -39,35 +37,22 @@ from repro.ternary.word import Word
 from repro.verify.exhaustive import verify_two_sort_circuit
 from repro.verify.parallel import (
     _default_pair_shard_size,
-    available_executors,
     verify_two_sort_sharded,
 )
 from repro.graycode.valid import from_rank
 
 
-def _numpy_available() -> bool:
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
 def _backend_params():
-    """Every representation under test, fallback variant included.
+    """Every representation under test.
 
     ``native`` is the registry proxy: on hosts with a C compiler it
-    resolves to the kernel-backed word-array representation, elsewhere
+    resolves to the kernel-backed lane-word representation, elsewhere
     to the bigint fallback -- either way it must be a drop-in.
     """
-    params = [
+    return [
         pytest.param(BigIntBackend(), id="bigint"),
-        pytest.param(ArrayBackend(use_numpy=False), id="array-fallback"),
         pytest.param(get_backend("native"), id="native"),
     ]
-    if _numpy_available():
-        params.append(pytest.param(ArrayBackend(use_numpy=True), id="array-numpy"))
-    return params
 
 
 @pytest.fixture(params=_backend_params())
@@ -80,10 +65,7 @@ def backend(request):
 # ----------------------------------------------------------------------
 class TestRegistry:
     def test_builtin_backends_present(self):
-        assert {"bigint", "array"} <= set(available_backends())
-
-    def test_executor_registry_gained_array(self):
-        assert "array" in available_executors()
+        assert {"bigint", "native"} <= set(available_backends())
 
     def test_get_backend_by_name_and_instance(self):
         be = get_backend("bigint")
@@ -99,28 +81,21 @@ class TestRegistry:
         assert get_backend(None).name == "bigint"
 
     def test_env_var_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PLANE_BACKEND", "array")
-        assert default_backend_name() == "array"
-        assert get_backend(None).name == "array"
+        monkeypatch.setenv("REPRO_PLANE_BACKEND", "native")
+        assert default_backend_name() == "native"
+        assert get_backend(None).name == "native"
 
     def test_use_backend_scopes_default(self):
         assert default_backend_name() == "bigint"
-        with use_backend("array") as be:
-            assert be.name == "array"
-            assert default_backend_name() == "array"
+        with use_backend("native") as be:
+            assert be.name == "native"
+            assert default_backend_name() == "native"
             assert get_backend(None) is be
         assert default_backend_name() == "bigint"
 
     def test_set_default_backend_validates(self):
         with pytest.raises(KeyError, match="unknown plane backend"):
             set_default_backend("gpu")
-
-    def test_numpy_force_disable_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-        assert numpy_disabled_by_env()
-        assert ArrayBackend().variant == "fallback"
-        monkeypatch.setenv("REPRO_NO_NUMPY", "0")
-        assert not numpy_disabled_by_env()
 
     def test_native_registered(self):
         assert "native" in available_backends()
@@ -140,7 +115,7 @@ class TestRegistry:
         assert resolved == expect
         assert get_backend(AUTO_BACKEND).name == resolved
         # concrete names resolve to themselves; the default is unchanged
-        assert resolve_backend_name("array") == "array"
+        assert resolve_backend_name("bigint") == "bigint"
         assert default_backend_name() == "bigint"
 
     def test_use_backend_accepts_auto(self):
@@ -304,13 +279,19 @@ class TestPlaneOps:
         assert list(backend.iter_set_lanes(plane, lanes)) == [0, 63, 64, 129]
 
     def test_array_lane_word_addressing(self):
-        """The explicit lane -> (word, bit) contract of the array layout."""
-        assert ArrayBackend.lane_address(0) == (0, 0)
-        assert ArrayBackend.lane_address(63) == (0, 63)
-        assert ArrayBackend.lane_address(64) == (1, 0)
-        assert ArrayBackend.words_for(0) == 0
-        assert ArrayBackend.words_for(64) == 1
-        assert ArrayBackend.words_for(65) == 2
+        """The explicit lane -> (word, bit) contract of the native layout."""
+        native = get_backend("native")
+        if not native.built:
+            pytest.skip("native kernel not built: planes are bigints")
+        impl = native._resolve()
+        assert impl.lane_address(0) == (0, 0)
+        assert impl.lane_address(63) == (0, 63)
+        assert impl.lane_address(64) == (1, 0)
+        assert impl.words_for(0) == 0
+        assert impl.words_for(64) == 1
+        assert impl.words_for(65) == 2
+        # lane 64 is bit 0 of word 1; lane 63 the top bit of word 0
+        assert list(impl.from_int((1 << 64) | (1 << 63), 65)) == [1 << 63, 1]
 
     def test_coerce_rejects_foreign_planes(self, backend):
         with pytest.raises(TypeError):
@@ -327,13 +308,13 @@ class TestPlaneOps:
 
     def test_backend_picklable(self, backend):
         """Regression: backends ride along with compiled circuits into
-        pool initargs; spawn-start platforms pickle them (the numpy
-        module reference used to make that crash)."""
+        pool initargs; spawn-start platforms pickle them (a module
+        reference held by a backend used to make that crash)."""
         import pickle
 
         clone = pickle.loads(pickle.dumps(backend))
         assert clone.name == backend.name
-        if isinstance(backend, ArrayBackend):
+        if isinstance(backend, NativeBackend):
             assert clone.variant == backend.variant
         assert clone.to_int(clone.from_int(0b101, 3), 3) == 0b101
 
@@ -620,7 +601,7 @@ class TestTritVecBackends:
 
     def test_mixed_backend_ops_rejected(self):
         a = TritVec.from_trits("0M", backend="bigint")
-        b = TritVec.from_trits("0M", backend="array")
+        b = TritVec.from_trits("0M", backend="native")
         with pytest.raises(ValueError, match="backend mismatch"):
             a & b
 
@@ -636,32 +617,33 @@ class TestCompiledBackends:
     def test_cache_keyed_per_backend(self):
         c = build_two_sort(2)
         big = compile_circuit(c, "bigint")
-        arr = compile_circuit(c, "array")
-        assert big is not arr
+        nat = compile_circuit(c, "native")
+        assert big is not nat
         assert compile_circuit(c, "bigint") is big
-        assert compile_circuit(c, "array") is arr
+        assert compile_circuit(c, "native") is nat
 
     def test_cache_invalidated_on_mutation_for_all_backends(self):
         c = Circuit("grow")
         a, b = c.add_input("a"), c.add_input("b")
         c.add_output(c.add_gate(AND2, [a, b]))
         first_big = compile_circuit(c, "bigint")
-        first_arr = compile_circuit(c, "array")
+        first_nat = compile_circuit(c, "native")
         c.add_output(c.add_gate(OR2, [a, b]))
         assert compile_circuit(c, "bigint") is not first_big
-        assert compile_circuit(c, "array") is not first_arr
+        assert compile_circuit(c, "native") is not first_nat
 
     def test_cache_detects_reregistered_backend(self):
         c = build_two_sort(2)
-        original = get_backend("array")
-        stale = compile_circuit(c, "array")
+        original = get_backend("bigint")
+        stale = compile_circuit(c, "bigint")
+        replacement = BigIntBackend()
         try:
-            register_backend("array", ArrayBackend(use_numpy=False))
-            fresh = compile_circuit(c, "array")
+            register_backend("bigint", replacement)
+            fresh = compile_circuit(c, "bigint")
             assert fresh is not stale
-            assert fresh.backend.variant == "fallback"
+            assert fresh.backend is replacement
         finally:
-            register_backend("array", original)
+            register_backend("bigint", original)
 
     def test_evaluate_batch_matches_bigint(self, backend):
         circuit = build_two_sort(3)
@@ -675,7 +657,7 @@ class TestCompiledBackends:
 
     def test_scalar_wrappers_honor_default_backend(self, backend):
         """Regression: evaluate()/evaluate_all_resolutions() decode
-        backend-native planes -- under the array backend they used to
+        backend-native planes -- under a lane-word backend they used to
         see truthy word-arrays and return M for every net (or crash on
         multi-word planes)."""
         from repro.circuits.evaluate import (
@@ -691,10 +673,11 @@ class TestCompiledBackends:
         big = build_two_sort(4)
         ref_words = evaluate_words(circuit, Word("0M"), Word("01"))
         ref_res = evaluate_all_resolutions(big, Word("MMMM"), Word("0MMM"))
-        original = get_backend("array")
+        name = backend.name
+        original = get_backend(name)
         try:
-            register_backend("array", backend)
-            with use_backend("array"):
+            register_backend(name, backend)
+            with use_backend(name):
                 assert evaluate(circuit, stable) == ref
                 assert evaluate_words(circuit, Word("0M"), Word("01")) == ref_words
                 # 7 M bits -> 128 resolution lanes: two words per plane,
@@ -704,25 +687,11 @@ class TestCompiledBackends:
                     == ref_res
                 )
         finally:
-            register_backend("array", original)
-
-    def test_run_tritvecs_outputs_detached_from_run_storage(self):
-        """Retained batch outputs must not alias per-run scratch
-        storage (numpy run_ops writes into one slab per call)."""
-        if not _numpy_available():
-            pytest.skip("numpy-specific storage concern")
-        program = compile_circuit(build_two_sort(2), ArrayBackend(use_numpy=True))
-        ins = [
-            TritVec.from_trits("0M10", backend=program.backend)
-            for _ in range(4)
-        ]
-        outs = program.run_tritvecs(ins)
-        for tv in outs:
-            assert tv.p0.base is None and tv.p1.base is None
+            register_backend(name, original)
 
     def test_run_tritvecs_rejects_foreign_backend(self):
         circuit = build_two_sort(1)
-        program = compile_circuit(circuit, "array")
+        program = compile_circuit(circuit, "native")
         ins = [TritVec.from_trits("01", backend="bigint") for _ in range(2)]
         with pytest.raises(ValueError, match="backend"):
             program.run_tritvecs(ins)
@@ -760,7 +729,7 @@ class TestVerifyBackends:
         assert out.failures == ref.failures
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    @pytest.mark.parametrize("name", ["array", "native", "auto"])
+    @pytest.mark.parametrize("name", ["native", "auto"])
     def test_sharded_identical_across_backends(self, jobs, name):
         """Sharded reports byte-identical to bigint for every registered
         backend and the auto alias (whatever it resolves to here)."""
@@ -780,44 +749,14 @@ class TestVerifyBackends:
         assert out.to_json() == ref.to_json()
 
     def test_process_pool_forwards_backend_name(self):
-        """--backend array across a real pool: workers compile on the
+        """--backend native across a real pool: workers compile on the
         named backend and counts stay bit-identical."""
         circuit = build_two_sort(4)
         out = verify_two_sort_sharded(
-            circuit, 4, jobs=2, executor="process", backend="array"
+            circuit, 4, jobs=2, executor="process", backend="native"
         )
         ref = verify_two_sort_circuit(circuit, 4)
         assert (out.checked, out.failure_count) == (ref.checked, 0)
-
-    def test_array_executor_pins_array_backend(self):
-        """The ROADMAP hook: executor="array" alone (no backend arg)
-        must run plane work on the array backend."""
-        circuit = build_two_sort(4)
-        result = verify_two_sort_sharded(circuit, 4, jobs=1, executor="array")
-        assert result.ok and result.checked == 961
-        cache = circuit._compiled_cache
-        assert "array" in cache and cache["array"].backend.name == "array"
-
-    def test_explicit_backend_beats_array_executor(self):
-        circuit = build_two_sort(3)
-        result = verify_two_sort_sharded(
-            circuit, 3, jobs=1, executor="array", backend="bigint"
-        )
-        assert result.ok
-        assert "bigint" in circuit._compiled_cache
-
-    def test_fallback_via_registry_monkeypatch(self):
-        """Numpy-absent path through the public name-based selection."""
-        original = get_backend("array")
-        try:
-            register_backend("array", ArrayBackend(use_numpy=False))
-            assert get_backend("array").variant == "fallback"
-            circuit = build_two_sort(4)
-            out = verify_two_sort_circuit(circuit, 4, backend="array")
-            ref = verify_two_sort_circuit(circuit, 4, backend="bigint")
-            assert out.summary() == ref.summary()
-        finally:
-            register_backend("array", original)
 
 
 # ----------------------------------------------------------------------
@@ -839,17 +778,6 @@ class TestDefaultShardSize:
         }
         for (width, jobs), want in expected.items():
             got = _default_pair_shard_size(width, jobs, "bigint")
-            assert got == want, (width, jobs, got, want)
-
-    def test_pinned_sizes_array(self):
-        expected = {
-            (8, 1): 32768,   # array budget is 2x: amortizes ufunc calls
-            (8, 4): 16384,
-            (10, 1): 32768,  # 16 rows of 2047 = 32752, word-aligned up
-            (13, 1): 32768,  # 2 rows of 16383, word-aligned up
-        }
-        for (width, jobs), want in expected.items():
-            got = _default_pair_shard_size(width, jobs, "array")
             assert got == want, (width, jobs, got, want)
 
     def test_pinned_sizes_native(self):
@@ -875,7 +803,6 @@ class TestDefaultShardSize:
         native_word = 64 if get_backend("native").built else 8
         for width in range(4, 14):
             for jobs in (1, 2, 8):
-                assert _default_pair_shard_size(width, jobs, "array") % 64 == 0
                 assert _default_pair_shard_size(width, jobs, "bigint") % 8 == 0
                 assert (
                     _default_pair_shard_size(width, jobs, "native")
@@ -921,7 +848,7 @@ class TestBatchSimulationBackends:
         ref = sort_words_batch(net, vectors)
         out = sort_words_batch(
             net, vectors, jobs=2, shard_size=3, executor="serial",
-            backend="array",
+            backend="native",
         )
         assert out == ref
 
@@ -958,11 +885,7 @@ def layered_networks(max_channels=5, max_comparators=8):
     ).map(build)
 
 
-_PROPERTY_BACKENDS = [
-    "bigint",
-    ArrayBackend(use_numpy=False),
-    get_backend("native"),
-] + ([ArrayBackend(use_numpy=True)] if _numpy_available() else [])
+_PROPERTY_BACKENDS = ["bigint", get_backend("native")]
 
 
 @settings(max_examples=30, deadline=None)
@@ -987,8 +910,8 @@ def test_tritvec_semantics_identical_across_backends(batch):
 @settings(max_examples=20, deadline=None)
 @given(st.data())
 def test_batch_identical_across_backends_on_random_networks(data):
-    """bigint and array (numpy + fallback) sort identically through
-    random layered networks, including the sharded dispatch path."""
+    """bigint and native sort identically through random layered
+    networks, including the sharded dispatch path."""
     width = data.draw(st.integers(min_value=1, max_value=3))
     net = data.draw(layered_networks())
     vectors = data.draw(
@@ -1007,7 +930,7 @@ def test_batch_identical_across_backends_on_random_networks(data):
         assert sort_words_batch(net, vectors, backend=be) == reference
     sharded = sort_words_batch(
         net, vectors, jobs=2, shard_size=2, executor="serial",
-        backend="array",
+        backend="native",
     )
     assert sharded == reference
 
@@ -1021,19 +944,11 @@ def test_sharded_verification_identical_across_backends(width, jobs):
     ref = verify_two_sort_sharded(
         circuit, width, jobs=jobs, executor="serial", backend="bigint"
     )
-    original = get_backend("array")
-    for be in _PROPERTY_BACKENDS[1:]:
-        # Instances are forwarded to workers by *name*, so exercise each
-        # variant by temporarily registering it under "array".
-        try:
-            register_backend("array", be)
-            out = verify_two_sort_sharded(
-                circuit, width, jobs=jobs, executor="serial", backend="array"
-            )
-        finally:
-            register_backend("array", original)
-        assert (out.checked, out.failure_count, out.failures) == (
-            ref.checked,
-            ref.failure_count,
-            ref.failures,
-        )
+    out = verify_two_sort_sharded(
+        circuit, width, jobs=jobs, executor="serial", backend="native"
+    )
+    assert (out.checked, out.failure_count, out.failures) == (
+        ref.checked,
+        ref.failure_count,
+        ref.failures,
+    )

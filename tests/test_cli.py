@@ -1,8 +1,16 @@
 """Tests for the command-line interface (python -m repro)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.__main__ import main
+
+SRC_DIR = str(Path(repro.__file__).resolve().parent.parent)
 
 
 class TestCli:
@@ -15,6 +23,26 @@ class TestCli:
         """B=8 (261k pairs) is interactive since the bit-parallel engine."""
         assert main(["verify", "--width", "8"]) == 0
         assert "261121 cases checked: OK" in capsys.readouterr().out
+
+    def test_verify_imports_no_numpy(self):
+        """A fresh ``verify`` process loads no numpy: every registered
+        plane backend is stdlib-only, so no ``repro`` process pays for
+        importing it."""
+        code = (
+            "import sys\n"
+            "import repro.__main__\n"
+            "assert repro.__main__.main(['verify', '--width', '8']) == 0\n"
+            "assert 'numpy' not in sys.modules\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": SRC_DIR},
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "261121 cases checked: OK" in proc.stdout
 
     def test_verify_refuses_huge_width(self, capsys):
         assert main(["verify", "--width", "14"]) == 2
@@ -82,10 +110,10 @@ class TestCli:
         assert main(["verify", "--width", "4", "--jobs", "-3"]) == 2
 
     def test_verify_backend_flag_bit_identical(self, capsys):
-        """--backend array and --backend bigint: same summary, jobs 1+2
+        """--backend native and --backend bigint: same summary, jobs 1+2
         (the acceptance contract)."""
         outputs = []
-        for backend in ("bigint", "array"):
+        for backend in ("bigint", "native"):
             for jobs in ("1", "2"):
                 assert main(
                     ["verify", "--width", "5", "--jobs", jobs,
@@ -101,7 +129,7 @@ class TestCli:
         assert main(["verify", "--width", "4", "--backend", "gpu"]) == 2
         err = capsys.readouterr().err
         assert "unknown plane backend 'gpu'" in err
-        for name in ("array", "auto", "bigint", "native"):
+        for name in ("auto", "bigint", "native"):
             assert name in err
 
     def test_sort_rejects_unknown_backend(self, capsys):
@@ -129,14 +157,14 @@ class TestCli:
 
         assert main(["backends"]) == 0
         out = capsys.readouterr().out
-        for name in ("array", "bigint", "native", "auto"):
+        for name in ("bigint", "native", "auto"):
             assert name in out
         assert "(default)" in out
 
         assert main(["backends", "--json"]) == 0
         data = jsonlib.loads(capsys.readouterr().out)
         names = {row["name"] for row in data["backends"]}
-        assert {"array", "bigint", "native"} <= names
+        assert {"bigint", "native"} <= names
         assert data["auto"] in names
         assert data["default"] == "bigint"
 
@@ -144,7 +172,7 @@ class TestCli:
         """--executor finally exposes the registry: serial stays serial
         even with --jobs > 1 (which used to hard-imply process)."""
         outputs = []
-        for executor in ("serial", "process", "array"):
+        for executor in ("serial", "process"):
             assert main(
                 ["verify", "--width", "5", "--jobs", "2",
                  "--executor", executor]
@@ -297,13 +325,13 @@ class TestCli:
     def test_sort_engine_compiled_with_backend(self, capsys):
         assert main(
             ["sort", "0110", "0M10", "0010", "--engine", "compiled",
-             "--backend", "array"]
+             "--backend", "native"]
         ) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines == ["0010", "0M10", "0110"]
 
     def test_sort_backend_requires_compiled_engine(self, capsys):
-        assert main(["sort", "01", "00", "--backend", "array"]) == 2
+        assert main(["sort", "01", "00", "--backend", "native"]) == 2
         assert "--engine compiled" in capsys.readouterr().err
 
     def test_sort_rejects_unknown_engine(self):

@@ -74,7 +74,8 @@ class TestExecutorRegistry:
     def test_register_executor_hook(self):
         calls = []
 
-        def recording(worker, tasks, jobs, initializer=None, initargs=()):
+        def recording(worker, tasks, jobs, initializer=None, initargs=(),
+                      on_result=None, should_stop=None, epoch=None):
             calls.append((len(tasks), jobs))
             if initializer is not None:
                 initializer(*initargs)
@@ -236,29 +237,6 @@ class TestStreamingAndCancellation:
                 should_stop=lambda: len(seen) >= 2,
             )
         assert info.value.results == seen == [0, 2]
-
-    def test_legacy_executor_replays_on_result(self):
-        """Executors registered without the streaming keywords still
-        satisfy the on_result contract (after the fact)."""
-
-        def legacy(worker, tasks, jobs, initializer=None, initargs=()):
-            if initializer is not None:
-                initializer(*initargs)
-            return [worker(t) for t in tasks]
-
-        register_executor("legacy", legacy)
-        seen = []
-        try:
-            out = run_sharded(
-                lambda t: -t, [1, 2], jobs=1, executor="legacy",
-                on_result=lambda i, r: seen.append((i, r)),
-            )
-        finally:
-            from repro.verify.parallel import _EXECUTORS
-
-            del _EXECUTORS["legacy"]
-        assert out == [-1, -2]
-        assert seen == [(0, -1), (1, -2)]
 
     def test_verify_on_shard_progress_complete(self):
         snapshots = []

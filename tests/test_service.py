@@ -42,14 +42,14 @@ def throttled_executor():
     get a wide, deterministic window between shards."""
 
     def throttled(worker, tasks, jobs=1, initializer=None, initargs=(),
-                  on_result=None, should_stop=None):
+                  on_result=None, should_stop=None, epoch=None):
         def slow_worker(task):
             time.sleep(0.015)
             return worker(task)
 
         return _serial_executor(
             slow_worker, tasks, jobs, initializer, initargs,
-            on_result, should_stop,
+            on_result, should_stop, epoch,
         )
 
     register_executor("throttled", throttled)
@@ -64,7 +64,7 @@ def throttled_executor():
 # ----------------------------------------------------------------------
 class TestRequests:
     def test_verify_round_trip(self):
-        req = VerifyRequest(width=8, jobs=2, backend="array")
+        req = VerifyRequest(width=8, jobs=2, backend="native")
         back = request_from_dict(req.to_dict())
         assert back == req
 
@@ -101,7 +101,7 @@ class TestRequests:
     def test_sort_backend_needs_compiled(self):
         with pytest.raises(ValueError, match="compiled"):
             SortRequest.single(["01", "00"], engine="fsm",
-                               backend="array").validate()
+                               backend="native").validate()
 
     def test_sort_rejects_mixed_widths(self):
         with pytest.raises(ValueError, match="share one width"):
@@ -458,7 +458,7 @@ class TestManagerCache:
 
     def test_default_backend_applied(self):
         async def go():
-            manager = JobManager(jobs=1, default_backend="array")
+            manager = JobManager(jobs=1, default_backend="native")
             try:
                 job = manager.submit(VerifyRequest(width=4))
                 await manager.wait(job.id)
@@ -467,7 +467,7 @@ class TestManagerCache:
                 await manager.aclose()
 
         job = asyncio.run(go())
-        assert job.request.backend == "array"
+        assert job.request.backend == "native"
         assert job.state is JobState.DONE
         assert job.result.checked == pairs(4)
 
@@ -475,7 +475,7 @@ class TestManagerCache:
         """A server-wide default plane backend must not invalidate sort
         jobs whose engine has no planes (regression: the fsm default)."""
         async def go():
-            manager = JobManager(jobs=1, default_backend="array")
+            manager = JobManager(jobs=1, default_backend="native")
             try:
                 job = manager.submit(
                     SortRequest.single(["0110", "0010"], engine="fsm")
@@ -493,7 +493,7 @@ class TestManagerCache:
         assert job.state is JobState.DONE
         assert job.request.backend is None  # untouched
         assert compiled.state is JobState.DONE
-        assert compiled.request.backend == "array"  # default applied
+        assert compiled.request.backend == "native"  # default applied
 
     def test_finished_jobs_are_evicted_beyond_retention(self):
         async def go():
