@@ -21,7 +21,9 @@ trajectory so regressions are visible across PRs:
 2. **Sorting-network simulation** -- a seeded measurement workload
    through the 10-channel size-optimal network: per-vector gate-level
    engine (``sort_words(engine="circuit")``) vs the batched compiled
-   path (``sort_words_batch``).
+   path on ``Word`` values (``sort_words_batch``), plus the string
+   entry point it wraps (``sort_strings_batch``, the service's path) on
+   the same workload as word strings.
 
 Throughput is reported in **gate-visits per second** (gates x vectors /
 time), the metric that is invariant to circuit size.
@@ -51,7 +53,11 @@ from repro.circuits.evaluate import evaluate_interpreted  # noqa: E402
 from repro.core.two_sort import build_two_sort  # noqa: E402
 from repro.graycode.ops import two_sort_order  # noqa: E402
 from repro.graycode.valid import all_valid_strings  # noqa: E402
-from repro.networks.simulate import sort_words, sort_words_batch  # noqa: E402
+from repro.networks.simulate import (  # noqa: E402
+    sort_strings_batch,
+    sort_words,
+    sort_words_batch,
+)
 from repro.networks.topologies import SORT10_SIZE  # noqa: E402
 from repro.ternary.word import Word  # noqa: E402
 from repro.verify.exhaustive import verify_two_sort_circuit  # noqa: E402
@@ -147,6 +153,15 @@ def bench_network_simulation(width: int, vectors: int) -> dict:
 
     assert batch_out[: len(scalar_out)] == scalar_out
 
+    # The same workload as word strings, the form service requests carry.
+    strings = [[str(w) for w in v] for v in workload]
+    t0 = time.perf_counter()
+    strings_out = sort_strings_batch(network, strings)
+    strings_time = time.perf_counter() - t0
+    strings_rate = len(workload) / strings_time
+
+    assert strings_out == [[str(w) for w in row] for row in batch_out]
+
     return {
         "width": width,
         "network": network.name,
@@ -163,6 +178,13 @@ def bench_network_simulation(width: int, vectors: int) -> dict:
             "time_s": round(compiled_time, 4),
             "vectors_per_s": round(compiled_rate, 1),
             "gate_visits_per_s": round(compiled_rate * gates, 1),
+        },
+        "strings": {
+            "vectors_measured": len(workload),
+            "time_s": round(strings_time, 4),
+            "vectors_per_s": round(strings_rate, 1),
+            "gate_visits_per_s": round(strings_rate * gates, 1),
+            "speedup_vs_scalar": round(strings_rate / scalar_rate, 1),
         },
         "speedup": round(compiled_rate / scalar_rate, 1),
     }
@@ -662,6 +684,7 @@ def main(argv=None) -> int:
     network = bench_network_simulation(net_width, net_vectors)
     print(f"  scalar:   {network['scalar']['vectors_per_s']:>12,.1f} vectors/s")
     print(f"  compiled: {network['compiled']['vectors_per_s']:>12,.1f} vectors/s")
+    print(f"  strings:  {network['strings']['vectors_per_s']:>12,.1f} vectors/s")
     print(f"  speedup:  {network['speedup']:,.1f}x")
 
     print(f"== native backend (B={native_width}) ==")

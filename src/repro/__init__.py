@@ -59,6 +59,7 @@ from .networks import (
     SortingNetwork,
     batcher_odd_even,
     build_sorting_circuit,
+    sort_strings_batch,
     sort_words,
     sort_words_batch,
 )
@@ -110,6 +111,7 @@ __all__ = [
     "SortingNetwork",
     "batcher_odd_even",
     "build_sorting_circuit",
+    "sort_strings_batch",
     "sort_words",
     "sort_words_batch",
     "measure_network",

@@ -482,7 +482,7 @@ def _cmd_sort(args) -> int:
         return 2
     sorted_words = rows[0]
     if args.json:
-        print(json.dumps([str(w) for w in sorted_words]))
+        print(json.dumps(sorted_words))
     else:
         for w in sorted_words:
             print(w)

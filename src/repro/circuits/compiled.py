@@ -66,7 +66,7 @@ from typing import (
 )
 
 from ..backends import Plane, PlaneBackend, get_backend
-from ..ternary.trit import Trit, TritLike
+from ..ternary.trit import Trit, TritLike, canonical_trit_string
 from ..ternary.word import Word
 from .netlist import Circuit, CircuitError, Gate
 from .wire import NetId
@@ -76,6 +76,16 @@ __all__ = ["TritVec", "CompiledCircuit", "compile_circuit"]
 #: Backend selector accepted by every public entry point: a registry
 #: name, a resolved instance, or None for the process default.
 BackendLike = Union[str, PlaneBackend, None]
+
+#: The string codec of :class:`TritVec`: ``str.translate`` tables from
+#: each canonical trit character to its can-be-0 / can-be-1 plane bit
+#: (:func:`~repro.ternary.trit.canonical_trit_string` reads ``'m'`` as
+#: ``'M'`` and rejects everything else first), and the
+#: ``bytes.translate`` table from a lane's byte sum in
+#: :meth:`TritVec.to_str` (``0x90 + can0 + 2 * can1``) to its character.
+_CAN0 = str.maketrans("01M", "101")
+_CAN1 = str.maketrans("01M", "011")
+_LANE_CHAR = bytes.maketrans(b"\x91\x92\x93", b"01M")
 
 
 # ----------------------------------------------------------------------
@@ -143,13 +153,23 @@ class TritVec:
         values: Union[str, Iterable[TritLike]],
         backend: BackendLike = None,
     ) -> "TritVec":
-        """Pack a sequence of trit-likes; lane ``j`` is ``values[j]``."""
+        """Pack a sequence of trit-likes; lane ``j`` is ``values[j]``.
+
+        A string (``'0'``, ``'1'``, ``'M'`` or ``'m'`` per lane) is packed
+        with whole-string operations: one ``translate`` and one ``int``
+        per plane, no per-lane loop.
+        """
         if isinstance(values, str):
-            trits = [Trit.from_char(c) for c in values]
-        else:
-            trits = [
-                v if isinstance(v, Trit) else Trit.coerce(v) for v in values
-            ]
+            be = get_backend(backend)
+            n = len(values)
+            # int() reads the first character as the top bit; lane 0 is
+            # bit 0, so the lanes go in reversed.
+            lanes = canonical_trit_string(values)[::-1]
+            p0 = int(lanes.translate(_CAN0), 2) if n else 0
+            p1 = int(lanes.translate(_CAN1), 2) if n else 0
+            return cls._wrap(n, be.from_int(p0, n), be.from_int(p1, n), be)
+        trits = [v if isinstance(v, Trit) else Trit.coerce(v) for v in values]
+        be = get_backend(backend)
         n = len(trits)
         b0 = bytearray((n + 7) >> 3)
         b1 = bytearray((n + 7) >> 3)
@@ -159,13 +179,9 @@ class TritVec:
                 b0[j >> 3] |= bit
             if t is not Trit.ZERO:
                 b1[j >> 3] |= bit
-        be = get_backend(backend)
-        vec = object.__new__(cls)
-        object.__setattr__(vec, "n", n)
-        object.__setattr__(vec, "p0", be.from_bytes(bytes(b0), n))
-        object.__setattr__(vec, "p1", be.from_bytes(bytes(b1), n))
-        object.__setattr__(vec, "backend", be)
-        return vec
+        return cls._wrap(
+            n, be.from_bytes(bytes(b0), n), be.from_bytes(bytes(b1), n), be
+        )
 
     @classmethod
     def broadcast(
@@ -225,10 +241,26 @@ class TritVec:
         return out
 
     def to_word(self) -> Word:
-        return Word(self.to_trits())
+        return Word(self.to_str())
 
     def to_str(self) -> str:
-        return "".join(t.to_char() for t in self.to_trits())
+        """All lanes as ``'0'``/``'1'``/``'M'``, lane ``j`` at index ``j``.
+
+        Whole-plane integer ops, no per-lane loop: each plane is written
+        out as one ASCII ``'0'``/``'1'`` byte per lane, the two byte
+        strings are summed as integers (``0x30 + can0 + 2 * (0x30 +
+        can1)`` never carries across a byte), and one ``translate``
+        maps the three sums to characters.
+        """
+        n = self.n
+        if not n:
+            return ""
+        be = self.backend
+        fmt = f"0{n}b"
+        can0 = int.from_bytes(format(be.to_int(self.p0, n), fmt).encode(), "big")
+        can1 = int.from_bytes(format(be.to_int(self.p1, n), fmt).encode(), "big")
+        codes = (can0 + (can1 << 1)).to_bytes(n, "big")
+        return codes.translate(_LANE_CHAR)[::-1].decode("ascii")
 
     @property
     def metastable_lanes(self) -> int:

@@ -19,11 +19,14 @@ max/min) are exactly the lattice max/min.  We expose the order through
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union
 
-from ..ternary.trit import Trit
+from ..ternary.trit import canonical_trit_string
 from ..ternary.word import Word
-from .rgc import gray_decode, gray_encode
+from .rgc import gray_encode
+
+#: A word in either form: a :class:`Word` or its ``{0,1,M,m}`` string.
+WordLike = Union[str, Word]
 
 
 class InvalidStringError(ValueError):
@@ -57,40 +60,53 @@ def from_rank(r: int, width: int) -> Word:
     return make_valid(r // 2, width, metastable=bool(r % 2))
 
 
-def is_valid(w: Word) -> bool:
+def is_valid(w: WordLike) -> bool:
     """Membership test for ``S^B_rg``."""
     return try_rank(w) is not None
 
 
-def try_rank(w: Word) -> Optional[int]:
-    """Rank of ``w`` in the total order of Table 2, or None if invalid."""
-    meta = w.metastable_positions()
-    if len(meta) > 1:
+def _gray_decode_int(g: int) -> int:
+    """Binary value of the Gray codeword whose bits are ``g``: prefix XOR."""
+    shift = 1
+    while g >> shift:
+        g ^= g >> shift
+        shift <<= 1
+    return g
+
+
+def try_rank(w: WordLike) -> Optional[int]:
+    """Rank of ``w`` in the total order of Table 2, or None if invalid.
+
+    ``w`` is a :class:`Word` or its string (``'m'`` reads as ``M``); a
+    character outside ``{0, 1, M, m}`` raises the
+    :meth:`Trit.from_char` ``ValueError``.
+    """
+    s = canonical_trit_string(w if isinstance(w, str) else str(w))
+    metas = s.count("M")
+    if not metas:
+        return 2 * _gray_decode_int(int(s, 2)) if s else 0
+    if metas > 1:
         return None
-    if not meta:
-        return 2 * gray_decode(w)
     # Exactly one M: both resolutions must be codewords of adjacent value.
-    pos = meta[0]
-    lo = w.replace_bit(pos, 0)
-    hi = w.replace_bit(pos, 1)
-    a, b = gray_decode(lo), gray_decode(hi)
+    a = _gray_decode_int(int(s.replace("M", "0"), 2))
+    b = _gray_decode_int(int(s.replace("M", "1"), 2))
     if abs(a - b) != 1:
         return None
     return 2 * min(a, b) + 1
 
 
-def rank(w: Word) -> int:
+def rank(w: WordLike) -> int:
     """Rank of a valid string in the total order; raises if invalid.
 
     Stable ``rg(x)`` maps to ``2x``; ``rg(x)∗rg(x+1)`` maps to ``2x+1``.
     """
     r = try_rank(w)
     if r is None:
-        raise InvalidStringError(f"{w!r} is not a valid string")
+        raise InvalidStringError(f"{Word(w)!r} is not a valid string")
     return r
 
 
-def value_interval(w: Word):
+def value_interval(w: WordLike):
     """The closed integer interval of values ``w`` may represent.
 
     ``rg(x)`` yields ``(x, x)``; ``rg(x)∗rg(x+1)`` yields ``(x, x+1)``.
@@ -118,8 +134,8 @@ def count_valid_strings(width: int) -> int:
     return (1 << (width + 1)) - 1
 
 
-def validate(w: Word) -> Word:
+def validate(w: WordLike) -> WordLike:
     """Assert validity, returning the word unchanged (pipeline helper)."""
     if not is_valid(w):
-        raise InvalidStringError(f"{w!r} is not a valid string")
+        raise InvalidStringError(f"{Word(w)!r} is not a valid string")
     return w

@@ -18,7 +18,7 @@ from .topologies import (
     insertion,
 )
 from .build import TWO_SORT_BUILDERS, build_sorting_circuit
-from .simulate import ENGINES, sort_words, sort_words_batch
+from .simulate import ENGINES, sort_strings_batch, sort_words, sort_words_batch
 from .properties import (
     check_mc_sort,
     is_sorted_by_rank,
@@ -43,6 +43,7 @@ __all__ = [
     "TWO_SORT_BUILDERS",
     "build_sorting_circuit",
     "ENGINES",
+    "sort_strings_batch",
     "sort_words",
     "sort_words_batch",
     "check_mc_sort",

@@ -20,12 +20,22 @@ directly on :class:`~repro.ternary.word.Word` values using a pluggable
   ``"circuit"``, much faster, and the only engine with a *batched*
   path.
 
-**Batching.**  :func:`sort_words` runs one vector; :func:`sort_words_batch`
-runs many measurement vectors through the network *simultaneously*:
-every channel holds a :class:`~repro.circuits.compiled.TritVec` per bit,
-and each comparator visit executes the compiled 2-sort program once for
-all vectors (layer by layer, exactly the hardware dataflow).  This is
-the high-throughput path for system-level workloads.
+**Batching.**  :func:`sort_words` runs one vector;
+:func:`sort_strings_batch` runs many measurement vectors through the
+network *simultaneously*: every channel holds a
+:class:`~repro.circuits.compiled.TritVec` per bit, and each comparator
+visit executes the compiled 2-sort program once for all vectors (layer
+by layer, exactly the hardware dataflow).  Its unit is the word
+*string*: a bit column becomes a plane through whole-string operations
+and a plane becomes a column through whole-integer operations, so no
+:class:`~repro.ternary.word.Word` or :class:`~repro.ternary.trit.Trit`
+is built and no Python loop runs per lane.  This is the
+high-throughput path for system-level workloads (the service's sort
+jobs run on it); :func:`sort_words_batch` is the same computation with
+``Word`` values at the edges.  Sharded compiled-engine runs grow each
+shard toward the plane backend's ``preferred_shard_lanes`` vectors (one
+vector is one lane), since every shard pays one run of the 2-sort
+program per comparator, but never past an even split over the workers.
 """
 
 from __future__ import annotations
@@ -114,18 +124,65 @@ def sort_words_batch(
     on_shard: Optional[Callable[[int, int, Any], None]] = None,
     should_stop: Optional[Callable[[], bool]] = None,
 ) -> List[List[Word]]:
-    """Sort many measurement vectors through ``network`` at once.
+    """:func:`sort_strings_batch` on :class:`Word` values.
 
     ``vectors[j]`` is one measurement vector (``network.channels`` words
     of equal width); the result's ``j``-th element is that vector after
     sorting, ascending on channel 0.  Equivalent to calling
-    :func:`sort_words` per vector with the same engine.
+    :func:`sort_words` per vector with the same engine.  Every argument
+    means what it means for :func:`sort_strings_batch`; words go in
+    through ``str(w)`` and come out through ``Word(s)``, and the rows
+    ``on_shard`` receives are rows of words too.
+    """
+    on_rows = None
+    if on_shard is not None:
+
+        def on_rows(done: int, total: int, rows: List[List[str]]) -> None:
+            on_shard(done, total, _to_words(rows))
+
+    rows = sort_strings_batch(
+        network,
+        [[str(w) for w in v] for v in vectors],
+        engine=engine,
+        jobs=jobs,
+        shard_size=shard_size,
+        executor=executor,
+        backend=backend,
+        on_shard=on_rows,
+        should_stop=should_stop,
+    )
+    return _to_words(rows)
+
+
+def _to_words(rows: List[List[str]]) -> List[List[Word]]:
+    return [[Word(s) for s in row] for row in rows]
+
+
+def sort_strings_batch(
+    network: SortingNetwork,
+    vectors: Sequence[Sequence[str]],
+    engine: str = "compiled",
+    jobs: Optional[int] = None,
+    shard_size: Optional[int] = None,
+    executor: Optional[str] = None,
+    backend: BackendLike = None,
+    on_shard: Optional[Callable[[int, int, Any], None]] = None,
+    should_stop: Optional[Callable[[], bool]] = None,
+) -> List[List[str]]:
+    """Sort many measurement vectors of word strings through ``network``.
+
+    ``vectors[j]`` is one measurement vector: ``network.channels``
+    strings over ``{0, 1, M}`` (``'m'`` reads as ``M``) of equal width.
+    The result's ``j``-th element is that vector after sorting,
+    ascending on channel 0, as strings with ``M`` upper-case.
 
     With the default ``"compiled"`` engine all vectors advance through
     the network together: per comparator, one two-plane program run
-    sorts lane ``j`` of every channel simultaneously.  Other engine
-    names fall back to the per-vector loop (same results, provided for
-    API uniformity).
+    sorts lane ``j`` of every channel simultaneously.  Each channel's
+    bit columns are packed with ``TritVec.from_trits(str)`` and read
+    back with ``TritVec.to_str()``.  Other engine names fall back to the
+    per-vector :func:`sort_words` loop (same results, provided for API
+    uniformity).
 
     Passing any of ``jobs``/``shard_size``/``executor`` shards the
     vector batch across the executor registry of
@@ -134,7 +191,10 @@ def sort_words_batch(
     ``jobs=0`` (or ``None`` with another sharding argument) means one
     worker per core; ``jobs=1`` alone keeps the single-process path.
     This is the million-vector path: each worker runs the compiled
-    batch on its own shard.
+    batch on its own shard.  Without ``shard_size`` there are about
+    four shards per worker; a compiled-engine shard grows toward the
+    backend's ``preferred_shard_lanes`` vectors while every worker
+    still gets one (``jobs=1`` runs up to that many as one shard).
 
     ``backend`` selects the plane representation for the ``"compiled"``
     engine (:mod:`repro.backends`; other engines have no planes and
@@ -155,12 +215,8 @@ def sort_words_batch(
     # (a per-shard check would depend on where shard boundaries fall).
     if engine == "compiled" and vectors:
         width = len(vectors[0][0])
-        for v in vectors:
-            for w in v:
-                if len(w) != width:
-                    raise ValueError(
-                        "all words in a batch must share one width"
-                    )
+        if any(len(w) != width for v in vectors for w in v):
+            raise ValueError("all words in a batch must share one width")
     # Any sharding argument routes through the executor registry, so
     # e.g. an unknown executor name raises regardless of batch size.
     if (
@@ -170,24 +226,27 @@ def sort_words_batch(
         or on_shard is not None
         or should_stop is not None
     ):
-        return _sort_words_batch_sharded(
+        return _sort_strings_batch_sharded(
             network, vectors, engine, jobs, shard_size, executor, backend,
             on_shard, should_stop,
         )
     if engine != "compiled":
-        return [sort_words(network, v, engine=engine) for v in vectors]
+        return [
+            [str(w) for w in sort_words(network, map(Word, v), engine=engine)]
+            for v in vectors
+        ]
     if not vectors:
         return []
     width = len(vectors[0][0])
 
     be = get_backend(backend)
     program = compile_circuit(_cached_circuit(width), be)
-    n = len(vectors)
-    # state[c][b]: bit b of channel c across all n lanes.
+    # state[c][b]: bit b of channel c across all lanes; zip(*words) turns
+    # a channel's words into its bit columns.
     state: List[List[TritVec]] = [
         [
-            TritVec.from_trits([vec[c][b] for vec in vectors], backend=be)
-            for b in range(width)
+            TritVec.from_trits("".join(column), backend=be)
+            for column in zip(*[vec[c] for vec in vectors])
         ]
         for c in range(network.channels)
     ]
@@ -196,21 +255,19 @@ def sort_words_batch(
             outs = program.run_tritvecs(state[comp.lo] + state[comp.hi])
             state[comp.hi] = outs[:width]  # max
             state[comp.lo] = outs[width:]  # min
-    decoded = [[tv.to_trits() for tv in bits] for bits in state]
-    return [
-        [
-            Word([decoded[c][b][j] for b in range(width)])
-            for c in range(network.channels)
-        ]
-        for j in range(n)
+    # ...and zip(*columns) turns the sorted columns back into words.
+    channels = [
+        ["".join(bits) for bits in zip(*[tv.to_str() for tv in columns])]
+        for columns in state
     ]
+    return [list(row) for row in zip(*channels)]
 
 
 # ----------------------------------------------------------------------
 # Sharded batch path (reuses the verify-layer sharding helpers)
 # ----------------------------------------------------------------------
 def _check_batch_shapes(
-    network: SortingNetwork, vectors: Sequence[Sequence[Word]]
+    network: SortingNetwork, vectors: Sequence[Sequence[str]]
 ) -> None:
     for v in vectors:
         if len(v) != network.channels:
@@ -238,8 +295,8 @@ def _init_batch_worker(
     _BATCH_STATE.backend = backend
 
 
-def _batch_shard_worker(shard: List[List[Word]]) -> List[List[Word]]:
-    return sort_words_batch(
+def _batch_shard_worker(shard: List[List[str]]) -> List[List[str]]:
+    return sort_strings_batch(
         _BATCH_STATE.network,
         shard,
         engine=_BATCH_STATE.engine,
@@ -247,9 +304,9 @@ def _batch_shard_worker(shard: List[List[Word]]) -> List[List[Word]]:
     )
 
 
-def _sort_words_batch_sharded(
+def _sort_strings_batch_sharded(
     network: SortingNetwork,
-    vectors: List[List[Word]],
+    vectors: List[List[str]],
     engine: str,
     jobs: int,
     shard_size: Optional[int],
@@ -257,22 +314,30 @@ def _sort_words_batch_sharded(
     backend: BackendLike = None,
     on_shard: Optional[Callable[[int, int, Any], None]] = None,
     should_stop: Optional[Callable[[], bool]] = None,
-) -> List[List[Word]]:
+) -> List[List[str]]:
     """Dispatch vector shards over the executor registry and concatenate."""
     from ..verify.parallel import default_jobs, plan_shards, run_sharded
 
     # None and 0 both mean "one worker per core", matching run_sharded.
     jobs = default_jobs() if not jobs else max(1, jobs)
+    if shard_size is None:
+        n = len(vectors)
+        shard_size = -(-n // (4 * jobs))  # ~4 shards per worker
+        if engine == "compiled":
+            # A shard pays one 2-sort program run per comparator, so it
+            # grows toward the backend's lane budget (a vector is a
+            # lane) -- but never past an even split, so every worker
+            # still gets a shard.
+            budget = get_backend(backend).preferred_shard_lanes
+            shard_size = max(shard_size, min(budget, -(-n // jobs)))
     if isinstance(backend, PlaneBackend):
         backend = backend.name  # keep pool initargs picklable
-    if shard_size is None:
-        shard_size = -(-len(vectors) // (4 * jobs))  # ~4 shards per worker
     tasks = [vectors[lo:hi] for lo, hi in plan_shards(len(vectors), shard_size)]
     on_result = None
     if on_shard is not None:
         total = len(tasks)
 
-        def on_result(i: int, rows: List[List[Word]]) -> None:
+        def on_result(i: int, rows: List[List[str]]) -> None:
             # run_sharded fires on_result in task order, so i+1 is the
             # number of shards done -- same contract as the verify path.
             on_shard(i + 1, total, rows)

@@ -2,7 +2,7 @@
 
 The public API redesign: instead of blocking on
 :func:`~repro.verify.parallel.verify_two_sort_sharded` or
-:func:`~repro.networks.simulate.sort_words_batch`, clients *submit*
+:func:`~repro.networks.simulate.sort_strings_batch`, clients *submit*
 typed requests to a :class:`JobManager` and get back a :class:`Job`
 they can poll, stream, and cancel while other jobs run concurrently.
 
@@ -54,9 +54,8 @@ from typing import (
 from ..backends import known_backend_names
 from ..core.two_sort import build_two_sort
 from ..graycode.valid import validate
-from ..networks.simulate import ENGINES, sort_words_batch
+from ..networks.simulate import ENGINES, sort_strings_batch
 from ..networks.topologies import best_known
-from ..ternary.word import Word
 from ..verify.exhaustive import VerificationResult
 from ..verify.parallel import (
     SweepCancelled,
@@ -246,8 +245,9 @@ class SortRequest:
     """Sort batches of valid Gray-code words through the paper's network.
 
     ``vectors`` carries words as plain strings (the JSON interchange
-    form); each inner tuple is one measurement vector.  All vectors
-    must have the same channel count and word width.
+    form, ``'m'`` reading as ``M``); each inner tuple is one measurement
+    vector.  All vectors must have the same channel count and word
+    width, at least one bit.
     """
 
     vectors: Tuple[Tuple[str, ...], ...]
@@ -283,9 +283,19 @@ class SortRequest:
             raise ValueError(
                 f"all vectors must have the same channel count, got {sorted(channels)}"
             )
+        for v in self.vectors:
+            for s in v:
+                if not isinstance(s, str):
+                    # A JSON number would lose a Gray word's leading zeros.
+                    raise ValueError(
+                        f"words must be strings over 0/1/M, got "
+                        f"{type(s).__name__} {s!r}"
+                    )
         widths = {len(s) for v in self.vectors for s in v}
         if len(widths) > 1:
             raise ValueError("all inputs must share one width")
+        if widths == {0}:
+            raise ValueError("words must be at least one bit wide")
 
     def describe(self) -> str:
         n = len(self.vectors)
@@ -311,18 +321,25 @@ class SortRequest:
         on_shard: Optional[OnShard] = None,
         should_stop: Optional[ShouldStop] = None,
         cache: Optional[ShardCache] = None,
-    ) -> List[List[Word]]:
+    ) -> List[List[str]]:
         """Sort every vector; identical to the CLI ``sort`` semantics.
 
-        ``cache`` is accepted for interface uniformity and ignored --
-        sort workloads have no shard-stable key to cache on.
+        Every word string is checked with
+        :func:`~repro.graycode.valid.validate` and the batch runs on
+        :func:`~repro.networks.simulate.sort_strings_batch`, so the
+        result is rows of word strings (``M`` upper-case) and no
+        :class:`~repro.ternary.word.Word` is built.  ``cache`` is
+        accepted for interface uniformity and ignored -- sort workloads
+        have no shard-stable key to cache on.
         """
         self.validate()
-        words = [[validate(Word(s)) for s in vec] for vec in self.vectors]
-        network = best_known(len(words[0]))
-        return sort_words_batch(
+        for vec in self.vectors:
+            for s in vec:
+                validate(s)
+        network = best_known(len(self.vectors[0]))
+        return sort_strings_batch(
             network,
-            words,
+            self.vectors,
             engine=self.engine,
             jobs=self.jobs,
             shard_size=self.shard_size,
@@ -332,8 +349,8 @@ class SortRequest:
             should_stop=should_stop,
         )
 
-    def result_to_dict(self, result: List[List[Word]]) -> Dict[str, Any]:
-        return {"vectors": [[str(w) for w in row] for row in result]}
+    def result_to_dict(self, result: List[List[str]]) -> Dict[str, Any]:
+        return {"vectors": result}
 
 
 Request = Union[VerifyRequest, SortRequest]
@@ -373,7 +390,7 @@ def request_from_dict(data: Dict[str, Any]) -> Request:
                 "vectors must be a list of lists of strings "
                 "(one inner list per measurement vector)"
             )
-        data["vectors"] = tuple(tuple(str(s) for s in v) for v in vectors)
+        data["vectors"] = tuple(tuple(v) for v in vectors)
     request = cls(**data)
     request.validate()
     return request

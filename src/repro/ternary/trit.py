@@ -132,6 +132,31 @@ _TRIT_TO_CHAR = {
     Trit.META: "M",
 }
 
+#: ``str.translate`` tables over the trit alphabet: one spelling each
+#: trit character canonically (``'m'`` as ``'M'``), one deleting the
+#: canonical characters so that whatever survives is not a trit.
+_CANONICAL = str.maketrans(
+    {c: _TRIT_TO_CHAR[t] for c, t in _CHAR_TO_TRIT.items()}
+)
+_NON_TRIT = str.maketrans("", "", "".join(_TRIT_TO_CHAR.values()))
+
+
+def canonical_trit_string(s: str) -> str:
+    """``s`` over ``'0'``/``'1'``/``'M'`` only, with ``'m'`` read as ``'M'``.
+
+    Two whole-string ``translate`` passes, no per-character loop; the
+    first character that is not a trit raises :meth:`Trit.from_char`'s
+    ``ValueError``.  Callers decode the result with ``int(..., 2)``
+    (which alone would accept ``'_'``, spaces and a ``0b`` prefix) or
+    look its characters up in the trit tables.
+    """
+    canon = s.translate(_CANONICAL)
+    bad = canon.translate(_NON_TRIT)
+    if bad:
+        Trit.from_char(bad[0])
+    return canon
+
+
 #: Convenient module-level aliases.
 ZERO = Trit.ZERO
 ONE = Trit.ONE

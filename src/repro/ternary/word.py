@@ -11,7 +11,13 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence, Tuple, Union
 
-from .trit import Trit, TritLike
+from .trit import (
+    _CHAR_TO_TRIT,
+    _TRIT_TO_CHAR,
+    Trit,
+    TritLike,
+    canonical_trit_string,
+)
 
 
 class Word(Sequence[Trit]):
@@ -32,7 +38,8 @@ class Word(Sequence[Trit]):
         if isinstance(bits, Word):
             self._trits: Tuple[Trit, ...] = bits._trits
         elif isinstance(bits, str):
-            self._trits = tuple(Trit.from_char(c) for c in bits)
+            bits = canonical_trit_string(bits)
+            self._trits = tuple(map(_CHAR_TO_TRIT.__getitem__, bits))
         else:
             self._trits = tuple(Trit.coerce(b) for b in bits)
 
@@ -130,7 +137,7 @@ class Word(Sequence[Trit]):
         return value
 
     def __str__(self) -> str:
-        return "".join(t.to_char() for t in self._trits)
+        return "".join(map(_TRIT_TO_CHAR.__getitem__, self._trits))
 
     def __repr__(self) -> str:
         return f"Word('{self}')"

@@ -341,6 +341,23 @@ class TestCli:
     def test_sort_rejects_mixed_widths(self, capsys):
         assert main(["sort", "01", "011"]) == 2
 
+    @pytest.mark.parametrize(
+        "engine", ["fsm", "closure", "rank", "circuit", "compiled"]
+    )
+    def test_sort_rejects_zero_width_words(self, engine, capsys):
+        """Empty words exit 2 with the request validator's message under
+        every engine, instead of printing blank lines (or failing deep
+        in ``build_two_sort``)."""
+        assert main(["sort", "", "", "--engine", engine]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "at least one bit" in captured.err
+
+    def test_submit_sort_rejects_zero_width_before_connecting(self, capsys):
+        # Port 1 has no server: exit 2 means nothing tried to connect.
+        assert main(["submit", "sort", "", "", "--port", "1"]) == 2
+        assert "at least one bit" in capsys.readouterr().err
+
     def test_sort_rejects_invalid_strings(self):
         with pytest.raises(Exception):
             main(["sort", "MM", "00"])

@@ -85,6 +85,54 @@ class TestTritVec:
         assert hash(tv) == hash(TritVec.from_trits("0M"))
 
 
+class TestTritVecStringCodec:
+    """``from_trits(str)`` and ``to_str()`` run whole-string/whole-plane
+    operations; they must equal the per-lane path (``from_trits`` of a
+    ``Trit`` list, ``to_trits``) on every backend."""
+
+    @staticmethod
+    def _check(s, backend):
+        per_lane = TritVec.from_trits(
+            [Trit.from_char(c) for c in s], backend=backend
+        )
+        packed = TritVec.from_trits(s, backend=backend)
+        assert packed.backend is per_lane.backend
+        assert packed.n == per_lane.n == len(s)
+        assert packed == per_lane, s
+        expect = "".join(t.to_char() for t in per_lane.to_trits())
+        assert packed.to_str() == per_lane.to_str() == expect, s
+
+    def test_every_short_string(self, plane_backend):
+        for n in range(7):
+            for chars in itertools.product("01M", repeat=n):
+                self._check("".join(chars), plane_backend)
+
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 1000, 4097])
+    def test_random_lengths(self, plane_backend, n):
+        rng = random.Random(n)
+        for _ in range(3):
+            self._check(
+                "".join(rng.choice("01M") for _ in range(n)), plane_backend
+            )
+
+    def test_lowercase_m_and_empty(self, plane_backend):
+        be = plane_backend
+        assert TritVec.from_trits("0m1M", backend=be).to_str() == "0M1M"
+        assert TritVec.from_trits("0m1M", backend=be) == TritVec.from_trits(
+            [ZERO, META, ONE, META], backend=be
+        )
+        empty = TritVec.from_trits("", backend=be)
+        assert empty.n == 0 and empty.to_str() == "" and empty.to_trits() == []
+
+    @pytest.mark.parametrize("bad", ["01x", "0 1", "1_0", "0b1", "2"])
+    def test_bad_character_raises_the_word_error(self, bad):
+        with pytest.raises(ValueError) as expect:
+            Word(bad)
+        with pytest.raises(ValueError) as got:
+            TritVec.from_trits(bad)
+        assert str(got.value) == str(expect.value)
+
+
 class TestGateKindEquivalence:
     """Every compilable gate kind: full ternary truth table, batch == scalar."""
 

@@ -1,11 +1,19 @@
 """Tests for word-level network simulation (repro.networks.simulate)."""
 
+import random
+
 import pytest
 
+from repro.backends import get_backend
 from repro.graycode.rgc import gray_encode
 from repro.graycode.valid import rank
 from repro.networks.properties import check_mc_sort, is_sorted_by_rank, outputs_all_valid
-from repro.networks.simulate import ENGINES, sort_words, sort_words_batch
+from repro.networks.simulate import (
+    ENGINES,
+    sort_strings_batch,
+    sort_words,
+    sort_words_batch,
+)
 from repro.networks.topologies import SORT4, SORT7, SORT10_SIZE, batcher_odd_even
 from repro.ternary.word import Word
 from repro.verify.random_valid import ValidStringSource
@@ -152,6 +160,121 @@ class TestSortWordsBatchSharded:
         vectors = self._workload(6)
         out = sort_words_batch(SORT4, vectors, executor="serial")
         assert out == sort_words_batch(SORT4, vectors)
+
+
+def _string_workload(n, width=4, seed=17):
+    """Seeded SORT7 rows of valid word strings, about half their ``M``s
+    as ``m``."""
+    source = ValidStringSource(width, meta_rate=0.5, seed=seed)
+    rng = random.Random(seed)
+    return [
+        [
+            str(w).replace("M", "m") if rng.random() < 0.5 else str(w)
+            for w in source.sample_vector(SORT7.channels)
+        ]
+        for _ in range(n)
+    ]
+
+
+def _per_vector(vectors, engine="circuit"):
+    """The reference: ``sort_words`` one vector at a time, as strings."""
+    return [
+        [str(w) for w in sort_words(SORT7, map(Word, v), engine=engine)]
+        for v in vectors
+    ]
+
+
+class TestSortStringsBatch:
+    """The string entry point, the ``Word`` facade over it and the
+    per-vector gate-level engine agree row for row."""
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    @pytest.mark.parametrize("shard_size", [None, 1, 7])
+    def test_agrees_with_word_paths(self, plane_backend, executor, shard_size):
+        vectors = _string_workload(23)
+        assert any("m" in s for v in vectors for s in v)
+        expect = _per_vector(vectors)
+        kwargs = dict(
+            jobs=2, shard_size=shard_size, executor=executor,
+            backend=plane_backend,
+        )
+        assert sort_strings_batch(SORT7, vectors, **kwargs) == expect
+        words = sort_words_batch(
+            SORT7, [[Word(s) for s in v] for v in vectors], **kwargs
+        )
+        assert all(type(w) is Word for row in words for w in row)
+        assert [[str(w) for w in row] for row in words] == expect
+
+    def test_serial_path_agrees(self, plane_backend):
+        vectors = _string_workload(40, seed=5)
+        assert sort_strings_batch(
+            SORT7, vectors, backend=plane_backend
+        ) == _per_vector(vectors)
+
+    def test_non_compiled_engine(self):
+        vectors = _string_workload(9, seed=8)
+        expect = _per_vector(vectors, engine="fsm")
+        assert sort_strings_batch(SORT7, vectors, engine="fsm") == expect
+        assert sort_strings_batch(
+            SORT7, vectors, engine="fsm", shard_size=4, executor="serial"
+        ) == expect
+
+    def test_empty_and_shape_checks(self):
+        assert sort_strings_batch(SORT4, []) == []
+        with pytest.raises(ValueError, match="expects 4 values"):
+            sort_strings_batch(SORT4, [["00"] * 3])
+        with pytest.raises(ValueError, match="width"):
+            sort_strings_batch(SORT4, [["00", "01", "000", "11"]])
+
+    def test_word_facade_on_shard_gets_words(self):
+        vectors = [[Word(s) for s in v] for v in _string_workload(5)]
+        seen = []
+        sort_words_batch(
+            SORT7, vectors, shard_size=2,
+            on_shard=lambda done, total, rows: seen.append(rows),
+        )
+        assert [len(rows) for rows in seen] == [2, 2, 1]
+        assert all(type(w) is Word for rows in seen for r in rows for w in r)
+
+
+class TestSortShardSize:
+    """A default compiled-engine shard grows toward the backend's
+    ``preferred_shard_lanes`` vectors but never past an even split over
+    the workers; past the budget, ~4 shards per worker."""
+
+    @staticmethod
+    def _totals(vectors, **kwargs):
+        totals = []
+        sort_strings_batch(
+            SORT7, vectors, executor="serial",
+            on_shard=lambda done, total, rows: totals.append(total),
+            **kwargs,
+        )
+        return set(totals)
+
+    def test_small_batch_is_one_shard(self):
+        assert self._totals(_string_workload(256), jobs=1) == {1}
+
+    def test_past_the_budget_four_shards_per_worker(self, monkeypatch):
+        monkeypatch.setattr(get_backend("bigint"), "preferred_shard_lanes", 8)
+        vectors = _string_workload(100)
+        assert self._totals(vectors, jobs=1, backend="bigint") == {4}
+        monkeypatch.setattr(get_backend("bigint"), "preferred_shard_lanes", 64)
+        assert self._totals(vectors, jobs=1, backend="bigint") == {2}
+
+    @pytest.mark.parametrize("jobs", [2, 3, 4])
+    def test_every_worker_gets_a_shard(self, jobs):
+        # 1,000 vectors are far below bigint's 16,384-lane budget; the
+        # budget must not leave workers idle.
+        vectors = _string_workload(1000)
+        assert self._totals(vectors, jobs=jobs, backend="bigint") == {jobs}
+
+    def test_explicit_shard_size_wins(self):
+        assert self._totals(_string_workload(10), shard_size=3) == {4}
+
+    def test_non_compiled_engines_keep_four_per_worker(self):
+        vectors = _string_workload(12)
+        assert self._totals(vectors, jobs=1, engine="rank") == {4}
 
 
 class TestMcSortContract:

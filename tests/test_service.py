@@ -23,13 +23,15 @@ from repro.service import (
     VerifyRequest,
     request_from_dict,
 )
+from repro.circuits.compiled import TritVec
 from repro.verify.exhaustive import verify_two_sort_circuit
 from repro.verify.parallel import _EXECUTORS, _serial_executor, register_executor
 from repro.core.two_sort import build_two_sort
-from repro.networks.simulate import sort_words
+from repro.networks.simulate import ENGINES, sort_words
 from repro.networks.topologies import best_known
 from repro.graycode.valid import validate
 from repro.ternary.word import Word
+from repro.verify.random_valid import ValidStringSource
 
 
 def pairs(width):
@@ -57,6 +59,18 @@ def throttled_executor():
         yield "throttled"
     finally:
         del _EXECUTORS["throttled"]
+
+
+def _sort_vectors(n, channels=10, width=6, lowercase=False, seed=3):
+    """``n`` seeded vectors of ``channels`` valid word strings."""
+    source = ValidStringSource(width, meta_rate=0.4, seed=seed)
+    rows = []
+    for _ in range(n):
+        row = [str(w) for w in source.sample_vector(channels)]
+        if lowercase:
+            row = [s.lower() if i % 2 else s for i, s in enumerate(row)]
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 # ----------------------------------------------------------------------
@@ -106,6 +120,55 @@ class TestRequests:
     def test_sort_rejects_mixed_widths(self):
         with pytest.raises(ValueError, match="share one width"):
             SortRequest.single(["01", "011"]).validate()
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_sort_rejects_zero_width_words(self, engine):
+        with pytest.raises(ValueError, match="at least one bit"):
+            SortRequest.single(["", ""], engine=engine).validate()
+        with pytest.raises(ValueError, match="at least one bit"):
+            SortRequest.single(["", ""], engine=engine).run()
+
+    def test_sort_rejects_non_string_words(self):
+        """JSON numbers are not Gray words: 10 must not sort as "10"."""
+        with pytest.raises(ValueError, match="must be strings"):
+            request_from_dict({"kind": "sort", "vectors": [[10, 11]]})
+        with pytest.raises(ValueError, match="must be strings"):
+            SortRequest(vectors=(("0110", 10),)).validate()
+
+    def test_sort_run_builds_no_words(self, monkeypatch):
+        """A sort request goes from strings to planes and back: no Word
+        is constructed and no TritVec is decoded lane by lane."""
+        request = SortRequest(vectors=_sort_vectors(64))
+        expect = request.run()
+        calls = {"Word": 0, "to_trits": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(Word, "__init__", counted("Word", Word.__init__))
+        monkeypatch.setattr(
+            TritVec, "to_trits", counted("to_trits", TritVec.to_trits)
+        )
+        assert request.run() == expect
+        assert calls == {"Word": 0, "to_trits": 0}
+        Word("01")
+        assert calls["Word"] == 1  # the counter itself works
+
+    def test_sort_run_matches_word_path_with_lowercase_m(self):
+        vectors = _sort_vectors(40, lowercase=True)
+        assert any("m" in s for v in vectors for s in v)
+        network = best_known(len(vectors[0]))
+        expect = [
+            [str(w) for w in sort_words(network, [Word(s) for s in v],
+                                        engine="circuit")]
+            for v in vectors
+        ]
+        rows = SortRequest(vectors=vectors).run()
+        assert rows == expect
+        assert all(type(s) is str for row in rows for s in row)
 
     def test_from_dict_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown request kind"):
@@ -258,6 +321,27 @@ class TestJobLifecycle:
         progress = [e for e in events if e["event"] == "progress"]
         assert [p["shards_done"] for p in progress] == [1, 2]
         assert progress[-1]["items_done"] == 2
+
+    def test_small_sort_job_is_one_shard(self):
+        """A 256-vector sort fits one shard of the plane backend's lane
+        budget, so it runs all comparator programs once, not per 64."""
+        vectors = _sort_vectors(256)
+
+        async def go():
+            manager = JobManager(jobs=1)
+            try:
+                job = manager.submit(SortRequest(vectors=vectors))
+                events = [e async for e in manager.stream(job.id)]
+                return job, events
+            finally:
+                await manager.aclose()
+
+        job, events = asyncio.run(go())
+        assert job.state is JobState.DONE
+        progress = [e for e in events if e["event"] == "progress"]
+        assert len(progress) == 1
+        assert progress[0]["shards_total"] == 1
+        assert progress[0]["items_done"] == 256
 
     def test_verify_failure_events(self, monkeypatch):
         """Failures recorded by shards surface as stream events."""
@@ -662,6 +746,29 @@ class TestServerRoundTrip:
         assert "width" in errors[1]
         assert "unknown job" in errors[2]
         assert "needs a job 'id'" in errors[3]
+
+    def test_wire_rejects_zero_width_and_non_string_words(self):
+        """Both sort validations answer ``{"ok": false}`` on the wire and
+        create no job."""
+        async def go():
+            async with ReproServer(JobManager(jobs=1), port=0) as server:
+                async with AsyncServiceClient(port=server.port) as client:
+                    errors = []
+                    for vectors in ([["", ""]], [[10, 11]]):
+                        try:
+                            await client.call(
+                                op="submit",
+                                request={"kind": "sort", "vectors": vectors},
+                            )
+                        except ServiceError as exc:
+                            errors.append(str(exc))
+                    return errors, await client.jobs()
+
+        errors, listing = asyncio.run(go())
+        assert len(errors) == 2
+        assert "at least one bit" in errors[0]
+        assert "must be strings" in errors[1]
+        assert listing["jobs"] == []
 
     def test_list_reports_jobs_and_cache(self):
         async def go():

@@ -1,8 +1,10 @@
 """Tests for repro.graycode.valid -- S^B_rg and the Table 2 order."""
 
+import itertools
+
 import pytest
 
-from repro.graycode.rgc import gray_encode
+from repro.graycode.rgc import gray_decode, gray_encode
 from repro.graycode.valid import (
     InvalidStringError,
     all_valid_strings,
@@ -129,3 +131,56 @@ class TestObservation24:
             for i in range(1, 6):
                 for j in range(i, 6):
                     assert is_valid(w.substring(i, j)), (w, i, j)
+
+
+def _reference_try_rank(w: Word):
+    """The per-trit ``Word`` walk ``try_rank`` used before its string form."""
+    meta = w.metastable_positions()
+    if len(meta) > 1:
+        return None
+    if not meta:
+        return 2 * gray_decode(w)
+    pos = meta[0]
+    a = gray_decode(w.replace_bit(pos, 0))
+    b = gray_decode(w.replace_bit(pos, 1))
+    if abs(a - b) != 1:
+        return None
+    return 2 * min(a, b) + 1
+
+
+class TestStringForm:
+    """``try_rank`` (and ``is_valid``/``rank``/``validate`` through it)
+    decodes the string form; a ``Word`` goes through ``str(w)``."""
+
+    @pytest.mark.parametrize("width", range(1, 9))
+    def test_matches_word_walk_on_every_string(self, width):
+        for chars in itertools.product("01Mm", repeat=width):
+            s = "".join(chars)
+            expect = _reference_try_rank(Word(s))
+            assert try_rank(s) == expect, s
+            assert try_rank(Word(s)) == expect, s
+
+    def test_empty_string_ranks_like_empty_word(self):
+        assert try_rank("") == try_rank(Word("")) == 0
+
+    @pytest.mark.parametrize("bad", ["01x0", "0 1", "1_0", "0b10", " 01", "012"])
+    def test_bad_characters_raise_the_word_error(self, bad):
+        with pytest.raises(ValueError) as expect:
+            Word(bad)
+        for fn in (try_rank, is_valid, rank, validate):
+            with pytest.raises(ValueError) as got:
+                fn(bad)
+            assert type(got.value) is type(expect.value)
+            assert str(got.value) == str(expect.value)
+
+    @pytest.mark.parametrize("s", ["0MM0", "0m01", "mm", "M0M0"])
+    def test_invalid_string_message_names_the_word(self, s):
+        for fn in (rank, validate):
+            with pytest.raises(InvalidStringError) as got:
+                fn(s)
+            assert str(got.value) == f"{Word(s)!r} is not a valid string"
+
+    def test_validate_returns_the_string_unchanged(self):
+        assert validate("0m10") == "0m10"
+        assert rank("0m10") == rank(Word("0M10")) == 7
+        assert value_interval("0m10") == (3, 4)
