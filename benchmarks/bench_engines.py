@@ -28,6 +28,10 @@ trajectory so regressions are visible across PRs:
 Throughput is reported in **gate-visits per second** (gates x vectors /
 time), the metric that is invariant to circuit size.
 
+The ``cli_startup`` block records the wall clock a user sees: medians
+of a bare interpreter, ``import repro.__main__`` and
+``python -m repro verify --width 8``, each a fresh subprocess.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_engines.py            # full (B=8)
@@ -41,7 +45,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
+import statistics
+import subprocess
 import sys
 import time
 
@@ -636,6 +643,55 @@ def bench_verification_store(width: int) -> dict:
     }
 
 
+def bench_cli_startup(runs: int) -> dict:
+    """What a user waits for: interpreter start, CLI import, ``verify``.
+
+    Each round spawns ``python -c pass``, ``python -c "import
+    repro.__main__"`` and ``python -m repro verify --width 8`` once, in
+    that order, so a host-speed swing hits all three alike; the block
+    reports the medians over ``runs`` rounds after one untimed round
+    (whose ``verify`` may build the native kernel).  ``modules_after_import``
+    is ``len(sys.modules)`` after the import, beside the bare count.
+    """
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    commands = {
+        "bare_python_s": [sys.executable, "-c", "pass"],
+        "import_cli_s": [sys.executable, "-c", "import repro.__main__"],
+        "verify_b8_s": [
+            sys.executable, "-m", "repro", "verify", "--width", "8"
+        ],
+    }
+
+    def spawn(argv) -> str:
+        return subprocess.run(
+            argv, env=env, check=True, capture_output=True, text=True
+        ).stdout
+
+    warmup = {name: spawn(argv) for name, argv in commands.items()}
+    assert warmup["verify_b8_s"].strip().endswith("checked: OK"), warmup
+    times = {name: [] for name in commands}
+    for _ in range(runs):
+        for name, argv in commands.items():
+            t0 = time.perf_counter()
+            spawn(argv)
+            times[name].append(time.perf_counter() - t0)
+    bare_modules, modules = map(int, spawn([
+        sys.executable, "-c",
+        "import sys; n = len(sys.modules); import repro.__main__; "
+        "print(n, len(sys.modules))",
+    ]).split())
+    medians = {name: statistics.median(t) for name, t in times.items()}
+    return {
+        "runs": runs,
+        **{name: round(m, 4) for name, m in medians.items()},
+        "modules_bare": bare_modules,
+        "modules_after_import": modules,
+        "verify_over_bare": round(
+            medians["verify_b8_s"] / medians["bare_python_s"], 2
+        ),
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -659,6 +715,7 @@ def main(argv=None) -> int:
         distributed_width, distributed_workers = 6, [1, 2]
         fault_width = 6
         store_width = 6
+        startup_runs = 5
     else:
         verify_width, scalar_sample = 8, 4000
         net_width, net_vectors = 8, 1024
@@ -667,6 +724,7 @@ def main(argv=None) -> int:
         distributed_width, distributed_workers = 8, [1, 2, 4]
         fault_width = 8
         store_width = 8
+        startup_runs = 15
 
     print(f"== exhaustive 2-sort verification (B={verify_width}) ==")
     exhaustive = bench_exhaustive_verification(verify_width, scalar_sample)
@@ -774,6 +832,17 @@ def main(argv=None) -> int:
         f"({store['journal_cold']['vs_sqlite_cold_x']}x sqlite cold)"
     )
 
+    print(f"== CLI start-up ({startup_runs} interleaved runs) ==")
+    startup = bench_cli_startup(startup_runs)
+    print(
+        f"  bare python {startup['bare_python_s'] * 1e3:.1f} ms, "
+        f"import repro.__main__ {startup['import_cli_s'] * 1e3:.1f} ms "
+        f"({startup['modules_after_import']} modules, bare "
+        f"{startup['modules_bare']}), verify -B 8 "
+        f"{startup['verify_b8_s'] * 1e3:.1f} ms "
+        f"({startup['verify_over_bare']}x bare)"
+    )
+
     payload = {
         "benchmark": "scalar interpreter vs compiled two-plane engine",
         "quick": args.quick,
@@ -786,6 +855,7 @@ def main(argv=None) -> int:
         "distributed_verification": distributed,
         "fault_tolerance": fault,
         "verification_store": store,
+        "cli_startup": startup,
     }
     args.output.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.output}")

@@ -60,45 +60,31 @@ store log           print the audit trail of a result store
 ``verify`` and ``sort`` are thin clients of the same typed request
 dataclasses (:mod:`repro.service.jobs`) the service executes, so a
 served job and a direct CLI run are the same code path.
+
+Each command imports what it runs, so ``verify`` never loads asyncio,
+the service server and client, the store or the socket layer.
 """
 
 from __future__ import annotations
 
 import argparse
-import asyncio
 import json
 import os
 import sys
 import time
 
-from .analysis.compare import table7_rows, table8_rows
-from .backends import known_backend_names
-from .circuits.export import to_verilog
-from .core.two_sort import build_two_sort
-from .graycode.valid import InvalidStringError
-from .networks.simulate import ENGINES
-from .service import (
-    DEFAULT_HOST,
-    DEFAULT_PORT,
-    JobManager,
-    ReproServer,
-    ServiceClient,
-    ServiceError,
-    SortRequest,
-    VerifyRequest,
-)
-from .service.jobs import MAX_VERIFY_WIDTH
-from .verify.exhaustive import VerificationResult
-from .verify.parallel import available_executors
-
 
 def _cmd_table7(_args) -> int:
+    from .analysis.compare import table7_rows
+
     for row in table7_rows():
         print(row.format())
     return 0
 
 
 def _cmd_table8(_args) -> int:
+    from .analysis.compare import table8_rows
+
     for row in table8_rows():
         print(row.format())
     return 0
@@ -137,6 +123,8 @@ def _check_backend_args(args) -> int:
     tests register fakes), and the error should enumerate what *this*
     process actually has -- including the ``auto`` alias.
     """
+    from .backends import known_backend_names
+
     backend = getattr(args, "backend", None)
     if backend is not None and backend not in known_backend_names():
         print(
@@ -156,6 +144,8 @@ def _check_executor_args(args) -> int:
     :func:`available_executors` here keeps the error a one-line usage
     message instead of a traceback from deep inside ``run_sharded``.
     """
+    from .verify.parallel import available_executors
+
     executor = getattr(args, "executor", None)
     if executor is not None and executor not in available_executors():
         print(
@@ -268,7 +258,9 @@ def _start_coordinator(args) -> int:
     return 0
 
 
-def _verify_request(args) -> VerifyRequest:
+def _verify_request(args):
+    from .service.jobs import VerifyRequest
+
     return VerifyRequest(
         width=args.width,
         jobs=args.jobs,
@@ -281,8 +273,7 @@ def _verify_request(args) -> VerifyRequest:
 
 
 def _print_verify_result(
-    width: int, result: VerificationResult, as_json: bool,
-    store_counters=None,
+    width: int, result, as_json: bool, store_counters=None,
 ) -> int:
     if as_json:
         payload = result.to_dict()
@@ -297,6 +288,8 @@ def _print_verify_result(
 
 
 def _cmd_verify(args) -> int:
+    from .service.jobs import MAX_VERIFY_WIDTH
+
     bad = (
         _check_positive_args(args)
         or _check_executor_args(args)
@@ -382,6 +375,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_export(args) -> int:
+    from .circuits.export import to_verilog
+    from .core.two_sort import build_two_sort
+
     sys.stdout.write(to_verilog(build_two_sort(args.width)))
     return 0
 
@@ -439,7 +435,9 @@ def _cmd_backends(args) -> int:
     return 0
 
 
-def _sort_request(args) -> SortRequest:
+def _sort_request(args):
+    from .service.jobs import SortRequest
+
     return SortRequest.single(
         list(args.values),
         engine=args.engine,
@@ -449,6 +447,8 @@ def _sort_request(args) -> SortRequest:
 
 
 def _cmd_sort(args) -> int:
+    from .graycode.valid import InvalidStringError
+
     bad = _check_executor_args(args) or _check_backend_args(args)
     if bad:
         return bad
@@ -493,6 +493,11 @@ def _cmd_sort(args) -> int:
 # Service front-end
 # ----------------------------------------------------------------------
 def _cmd_serve(args) -> int:
+    import asyncio
+
+    from .service.jobs import JobManager
+    from .service.server import ReproServer
+
     bad = _check_positive_args(args) or _check_backend_args(args)
     if bad:
         return bad
@@ -515,8 +520,6 @@ def _cmd_serve(args) -> int:
         )
 
     async def _serve() -> None:
-        import os
-
         durable = None
         if args.store is not None:
             from .store import open_store
@@ -559,7 +562,9 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _client(args) -> ServiceClient:
+def _client(args):
+    from .service.client import ServiceClient
+
     return ServiceClient(host=args.host, port=args.port)
 
 
@@ -579,6 +584,9 @@ def _progress_line(kind: str, event) -> str:
 
 
 def _cmd_submit(args) -> int:
+    from .service.client import ServiceError
+    from .verify.exhaustive import VerificationResult
+
     bad = (
         _check_executor_args(args)
         or _check_backend_args(args)
@@ -745,6 +753,8 @@ def _cmd_store_log(args) -> int:
 
 
 def _cmd_status(args) -> int:
+    from .service.client import ServiceError
+
     try:
         with _client(args) as client:
             status = client.status(args.job_id)
@@ -760,6 +770,8 @@ def _cmd_status(args) -> int:
 
 
 def _cmd_cancel(args) -> int:
+    from .service.client import ServiceError
+
     try:
         with _client(args) as client:
             cancelled = client.cancel(args.job_id)
@@ -778,6 +790,8 @@ def _cmd_cancel(args) -> int:
 # Argument parsing
 # ----------------------------------------------------------------------
 def _add_connection_args(parser) -> None:
+    from .service import DEFAULT_HOST, DEFAULT_PORT
+
     parser.add_argument(
         "--host", default=DEFAULT_HOST, help="service host (default %(default)s)"
     )
@@ -846,6 +860,8 @@ def _add_verify_args(parser) -> None:
 
 
 def _add_sort_args(parser) -> None:
+    from .networks.simulate import ENGINES
+
     parser.add_argument("values", nargs="+")
     parser.add_argument(
         "--engine",

@@ -4,7 +4,7 @@ The paper compares against Bund/Lenzen/Medina, *Near-Optimal
 Metastability-Containing Sorting Networks* (DATE 2017), whose 2-sort(B)
 uses ``Θ(B log B)`` gates -- a ``Θ(log B)`` factor more than the 2018
 construction.  The exact DATE 2017 netlists are not public, so this is
-a **documented reconstruction** (see DESIGN.md "Substitutions"): a
+a **documented reconstruction** (see README.md, "Substitutions"): a
 divide-and-conquer comparator-sorter that
 
 * splits each string into high and low halves and recurses on both

@@ -7,7 +7,7 @@ respective Boolean connective, then reports *post-layout area* (µm²) and
 *pre-layout delay* (ps) from Cadence Encounter.
 
 We cannot run Encounter, so we substitute a calibrated analytical model
-(documented in DESIGN.md and EXPERIMENTS.md):
+(documented in README.md, "Substitutions"):
 
 * ``area(circuit) = Σ_cells effective_area(cell)``, where the effective
   areas of AND2_X1 / OR2_X1 (1.4875 µm²) and INV_X1 (0.8703 µm²) were

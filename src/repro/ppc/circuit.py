@@ -7,7 +7,7 @@ of nets, e.g. the 2-net FSM state signals) and must emit gates computing
 ``a OP b``, returning the result item.  The PPC template then wires
 ``⌊n/2⌋`` pair ops, a recursive PPC, and the even-output combine ops --
 exactly the structure whose op count ``C(n)`` reproduces the paper's
-gate counts (DESIGN.md Section 3).
+gate counts (README.md, "Substitutions").
 """
 
 from __future__ import annotations

@@ -20,34 +20,33 @@ or programmatically::
     job = manager.submit(VerifyRequest(width=10))
     async for event in manager.stream(job.id):
         ...
+
+The names below resolve on first use (PEP 562), so importing one
+submodule -- ``repro.service.jobs`` on the CLI's ``verify`` path --
+does not load the server, the client or the socket layer under them.
 """
 
-from .cache import ShardCache
-from .client import AsyncServiceClient, ServiceClient, ServiceError
-from .jobs import (
-    Job,
-    JobManager,
-    JobState,
-    MAX_VERIFY_WIDTH,
-    SortRequest,
-    VerifyRequest,
-    request_from_dict,
-)
-from .server import DEFAULT_HOST, DEFAULT_PORT, ReproServer
+from .. import _lazy_exports
 
-__all__ = [
-    "AsyncServiceClient",
-    "DEFAULT_HOST",
-    "DEFAULT_PORT",
-    "Job",
-    "JobManager",
-    "JobState",
-    "MAX_VERIFY_WIDTH",
-    "ReproServer",
-    "ServiceClient",
-    "ServiceError",
-    "ShardCache",
-    "SortRequest",
-    "VerifyRequest",
-    "request_from_dict",
-]
+#: Where the service listens unless told otherwise (``serve``/``submit``).
+DEFAULT_HOST = "127.0.0.1"
+DEFAULT_PORT = 7421
+
+_EXPORTS = {
+    "AsyncServiceClient": "client",
+    "Job": "jobs",
+    "JobManager": "jobs",
+    "JobState": "jobs",
+    "MAX_VERIFY_WIDTH": "jobs",
+    "ReproServer": "server",
+    "ServiceClient": "client",
+    "ServiceError": "client",
+    "ShardCache": "cache",
+    "SortRequest": "jobs",
+    "VerifyRequest": "jobs",
+    "request_from_dict": "jobs",
+}
+
+__all__ = sorted([*_EXPORTS, "DEFAULT_HOST", "DEFAULT_PORT"])
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

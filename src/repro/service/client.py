@@ -16,8 +16,8 @@ import asyncio
 from typing import Any, AsyncIterator, Dict, Iterator, Optional, Union
 
 from ..distributed.wire import decode_line, encode_line
+from . import DEFAULT_HOST, DEFAULT_PORT
 from .jobs import Request, SortRequest, VerifyRequest, request_from_dict
-from .server import DEFAULT_HOST, DEFAULT_PORT
 
 __all__ = ["AsyncServiceClient", "ServiceClient", "ServiceError"]
 

@@ -25,17 +25,19 @@ Layering:
 The manager owns a :class:`~repro.service.cache.ShardCache`, so
 re-verifying an unedited circuit skips clean shards; the hit/miss
 counters are part of :meth:`JobManager.stats`.
+
+The CLI's ``verify`` and ``sort`` import this module for the request
+types alone, so the job machinery's heavy dependencies -- asyncio,
+the thread pool, uuid, and the store behind the shard cache -- are
+imported by the methods that use them, not at module level.
 """
 
 from __future__ import annotations
 
-import asyncio
 import dataclasses
 import itertools
 import threading
 import time
-import uuid
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -62,7 +64,6 @@ from ..verify.parallel import (
     available_executors,
     verify_two_sort_sharded,
 )
-from .cache import ShardCache
 
 __all__ = [
     "Job",
@@ -182,7 +183,7 @@ class VerifyRequest:
         self,
         on_shard: Optional[OnShard] = None,
         should_stop: Optional[ShouldStop] = None,
-        cache: Optional[ShardCache] = None,
+        cache: Optional[Any] = None,
         store: Optional[Any] = None,
     ) -> VerificationResult:
         """The single synchronous code path (CLI, service, and tests).
@@ -320,7 +321,7 @@ class SortRequest:
         self,
         on_shard: Optional[OnShard] = None,
         should_stop: Optional[ShouldStop] = None,
-        cache: Optional[ShardCache] = None,
+        cache: Optional[Any] = None,
     ) -> List[List[str]]:
         """Sort every vector; identical to the CLI ``sort`` semantics.
 
@@ -442,6 +443,8 @@ class Job:
     """
 
     def __init__(self, job_id: str, request: Request):
+        import asyncio
+
         self.id = job_id
         self.request = request
         self.state = JobState.QUEUED
@@ -508,6 +511,11 @@ class JobManager:
         keep_finished: int = 256,
         store: Optional[Any] = None,
     ):
+        import asyncio
+        from concurrent.futures import ThreadPoolExecutor
+
+        from .cache import ShardCache
+
         self.max_jobs = max(1, jobs)
         self.default_backend = default_backend
         #: Terminal jobs retained for status/result queries; beyond
@@ -565,6 +573,9 @@ class JobManager:
     # -- submission / lookup -------------------------------------------
     def submit(self, request: Request) -> Job:
         """Validate, enqueue, and start driving a request; returns its Job."""
+        import asyncio
+        import uuid
+
         if (
             self.default_backend is not None
             and request.backend is None
@@ -697,6 +708,8 @@ class JobManager:
         self._publish(job, {"event": "progress", **progress.to_dict()})
 
     async def _drive(self, job: Job) -> None:
+        import asyncio
+
         async with self._sem:
             if job.terminal or job._cancel.is_set():
                 if not job.terminal:
@@ -735,6 +748,8 @@ class JobManager:
 
     async def aclose(self) -> None:
         """Cancel whatever is still running and release the thread pool."""
+        import asyncio
+
         for job in self._jobs.values():
             if not job.terminal:
                 job._cancel.set()

@@ -47,7 +47,6 @@ from ..circuits.compiled import BackendLike, compile_circuit
 from ..circuits.netlist import Circuit
 from ..graycode.ops import two_sort_closure
 from ..graycode.valid import all_valid_strings, is_valid
-from ..ternary.trit import Trit
 from ..ternary.word import Word
 
 #: Default lanes per batch.  2^14 lanes keep each plane integer ~2 KB,
@@ -220,17 +219,35 @@ def _string_bit_masks(width: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
 
     ``m0[b]`` (resp. ``m1[b]``) has bit ``i`` set iff bit ``b`` of
     ``all_valid_strings(width)[i]`` can resolve to 0 (resp. 1).
+
+    Computed in rank space, with no :class:`Word` built.  The string of
+    rank ``r`` is ``rg(r//2)``, or ``rg(r//2) * rg(r//2 + 1)`` when
+    ``r`` is odd, and Gray bit ``k`` (counted from the LSB) of ``x`` is
+    1 exactly when ``x mod 2^(k+2)`` lies in ``[2^k, 3*2^k)``.  So over
+    ranks, bit ``k`` repeats every ``2^(k+3)`` strings: with
+    ``h = 2^(k+1)`` it can be 1 on ``[h-1, 3h)`` and 0 on ``[0, h)``
+    and ``[3h-1, 4h)`` of each period (ranks ``h-1`` and ``3h-1`` are
+    the strings where it is ``M``).
     """
-    strings = all_valid_strings(width)
+    lanes = (1 << (width + 1)) - 1
     m0 = [0] * width
     m1 = [0] * width
-    for i, w in enumerate(strings):
-        for b, t in enumerate(w):
-            if t is not Trit.ONE:
-                m0[b] |= 1 << i
-            if t is not Trit.ZERO:
-                m1[b] |= 1 << i
+    for k in range(width):
+        h = 1 << (k + 1)
+        one = ((1 << (2 * h + 1)) - 1) << (h - 1)
+        zero = ((1 << h) - 1) | (((1 << (h + 1)) - 1) << (3 * h - 1))
+        b = width - 1 - k  # bit k from the LSB is word position b
+        m0[b] = _tile(zero, 4 * h, lanes)
+        m1[b] = _tile(one, 4 * h, lanes)
     return tuple(m0), tuple(m1)
+
+
+def _tile(pattern: int, period: int, lanes: int) -> int:
+    """``pattern`` (one ``period`` of lanes) repeated over ``lanes`` lanes."""
+    while period < lanes:
+        pattern |= pattern << period
+        period <<= 1
+    return pattern & ((1 << lanes) - 1)
 
 
 @lru_cache(maxsize=8)
@@ -307,17 +324,18 @@ def verify_two_sort_shard(
     in any process and their results merge deterministically
     (:meth:`VerificationResult.merge`).
     """
-    strings = all_valid_strings(width)
-    S = len(strings)
+    S = (1 << (width + 1)) - 1
     lanes = (g_hi - g_lo) * S
     result = VerificationResult(checked=lanes)
     masks = _string_bit_masks(width)
     pairs = _two_sort_select_pairs(width)
     diff, mismatches = program.run_pair_shard(width, masks, g_lo, g_hi, pairs)
     if mismatches:
-        # Failures are rare: only then build the shard's input planes and
-        # re-run the program for the slot planes the per-lane decode
-        # needs -- and decode only the lanes the report keeps.
+        # Failures are rare: only then build the strings, the shard's
+        # input planes, and re-run the program for the slot planes the
+        # per-lane decode needs -- and decode only the lanes the report
+        # keeps.
+        strings = all_valid_strings(width)
         result.failure_count = mismatches
         result.truncated = mismatches > _FAILURE_LIMIT
         be: PlaneBackend = program.backend

@@ -39,13 +39,15 @@ object).
 merge with :meth:`VerificationResult.merge` (or plain concatenation for
 batch workloads), so the outcome is bit-identical for any job count --
 ``--jobs N`` changes wall-clock time, never the report.
+
+**Imports.**  A serial sweep, the CLI default, loads neither
+``multiprocessing`` nor the store nor ``socket``: each is imported where
+a pool, a store or an audit record first needs it.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import socket
 import threading
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -58,8 +60,6 @@ from ..backends import (
 )
 from ..circuits.compiled import BackendLike, compile_circuit
 from ..circuits.netlist import Circuit
-from ..store import shared_store
-from ..store.base import RunRecord, result_digest, wait_for
 from .exhaustive import (
     _MAX_SHARD_LANES,
     SweepEpoch,
@@ -158,6 +158,8 @@ def _pool_context():
     workers in this codebase are module-level with picklable initargs,
     so both contexts run them identically.
     """
+    import multiprocessing
+
     if threading.current_thread() is threading.main_thread():
         return multiprocessing.get_context()
     return multiprocessing.get_context("spawn")
@@ -342,7 +344,11 @@ def _init_verify_worker(
     _VERIFY_STATE.backend = backend
     _VERIFY_STATE.backend_name = get_backend(backend).name
     _VERIFY_STATE.region_programs = {}
-    _VERIFY_STATE.store = shared_store(store_spec) if store_spec else None
+    _VERIFY_STATE.store = None
+    if store_spec:
+        from ..store import shared_store
+
+        _VERIFY_STATE.store = shared_store(store_spec)
 
 
 def _verify_shard_worker(task: Tuple[int, int, int]) -> VerificationResult:
@@ -401,6 +407,8 @@ def _verify_region_worker(task: Tuple[int, int, int, int]) -> Dict[str, int]:
     store = getattr(state, "store", None)
     if store is None:
         return _execute_region_shard(task)
+    from ..store.base import wait_for
+
     width, output_index, g_lo, g_hi = task
     key = _region_key(
         state.circuit.name,
@@ -583,6 +591,10 @@ def verify_two_sort_sharded(
         )
 
     if handle is not None and hasattr(handle, "record_run"):
+        import socket
+
+        from ..store.base import RunRecord, result_digest
+
         handle.record_run(RunRecord(
             circuit=circuit.name,
             circuit_hash=circuit_hash,

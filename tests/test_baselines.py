@@ -64,7 +64,7 @@ class TestDate17Complexity:
 
         (B = 2 deviates more -- 48 vs 34 -- because the original
         presumably hand-optimised the two-bit base case, which our
-        uniform recursion does not; see DESIGN.md "Substitutions".)
+        uniform recursion does not; see README.md, "Substitutions".)
         """
         for width, (gates, _, _) in PUBLISHED_DATE17_2SORT.items():
             if width < 4:

@@ -194,11 +194,25 @@ class TestContentHash:
         import sys
 
         code = (
-            "import sys; import repro.service; "
+            "import sys; import repro.service.client; "
             "mods = sorted(m for m in sys.modules "
             "if m.startswith('repro.distributed')); "
             "assert mods == ['repro.distributed', "
             "'repro.distributed.wire'], mods"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": SRC_DIR},
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        # The package front door is lazy: it loads no socket layer at all.
+        code = (
+            "import sys; import repro.service; "
+            "mods = [m for m in sys.modules "
+            "if m.startswith('repro.distributed')]; "
+            "assert mods == [], mods"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code],

@@ -1,16 +1,26 @@
 """Tests for repro.verify (exhaustive sweeps and random workloads)."""
 
+import random
+
 import pytest
 
+from repro.circuits.evaluate import evaluate_words
+from repro.circuits.gates import AND2, OR2
+from repro.circuits.netlist import Circuit
 from repro.core.two_sort import build_two_sort
-from repro.graycode.valid import is_valid, rank
+from repro.graycode.ops import two_sort_closure
+from repro.graycode.valid import all_valid_strings, is_valid, rank
+from repro.ternary.trit import Trit
 from repro.ternary.word import Word
+from repro.verify import exhaustive
 from repro.verify.exhaustive import (
     VerificationResult,
+    _string_bit_masks,
     valid_pairs,
     verify_containment,
     verify_two_sort_circuit,
 )
+from repro.verify.parallel import verify_two_sort_sharded
 from repro.verify.random_valid import (
     ValidStringSource,
     measurement_sweep,
@@ -117,6 +127,104 @@ class TestExhaustive:
     def test_containment_weaker_than_equality(self):
         result = verify_containment(build_two_sort(3), 3)
         assert result.ok
+
+
+class TestStringBitMasks:
+    """The masks come from Gray-code arithmetic in rank space; the walk
+    over ``Word`` objects they replaced is kept here as the reference."""
+
+    @staticmethod
+    def _word_walk(width):
+        m0 = [0] * width
+        m1 = [0] * width
+        for i, w in enumerate(all_valid_strings(width)):
+            for b, t in enumerate(w):
+                if t is not Trit.ONE:
+                    m0[b] |= 1 << i
+                if t is not Trit.ZERO:
+                    m1[b] |= 1 << i
+        return tuple(m0), tuple(m1)
+
+    @pytest.mark.parametrize("width", range(1, 13))
+    def test_equals_word_walk(self, width):
+        assert _string_bit_masks(width) == self._word_walk(width)
+
+    def test_width_16_masks_cover_every_lane(self):
+        lanes = (1 << 17) - 1
+        m0, m1 = _string_bit_masks(16)
+        assert len(m0) == len(m1) == 16
+        for b in range(16):
+            assert m0[b] < 1 << lanes and m1[b] < 1 << lanes
+            assert m0[b] | m1[b] == (1 << lanes) - 1
+
+
+def _swap_gate(base, site):
+    """``base`` with gate ``site`` swapped AND2 <-> OR2 (a real fault)."""
+    out = Circuit(name=f"{base.name}-swap")
+    for net in base.inputs:
+        out.add_input(net=net)
+    for gate in base.gates:
+        kind = gate.kind
+        if gate.output == site:
+            kind = OR2 if kind is AND2 else AND2
+        out.add_gate(kind, gate.inputs, output=gate.output)
+    for net in base.outputs:
+        out.add_output(net)
+    return out
+
+
+class TestStringsOnlyOnFailure:
+    """A sweep builds the valid-string tuple only to word its failure
+    messages: a passing sweep never calls ``all_valid_strings``."""
+
+    WIDTH = 6
+
+    @staticmethod
+    def _count_calls(monkeypatch):
+        calls = []
+        inner = exhaustive.all_valid_strings
+
+        def counting(width):
+            calls.append(width)
+            return inner(width)
+
+        monkeypatch.setattr(exhaustive, "all_valid_strings", counting)
+        return calls
+
+    def test_passing_sweep_builds_no_strings(self, monkeypatch, plane_backend):
+        calls = self._count_calls(monkeypatch)
+        result = verify_two_sort_sharded(
+            build_two_sort(self.WIDTH), self.WIDTH, jobs=1,
+            backend=plane_backend,
+        )
+        assert result.ok and result.checked == ((1 << (self.WIDTH + 1)) - 1) ** 2
+        assert calls == []
+
+    def test_failing_report_equals_bigint_reference(
+        self, monkeypatch, plane_backend
+    ):
+        width = self.WIDTH
+        base = build_two_sort(width)
+        sites = [g.output for g in base.gates if g.kind in (AND2, OR2)]
+        faulty = _swap_gate(base, random.Random(2018).choice(sites))
+        want = verify_two_sort_circuit(faulty, width, backend="bigint")
+        calls = self._count_calls(monkeypatch)
+        got = verify_two_sort_sharded(
+            faulty, width, jobs=1, backend=plane_backend
+        )
+        assert not want.ok
+        assert got.to_dict() == want.to_dict()
+        assert calls and set(calls) == {width}
+        # Every kept message names a pair the scalar simulator gets wrong.
+        for message in got.failures:
+            g, h = message[1:message.index(")")].split(", ")
+            out = evaluate_words(faulty, Word(g), Word(h))
+            top, bottom = two_sort_closure(Word(g), Word(h))
+            assert (out[:width], out[width:]) != (top, bottom)
+            assert message == (
+                f"({g}, {h}): got {out[:width]}/{out[width:]}, "
+                f"want {top}/{bottom}"
+            )
 
 
 class TestVerifyRandomPairs:
