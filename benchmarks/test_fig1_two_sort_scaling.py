@@ -69,7 +69,8 @@ def test_figure1(benchmark, emit):
     # Delay improvement direction holds but is smaller than the paper's
     # 34.7% at the 2-sort level: our [2] reconstruction is *faster* than
     # the real DATE'17 netlists (depth 25 vs an implied ~38 levels), so
-    # it under-states the paper's win.  See EXPERIMENTS.md.
+    # it under-states the paper's win.  See the README's
+    # "Substitutions" section.
     delay_saved_16 = improvement_pct(
         data["this-paper"][16].delay_ps, data["date17"][16].delay_ps
     )

@@ -63,7 +63,8 @@ def test_table7(benchmark, emit):
     # Shape: bincomp < this-paper < date17 in gates (all B) and in area
     # (B >= 4; at B = 2 our Bin-comp carries 4 MUX2 + 2 XNOR2 cells,
     # whose area outweighs 13 small cells -- the paper's synthesised
-    # 8-gate version was leaner, see EXPERIMENTS.md).
+    # 8-gate version was leaner; see the README's "Substitutions"
+    # section).
     for width in PAPER_WIDTHS:
         b = by_key[("bincomp", width)].measured
         o = by_key[("this-paper", width)].measured

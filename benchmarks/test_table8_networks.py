@@ -101,7 +101,8 @@ def test_table8_orderings(measurements):
             binary = measurements[("bincomp", label, width)].measured
             assert binary.gate_count < ours.gate_count < theirs.gate_count
             # Bin-comp area at B = 2 exceeds ours due to its MUX2/XNOR2
-            # cell mix (same caveat as Table 7; see EXPERIMENTS.md).
+            # cell mix (same caveat as Table 7; see the README's
+            # "Substitutions" section).
             if width >= 4:
                 assert binary.area_um2 < ours.area_um2
             assert ours.area_um2 < theirs.area_um2
@@ -134,6 +135,6 @@ def test_headline_improvements(measurements, emit):
     # The area headline reproduces almost exactly; the delay improvement
     # has the right sign but is under-stated because our [2]
     # reconstruction is faster than the genuine DATE'17 netlists
-    # (see EXPERIMENTS.md).
+    # (see the README's "Substitutions" section).
     assert delay_saved > 12.0
     assert area_saved > 60.0

@@ -24,7 +24,7 @@ import subprocess
 import sys
 import tempfile
 
-_KERNEL_ABI = 3
+_KERNEL_ABI = 4
 _SOURCE_PATH = os.path.join(os.path.dirname(__file__), "kernel.c")
 _CFLAGS = ["-O3", "-shared", "-fPIC", "-std=c99"]
 
@@ -132,6 +132,7 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
         i64, i64,            # g_lo, g_hi
         ptr, i64,            # scratch, n_slots
         ptr,                 # diff
+        ptr,                 # per-output mismatch counts, or NULL
     ]
     lib.repro_pair_shard.restype = i64
     return lib

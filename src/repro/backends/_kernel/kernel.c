@@ -11,7 +11,11 @@
  *                       pair product, which it generates itself from the
  *                       per-bit string masks, fused with the Table 2
  *                       select-compare -- one call per verification
- *                       shard, no Python-built planes.
+ *                       shard, no Python-built planes.  Given a counts
+ *                       array it also tallies each compared output's
+ *                       mismatching lanes: one call checks a whole
+ *                       g-row range of every output cone a region sweep
+ *                       still needs.
  *
  * Both share apply_ops, the single copy of the opcode switch.
  *
@@ -21,7 +25,8 @@
  *   XOR: d0 = (a0&b0)|(a1&b1), d1 = (a0&b1)|(a1&b0)
  *
  * Opcode values mirror repro.backends.base (OP_AND..OP_BUF); the Python
- * loader checks repro_kernel_abi() before trusting a cached build.
+ * loader checks repro_kernel_abi() before trusting a cached build.  ABI 4
+ * added repro_pair_shard's trailing counts pointer.
  *
  * Tail-mask note: every op is lane-wise, so garbage in lanes >= lanes
  * never reaches a real lane.  run_program's input rows are already
@@ -30,7 +35,7 @@
 
 #include <stdint.h>
 
-#define REPRO_KERNEL_ABI 3
+#define REPRO_KERNEL_ABI 4
 
 #define OP_AND 0
 #define OP_OR 1
@@ -187,6 +192,11 @@ typedef struct {
  * and tail-masked).  `fill` lists [slot, p0_ones, p1_ones] triples for
  * rows no op writes and no input provides (constant nets, unwired
  * reads); they are preset once, since nothing in the sweep writes them.
+ * When `counts` is not NULL, counts[j] is increased by the number of
+ * lanes where compared output j mismatches: the popcount of the same
+ * tail-masked word it ORs into `diff`.  With NULL (plain sweeps) no
+ * per-output popcount runs -- without a hardware popcount instruction
+ * (plain -O3) each one is a dozen ALU ops per word per output.
  * Returns the popcount of `diff` (mismatching lanes). */
 int64_t repro_pair_shard(const int32_t *prog, int64_t n_ops,
                          const int32_t *cmp, int64_t n_out,
@@ -194,7 +204,7 @@ int64_t repro_pair_shard(const int32_t *prog, int64_t n_ops,
                          const int32_t *in_slots, const uint64_t *m0,
                          const uint64_t *m1, int64_t width, int64_t mw,
                          int64_t g_lo, int64_t g_hi, uint64_t *scratch,
-                         int64_t n_slots, uint64_t *diff) {
+                         int64_t n_slots, uint64_t *diff, int64_t *counts) {
     const int64_t T = REPRO_TILE_WORDS;
     const int64_t S = ((int64_t)1 << (width + 1)) - 1;
     const int64_t K = g_hi - g_lo;
@@ -283,11 +293,30 @@ int64_t repro_pair_shard(const int32_t *prog, int64_t n_ops,
         uint64_t *d = diff + t0;
         for (w = 0; w < span; w++)
             d[w] = 0;
+        /* Lanes past `lanes` in the shard's last word are not pairs. */
+        const uint64_t last =
+            t0 + span == words ? low_ones(lanes - ((words - 1) << 6))
+                               : ~(uint64_t)0;
         for (i = 0; i < n_out; i++) {
             const int32_t *c = cmp + 3 * i;
             const uint64_t *r0 = s0 + c[0] * T, *r1 = s1 + c[0] * T;
             const uint64_t *a0 = s0 + c[1] * T, *a1 = s1 + c[1] * T;
             const uint64_t *b0 = s0 + c[2] * T, *b1 = s1 + c[2] * T;
+            if (counts) {
+                int64_t n = 0;
+                for (w = 0; w < span; w++) {
+                    const uint64_t s = sel[w];
+                    const uint64_t e0 = (s & a0[w]) | (~s & b0[w]);
+                    const uint64_t e1 = (s & a1[w]) | (~s & b1[w]);
+                    uint64_t m = (r0[w] ^ e0) | (r1[w] ^ e1);
+                    if (w == span - 1)
+                        m &= last;
+                    d[w] |= m;
+                    n += popcount64(m);
+                }
+                counts[i] += n;
+                continue;
+            }
             for (w = 0; w < span; w++) {
                 const uint64_t s = sel[w];
                 const uint64_t e0 = (s & a0[w]) | (~s & b0[w]);

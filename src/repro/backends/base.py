@@ -39,7 +39,7 @@ the structural ops (AND/OR/XOR) preserve it, so queries like
 from __future__ import annotations
 
 import abc
-from typing import Any, Iterator, List, Sequence, Tuple
+from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = ["Plane", "PlaneBackend"]
 
@@ -311,6 +311,7 @@ class PlaneBackend(abc.ABC):
         sel: Plane,
         nsel: Plane,
         lanes: int,
+        counts: Optional[List[int]] = None,
     ) -> Tuple[Plane, int]:
         """Run a program and reduce it to a mismatch plane in one step.
 
@@ -326,12 +327,14 @@ class PlaneBackend(abc.ABC):
         ORs ``(got0 ^ exp0) | (got1 ^ exp1)`` over all triples and
         ``mismatches`` is its popcount -- the whole-shard compare of
         :mod:`repro.verify.exhaustive`, whose expected outputs are
-        exactly ``sel``-muxes of the input planes.  Backends that
-        execute programs natively can fuse the compare into the sweep
-        so neither the intermediate slot planes nor the expected planes
-        ever materialize; this generic version just runs
-        :meth:`run_ops` and folds with the primitive ops, which is the
-        reference semantics every override must match bit-for-bit.
+        exactly ``sel``-muxes of the input planes.  When ``counts`` is
+        given (one int per triple), each triple's own mismatch popcount
+        is added to its entry.  Backends that execute programs natively
+        can fuse the compare into the sweep so neither the intermediate
+        slot planes nor the expected planes ever materialize; this
+        generic version just runs :meth:`run_ops` and folds with the
+        primitive ops, which is the reference semantics every override
+        must match bit-for-bit.
         """
         zero = self.zeros(lanes)
         p0: List[Plane] = [zero] * n_slots
@@ -342,10 +345,13 @@ class PlaneBackend(abc.ABC):
         self.run_ops(ops, p0, p1)
         band, bor, bxor = self.band, self.bor, self.bxor
         diff = self.zeros(lanes)
-        for slot, a, b in cmp:
+        for j, (slot, a, b) in enumerate(cmp):
             e0 = bor(band(sel, p0[a]), band(nsel, p0[b]))
             e1 = bor(band(sel, p1[a]), band(nsel, p1[b]))
-            diff = bor(diff, bor(bxor(p0[slot], e0), bxor(p1[slot], e1)))
+            miss = bor(bxor(p0[slot], e0), bxor(p1[slot], e1))
+            diff = bor(diff, miss)
+            if counts is not None:
+                counts[j] += self.popcount(miss)
         return diff, self.popcount(diff)
 
     def run_pair_shard(
@@ -356,6 +362,7 @@ class PlaneBackend(abc.ABC):
         masks: Tuple[Sequence[int], Sequence[int]],
         g_lo: int,
         g_hi: int,
+        counts: Optional[List[int]] = None,
     ) -> Tuple[Plane, int]:
         """Check one g-row shard of the 2-sort pair product in one step.
 
@@ -370,7 +377,9 @@ class PlaneBackend(abc.ABC):
         mask.  The Table 2 order max takes each bit from ``g`` on those
         lanes and from ``h`` elsewhere; the min is the complementary
         selection.  Returns ``(diff, mismatches)`` over the shard's
-        ``(g_hi - g_lo) * S`` lanes.
+        ``(g_hi - g_lo) * S`` lanes; a ``counts`` list (one int per
+        triple) also gets each compared output's mismatching lanes
+        added, which is what lets one call check several output cones.
 
         This default packs the planes through the structured-packing
         primitives and runs :meth:`run_ops_select_diff`; it is the
@@ -395,6 +404,7 @@ class PlaneBackend(abc.ABC):
             sel,
             self.bnot(sel, lanes),
             lanes,
+            counts=counts,
         )
 
     # ------------------------------------------------------------------

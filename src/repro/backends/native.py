@@ -348,7 +348,8 @@ class _KernelBackend(PlaneBackend):
         self._masks = (masks, width, (m0, m1, mw))
         return m0, m1, mw
 
-    def run_pair_shard(self, program, cmp, width, masks, g_lo, g_hi):
+    def run_pair_shard(self, program, cmp, width, masks, g_lo, g_hi,
+                       counts=None):
         # The kernel indexes the mask rows and input slots by these.
         S = (1 << (width + 1)) - 1
         if not 0 <= g_lo < g_hi <= S or len(program.input_slots) != 2 * width:
@@ -362,6 +363,7 @@ class _KernelBackend(PlaneBackend):
         m0, m1, mw = self._mask_rows(masks, width)
         words = self.words_for((g_hi - g_lo) * S)
         diff = _words(words)
+        tally = None if counts is None else (ctypes.c_int64 * n_cmp)()
         mismatches = self._lib.repro_pair_shard(
             prog,
             n_ops,
@@ -379,7 +381,11 @@ class _KernelBackend(PlaneBackend):
             self._scratch_addr(program.n_slots),
             program.n_slots,
             _qptr(diff),
+            tally,
         )
+        if tally is not None:
+            for j, n in enumerate(tally):
+                counts[j] += n
         return diff, int(mismatches)
 
 
@@ -507,9 +513,10 @@ class NativeBackend(PlaneBackend):
         sel: Plane,
         nsel: Plane,
         lanes: int,
+        counts: Optional[List[int]] = None,
     ) -> Tuple[Plane, int]:
         return self._resolve().run_ops_select_diff(
-            ops, n_slots, inputs, cmp, sel, nsel, lanes
+            ops, n_slots, inputs, cmp, sel, nsel, lanes, counts=counts
         )
 
     def run_pair_shard(
@@ -520,9 +527,10 @@ class NativeBackend(PlaneBackend):
         masks: Tuple[Sequence[int], Sequence[int]],
         g_lo: int,
         g_hi: int,
+        counts: Optional[List[int]] = None,
     ) -> Tuple[Plane, int]:
         return self._resolve().run_pair_shard(
-            program, cmp, width, masks, g_lo, g_hi
+            program, cmp, width, masks, g_lo, g_hi, counts=counts
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -518,6 +518,7 @@ class CompiledCircuit:
         g_lo: int,
         g_hi: int,
         pairs: Sequence[Tuple[int, int, int]],
+        counts: Optional[List[int]] = None,
     ) -> Tuple[Plane, int]:
         """Check one g-row shard of the 2-sort pair product.
 
@@ -529,6 +530,8 @@ class CompiledCircuit:
         input ``b`` elsewhere, on both planes.  Returns the backend's
         ``(diff, mismatches)`` (:meth:`PlaneBackend.run_pair_shard`):
         the OR over pairs of ``got ^ expected``, plus its popcount.
+        A ``counts`` list (one int per pair) also gets each pair's own
+        mismatching lane count added.
         Every expected two-sort output *is* such a mux, so backends with
         fused native execution never materialize input, intermediate or
         expected planes.  Results are bit-identical across backends.
@@ -542,7 +545,9 @@ class CompiledCircuit:
             (self.output_slots[out], self.input_slots[a], self.input_slots[b])
             for out, a, b in pairs
         ]
-        return self.backend.run_pair_shard(self, cmp, width, masks, g_lo, g_hi)
+        return self.backend.run_pair_shard(
+            self, cmp, width, masks, g_lo, g_hi, counts=counts
+        )
 
     # ------------------------------------------------------------------
     # Encoding / decoding

@@ -21,6 +21,12 @@ from .gates import ALL_GATE_KINDS, CONST0, CONST1, GateKind
 from .wire import NameScope, NetId
 
 
+def _field(text: str) -> bytes:
+    """One length-prefixed digest field (4-byte little-endian length)."""
+    data = text.encode()
+    return len(data).to_bytes(4, "little") + data
+
+
 @dataclass(frozen=True)
 class Gate:
     """One gate instance: ``output = kind(*inputs)``."""
@@ -66,10 +72,12 @@ class Circuit:
     def __getstate__(self):
         # Compiled programs (repro.circuits.compiled attaches them as
         # `_compiled_cache`) are per-process artifacts: pool workers
-        # recompile in their initializer, and shipping them would drag
-        # the plane backend across the pickle boundary.
+        # compile on first use, and shipping them would drag the plane
+        # backend across the pickle boundary.  The encoded gate records
+        # and cone masks are cheap to rebuild and stay behind too.
         state = self.__dict__.copy()
-        state.pop("_compiled_cache", None)
+        for name in ("_compiled_cache", "_gate_fields_cache", "_cone_cache"):
+            state.pop(name, None)
         return state
 
     # ------------------------------------------------------------------
@@ -180,61 +188,93 @@ class Circuit:
         cached = getattr(self, "_hash_cache", None)
         if cached is not None and cached[0] == self._version:
             return cached[1]
-        h = hashlib.sha256()
-
-        def feed(tag: bytes, *parts: str) -> None:
-            # Length-prefixed fields: no delimiter a net name could
-            # contain can make two different structures hash the same.
-            h.update(tag)
-            for part in parts:
-                data = part.encode()
-                h.update(len(data).to_bytes(4, "little"))
-                h.update(data)
-
-        for net in self._inputs:
-            feed(b"i", net)
-        for net, value in sorted(self._const_nets.items()):
-            feed(b"c", net, value.to_char())
-        for gate in self._gates:
-            feed(b"g", gate.kind.name, str(len(gate.inputs)), *gate.inputs)
-            feed(b">", gate.output)
-        for net in self._outputs:
-            feed(b"o", net)
-        digest = h.hexdigest()[:16]
+        head, consts, gates, outs = self._digest_fields()
+        blob = b"".join(
+            [head, *(c for _net, c in consts), *gates, *outs]
+        )
+        digest = hashlib.sha256(blob).hexdigest()[:16]
         self._hash_cache = (self._version, digest)
         return digest
+
+    def _digest_fields(
+        self,
+    ) -> Tuple[bytes, List[Tuple[NetId, bytes]], List[bytes], List[bytes]]:
+        """The records both digests are built from, as bytes.
+
+        Every record is a tag byte followed by length-prefixed fields,
+        so no delimiter a net name could contain can make two different
+        structures hash the same: ``i`` per primary input (all of them
+        joined into one ``head``), ``c`` per constant (sorted by net,
+        paired with its net), ``g`` + ``>`` per gate (insertion order,
+        :meth:`_gate_fields`) and ``o`` per primary output.  SHA-256
+        over the concatenation of a selection equals feeding the same
+        records one field at a time, so :meth:`content_hash` and
+        :meth:`region_hashes` share them.
+        """
+        head = b"".join([b"i" + _field(net) for net in self._inputs])
+        consts = [
+            (net, b"c" + _field(net) + _field(value.to_char()))
+            for net, value in sorted(self._const_nets.items())
+        ]
+        outs = [b"o" + _field(net) for net in self._outputs]
+        return head, consts, self._gate_fields(), outs
+
+    def _gate_fields(self) -> List[bytes]:
+        """Each gate's ``g`` + ``>`` digest record, in insertion order.
+
+        Gates are only ever appended, so the list only grows: it encodes
+        just the gates added since the last call, and :meth:`copy`
+        hands it on, since a copy's gates are the same gates.  An edit
+        of a copy then encodes only the gates it added.
+        """
+        blobs = getattr(self, "_gate_fields_cache", None)
+        if blobs is None:
+            blobs = self._gate_fields_cache = []
+        for g in self._gates[len(blobs):]:
+            blobs.append(b"".join([
+                b"g", _field(g.kind.name), _field(str(len(g.inputs))),
+                *map(_field, g.inputs), b">", _field(g.output),
+            ]))
+        return blobs
 
     # ------------------------------------------------------------------
     # Per-region (output-cone) structure
     # ------------------------------------------------------------------
-    def _cone(self, output_index: int) -> Tuple[List[Gate], Dict[NetId, Trit]]:
-        """Gates and constants feeding primary output ``output_index``.
+    def _cone_masks(self) -> Dict[NetId, int]:
+        """Net -> bitmask of the primary outputs whose fan-in cone holds it.
 
-        Backward reachability over the driver map from the output's
-        root net; gates come back in insertion order so two circuits
-        built the same way produce identical cones.
+        Bit ``o`` is set on every net reachable backward from output
+        ``o``'s root net.  One reverse pass over the gates propagates
+        each gate's mask onto its inputs; that is exact when gates were
+        added after their fan-in (every generator does this), and a
+        mask that reaches an already-visited gate triggers another pass
+        until nothing changes, so any netlist -- even a cyclic one --
+        gets exact masks.  Cached per :attr:`version`.
         """
-        if not 0 <= output_index < len(self._outputs):
-            raise CircuitError(
-                f"output index {output_index} out of range "
-                f"(circuit has {len(self._outputs)} outputs)"
-            )
-        root = self._outputs[output_index]
-        seen: set = set()
-        stack = [root]
-        while stack:
-            net = stack.pop()
-            if net in seen:
-                continue
-            seen.add(net)
-            gate = self._driver.get(net)
-            if gate is not None:
-                stack.extend(gate.inputs)
-        cone_gates = [g for g in self._gates if g.output in seen]
-        cone_consts = {
-            net: v for net, v in self._const_nets.items() if net in seen
-        }
-        return cone_gates, cone_consts
+        cached = getattr(self, "_cone_cache", None)
+        if cached is not None and cached[0] == self._version:
+            return cached[1]
+        masks: Dict[NetId, int] = {}
+        for o, net in enumerate(self._outputs):
+            masks[net] = masks.get(net, 0) | (1 << o)
+        stale = True
+        while stale:
+            stale = False
+            visited: set = set()
+            for gate in reversed(self._gates):
+                visited.add(gate.output)
+                m = masks.get(gate.output)
+                if not m:
+                    continue
+                for net in gate.inputs:
+                    old = masks.get(net, 0)
+                    if old | m != old:
+                        masks[net] = old | m
+                        # Its driver already ran this pass, so the new
+                        # bits have not reached that driver's inputs.
+                        stale = stale or net in visited
+        self._cone_cache = (self._version, masks)
+        return masks
 
     def region_hashes(self) -> Tuple[str, ...]:
         """One structural digest per primary output's fan-in cone.
@@ -243,7 +283,7 @@ class Circuit:
         inputs (all of them, in order -- lane semantics depend on input
         positions), the constants and gates reachable backward from the
         output, and the output's root net.  Hashed with the same
-        length-prefixed scheme as :meth:`content_hash`, so a structural
+        length-prefixed records as :meth:`content_hash`, so a structural
         edit changes exactly the digests of the outputs whose cones
         contain the edited gate.  That is what makes per-region result
         keys incremental: re-verification after an edit only misses on
@@ -252,28 +292,23 @@ class Circuit:
         cached = getattr(self, "_region_hash_cache", None)
         if cached is not None and cached[0] == self._version:
             return cached[1]
+        head, consts, gates, outs = self._digest_fields()
+        masks = self._cone_masks()
+        const_bits = [(c, masks.get(net, 0)) for net, c in consts]
+        gate_bits = [
+            (blob, masks.get(g.output, 0))
+            for g, blob in zip(self._gates, gates)
+        ]
         digests = []
-        for idx in range(len(self._outputs)):
-            cone_gates, cone_consts = self._cone(idx)
-            h = hashlib.sha256()
-
-            def feed(tag: bytes, *parts: str) -> None:
-                h.update(tag)
-                for part in parts:
-                    data = part.encode()
-                    h.update(len(data).to_bytes(4, "little"))
-                    h.update(data)
-
-            for net in self._inputs:
-                feed(b"i", net)
-            for net, value in sorted(cone_consts.items()):
-                feed(b"c", net, value.to_char())
-            for gate in cone_gates:
-                feed(b"g", gate.kind.name, str(len(gate.inputs)),
-                     *gate.inputs)
-                feed(b">", gate.output)
-            feed(b"o", self._outputs[idx])
-            digests.append(h.hexdigest()[:16])
+        for o, tail in enumerate(outs):
+            bit = 1 << o
+            blob = b"".join([
+                head,
+                *(c for c, m in const_bits if m & bit),
+                *(g for g, m in gate_bits if m & bit),
+                tail,
+            ])
+            digests.append(hashlib.sha256(blob).hexdigest()[:16])
         result = tuple(digests)
         self._region_hash_cache = (self._version, result)
         return result
@@ -281,25 +316,49 @@ class Circuit:
     def extract_cone(self, output_index: int) -> "Circuit":
         """A standalone circuit computing just one primary output.
 
+        The one-output case of :meth:`extract_cones`: all primary
+        inputs in their original order, the cone's constants and gates
+        under their original net names, and the requested output.
+        """
+        return self.extract_cones([output_index])
+
+    def extract_cones(self, output_indices: Sequence[int]) -> "Circuit":
+        """A standalone circuit computing the given primary outputs.
+
         The extracted circuit keeps *all* primary inputs in their
         original order (so input-lane encodings line up with the parent
-        sweep), the cone's constants and gates under their original net
-        names, and exposes a single output: the requested one.  Used by
-        the region sweep to verify one output cone at a time.
+        sweep), the union of the outputs' fan-in cones -- constants and
+        gates under their original net names, gates in insertion order
+        -- and exposes the requested outputs in the order given.  The
+        region sweep runs one such program per g-row range over the
+        cones it still has to check.
         """
-        cone_gates, cone_consts = self._cone(output_index)
-        sub = Circuit(name=f"{self.name}#o{output_index}")
+        union = 0
+        for index in output_indices:
+            if not 0 <= index < len(self._outputs):
+                raise CircuitError(
+                    f"output index {index} out of range "
+                    f"(circuit has {len(self._outputs)} outputs)"
+                )
+            union |= 1 << index
+        masks = self._cone_masks()
+        sub = Circuit(
+            name=f"{self.name}#o{','.join(map(str, output_indices))}"
+        )
         for net in self._inputs:
             sub.add_input(net=net)
         # Copy constants under their original names: Circuit.const()
         # would mint fresh names, breaking gate input references.
         # Direct private access is why this lives in netlist.py.
-        for net, value in cone_consts.items():
-            sub._const_nets[net] = value
-            sub._version += 1
-        for gate in cone_gates:
-            sub.add_gate(gate.kind, gate.inputs, output=gate.output)
-        sub.add_output(self._outputs[output_index])
+        for net, value in self._const_nets.items():
+            if masks.get(net, 0) & union:
+                sub._const_nets[net] = value
+                sub._version += 1
+        for gate in self._gates:
+            if masks.get(gate.output, 0) & union:
+                sub.add_gate(gate.kind, gate.inputs, output=gate.output)
+        for index in output_indices:
+            sub.add_output(self._outputs[index])
         return sub
 
     def copy(self) -> "Circuit":
@@ -321,6 +380,9 @@ class Circuit:
             dup.add_gate(gate.kind, gate.inputs, output=gate.output)
         for net in self._outputs:
             dup.add_output(net)
+        dup._gate_fields_cache = list(
+            getattr(self, "_gate_fields_cache", None) or ()
+        )
         return dup
 
     def replace_output(self, index: int, net: NetId) -> None:

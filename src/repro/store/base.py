@@ -32,7 +32,13 @@ processes sweeping the same circuit against one shared store never
 double-execute a shard.  Backends without cross-process visibility
 (memory, journal) grant every claim -- their callers already dedup
 within the process -- while the sqlite backend arbitrates claims
-transactionally.
+transactionally and refuses a claim on a key that already has a result.
+
+Every keyed operation has a batched twin -- :meth:`~ResultStore.get_many`,
+:meth:`~ResultStore.claim_many`, :meth:`~ResultStore.put_many` -- so a
+region sweep pays one store round per g-row range, not one per output
+cone.  The base class loops over the single-key methods; the sqlite
+backend runs each batch as one statement or one transaction.
 """
 
 from __future__ import annotations
@@ -41,7 +47,9 @@ import hashlib
 import json
 import time
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import (
+    Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
+)
 
 from ..verify.exhaustive import SweepEpoch, VerificationResult
 
@@ -175,10 +183,12 @@ class ResultStore:
 
     Subclasses implement :meth:`get`, :meth:`put`, :meth:`scan`,
     :meth:`record_epoch`, :meth:`record_run`, and :meth:`runs`; the
-    base supplies counters, claim defaults, and context-manager
-    plumbing.  Keys are tuples of JSON scalars (the shard/region keys
-    built by :mod:`repro.verify.parallel`); values are
+    base supplies counters, claim defaults, the batched twins of the
+    keyed methods, and context-manager plumbing.  Keys are tuples of
+    JSON scalars (the shard/region keys built by
+    :mod:`repro.verify.parallel`); values are
     :class:`VerificationResult` instances or plain JSON values.
+    ``hits``/``misses``/``puts`` count keys, batched or not.
     """
 
     #: Registry name of the backend ("memory", "journal", "sqlite", ...).
@@ -215,6 +225,22 @@ class ResultStore:
         deduplicate within the process.
         """
         return True
+
+    # -- batched keyed results -----------------------------------------
+    def get_many(self, keys: Sequence[Tuple]) -> List[Optional[Any]]:
+        """:meth:`get` for each key, in order (``None`` for a miss)."""
+        return [self.get(key) for key in keys]
+
+    def put_many(self, items: Sequence[Tuple[Tuple, Any]]) -> None:
+        """:meth:`put` for each ``(key, value)``, releasing its claim."""
+        for key, value in items:
+            self.put(key, value)
+
+    def claim_many(
+        self, keys: Sequence[Tuple], ttl: Optional[float] = None
+    ) -> List[bool]:
+        """:meth:`claim` for each key: True where this caller now holds it."""
+        return [self.claim(key, ttl=ttl) for key in keys]
 
     # -- epochs --------------------------------------------------------
     def record_epoch(
@@ -263,31 +289,42 @@ class ResultStore:
         self.close()
 
 
-def wait_for(
+def consult(
     store: ResultStore,
-    key: Tuple,
-    execute,
+    keys: Sequence[Tuple],
+    execute: Callable[[List[int]], List[Any]],
     ttl: float = 60.0,
     poll: float = 0.02,
-) -> Any:
-    """Get-or-compute ``key`` with claim arbitration.
+) -> List[Any]:
+    """Get-or-compute every key of a batch on a shared store.
 
-    The worker-side consult loop: return a stored value if present;
-    otherwise try to claim the key and compute it.  When another
-    claimant holds the key, poll for their result instead of
-    recomputing -- if the claimant dies, the claim's TTL expires and
-    this caller takes over.  This is what keeps two processes sweeping
-    the same circuit against one shared store from double-executing.
+    The worker-side consult of a region sweep: one :meth:`claim_many`
+    re-checks and claims the keys in one transaction (a shared store
+    refuses claims on finished keys), and ``execute(indices)`` computes
+    the won keys (ascending indices into ``keys``) in one go.  Refused
+    keys are read back at once; keys another live claimant holds are
+    polled until their values appear, or until the claim expires after
+    ``ttl`` and this caller takes the key over.  That keeps two
+    processes sweeping one circuit against one store from
+    double-executing.  Nothing is written here: the caller stores what
+    it computed, and :meth:`put_many` releases the claims.  Returns the
+    values in key order.
     """
-    hit = store.get(key)
-    if hit is not None:
-        return hit
-    while True:
-        if store.claim(key, ttl=ttl):
-            value = execute()
-            store.put(key, value)
-            return value
-        time.sleep(poll)
-        hit = store.get(key)
-        if hit is not None:
-            return hit
+    values: List[Any] = [None] * len(keys)
+    pending = list(range(len(keys)))
+    while pending:
+        granted = store.claim_many([keys[i] for i in pending], ttl=ttl)
+        won = [i for i, ok in zip(pending, granted) if ok]
+        if won:
+            for i, value in zip(won, execute(won)):
+                values[i] = value
+        refused = [i for i, ok in zip(pending, granted) if not ok]
+        if refused:
+            hits = store.get_many([keys[i] for i in refused])
+            for i, hit in zip(refused, hits):
+                values[i] = hit
+        pending = [i for i in refused if values[i] is None]
+        if pending:
+            time.sleep(poll)
+    return values
+

@@ -16,9 +16,15 @@ Layout (all values pure JSON -- no pickles on disk):
 * ``epochs(fingerprint, epoch, shards, shard_size, created)``;
 * ``runs(...)`` -- the append-only audit trail of completed sweeps;
 * ``claims(key, host, pid, ts)`` -- advisory in-flight markers with a
-  TTL, the no-double-execute mechanism: :meth:`claim` arbitrates via
-  ``BEGIN IMMEDIATE`` so exactly one writer wins a key, and a claimant
-  that dies simply lets its claim expire.
+  TTL, the no-double-execute mechanism: :meth:`claim_many` arbitrates
+  via ``BEGIN IMMEDIATE`` so exactly one writer wins a key, a key that
+  already has a result is never granted (a ``put`` that lands between
+  a miss and a claim cannot trigger a second execution), and a
+  claimant that dies simply lets its claim expire.
+
+Each batched call is one round: :meth:`get_many` one ``SELECT`` (per
+400 keys), :meth:`claim_many` and :meth:`put_many` one transaction;
+the single-key methods are their one-key case.
 
 Keys are stored as their canonical JSON-array text, so any tuple of
 JSON scalars works and prefix scans decode losslessly.  Connections
@@ -34,7 +40,7 @@ import os
 import sqlite3
 import threading
 import time
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..verify.exhaustive import SweepEpoch
 from .base import ResultStore, RunRecord, decode_value, encode_value
@@ -86,8 +92,17 @@ _RUN_COLUMNS = (
 )
 
 
+#: Keys per ``IN (...)`` list, under SQLite's bound-parameter limit.
+_BATCH = 400
+
+# Built once: json.dumps with non-default options builds an encoder per
+# call, which is most of the cost of encoding one small key or value.
+_KEY_JSON = json.JSONEncoder(separators=(",", ":"))
+_VALUE_JSON = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
+
+
 def _key_text(key: Tuple) -> str:
-    return json.dumps(list(key), separators=(",", ":"), sort_keys=False)
+    return _KEY_JSON.encode(list(key))
 
 
 class SqliteStore(ResultStore):
@@ -126,42 +141,69 @@ class SqliteStore(ResultStore):
             self._conn.executescript(_SCHEMA)
 
     # -- keyed results -------------------------------------------------
+    def _select(self, sql: str, texts: Sequence[str]) -> List[Tuple]:
+        """Rows of ``sql`` over ``texts``, batched.
+
+        Every ``%s`` in ``sql`` is one ``IN (...)`` list of the batch.
+        """
+        lists = sql.count("%s")
+        rows: List[Tuple] = []
+        for lo in range(0, len(texts), _BATCH):
+            chunk = list(texts[lo : lo + _BATCH])
+            marks = ",".join("?" * len(chunk))
+            rows += self._conn.execute(
+                sql % ((marks,) * lists), chunk * lists
+            ).fetchall()
+        return rows
+
     def get(self, key: Tuple) -> Optional[Any]:
+        return self.get_many([key])[0]
+
+    def get_many(self, keys: Sequence[Tuple]) -> List[Optional[Any]]:
+        texts = [_key_text(key) for key in keys]
         with self._lock:
-            row = self._conn.execute(
-                "SELECT value FROM results WHERE key = ?",
-                (_key_text(key),),
-            ).fetchone()
-            if row is None:
-                self.misses += 1
-                return None
-            self.hits += 1
-        return decode_value(json.loads(row[0]))
+            found = dict(self._select(
+                "SELECT key, value FROM results WHERE key IN (%s)", texts
+            ))
+            hits = sum(1 for text in texts if text in found)
+            self.hits += hits
+            self.misses += len(texts) - hits
+        return [
+            decode_value(json.loads(found[text])) if text in found else None
+            for text in texts
+        ]
 
     def put(self, key: Tuple, value: Any) -> None:
-        blob = json.dumps(
-            encode_value(value), separators=(",", ":"), sort_keys=True
-        )
-        text = _key_text(key)
+        self.put_many([(key, value)])
+
+    def put_many(self, items: Sequence[Tuple[Tuple, Any]]) -> None:
+        now = time.time()
+        rows = [
+            (_key_text(key), _VALUE_JSON.encode(encode_value(value)), now)
+            for key, value in items
+        ]
+        if not rows:
+            return
         with self._lock:
-            # First write wins (like the journal); the claim, if any,
-            # is released in the same transaction so waiting claimants
+            # First write wins (like the journal); the claims, if any,
+            # are released in the same transaction so waiting claimants
             # see key+result appear atomically.
             self._conn.execute("BEGIN IMMEDIATE")
             try:
-                self._conn.execute(
+                self._conn.executemany(
                     "INSERT OR IGNORE INTO results(key, value, created) "
                     "VALUES (?, ?, ?)",
-                    (text, blob, time.time()),
+                    rows,
                 )
-                self._conn.execute(
-                    "DELETE FROM claims WHERE key = ?", (text,)
+                self._conn.executemany(
+                    "DELETE FROM claims WHERE key = ?",
+                    [(text,) for text, _blob, _ts in rows],
                 )
                 self._conn.execute("COMMIT")
             except BaseException:
                 self._conn.execute("ROLLBACK")
                 raise
-            self.puts += 1
+            self.puts += len(rows)
 
     def scan(self, prefix: Tuple = ()) -> Iterator[Tuple[Tuple, Any]]:
         prefix = tuple(prefix)
@@ -175,28 +217,47 @@ class SqliteStore(ResultStore):
                 yield key, decode_value(json.loads(blob))
 
     def claim(self, key: Tuple, ttl: Optional[float] = None) -> bool:
+        return self.claim_many([key], ttl=ttl)[0]
+
+    def claim_many(
+        self, keys: Sequence[Tuple], ttl: Optional[float] = None
+    ) -> List[bool]:
         ttl = self.claim_ttl if ttl is None else ttl
-        text = _key_text(key)
+        texts = [_key_text(key) for key in keys]
+        if not texts:
+            return []
         now = time.time()
         with self._lock:
             self._conn.execute("BEGIN IMMEDIATE")
             try:
-                row = self._conn.execute(
-                    "SELECT ts FROM claims WHERE key = ?", (text,)
-                ).fetchone()
-                if row is not None and now - row[0] < ttl:
-                    self._conn.execute("COMMIT")
-                    return False
-                self._conn.execute(
+                # A finished key is done, not claimable: refusing it
+                # here, inside the transaction, closes the window where
+                # another process's put lands between our miss and our
+                # claim.  Results come back with a NULL timestamp.
+                taken = {
+                    text for text, ts in self._select(
+                        "SELECT key, NULL FROM results WHERE key IN (%s) "
+                        "UNION ALL "
+                        "SELECT key, ts FROM claims WHERE key IN (%s)",
+                        texts,
+                    )
+                    if ts is None or now - ts < ttl
+                }
+                won = [text not in taken for text in texts]
+                host, pid = _hostname(), os.getpid()
+                self._conn.executemany(
                     "INSERT OR REPLACE INTO claims(key, host, pid, ts) "
                     "VALUES (?, ?, ?, ?)",
-                    (text, _hostname(), os.getpid(), now),
+                    [
+                        (text, host, pid, now)
+                        for text, ok in zip(texts, won) if ok
+                    ],
                 )
                 self._conn.execute("COMMIT")
-                return True
             except BaseException:
                 self._conn.execute("ROLLBACK")
                 raise
+        return won
 
     # -- epochs --------------------------------------------------------
     def record_epoch(
@@ -205,23 +266,15 @@ class SqliteStore(ResultStore):
         shards: Optional[int] = None,
         shard_size: Optional[int] = None,
     ) -> None:
-        blob = json.dumps(
-            epoch.to_dict(), separators=(",", ":"), sort_keys=True
-        )
+        blob = _VALUE_JSON.encode(epoch.to_dict())
         with self._lock:
-            self._conn.execute("BEGIN IMMEDIATE")
-            try:
-                self._conn.execute(
-                    "INSERT OR IGNORE INTO epochs"
-                    "(fingerprint, epoch, shards, shard_size, created) "
-                    "VALUES (?, ?, ?, ?, ?)",
-                    (epoch.fingerprint(), blob, shards, shard_size,
-                     time.time()),
-                )
-                self._conn.execute("COMMIT")
-            except BaseException:
-                self._conn.execute("ROLLBACK")
-                raise
+            # One statement: autocommit makes it its own transaction.
+            self._conn.execute(
+                "INSERT OR IGNORE INTO epochs"
+                "(fingerprint, epoch, shards, shard_size, created) "
+                "VALUES (?, ?, ?, ?, ?)",
+                (epoch.fingerprint(), blob, shards, shard_size, time.time()),
+            )
 
     def epochs(self) -> List[SweepEpoch]:
         with self._lock:
@@ -234,21 +287,16 @@ class SqliteStore(ResultStore):
     def record_run(self, run: RunRecord) -> None:
         data = run.to_dict()
         with self._lock:
-            self._conn.execute("BEGIN IMMEDIATE")
-            try:
-                self._conn.execute(
-                    "INSERT INTO runs(%s) VALUES (%s)"
-                    % (", ".join(_RUN_COLUMNS),
-                       ", ".join("?" * len(_RUN_COLUMNS))),
-                    tuple(
-                        int(data[c]) if c == "ok" else data[c]
-                        for c in _RUN_COLUMNS
-                    ),
-                )
-                self._conn.execute("COMMIT")
-            except BaseException:
-                self._conn.execute("ROLLBACK")
-                raise
+            # One statement: autocommit makes it its own transaction.
+            self._conn.execute(
+                "INSERT INTO runs(%s) VALUES (%s)"
+                % (", ".join(_RUN_COLUMNS),
+                   ", ".join("?" * len(_RUN_COLUMNS))),
+                tuple(
+                    int(data[c]) if c == "ok" else data[c]
+                    for c in _RUN_COLUMNS
+                ),
+            )
 
     def runs(self, limit: Optional[int] = None) -> List[RunRecord]:
         with self._lock:

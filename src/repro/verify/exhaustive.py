@@ -26,7 +26,12 @@ whole pair domain as a handful of two-plane batches
   so comparing planes against it verifies Definition 2.8 exactly;
 * only mismatching lanes -- none, for a correct circuit -- are decoded
   back to words for the failure report, and only as many as the report
-  keeps; the kernel's mismatch count supplies the total.
+  keeps; the kernel's mismatch count supplies the total;
+* a store-backed sweep keys results per output cone, yet still checks a
+  whole g-row range in one call: :func:`verify_two_sort_region_range`
+  runs the program of the cones it needs (the full circuit, or a union
+  of cones) once and reads each cone's value from the backend's
+  per-output mismatch counts.
 
 Throughput on the full B = 8 domain improves by three orders of
 magnitude over the scalar interpreter (``benchmarks/bench_engines.py``
@@ -40,7 +45,9 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
+)
 
 from ..backends import PlaneBackend, get_backend
 from ..circuits.compiled import BackendLike, compile_circuit
@@ -354,34 +361,48 @@ def verify_two_sort_shard(
     return result
 
 
+def verify_two_sort_region_range(
+    program, width: int, outputs: Sequence[int], g_lo: int, g_hi: int
+) -> List[Dict[str, int]]:
+    """Verify several output cones over one g-row range in one call.
+
+    ``program`` is compiled from the 2-sort(``width``) netlist's cones
+    of ``outputs`` -- all ``2*width`` primary inputs in their original
+    order, the outputs in the order given: the whole circuit, or a
+    union of cones (:meth:`Circuit.extract_cones`).  Output ``o <
+    width`` is expected to equal bit ``o`` of the Table 2 order max,
+    output ``width + b`` bit ``b`` of the order min.  One
+    :meth:`~repro.backends.PlaneBackend.run_pair_shard` call checks
+    them all and counts each output's own mismatching lanes.
+
+    Returns one plain JSON value per output, in order --
+    ``{"lanes": L, "mismatches": N}`` -- because a region value is a
+    store entry, not a user-facing report: only when a cone mismatches
+    does the region sweep re-run the canonical full-circuit shard for
+    the usual failure messages.
+    """
+    select = _two_sort_select_pairs(width)
+    pairs = [(k,) + select[o][1:] for k, o in enumerate(outputs)]
+    counts = [0] * len(pairs)
+    program.run_pair_shard(
+        width, _string_bit_masks(width), g_lo, g_hi, pairs, counts=counts
+    )
+    lanes = (g_hi - g_lo) * ((1 << (width + 1)) - 1)
+    return [{"lanes": lanes, "mismatches": n} for n in counts]
+
+
 def verify_two_sort_region_shard(
     program, width: int, output_index: int, g_lo: int, g_hi: int
 ) -> Dict[str, int]:
-    """Verify one output cone over one g-row shard.
+    """Verify one output cone over one g-row range.
 
-    ``program`` is the compiled *cone extraction* of output
-    ``output_index`` (see :meth:`Circuit.extract_cone`): all ``2*width``
-    primary inputs in their original order, a single output.  The
-    expected planes are the one bit of the Table 2 order max
-    (``output_index < width``, bit ``output_index``) or order min
-    (bit ``output_index - width``) this cone computes.  Returns a plain
-    JSON value -- ``{"lanes": L, "mismatches": N}`` -- because a region
-    shard is a store entry, not a user-facing report: the region sweep
-    aggregates these and, only when a cone actually mismatches, re-runs
-    the canonical full-circuit shard to produce the usual
-    :class:`VerificationResult` failure messages byte-for-byte.
+    The one-output case of :func:`verify_two_sort_region_range`:
+    ``program`` is the compiled cone extraction of output
+    ``output_index`` (:meth:`Circuit.extract_cone`).
     """
-    if output_index < width:  # a max bit: g where sel, else h
-        b = output_index
-        pair = (0, b, width + b)
-    else:  # a min bit: the complementary selection
-        b = output_index - width
-        pair = (0, width + b, b)
-    _diff, mismatches = program.run_pair_shard(
-        width, _string_bit_masks(width), g_lo, g_hi, [pair]
-    )
-    lanes = (g_hi - g_lo) * ((1 << (width + 1)) - 1)
-    return {"lanes": lanes, "mismatches": mismatches}
+    return verify_two_sort_region_range(
+        program, width, (output_index,), g_lo, g_hi
+    )[0]
 
 
 def verify_two_sort_circuit(

@@ -40,6 +40,17 @@ merge with :meth:`VerificationResult.merge` (or plain concatenation for
 batch workloads), so the outcome is bit-identical for any job count --
 ``--jobs N`` changes wall-clock time, never the report.
 
+**Region sweeps.**  With a store, results are keyed per output cone
+per g-row range (:meth:`~repro.circuits.netlist.Circuit.region_hashes`),
+but the unit of work stays the range: the sweep reads every key in one
+``get_many``, runs one task per range over the cones that range still
+needs -- one kernel call, on the full program when every cone is
+pending (a cold sweep), else on the union of the pending cones --
+and writes the range's values once with ``put_many``.  Workers that
+hold a shareable store's spec re-check and claim a range's keys in one
+transaction before executing (:func:`repro.store.base.consult`) and
+write nothing themselves.
+
 **Imports.**  A serial sweep, the CLI default, loads neither
 ``multiprocessing`` nor the store nor ``socket``: each is imported where
 a pool, a store or an audit record first needs it.
@@ -66,7 +77,7 @@ from .exhaustive import (
     VerificationResult,
     check_two_sort_shape,
     pair_shards,
-    verify_two_sort_region_shard,
+    verify_two_sort_region_range,
     verify_two_sort_shard,
 )
 
@@ -323,8 +334,9 @@ def run_sharded(
 # ----------------------------------------------------------------------
 # Sharded exhaustive two-sort verification
 # ----------------------------------------------------------------------
-#: Per-worker state installed by the pool initializer (the compiled
-#: program is built once per worker, not once per shard).  Thread-local
+#: Per-worker state installed by the pool initializer: the circuit, the
+#: resolved backend, the programs compiled from them (once per worker,
+#: not once per shard) and the worker's store handle.  Thread-local
 #: because the service layer runs concurrent in-process sweeps on a
 #: thread pool; multiprocessing pool workers run the initializer and
 #: their tasks on one thread, so per-process semantics are unchanged.
@@ -338,22 +350,43 @@ def _init_verify_worker(
     # `backend` arrives as a registry name (or None for the executor /
     # process default) and `store_spec` as a store spec string (or None
     # when the sweep's store is not shareable) so the initargs stay
-    # picklable for pool *and remote* workers.
-    _VERIFY_STATE.program = compile_circuit(circuit, get_backend(backend))
-    _VERIFY_STATE.circuit = circuit
-    _VERIFY_STATE.backend = backend
-    _VERIFY_STATE.backend_name = get_backend(backend).name
-    _VERIFY_STATE.region_programs = {}
-    _VERIFY_STATE.store = None
+    # picklable for pool *and remote* workers.  Nothing is compiled
+    # here: a region sweep after a clean edit never runs the full
+    # circuit, so each program is compiled when a task first needs it.
+    state = _VERIFY_STATE
+    state.circuit = circuit
+    state.backend = get_backend(backend)
+    state.programs = {}
+    state.store = None
     if store_spec:
         from ..store import shared_store
 
-        _VERIFY_STATE.store = shared_store(store_spec)
+        state.store = shared_store(store_spec)
+
+
+def _program(cones: Optional[Tuple[int, ...]] = None):
+    """This worker's compiled program over ``cones`` (default: all).
+
+    Every output, in order, is the full circuit; any other selection is
+    the union of those output cones (:meth:`Circuit.extract_cones`).
+    Each is compiled once per sweep.
+    """
+    state = _VERIFY_STATE
+    circuit = state.circuit
+    if cones is not None and cones == tuple(range(len(circuit.outputs))):
+        cones = None
+    program = state.programs.get(cones)
+    if program is None:
+        source = circuit if cones is None else circuit.extract_cones(cones)
+        program = state.programs[cones] = compile_circuit(
+            source, state.backend
+        )
+    return program
 
 
 def _verify_shard_worker(task: Tuple[int, int, int]) -> VerificationResult:
     width, g_lo, g_hi = task
-    return verify_two_sort_shard(_VERIFY_STATE.program, width, g_lo, g_hi)
+    return verify_two_sort_shard(_program(), width, g_lo, g_hi)
 
 
 def _region_key(
@@ -374,48 +407,60 @@ def _region_key(
     )
 
 
-def _execute_region_shard(task: Tuple[int, int, int, int]) -> Dict[str, int]:
-    """Compute one region shard from per-worker state (no store consult).
+#: A region task: one g-row range and the output cones it must check.
+RegionTask = Tuple[int, int, int, Tuple[int, ...]]
 
-    Module-level (not a closure) so tests can monkeypatch it to count
-    actual executions -- the seam that pins "a warm store re-executes
-    nothing" and "an edit re-executes only the affected cones".
+
+def _execute_region_shard(task: RegionTask) -> List[Dict[str, int]]:
+    """Compute one g-row range over its cones (no store consult).
+
+    ``task`` is ``(width, g_lo, g_hi, cones)``; one kernel call over
+    the program of those cones returns one ``{"lanes", "mismatches"}``
+    value per cone, in order.  Module-level (not a closure) so tests
+    can monkeypatch it to count actual executions -- the seam that pins
+    "a warm store re-executes nothing" and "an edit re-executes only
+    the affected cones".
     """
-    width, output_index, g_lo, g_hi = task
-    state = _VERIFY_STATE
-    program = state.region_programs.get(output_index)
-    if program is None:
-        program = state.region_programs[output_index] = compile_circuit(
-            state.circuit.extract_cone(output_index),
-            get_backend(state.backend),
-        )
-    return verify_two_sort_region_shard(
-        program, width, output_index, g_lo, g_hi
+    width, g_lo, g_hi, cones = task
+    return verify_two_sort_region_range(
+        _program(cones), width, cones, g_lo, g_hi
     )
 
 
-def _verify_region_worker(task: Tuple[int, int, int, int]) -> Dict[str, int]:
+def _verify_region_worker(task: RegionTask) -> List[Dict[str, int]]:
     """Worker for region tasks: consult the shared store, then compute.
 
     When the sweep's store is shareable its spec rides the pool
-    initargs, and each worker holds its own handle: a get-hit skips the
-    execution entirely, and :func:`repro.store.base.wait_for` claims
-    the key first so two processes sweeping the same circuit against
-    one store never double-execute a region shard.
+    initargs, and each worker holds its own handle: one
+    :func:`~repro.store.base.consult` re-checks the range's keys,
+    claims the missing ones in one transaction, computes the won cones
+    in one call and waits for keys another process holds -- so two
+    processes sweeping the same circuit against one store never
+    double-execute a (range, cone) pair.  The worker writes nothing:
+    the sweep's own handle stores each value once.
     """
     state = _VERIFY_STATE
-    store = getattr(state, "store", None)
-    if store is None:
+    if state.store is None:
         return _execute_region_shard(task)
-    from ..store.base import wait_for
+    from ..store.base import consult
 
-    width, output_index, g_lo, g_hi = task
-    key = _region_key(
-        state.circuit.name,
-        state.circuit.region_hashes()[output_index],
-        state.backend_name, width, output_index, g_lo, g_hi,
+    width, g_lo, g_hi, cones = task
+    circuit = state.circuit
+    hashes = circuit.region_hashes()
+    keys = [
+        _region_key(
+            circuit.name, hashes[o], state.backend.name, width, o,
+            g_lo, g_hi,
+        )
+        for o in cones
+    ]
+    return consult(
+        state.store,
+        keys,
+        lambda won: _execute_region_shard(
+            (width, g_lo, g_hi, tuple(cones[i] for i in won))
+        ),
     )
-    return wait_for(store, key, lambda: _execute_region_shard(task))
 
 
 def _default_pair_shard_size(
@@ -470,7 +515,6 @@ def verify_two_sort_sharded(
     should_stop: Optional[ShouldStop] = None,
     cache: Optional[Any] = None,
     store: Optional[Any] = None,
-    regions: Optional[bool] = None,
 ) -> VerificationResult:
     """Exhaustively verify a 2-sort circuit with sharded execution.
 
@@ -504,18 +548,17 @@ def verify_two_sort_sharded(
       count toward progress, and fresh results are inserted as they
       complete (so even a cancelled run warms the cache);
     * ``store`` is a :class:`repro.store.base.ResultStore`: same role
-      as ``cache`` (either name works; ``store`` wins when both are
-      given) but it flips the sweep into **region granularity** --
-      every primary-output cone is verified independently per g-row
-      range, keyed on the cone's *region* digest
+      as ``cache`` (``store`` wins when both are given) but it selects
+      **region granularity** -- results are keyed per primary-output
+      cone per g-row range, on the cone's *region* digest
       (:meth:`Circuit.region_hashes`) instead of the whole-circuit
-      hash.  A one-gate edit then re-executes only the shards of the
-      cones it touched; untouched cones hit the store.  ``regions``
-      overrides the granularity explicitly (``store`` alone implies
-      ``True``).  Shareable stores (sqlite) additionally ship their
-      spec to workers, which consult the store *before executing* --
-      the no-double-execute mechanism across processes and hosts.
-      Clean ranges merge into the report as synthetic all-clear counts;
+      hash, so a one-gate edit misses only on the cones it touched,
+      while each range still costs one kernel call and one store round
+      (module docstring).  Shareable stores (sqlite) additionally ship
+      their spec to workers, which claim a range's keys *before
+      executing* -- the no-double-execute mechanism across processes
+      and hosts.  Clean ranges merge into the report as synthetic
+      all-clear counts;
       a range whose cone mismatches is re-verified at circuit
       granularity through the canonical
       :func:`~repro.verify.exhaustive.verify_two_sort_shard`, so the
@@ -550,7 +593,7 @@ def verify_two_sort_sharded(
     )
     plain = (
         on_shard is None and should_stop is None
-        and cache is None and store is None and not regions
+        and cache is None and store is None
     )
     if plain:
         # The zero-overhead path: bit-for-bit the pre-service behaviour.
@@ -569,10 +612,10 @@ def verify_two_sort_sharded(
     backend_name = get_backend(backend).name
     circuit_hash = epoch.circuit_hash
     # `store` and `cache` are one seam with two granularities: `store`
-    # wins when both are given, and by default switches the sweep to
-    # per-region keys.
+    # wins when both are given, and switches the sweep to per-region
+    # keys.
     handle = store if store is not None else cache
-    region_mode = regions if regions is not None else store is not None
+    region_mode = store is not None
     # Stores that journal sweeps (the journal backend) take the epoch
     # descriptor up front, so the journal is self-describing even if
     # the run dies before any shard completes.
@@ -694,43 +737,47 @@ def _run_region_sweep(
     backend: BackendLike,
     backend_name: str,
     circuit_hash: str,
-    store: Optional[Any],
+    store: Any,
     on_shard: Optional[OnShard],
     should_stop: Optional[ShouldStop],
     epoch: SweepEpoch,
 ) -> VerificationResult:
     """Region-granularity sweep: one key per output cone per g-range.
 
-    Every primary-output cone is verified independently over every
-    g-row range; the store is consulted per ``(cone, range)`` so an
-    edit only misses on the cones whose region digest changed.  Clean
-    ranges (every cone matches everywhere) merge as synthetic all-clear
-    counts; a range with any cone mismatch is re-verified through the
-    canonical full-circuit shard (cached at circuit granularity), so
-    failure messages -- and therefore the merged report -- stay
-    byte-identical to an uncached sweep.
+    Each g-row range with a missing cone is one task over exactly its
+    missing cones, so an edit only executes the cones whose region
+    digest changed.  Clean ranges (every cone matches everywhere) merge
+    as synthetic all-clear counts; a range with any cone mismatch is
+    re-verified through the canonical full-circuit shard (cached at
+    circuit granularity), so failure messages -- and therefore the
+    merged report -- stay byte-identical to an uncached sweep.
     """
     total = len(shards)
     region_hashes = circuit.region_hashes()
     n_out = len(region_hashes)
     S = (1 << (width + 1)) - 1
 
-    region_results: List[List[Optional[Dict[str, int]]]] = [
-        [None] * n_out for _ in range(total)
-    ]
-    pending: List[Tuple[int, int]] = []
-    for i in range(total):
-        g_lo, g_hi = shards[i]
-        for o in range(n_out):
-            key = _region_key(
-                circuit.name, region_hashes[o], backend_name, width,
-                o, g_lo, g_hi,
+    keys = [
+        [
+            _region_key(
+                circuit.name, region_hashes[o], backend_name, width, o,
+                g_lo, g_hi,
             )
-            hit = store.get(key) if store is not None else None
-            if hit is not None:
-                region_results[i][o] = hit
-            else:
-                pending.append((i, o))
+            for o in range(n_out)
+        ]
+        for g_lo, g_hi in shards
+    ]
+    stored = store.get_many([key for row in keys for key in row])
+    region_results: List[List[Optional[Dict[str, int]]]] = [
+        stored[i * n_out:(i + 1) * n_out] for i in range(total)
+    ]
+    tasks: List[RegionTask] = []
+    task_range: List[int] = []
+    for i, row in enumerate(region_results):
+        cones = tuple(o for o, value in enumerate(row) if value is None)
+        if cones:
+            tasks.append((width,) + shards[i] + (cones,))
+            task_range.append(i)
 
     full_program = None
 
@@ -744,20 +791,20 @@ def _run_region_sweep(
         # canonical per-pair failure messages via the full-circuit
         # shard (stored under the historical circuit-granularity key).
         ckey = (circuit.name, circuit_hash, backend_name, width, g_lo, g_hi)
-        hit = store.get(ckey) if store is not None else None
+        hit = store.get(ckey)
         if hit is not None:
             return hit
         if full_program is None:
             full_program = compile_circuit(circuit, get_backend(backend))
         result = verify_two_sort_shard(full_program, width, g_lo, g_hi)
-        if store is not None:
-            store.put(ckey, result)
+        store.put(ckey, result)
         return result
 
     results: List[Optional[VerificationResult]] = [None] * total
     done = 0
+    pending = set(task_range)
     for i in range(total):
-        if any(v is None for v in region_results[i]):
+        if i in pending:
             continue
         if should_stop is not None and should_stop():
             raise SweepCancelled([r for r in results[:i] if r is not None])
@@ -766,41 +813,24 @@ def _run_region_sweep(
         if on_shard is not None:
             on_shard(done, total, results[i])
 
-    if pending:
-        remaining: Dict[int, int] = {}
-        for i, _o in pending:
-            remaining[i] = remaining.get(i, 0) + 1
-        share = (
-            store.share_spec()
-            if store is not None and hasattr(store, "share_spec")
-            else None
-        )
-        tasks = [(width, o) + shards[i] for i, o in pending]
+    if tasks:
+        share = store.share_spec()
 
-        def _record(k: int, value: Dict[str, int]) -> None:
+        def _record(k: int, values: List[Dict[str, int]]) -> None:
             nonlocal done
-            i, o = pending[k]
-            region_results[i][o] = value
-            if store is not None:
-                g_lo, g_hi = shards[i]
-                # Idempotent for workers that already wrote through a
-                # shared handle (first write wins everywhere); local
-                # (non-shareable) stores learn the value here.
-                store.put(
-                    _region_key(
-                        circuit.name, region_hashes[o], backend_name,
-                        width, o, g_lo, g_hi,
-                    ),
-                    value,
-                )
-            remaining[i] -= 1
-            if remaining[i] == 0:
-                # Tasks are range-major and executors are ordered, so
-                # ranges complete ascending -- `done` stays monotonic.
-                results[i] = _resolve(i)
-                done += 1
-                if on_shard is not None:
-                    on_shard(done, total, results[i])
+            i = task_range[k]
+            cones = tasks[k][3]
+            for o, value in zip(cones, values):
+                region_results[i][o] = value
+            # The range's one write: first write wins everywhere, and
+            # it releases the worker's claims on these keys.
+            store.put_many([(keys[i][o], v) for o, v in zip(cones, values)])
+            # Tasks are in range order and executors are ordered, so
+            # ranges complete ascending -- `done` stays monotonic.
+            results[i] = _resolve(i)
+            done += 1
+            if on_shard is not None:
+                on_shard(done, total, results[i])
 
         run_sharded(
             _verify_region_worker,

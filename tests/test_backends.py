@@ -569,6 +569,137 @@ class TestPairShardFused:
         out = verify_two_sort_circuit(circuit, 4, backend="native")
         assert not ref.ok and out.to_json() == ref.to_json()
 
+    # -- per-output mismatch counts over the same grid -----------------
+    @staticmethod
+    def _check_counts(circuit, width, shards):
+        """Per-output counts on both backends, against each output's own
+        diff and against the one-cone region check.
+
+        On every shard: the counts equal across backends; count ``j``
+        equals the popcount of output ``j``'s own diff (a one-pair
+        call); asking for counts changes neither the diff nor the
+        total; and each range value equals
+        ``verify_two_sort_region_shard`` on that output's extracted
+        cone.  Returns the summed counts.
+        """
+        from repro.verify.exhaustive import (
+            _string_bit_masks,
+            _two_sort_select_pairs,
+            verify_two_sort_region_range,
+            verify_two_sort_region_shard,
+        )
+
+        masks = _string_bit_masks(width)
+        pairs = _two_sort_select_pairs(width)
+        outputs = range(2 * width)
+        programs = {
+            name: compile_circuit(circuit, name) for name in ("bigint", "native")
+        }
+        cones = {
+            o: compile_circuit(circuit.extract_cone(o), "bigint") for o in outputs
+        }
+        totals = [0] * len(pairs)
+        for g_lo, g_hi in shards:
+            lanes = (g_hi - g_lo) * ((1 << (width + 1)) - 1)
+            got = {}
+            for name, program in programs.items():
+                counts = [0] * len(pairs)
+                diff, n = program.run_pair_shard(
+                    width, masks, g_lo, g_hi, pairs, counts=counts
+                )
+                plain_diff, plain_n = program.run_pair_shard(
+                    width, masks, g_lo, g_hi, pairs
+                )
+                be = program.backend
+                assert be.to_bytes(diff, lanes) == be.to_bytes(plain_diff, lanes)
+                assert n == plain_n
+                assert max(counts, default=0) <= n <= sum(counts)
+                got[name] = counts
+            assert got["native"] == got["bigint"], (circuit.name, g_lo, g_hi)
+            ref = programs["bigint"]
+            for j, pair in enumerate(pairs):
+                own_diff, own_n = ref.run_pair_shard(
+                    width, masks, g_lo, g_hi, [pair]
+                )
+                assert got["bigint"][j] == own_n == ref.backend.popcount(own_diff)
+            for name, program in programs.items():
+                values = verify_two_sort_region_range(
+                    program, width, outputs, g_lo, g_hi
+                )
+                assert values == [
+                    verify_two_sort_region_shard(cones[o], width, o, g_lo, g_hi)
+                    for o in outputs
+                ]
+            totals = [t + c for t, c in zip(totals, got["bigint"])]
+        return totals
+
+    @pytest.mark.parametrize("width", range(1, 10))
+    def test_counts_two_sort_all_shard_sizes(self, width):
+        from repro.verify.exhaustive import pair_shards
+
+        circuit = build_two_sort(width)
+        for size in self.SHARD_SIZES:
+            shards = pair_shards(width, size)
+            if width >= 7:
+                shards = _sampled(shards)
+            assert not any(self._check_counts(circuit, width, shards))
+
+    @pytest.mark.parametrize("width", [2, 4, 6, 7])
+    def test_counts_and_or_swapped_netlists(self, width):
+        from repro.verify.exhaustive import pair_shards
+
+        base = build_two_sort(width)
+        sites = [g.output for g in base.gates if g.kind in (AND2, OR2)]
+        rng = random.Random(20180319 + width)
+        failing = 0
+        for site in rng.sample(sites, min(2, len(sites))):
+            faulty = _swap_gate(base, site)
+            for size in (None, 1000):
+                failing += sum(self._check_counts(
+                    faulty, width, pair_shards(width, size)
+                ))
+        assert failing > 0
+
+    @pytest.mark.parametrize("width", [1, 5, 7])
+    def test_counts_constant_nets(self, width):
+        from repro.verify.exhaustive import pair_shards
+
+        for fault in (False, True):
+            circuit = _with_constants(width, fault)
+            for size in (None, 64):
+                counts = self._check_counts(
+                    circuit, width, _sampled(pair_shards(width, size))
+                )
+                # Only the pinned output (the last) can mismatch.
+                assert (sum(counts) > 0) == fault
+                assert not any(counts[:-1])
+
+    def test_counts_range_over_a_cone_union(self):
+        """A union-of-cones program checks exactly its own outputs."""
+        from repro.verify.exhaustive import (
+            pair_shards,
+            verify_two_sort_region_range,
+            verify_two_sort_region_shard,
+        )
+
+        width = 6
+        circuit = _swap_gate(build_two_sort(width), next(
+            g.output for g in build_two_sort(width).gates if g.kind is AND2
+        ))
+        picks = (9, 2, 5)
+        for name in ("bigint", "native"):
+            union = compile_circuit(circuit.extract_cones(picks), name)
+            for g_lo, g_hi in pair_shards(width, 1000):
+                assert verify_two_sort_region_range(
+                    union, width, picks, g_lo, g_hi
+                ) == [
+                    verify_two_sort_region_shard(
+                        compile_circuit(circuit.extract_cone(o), "bigint"),
+                        width, o, g_lo, g_hi,
+                    )
+                    for o in picks
+                ]
+
 
 # ----------------------------------------------------------------------
 # TritVec across backends

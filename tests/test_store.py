@@ -26,7 +26,7 @@ from repro.store import (
     open_store,
     result_digest,
 )
-from repro.store.base import RunRecord, wait_for
+from repro.store.base import RunRecord, consult
 from repro.verify import parallel
 from repro.verify.exhaustive import (
     SweepEpoch,
@@ -200,12 +200,13 @@ class TestPersistence:
         with SqliteStore(str(tmp_path / "w.db")) as store:
             calls = []
 
-            def execute():
+            def execute(won):
                 calls.append(1)
-                return {"lanes": 5, "mismatches": 0}
+                return [{"lanes": 5, "mismatches": 0} for _ in won]
 
-            v1 = wait_for(store, ("k",), execute)
-            v2 = wait_for(store, ("k",), execute)
+            (v1,) = consult(store, [("k",)], execute)
+            store.put(("k",), v1)  # the caller stores what it computed
+            (v2,) = consult(store, [("k",)], execute)
             assert v1 == v2 == {"lanes": 5, "mismatches": 0}
             assert len(calls) == 1
 
@@ -298,13 +299,19 @@ class TestRegionHashing:
 # ----------------------------------------------------------------------
 @pytest.fixture
 def count_executions(monkeypatch):
-    """Count actual region-shard computations through the module seam."""
+    """Count actual region-shard computations through the module seam.
+
+    A task is one g-row range over several cones, so each call records
+    one ``((width, g_lo, g_hi), cone)`` entry per cone it computes.
+    """
     executed = []
     real = parallel._execute_region_shard
     monkeypatch.setattr(
         parallel,
         "_execute_region_shard",
-        lambda task: (executed.append(task), real(task))[1],
+        lambda task: (
+            executed.extend((task[:3], o) for o in task[3]), real(task)
+        )[1],
     )
     return executed
 
@@ -435,8 +442,9 @@ _SWEEP_SCRIPT = textwrap.dedent(
 
     real = parallel._execute_region_shard
     def counting(task):
+        # One line per (range, cone) pair the task computes.
         with open(counter_path, "a") as fh:
-            fh.write("x\\n")
+            fh.write("x\\n" * len(task[3]))
         return real(task)
     parallel._execute_region_shard = counting
 
