@@ -214,11 +214,18 @@ def bench_native_backend(
     pair product inside the kernel, bigint packs it per shard), so every
     repeat is cold; only the compiled program is reused.
 
+    Each width also records the ISA flags the kernel was built with and
+    the program's shape: compiled ops and slots (one per net), and the
+    ops and rows of the compact pair-shard program the kernel runs.
+
     On hosts where the kernel cannot build, the section records the
     fallback reason and no timings; the gate is skipped (the fallback
     path's behavior is covered by the equivalence tests, not by perf).
     """
     from repro.backends import get_backend, resolve_backend_name
+    from repro.backends._kernel import isa_flags, load_failure_reason
+    from repro.backends.native import _lower_pair_shard
+    from repro.verify.exhaustive import _two_sort_select_pairs
 
     native = get_backend("native")
     built = bool(getattr(native, "built", False))
@@ -229,10 +236,22 @@ def bench_native_backend(
         "auto_resolves_to": resolve_backend_name("auto"),
     }
     if not built:
-        from repro.backends._kernel import load_failure_reason
-
         section["fallback_reason"] = load_failure_reason()
         return section
+    section["isa_flags"] = isa_flags()
+
+    def shape(w: int) -> dict:
+        program = compile_circuit(build_two_sort(w), "native")
+        outs, ins = program.output_slots, program.input_slots
+        pairs = _two_sort_select_pairs(w)
+        cmp = [(outs[o], ins[a], ins[b]) for o, a, b in pairs]
+        prog, _, _, rows = _lower_pair_shard(program, cmp)
+        return {
+            "ops": len(program.ops),
+            "slots": program.n_slots,
+            "lowered_ops": len(prog) // 4,
+            "lowered_rows": rows,
+        }
 
     def run(w: int, backend: str, reps: int):
         circuit = build_two_sort(w)
@@ -260,6 +279,7 @@ def bench_native_backend(
             "native_pairs_per_s": round(pairs / n_time, 1),
             "speedup_vs_bigint": round(b_time / n_time, 2),
             "reports_identical": b_report == n_report,
+            "program": shape(width),
         }
     )
 
@@ -274,6 +294,7 @@ def bench_native_backend(
             "native_pairs_per_s": round(pairs / n_time, 1),
             "speedup_vs_bigint": round(b_time / n_time, 2),
             "reports_identical": b_report == n_report,
+            "program": shape(large_width),
         }
 
     return section
@@ -793,6 +814,16 @@ def main(argv=None) -> int:
     print(f"== native backend (B={native_width}) ==")
     native = bench_native_backend(native_width, large_width=native_large)
     if native["built"]:
+        isa = " ".join(native["isa_flags"]) or "(plain)"
+        print(f"  kernel ISA flags: {isa}")
+        for row in [native, native.get("large")]:
+            if row:
+                pr = row["program"]
+                print(
+                    f"  B={row['width']} program: {pr['ops']} ops / "
+                    f"{pr['slots']} slots -> {pr['lowered_ops']} ops / "
+                    f"{pr['lowered_rows']} rows per pair shard"
+                )
         print(
             f"  bigint:   {native['bigint_time_s']:>8.4f}s   "
             f"native: {native['native_time_s']:>8.4f}s   "

@@ -404,11 +404,12 @@ def _cmd_backends(args) -> int:
         variant = getattr(be, "variant", None)
         detail = variant or "-"
         if name == "native":
-            if variant == "built":
-                detail = "built (C kernel)"
-            else:
-                from .backends._kernel import load_failure_reason
+            from .backends._kernel import isa_flags, load_failure_reason
 
+            if variant == "built":
+                flags = " ".join(isa_flags())
+                detail = f"built (C kernel{', ' if flags else ''}{flags})"
+            else:
                 detail = f"fallback -> bigint ({load_failure_reason()})"
         rows.append(
             {

@@ -2,11 +2,16 @@
 
 The kernel is a single C file (``kernel.c``) compiled to a shared library
 with whatever C compiler the host has, then loaded through :mod:`ctypes`
-(no third-party build dependency).  Builds are cached per host under
-``$REPRO_NATIVE_CACHE`` (default ``~/.cache/repro/native``) in a file
-keyed on the SHA-256 of the kernel source, the compiler identity, and the
-flags, so upgrading the source or switching compilers rebuilds while
-repeat imports just ``dlopen`` the cached artifact.
+(no third-party build dependency).  Where the CPU runs AVX2 and POPCNT
+(the first ``flags`` line of ``/proc/cpuinfo`` lists both) the build adds
+``-mavx2 -mpopcnt``; elsewhere -- no ``/proc/cpuinfo`` (macOS), no
+``flags`` line (aarch64) -- it uses the plain flags.  Builds are cached
+per host under ``$REPRO_NATIVE_CACHE`` (default ``~/.cache/repro/native``)
+in a file keyed on the SHA-256 of the kernel source, the full compiler
+command and its identity, and the flags, so upgrading the source,
+switching compilers or sharing a cache between an AVX2 host and an older
+one rebuilds rather than serving the wrong artifact, while repeat imports
+just ``dlopen`` the cached one.
 
 Everything degrades gracefully: no compiler, a failed build, a bad cached
 artifact, or ``REPRO_NO_NATIVE=1`` all make :func:`load_kernel` return
@@ -24,13 +29,17 @@ import subprocess
 import sys
 import tempfile
 
-_KERNEL_ABI = 4
+_KERNEL_ABI = 5
 _SOURCE_PATH = os.path.join(os.path.dirname(__file__), "kernel.c")
 _CFLAGS = ["-O3", "-shared", "-fPIC", "-std=c99"]
+#: Added to _CFLAGS when every CPU feature they name shows in _CPUINFO.
+_ISA_FLAGS = ["-mavx2", "-mpopcnt"]
+_CPUINFO = "/proc/cpuinfo"
 
 _load_attempted = False
 _loaded_kernel = None
 _load_error: str | None = None
+_loaded_isa: list[str] = []
 _notice_emitted = False
 
 
@@ -38,23 +47,34 @@ def native_disabled_by_env() -> bool:
     return os.environ.get("REPRO_NO_NATIVE", "") not in ("", "0")
 
 
-def _find_compiler() -> str | None:
-    # An explicit $CC wins exclusively: if it is set but broken the build
-    # fails and the backend falls back, which is how CI's no-compiler job
-    # poisons the toolchain without uninstalling gcc.
+def _find_compiler() -> list[str] | None:
+    """The compiler command as an argv prefix, or ``None``.
+
+    An explicit $CC wins exclusively: if it is set but broken the build
+    fails and the backend falls back, which is how CI's no-compiler job
+    poisons the toolchain without uninstalling gcc.  Like make, it may
+    carry arguments (``ccache gcc``, ``gcc -pthread``): the first word
+    is looked up and the rest go before the kernel flags.
+    """
     cc = os.environ.get("CC")
     if cc is not None:
-        return cc if shutil.which(cc) else None
+        import shlex  # only a $CC needs splitting: verify imports stay lean
+
+        try:
+            argv = shlex.split(cc)
+        except ValueError:
+            return None
+        return argv if argv and shutil.which(argv[0]) else None
     for candidate in ("cc", "gcc", "clang"):
         if shutil.which(candidate):
-            return candidate
+            return [candidate]
     return None
 
 
-def _compiler_id(cc: str) -> str:
+def _compiler_id(cc: list[str]) -> str:
     try:
         out = subprocess.run(
-            [cc, "--version"],
+            [*cc, "--version"],
             capture_output=True,
             text=True,
             timeout=30,
@@ -63,7 +83,29 @@ def _compiler_id(cc: str) -> str:
         first = out.splitlines()[0] if out else ""
     except (OSError, subprocess.SubprocessError):
         first = ""
-    return f"{cc} {first}".strip()
+    return f"{' '.join(cc)} {first}".strip()
+
+
+def _isa_flags() -> list[str]:
+    """``_ISA_FLAGS`` when the first ``flags`` line of ``_CPUINFO`` lists
+    ``avx2`` and ``popcnt``; otherwise (no such file or line) none."""
+    try:
+        with open(_CPUINFO, encoding="utf-8", errors="replace") as fh:
+            for line in fh:
+                if line.startswith("flags"):
+                    cpu = set(line.partition(":")[2].split())
+                    return [*_ISA_FLAGS] if {"avx2", "popcnt"} <= cpu else []
+    except OSError:
+        pass
+    return []
+
+
+def _kernel_name(source: str, cc: list[str], flags: list[str]) -> str:
+    """Cache file name of the build of ``source`` by ``cc`` with ``flags``."""
+    key = hashlib.sha256(
+        "\x00".join([source, _compiler_id(cc), " ".join(flags)]).encode()
+    ).hexdigest()[:16]
+    return f"repro_kernel_{key}.so"
 
 
 def _cache_dir() -> str:
@@ -73,7 +115,7 @@ def _cache_dir() -> str:
     return os.path.join(os.path.expanduser("~"), ".cache", "repro", "native")
 
 
-def _build(cc: str, source: str, out_path: str) -> None:
+def _build(cc: list[str], flags: list[str], out_path: str) -> None:
     os.makedirs(os.path.dirname(out_path), exist_ok=True)
     fd, tmp = tempfile.mkstemp(
         suffix=".so", dir=os.path.dirname(out_path), prefix=".build-"
@@ -81,7 +123,7 @@ def _build(cc: str, source: str, out_path: str) -> None:
     os.close(fd)
     try:
         proc = subprocess.run(
-            [cc, *_CFLAGS, "-o", tmp, _SOURCE_PATH],
+            [*cc, *flags, "-o", tmp, _SOURCE_PATH],
             capture_output=True,
             text=True,
             timeout=120,
@@ -90,7 +132,7 @@ def _build(cc: str, source: str, out_path: str) -> None:
         if proc.returncode != 0:
             detail = (proc.stderr or proc.stdout or "").strip().splitlines()
             raise RuntimeError(
-                f"{cc} exited {proc.returncode}"
+                f"{cc[0]} exited {proc.returncode}"
                 + (f": {detail[-1]}" if detail else "")
             )
         os.replace(tmp, out_path)
@@ -124,13 +166,12 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.repro_tile_words.restype = i64
     lib.repro_pair_shard.argtypes = [
         ptr, i64,            # prog
-        ptr, i64,            # [slot, a_slot, b_slot] compare triples
-        ptr, i64,            # [slot, p0_ones, p1_ones] preset rows
-        ptr,                 # input slots: g bits then h bits
+        ptr, i64,            # [row, a_row, b_row] compare triples
+        ptr, i64,            # [row, p0_ones, p1_ones] preset rows
         ptr, ptr,            # m0 / m1 string-mask rows
         i64, i64,            # width, words per mask row
         i64, i64,            # g_lo, g_hi
-        ptr, i64,            # scratch, n_slots
+        ptr, i64,            # scratch, n_rows
         ptr,                 # diff
         ptr,                 # per-output mismatch counts, or NULL
     ]
@@ -138,7 +179,7 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     return lib
 
 
-def _load_uncached() -> tuple[ctypes.CDLL | None, str | None]:
+def _load_uncached(flags: list[str]) -> tuple[ctypes.CDLL | None, str | None]:
     if native_disabled_by_env():
         return None, "REPRO_NO_NATIVE is set"
     try:
@@ -149,25 +190,22 @@ def _load_uncached() -> tuple[ctypes.CDLL | None, str | None]:
     cc = _find_compiler()
     if cc is None:
         return None, "no C compiler found (checked $CC, cc, gcc, clang)"
-    key = hashlib.sha256(
-        "\x00".join([source, _compiler_id(cc), " ".join(_CFLAGS)]).encode()
-    ).hexdigest()[:16]
+    name = _kernel_name(source, cc, flags)
     try:
-        cache_dir = _cache_dir()
-        so_path = os.path.join(cache_dir, f"repro_kernel_{key}.so")
+        so_path = os.path.join(_cache_dir(), name)
         if not os.path.exists(so_path):
-            _build(cc, source, so_path)
+            _build(cc, flags, so_path)
         lib = _bind(ctypes.CDLL(so_path))
     except (OSError, RuntimeError, subprocess.SubprocessError) as exc:
         # A stale or foreign cache dir shouldn't kill the backend: retry
         # once in a throwaway location before giving up.
         try:
             tmp_dir = tempfile.mkdtemp(prefix="repro-native-")
-            so_path = os.path.join(tmp_dir, f"repro_kernel_{key}.so")
-            _build(cc, source, so_path)
+            so_path = os.path.join(tmp_dir, name)
+            _build(cc, flags, so_path)
             lib = _bind(ctypes.CDLL(so_path))
         except (OSError, RuntimeError, subprocess.SubprocessError):
-            return None, f"kernel build failed with {cc}: {exc}"
+            return None, f"kernel build failed with {' '.join(cc)}: {exc}"
     if lib.repro_kernel_abi() != _KERNEL_ABI:
         return None, (
             f"cached kernel ABI {lib.repro_kernel_abi()} != expected {_KERNEL_ABI}"
@@ -181,16 +219,25 @@ def load_kernel():
     The result (including failure) is cached for the life of the process;
     the failure reason is available via :func:`load_failure_reason`.
     """
-    global _load_attempted, _loaded_kernel, _load_error
+    global _load_attempted, _loaded_kernel, _load_error, _loaded_isa
     if not _load_attempted:
         _load_attempted = True
-        _loaded_kernel, _load_error = _load_uncached()
+        isa = _isa_flags()
+        _loaded_kernel, _load_error = _load_uncached([*_CFLAGS, *isa])
+        _loaded_isa = isa if _loaded_kernel is not None else []
     return _loaded_kernel
 
 
 def load_failure_reason() -> str | None:
     load_kernel()
     return _load_error
+
+
+def isa_flags() -> list[str]:
+    """The ISA flags the loaded kernel was built with (``[]`` for the
+    plain build, or when no kernel loaded)."""
+    load_kernel()
+    return list(_loaded_isa)
 
 
 def emit_fallback_notice() -> None:
@@ -208,8 +255,10 @@ def emit_fallback_notice() -> None:
 
 
 def _reset_for_tests() -> None:
-    global _load_attempted, _loaded_kernel, _load_error, _notice_emitted
+    global _load_attempted, _loaded_kernel, _load_error, _loaded_isa
+    global _notice_emitted
     _load_attempted = False
     _loaded_kernel = None
     _load_error = None
+    _loaded_isa = []
     _notice_emitted = False

@@ -24,9 +24,15 @@
  *   INV: swap planes                        BUF: copy
  *   XOR: d0 = (a0&b0)|(a1&b1), d1 = (a0&b1)|(a1&b0)
  *
- * Opcode values mirror repro.backends.base (OP_AND..OP_BUF); the Python
- * loader checks repro_kernel_abi() before trusting a cached build.  ABI 4
- * added repro_pair_shard's trailing counts pointer.
+ * Op word: bits 0-2 hold the opcode, whose values mirror
+ * repro.backends.base (OP_AND..OP_BUF).  Bit 4 (OP_SWAP_A) reads operand
+ * a with its two planes swapped, bit 5 (OP_SWAP_B) operand b: an
+ * inverter folded into its reader.  The pair-shard lowering uses them so
+ * that INV and BUF emit no op at all; run_program programs never set
+ * them.  The Python loader checks repro_kernel_abi() before trusting a
+ * cached build.  ABI 4 added repro_pair_shard's trailing counts pointer;
+ * ABI 5 added the swap bits and the negative (~row, planes swapped)
+ * compare entries.
  *
  * Tail-mask note: every op is lane-wise, so garbage in lanes >= lanes
  * never reaches a real lane.  run_program's input rows are already
@@ -35,22 +41,27 @@
 
 #include <stdint.h>
 
-#define REPRO_KERNEL_ABI 4
+#define REPRO_KERNEL_ABI 5
 
 #define OP_AND 0
 #define OP_OR 1
 #define OP_INV 2
 #define OP_XOR 3
 #define OP_BUF 4
+#define OP_CODE 7
+#define OP_SWAP_A 16
+#define OP_SWAP_B 32
 
 int32_t repro_kernel_abi(void) { return REPRO_KERNEL_ABI; }
 
 /* Lane-word tile: both entry points run all ops over one column block of
- * the slot rows before moving on, so the working set per tile is
- * 2 planes * n_slots * REPRO_TILE_WORDS * 8 bytes -- 170 KB for
- * 2-sort(13)'s 340 slots, cache-resident -- instead of streaming every
- * slot row through memory once per op.  Ops are independent across
- * words, so tiling the word axis does not change results. */
+ * the rows before moving on, so the working set per tile is
+ * 2 planes * rows * REPRO_TILE_WORDS * 8 bytes instead of streaming every
+ * row through memory once per op.  Ops are independent across words, so
+ * tiling the word axis does not change results.  A pair-shard program
+ * shares rows between values by liveness: 2-sort(13) runs in 77 rows,
+ * 38.5 KB per tile, inside a 48 KB L1d (its 340 one-per-net slots would
+ * be 170 KB). */
 #define REPRO_TILE_WORDS 32
 
 #if defined(__GNUC__) || defined(__clang__)
@@ -59,9 +70,9 @@ int32_t repro_kernel_abi(void) { return REPRO_KERNEL_ABI; }
 #define REPRO_NOINLINE
 #endif
 
-/* Run the whole program over `span` words of every slot row; slot s's
- * rows start at p0 + s * stride and p1 + s * stride.  Kept out of line
- * so the switch is compiled once, not once per entry point. */
+/* Run the whole program over `span` words of every row; row r's words
+ * start at p0 + r * stride and p1 + r * stride.  Kept out of line so the
+ * switch is compiled once, not once per entry point. */
 static REPRO_NOINLINE void apply_ops(const int32_t *prog, int64_t n_ops,
                                      uint64_t *p0, uint64_t *p1,
                                      int64_t stride, int64_t span) {
@@ -70,8 +81,19 @@ static REPRO_NOINLINE void apply_ops(const int32_t *prog, int64_t n_ops,
         uint64_t *d0 = p0 + q[1] * stride, *d1 = p1 + q[1] * stride;
         const uint64_t *a0 = p0 + q[2] * stride, *a1 = p1 + q[2] * stride;
         const uint64_t *b0 = p0 + q[3] * stride, *b1 = p1 + q[3] * stride;
+        const uint64_t *t;
         int64_t w;
-        switch (q[0]) {
+        if (q[0] & OP_SWAP_A) {
+            t = a0;
+            a0 = a1;
+            a1 = t;
+        }
+        if (q[0] & OP_SWAP_B) {
+            t = b0;
+            b0 = b1;
+            b1 = t;
+        }
+        switch (q[0] & OP_CODE) {
         case OP_AND:
             for (w = 0; w < span; w++) {
                 d1[w] = a1[w] & b1[w];
@@ -171,25 +193,39 @@ typedef struct {
 /* Every word holds at most 64 / S + 2 runs; S >= 3 (width >= 1). */
 #define REPRO_MAX_SEGMENTS (REPRO_TILE_WORDS * 24)
 
+/* Rows of compare entry c: row c, or row ~c with its planes swapped
+ * when c is negative (an inverted output read without an INV op). */
+static void cmp_rows(const uint64_t *s0, const uint64_t *s1, int64_t T,
+                     int32_t c, const uint64_t **r0, const uint64_t **r1) {
+    if (c < 0) {
+        *r0 = s1 + (int64_t)~c * T;
+        *r1 = s0 + (int64_t)~c * T;
+    } else {
+        *r0 = s0 + (int64_t)c * T;
+        *r1 = s1 + (int64_t)c * T;
+    }
+}
+
 /* Verify one g-row shard of the 2-sort(width) pair product in one call.
  *
  * Lane L = (gi - g_lo) * S + hi for gi in [g_lo, g_hi), hi in [0, S):
- * input slot in_slots[b] (g bit b) holds bit gi of m0/m1 row b, and
- * in_slots[width + b] (h bit b) bit hi.  m0/m1 are `width` rows of
+ * scratch row b (g bit b) holds bit gi of m0/m1 row b, and row
+ * width + b (h bit b) bit hi.  m0/m1 are `width` rows of
  * `mw` words each (row b = the can-be-0 / can-be-1 mask of bit b over
  * the S valid strings), plus one trailing zero pad word.
  *
- * Per tile the call writes, into the scratch slab (2 * n_slots *
+ * Per tile the call writes, into the scratch slab (2 * n_rows *
  * REPRO_TILE_WORDS words): the g-side rows (one bit per S-lane g-row
  * block), the h-side rows (64-bit windowed reads of each bit's string
  * pattern, period S), and the select mask (lanes with hi <= gi).  Then
- * it runs the program and checks each compared slot cmp[3j] against the
- * lane-wise mux of two other slots on both planes,
+ * it runs the program and checks each compared row cmp[3j] against the
+ * lane-wise mux of two other rows on both planes,
  *
- *   expected = (sel & slot cmp[3j+1]) | (~sel & slot cmp[3j+2])
+ *   expected = (sel & row cmp[3j+1]) | (~sel & row cmp[3j+2])
  *
  * OR-ing mismatches into `diff` (ceil(lanes / 64) words, fully written
- * and tail-masked).  `fill` lists [slot, p0_ones, p1_ones] triples for
+ * and tail-masked).  A negative compare entry c names row ~c with its
+ * planes swapped.  `fill` lists [row, p0_ones, p1_ones] triples for
  * rows no op writes and no input provides (constant nets, unwired
  * reads); they are preset once, since nothing in the sweep writes them.
  * When `counts` is not NULL, counts[j] is increased by the number of
@@ -201,20 +237,20 @@ typedef struct {
 int64_t repro_pair_shard(const int32_t *prog, int64_t n_ops,
                          const int32_t *cmp, int64_t n_out,
                          const int32_t *fill, int64_t n_fill,
-                         const int32_t *in_slots, const uint64_t *m0,
-                         const uint64_t *m1, int64_t width, int64_t mw,
+                         const uint64_t *m0, const uint64_t *m1,
+                         int64_t width, int64_t mw,
                          int64_t g_lo, int64_t g_hi, uint64_t *scratch,
-                         int64_t n_slots, uint64_t *diff, int64_t *counts) {
+                         int64_t n_rows, uint64_t *diff, int64_t *counts) {
     const int64_t T = REPRO_TILE_WORDS;
     const int64_t S = ((int64_t)1 << (width + 1)) - 1;
     const int64_t K = g_hi - g_lo;
     const int64_t lanes = K * S;
     const int64_t words = (lanes + 63) >> 6;
     uint64_t *s0 = scratch;
-    uint64_t *s1 = scratch + n_slots * T;
+    uint64_t *s1 = scratch + n_rows * T;
     uint64_t sel[REPRO_TILE_WORDS];
     segment seg[REPRO_MAX_SEGMENTS];
-    int64_t i, j, w;
+    int64_t i, w;
 
     for (i = 0; i < n_fill; i++) {
         const uint64_t v0 = fill[3 * i + 1] ? ~(uint64_t)0 : 0;
@@ -260,9 +296,8 @@ int64_t repro_pair_shard(const int32_t *prog, int64_t n_ops,
         first[span] = n_seg;
         for (int64_t b = 0; b < width; b++) {
             const uint64_t *q0 = m0 + b * mw, *q1 = m1 + b * mw;
-            uint64_t *g0 = s0 + in_slots[b] * T, *g1 = s1 + in_slots[b] * T;
-            uint64_t *h0 = s0 + in_slots[width + b] * T;
-            uint64_t *h1 = s1 + in_slots[width + b] * T;
+            uint64_t *g0 = s0 + b * T, *g1 = s1 + b * T;
+            uint64_t *h0 = s0 + (width + b) * T, *h1 = s1 + (width + b) * T;
             for (w = 0; w < span; w++) {
                 const segment *sg = seg + first[w];
                 const segment *end = seg + first[w + 1];
@@ -299,9 +334,10 @@ int64_t repro_pair_shard(const int32_t *prog, int64_t n_ops,
                                : ~(uint64_t)0;
         for (i = 0; i < n_out; i++) {
             const int32_t *c = cmp + 3 * i;
-            const uint64_t *r0 = s0 + c[0] * T, *r1 = s1 + c[0] * T;
-            const uint64_t *a0 = s0 + c[1] * T, *a1 = s1 + c[1] * T;
-            const uint64_t *b0 = s0 + c[2] * T, *b1 = s1 + c[2] * T;
+            const uint64_t *r0, *r1, *a0, *a1, *b0, *b1;
+            cmp_rows(s0, s1, T, c[0], &r0, &r1);
+            cmp_rows(s0, s1, T, c[1], &a0, &a1);
+            cmp_rows(s0, s1, T, c[2], &b0, &b1);
             if (counts) {
                 int64_t n = 0;
                 for (w = 0; w < span; w++) {

@@ -8,6 +8,7 @@ indistinguishable except in wall-clock time.
 """
 
 import itertools
+import os
 import random
 
 import pytest
@@ -28,7 +29,21 @@ from repro.backends import (
 )
 from repro.circuits.compiled import TritVec, compile_circuit
 from repro.circuits.netlist import Circuit
-from repro.circuits.gates import AND2, OR2
+from repro.circuits.gates import (
+    AND2,
+    AOI21,
+    BUF,
+    CONST0,
+    CONST1,
+    INV,
+    MUX2,
+    NAND2,
+    NOR2,
+    OAI21,
+    OR2,
+    XNOR2,
+    XOR2,
+)
 from repro.core.two_sort import build_two_sort
 from repro.networks.comparator import from_comparator_list
 from repro.networks.simulate import sort_words, sort_words_batch
@@ -211,6 +226,101 @@ class TestNativeFallback:
             assert out.ok and out.to_json() == ref.to_json()
         finally:
             register_backend("native", original)
+
+
+class TestKernelBuild:
+    """What the loader builds with: a ``$CC`` carrying arguments, and the
+    plain build where the CPU lacks AVX2.  Each test loads a fresh kernel
+    into its own cache directory."""
+
+    @pytest.fixture
+    def loader(self, monkeypatch, tmp_path):
+        from repro.backends import _kernel
+
+        # Resolve the registry's proxy first: resolving it later would
+        # load a kernel into the test's cache before the test sets up.
+        self.built = get_backend("native").built
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path / "cache"))
+        _kernel._reset_for_tests()
+        yield _kernel
+        monkeypatch.undo()
+        _kernel._reset_for_tests()
+
+    def _needs_compiler(self):
+        if not self.built:
+            pytest.skip("needs a kernel that builds on this host")
+
+    @staticmethod
+    def _source(loader):
+        with open(loader._SOURCE_PATH, encoding="utf-8") as fh:
+            return fh.read()
+
+    def test_cc_with_arguments_builds(self, loader, monkeypatch, tmp_path):
+        self._needs_compiler()
+        cc = loader._find_compiler()[0]
+        monkeypatch.setenv("CC", f"{cc} -w")
+        assert loader._find_compiler() == [cc, "-w"]
+        assert NativeBackend().variant == "built"
+        source = self._source(loader)
+        flags = [*loader._CFLAGS, *loader.isa_flags()]
+        built = os.listdir(tmp_path / "cache")
+        assert built == [loader._kernel_name(source, [cc, "-w"], flags)]
+        assert built != [loader._kernel_name(source, [cc], flags)]
+
+    def test_missing_cc_falls_back(self, loader, monkeypatch):
+        monkeypatch.setenv("CC", "/nonexistent-cc")
+        assert NativeBackend().variant == "fallback"
+        assert "no C compiler" in loader.load_failure_reason()
+
+    @pytest.mark.parametrize(
+        "cpuinfo",
+        [
+            "processor\t: 0\nflags\t\t: fpu sse2 popcnt\n\n"
+            "processor\t: 1\nflags\t\t: fpu sse2 popcnt avx2\n",
+            "processor\t: 0\nFeatures\t: fp asimd evtstrm crc32 popcnt\n",
+        ],
+        ids=["x86-without-avx2", "aarch64"],
+    )
+    def test_plain_build_without_avx2(
+        self, loader, monkeypatch, tmp_path, cpuinfo
+    ):
+        self._needs_compiler()
+        fake = tmp_path / "cpuinfo"
+        fake.write_text(cpuinfo)
+        monkeypatch.setattr(loader, "_CPUINFO", str(fake))
+        native = NativeBackend()
+        assert native.variant == "built"
+        assert loader.isa_flags() == []
+        cc = loader._find_compiler()
+        source = self._source(loader)
+        plain = loader._kernel_name(source, cc, loader._CFLAGS)
+        avx2 = loader._kernel_name(
+            source, cc, [*loader._CFLAGS, *loader._ISA_FLAGS]
+        )
+        assert os.listdir(tmp_path / "cache") == [plain] and plain != avx2
+        base = build_two_sort(6)
+        site = next(g.output for g in base.gates if g.kind is OR2)
+        original = get_backend("native")
+        try:
+            register_backend("native", native)
+            for circuit in (base, _swap_gate(base, site)):
+                out, ref = (
+                    verify_two_sort_sharded(circuit, 6, jobs=1, backend=name)
+                    for name in ("native", "bigint")
+                )
+                assert out.to_json() == ref.to_json()
+        finally:
+            register_backend("native", original)
+
+    def test_isa_probe_without_cpuinfo_and_with_avx2(
+        self, loader, monkeypatch, tmp_path
+    ):
+        monkeypatch.setattr(loader, "_CPUINFO", str(tmp_path / "missing"))
+        assert loader._isa_flags() == []
+        fake = tmp_path / "cpuinfo"
+        fake.write_text("processor\t: 0\nflags\t\t: fpu popcnt avx2\n")
+        monkeypatch.setattr(loader, "_CPUINFO", str(fake))
+        assert loader._isa_flags() == ["-mavx2", "-mpopcnt"]
 
 
 # ----------------------------------------------------------------------
@@ -481,6 +591,174 @@ def _sampled(shards):
     return shards[:2] + [shards[len(shards) // 2]] + shards[-2:]
 
 
+# Netlists for the compact pair-shard program: each one is a 2B-input,
+# 2B-output circuit whose compiled program has a shape the lowering must
+# handle (folded inverters, composite cells, odd outputs, dead gates).
+_GRID_NETS = itertools.count()
+
+
+def _add(circuit, kind, *inputs, output=None):
+    """``circuit.add_gate`` with a fresh ``grid<n>`` output name: a copied
+    circuit's name scope starts over, so generated names could collide."""
+    if output is None:
+        output = f"grid{next(_GRID_NETS)}"
+    return circuit.add_gate(kind, inputs, output=output)
+
+
+def _spliced_outputs(width, fault=False):
+    """2-sort(width) with every even output behind an INV pair (the
+    design-loop splice) and every odd one behind a BUF; ``fault`` puts
+    output 0 behind one more INV."""
+    circuit = build_two_sort(width).copy()
+    for i, net in enumerate(circuit.outputs):
+        if i % 2:
+            net = _add(circuit, BUF, net)
+        else:
+            net = _add(circuit, INV, _add(circuit, INV, net))
+        circuit.replace_output(i, net)
+    if fault:
+        circuit.replace_output(0, _add(circuit, INV, circuit.outputs[0]))
+    return circuit
+
+
+def _rebuilt(base, name, rewrite):
+    """``base`` gate by gate; ``rewrite(out, gate)`` may emit gates that
+    drive ``gate.output`` itself and return True, or return False to copy
+    the gate."""
+    out = Circuit(name=f"{base.name}-{name}")
+    for net in base.inputs:
+        out.add_input(net=net)
+    for gate in base.gates:
+        if not rewrite(out, gate):
+            out.add_gate(gate.kind, gate.inputs, output=gate.output)
+    for net in base.outputs:
+        out.add_output(net)
+    return out
+
+
+def _composite_cells(width, fault=False):
+    """2-sort(width) with its AND2/OR2 gates rewritten, in turn, into
+    equal Kleene forms over NAND2, NOR2, XNOR2, AOI21, OAI21, MUX2 and
+    XOR2 (``x XOR 0 = x``, ``x XNOR 0 = ~x``, ``MUX2(a, 0, b) = a & b``).
+    ``fault`` gives the first AND2 the XNOR2 form without its outer INV,
+    which inverts that gate."""
+
+    def and_form(c, k, a, b, y):
+        zero = c.const(Trit.ZERO)
+        if k == 0:
+            return _add(c, INV, _add(c, NAND2, a, b), output=y)
+        if k == 1:
+            return _add(c, NOR2, _add(c, INV, a), _add(c, INV, b), output=y)
+        if k == 2:
+            return _add(c, INV, _add(c, OAI21, a, zero, b), output=y)
+        if k == 3:
+            return _add(c, MUX2, a, zero, b, output=y)
+        if k == 4:
+            return _add(c, XOR2, _add(c, AND2, a, b), zero, output=y)
+        inverted = _add(c, XNOR2, _add(c, AND2, a, b), zero)
+        return _add(c, INV if k == 5 else BUF, inverted, output=y)
+
+    def or_form(c, k, a, b, y):
+        if k == 0:
+            return _add(c, INV, _add(c, NOR2, a, b), output=y)
+        if k == 1:
+            return _add(c, NAND2, _add(c, INV, a), _add(c, INV, b), output=y)
+        if k == 2:
+            one = c.const(Trit.ONE)
+            return _add(c, INV, _add(c, AOI21, a, one, b), output=y)
+        if k == 3:
+            return _add(c, BUF, _add(c, OR2, a, b), output=y)
+        inverted = _add(c, INV, _add(c, OR2, a, b))
+        return _add(c, XNOR2, inverted, c.const(Trit.ZERO), output=y)
+
+    seen = {AND2: 0, OR2: 0}
+
+    def rewrite(c, gate):
+        if gate.kind not in seen:
+            return False
+        seen[gate.kind] += 1
+        if gate.kind is AND2:
+            k = 6 if fault and seen[AND2] == 1 else (seen[AND2] - 1) % 6
+            and_form(c, k, *gate.inputs, gate.output)
+        else:
+            or_form(c, (seen[OR2] - 1) % 5, *gate.inputs, gate.output)
+        return True
+
+    return _rebuilt(build_two_sort(width), "composite", rewrite)
+
+
+def _inverted_input_reads(width, fault=False):
+    """2-sort(width) with every AND2/OR2 that reads a primary input
+    rewritten by De Morgan, ``INV(OR2(INV a, INV b))`` and dually, so
+    inverted primary inputs feed ORs and ANDs.  ``fault`` drops the
+    outer INV of the first rewrite."""
+    base = build_two_sort(width)
+    inputs = set(base.inputs)
+    done = []
+
+    def rewrite(c, gate):
+        if gate.kind not in (AND2, OR2) or not inputs & set(gate.inputs):
+            return False
+        dual = OR2 if gate.kind is AND2 else AND2
+        inner = _add(c, dual, *(_add(c, INV, n) for n in gate.inputs))
+        _add(c, BUF if fault and not done else INV, inner, output=gate.output)
+        done.append(gate.output)
+        return True
+
+    return _rebuilt(base, "demorgan", rewrite)
+
+
+def _odd_outputs(width):
+    """2-sort(width), width >= 3, whose outputs include a primary input,
+    a constant, a net another output also drives, an inverted primary
+    input and an inverted constant."""
+    circuit = build_two_sort(width).copy()
+    outs, ins = circuit.outputs, circuit.inputs
+    circuit.replace_output(0, ins[0])
+    circuit.replace_output(1, circuit.const(Trit.ONE))
+    circuit.replace_output(width, outs[width + 1])
+    circuit.replace_output(2 * width - 2, _add(circuit, INV, ins[width]))
+    circuit.replace_output(
+        2 * width - 1, _add(circuit, INV, circuit.const(Trit.ZERO))
+    )
+    return circuit
+
+
+def _dead_gates(width):
+    """2-sort(width) plus gates no output reads, one of them fed only by
+    another dead gate."""
+    circuit = build_two_sort(width).copy()
+    outs, ins = circuit.outputs, circuit.inputs
+    _add(circuit, OR2, _add(circuit, AND2, outs[0], outs[-1]), ins[0])
+    _add(circuit, BUF, _add(circuit, INV, outs[0]))
+    _add(circuit, XOR2, ins[0], ins[-1])
+    _add(circuit, AOI21, ins[0], outs[0], circuit.const(Trit.ONE))
+    return circuit
+
+
+_RANDOM_KINDS = (
+    INV, BUF, AND2, OR2, NAND2, NOR2, XOR2, XNOR2, AOI21, OAI21, MUX2,
+    CONST0, CONST1,
+)
+
+
+def _random_netlist(width, seed):
+    """A seeded random netlist with 2*width inputs and outputs over every
+    gate kind: each gate reads any earlier net, and the outputs are any
+    of the later nets, repeats allowed."""
+    rng = random.Random(seed)
+    circuit = Circuit(name=f"random{width}-{seed}")
+    nets = circuit.add_inputs(2 * width)
+    nets += [circuit.const(Trit.ZERO), circuit.const(Trit.ONE)]
+    for _ in range(8 * width):
+        kind = rng.choice(_RANDOM_KINDS)
+        srcs = [rng.choice(nets) for _ in range(kind.arity)]
+        nets.append(_add(circuit, kind, *srcs))
+    for _ in range(2 * width):
+        circuit.add_output(rng.choice(nets[len(nets) // 2:]))
+    return circuit
+
+
 class TestPairShardFused:
     """run_pair_shard: the native kernel generates the pair product in
     C; its diff bytes and mismatch counts must equal the base-class
@@ -568,6 +846,57 @@ class TestPairShardFused:
         ref = verify_two_sort_circuit(circuit, 4, backend="bigint")
         out = verify_two_sort_circuit(circuit, 4, backend="native")
         assert not ref.ok and out.to_json() == ref.to_json()
+
+    # -- netlists whose compact program folds inverters ---------------
+    @classmethod
+    def _check_both(cls, circuit, width, sizes=(None, 100)):
+        """``_check`` on every shard of each size and ``_check_counts`` on
+        a sample; returns the ``_check`` mismatch total."""
+        from repro.verify.exhaustive import _two_sort_select_pairs, pair_shards
+
+        pairs = _two_sort_select_pairs(width)
+        total = 0
+        for size in sizes:
+            shards = pair_shards(width, size)
+            if width >= 7:
+                shards = _sampled(shards)
+            total += cls._check(circuit, width, pairs, shards)
+        shards = _sampled(pair_shards(width, sizes[-1]))
+        cls._check_counts(circuit, width, shards)
+        return total
+
+    @pytest.mark.parametrize("width", [1, 2, 5, 7])
+    def test_outputs_behind_inverters_and_buffers(self, width):
+        assert self._check_both(_spliced_outputs(width), width) == 0
+        assert self._check_both(_spliced_outputs(width, fault=True), width) > 0
+
+    @pytest.mark.parametrize("width", [2, 4, 7])
+    def test_composite_cells(self, width):
+        circuit = _composite_cells(width)
+        kinds = {g.kind for g in circuit.gates}
+        assert {NAND2, NOR2, XNOR2, AOI21, OAI21, MUX2, XOR2} <= kinds
+        assert self._check_both(circuit, width) == 0
+        assert self._check_both(_composite_cells(width, fault=True), width) > 0
+
+    @pytest.mark.parametrize("width", [1, 3, 6])
+    def test_inverted_primary_inputs_feed_and_or(self, width):
+        assert self._check_both(_inverted_input_reads(width), width) == 0
+        faulty = _inverted_input_reads(width, fault=True)
+        assert self._check_both(faulty, width) > 0
+
+    @pytest.mark.parametrize("width", [3, 4, 7])
+    def test_outputs_that_are_inputs_constants_or_shared(self, width):
+        assert self._check_both(_odd_outputs(width), width) > 0
+
+    @pytest.mark.parametrize("width", [1, 4, 7])
+    def test_dead_gates(self, width):
+        assert self._check_both(_dead_gates(width), width) == 0
+
+    @pytest.mark.parametrize("width", range(1, 8))
+    def test_random_netlists(self, width):
+        for seed in range(3):
+            circuit = _random_netlist(width, 20180319 + 97 * width + seed)
+            self._check_both(circuit, width)
 
     # -- per-output mismatch counts over the same grid -----------------
     @staticmethod
@@ -699,6 +1028,61 @@ class TestPairShardFused:
                     )
                     for o in picks
                 ]
+
+
+class TestCompactPairShardProgram:
+    """The native pair-shard program folds INV/BUF into plane swaps and
+    shares rows by liveness, so 2-sort(13)'s 340 one-per-net slots become
+    77 rows (38.5 KB of tile scratch instead of 170 KB)."""
+
+    @staticmethod
+    def _lowered(circuit, width):
+        from repro.backends.native import _lower_pair_shard
+        from repro.verify.exhaustive import _two_sort_select_pairs
+
+        program = compile_circuit(circuit, "bigint")
+        outs, ins = program.output_slots, program.input_slots
+        pairs = _two_sort_select_pairs(width)
+        cmp = [(outs[o], ins[a], ins[b]) for o, a, b in pairs]
+        prog, cmp_rows, fill, n_rows = _lower_pair_shard(program, cmp)
+        ops = [tuple(prog[i:i + 4]) for i in range(0, len(prog), 4)]
+        return program, ops, cmp_rows, fill, n_rows
+
+    @pytest.mark.parametrize("width, max_rows", [(13, 80), (16, 96)])
+    def test_two_sort_program_is_compact(self, width, max_rows):
+        from repro.backends.base import OP_BUF, OP_INV
+
+        program, ops, cmp_rows, fill, n_rows = self._lowered(
+            build_two_sort(width), width
+        )
+        assert n_rows <= max_rows < program.n_slots
+        assert not [op for op in ops if op[0] & 7 in (OP_INV, OP_BUF)]
+        kept = [op for op in program.ops if op[0] not in (OP_INV, OP_BUF)]
+        assert len(ops) == len(kept)
+        self._check_rows(width, ops, cmp_rows, fill, n_rows)
+
+    @pytest.mark.parametrize("width", [3, 7])
+    def test_grid_programs_keep_pinned_rows(self, width):
+        for circuit in (
+            _composite_cells(width),
+            _odd_outputs(width),
+            _dead_gates(width),
+            _random_netlist(width, width),
+        ):
+            self._check_rows(width, *self._lowered(circuit, width)[1:])
+
+    @staticmethod
+    def _check_rows(width, ops, cmp_rows, fill, n_rows):
+        """No op writes one of its own source rows; input and preset rows
+        are never written, and each compared root's row only by the op
+        computing it."""
+        dsts = [d for _, d, _, _ in ops]
+        assert all(d not in (a, b) for _, d, a, b in ops)
+        assert all(0 <= r < n_rows for op in ops for r in op[1:])
+        pinned = set(range(2 * width)) | set(fill[0::3])
+        assert not pinned & set(dsts)
+        for r in {~c if c < 0 else c for c in cmp_rows} - pinned:
+            assert dsts.count(r) == 1
 
 
 # ----------------------------------------------------------------------
