@@ -441,13 +441,13 @@ def bench_fault_tolerance(width: int, repeats: int = 5) -> dict:
     """Cost of durability and the payoff of shard-range leases.
 
     * ``checkpoint``: the identical serial sweep bare, journaling every
-      shard through :class:`SweepCheckpoint` (fsync per record), and
-      then resumed from the finished journal.  Bare and journaled are
-      each best-of-``repeats``, every journaled repeat into a fresh
-      journal: a millisecond sweep read once swings with the host.  The
-      resume executes zero shards -- its wall clock is pure journal
-      replay plus merge -- and must still produce a bit-identical
-      report.
+      shard through a :class:`~repro.store.JournalStore` (fsync per
+      record), and then resumed from the finished journal.  Bare and
+      journaled are each best-of-``repeats``, every journaled repeat
+      into a fresh journal: a millisecond sweep read once swings with
+      the host.  The resume executes zero shards -- its wall clock is
+      pure journal replay plus merge -- and must still produce a
+      bit-identical report.
     * ``range_leases``: the distributed sweep against a coordinator
       capped at one shard per lease RPC vs the default adaptive range
       (``max_range=32``).  The RPC counts show the amortization; the
@@ -458,7 +458,7 @@ def bench_fault_tolerance(width: int, repeats: int = 5) -> dict:
     import threading
 
     from repro.distributed import ShardCoordinator, ShardWorker, use_coordinator
-    from repro.distributed.checkpoint import SweepCheckpoint
+    from repro.store import JournalStore
     from repro.verify.parallel import _default_pair_shard_size
 
     circuit = build_two_sort(width)
@@ -484,7 +484,7 @@ def bench_fault_tolerance(width: int, repeats: int = 5) -> dict:
         journal_time = None
         for r in range(repeats):
             journal_path = os.path.join(tmp, f"bench{r}.jsonl")
-            with SweepCheckpoint(journal_path) as journal:
+            with JournalStore(journal_path) as journal:
                 checkpointed, elapsed = sweep(journal)
                 shards = len(journal)
             journal_time = (
@@ -492,7 +492,7 @@ def bench_fault_tolerance(width: int, repeats: int = 5) -> dict:
             )
             assert checkpointed.to_json() == baseline.to_json()
 
-        with SweepCheckpoint(journal_path) as journal:
+        with JournalStore(journal_path) as journal:
             resumed, resume_time = sweep(journal)
             resume_hits = journal.hits
         assert resumed.to_json() == baseline.to_json()

@@ -319,9 +319,9 @@ def _cmd_verify(args) -> int:
     if request.checkpoint and os.path.exists(request.checkpoint):
         # Tell the operator how much of the sweep is already on file --
         # the resume story is useless if it runs silently.
-        from .distributed.checkpoint import SweepCheckpoint
+        from .store import JournalStore
 
-        with SweepCheckpoint(request.checkpoint, fsync=False) as peek:
+        with JournalStore(request.checkpoint, fsync=False) as peek:
             on_file = len(peek)
         print(
             f"checkpoint {request.checkpoint}: {on_file} shard "

@@ -16,10 +16,10 @@ queue.
   behind ``python -m repro worker --connect HOST:PORT``;
 * :mod:`~repro.distributed.executor` -- the ``"distributed"`` entry in
   the executor registry, so every sharded code path (CLI ``verify``,
-  ``sort_words_batch``, service jobs) can fan out cross-host by name;
-* :mod:`~repro.distributed.checkpoint` -- :class:`SweepCheckpoint`,
-  the durable shard-result journal behind ``--checkpoint``/``--resume``
-  (a restarted sweep re-queues only unfinished shards).
+  ``sort_words_batch``, service jobs) can fan out cross-host by name.
+
+The durable shard-result journal behind ``--checkpoint``/``--resume``
+is the ``journal`` result store (:class:`repro.store.JournalStore`).
 
 Quickstart (two shells, or two hosts)::
 
@@ -40,8 +40,6 @@ _LAZY = {
     "BatchHandle": ".coordinator",
     "ShardCoordinator": ".coordinator",
     "ShardWorker": ".worker",
-    "StackedCache": ".checkpoint",
-    "SweepCheckpoint": ".checkpoint",
     "current_coordinator": ".executor",
     "ensure_coordinator": ".executor",
     "run_distributed": ".executor",
@@ -55,8 +53,6 @@ __all__ = [
     "LineChannel",
     "ShardCoordinator",
     "ShardWorker",
-    "StackedCache",
-    "SweepCheckpoint",
     "current_coordinator",
     "decode_line",
     "encode_line",

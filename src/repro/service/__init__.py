@@ -41,7 +41,6 @@ _EXPORTS = {
     "ReproServer": "server",
     "ServiceClient": "client",
     "ServiceError": "client",
-    "ShardCache": "cache",
     "SortRequest": "jobs",
     "VerifyRequest": "jobs",
     "request_from_dict": "jobs",

@@ -22,14 +22,14 @@ Layering:
   buffered per job (late subscribers replay from the start) and fanned
   out to any number of ``async for`` consumers.
 
-The manager owns a :class:`~repro.service.cache.ShardCache`, so
+The manager owns a :class:`~repro.store.memory.MemoryStore` LRU, so
 re-verifying an unedited circuit skips clean shards; the hit/miss
 counters are part of :meth:`JobManager.stats`.
 
 The CLI's ``verify`` and ``sort`` import this module for the request
 types alone, so the job machinery's heavy dependencies -- asyncio,
-the thread pool, uuid, and the store behind the shard cache -- are
-imported by the methods that use them, not at module level.
+the thread pool, uuid, and the store -- are imported by the methods
+that use them, not at module level.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from typing import (
+    TYPE_CHECKING,
     Any,
     AsyncIterator,
     Callable,
@@ -64,6 +65,9 @@ from ..verify.parallel import (
     available_executors,
     verify_two_sort_sharded,
 )
+
+if TYPE_CHECKING:
+    from ..store.base import ResultStore
 
 __all__ = [
     "Job",
@@ -118,10 +122,10 @@ class VerifyRequest:
     same semantics (``jobs=0`` means one worker per core), same result.
 
     ``checkpoint`` names a durable shard journal
-    (:class:`repro.distributed.checkpoint.SweepCheckpoint`) on the
-    *executing* host: shards already journaled there are skipped, fresh
-    ones are appended as they complete, so a killed job resubmitted
-    with the same checkpoint resumes instead of restarting.
+    (:class:`repro.store.JournalStore`, keyed per whole-circuit shard)
+    on the *executing* host: shards already journaled there are
+    skipped, fresh ones are appended as they complete, so a killed job
+    resubmitted with the same checkpoint resumes instead of restarting.
 
     ``store`` names a unified result store (a
     :func:`repro.store.open_store` spec, e.g. ``sqlite:results.db``) on
@@ -129,7 +133,7 @@ class VerifyRequest:
     output-cone *region*, so re-verifying after a circuit edit only
     executes the shards of the cones the edit touched, and every
     completed sweep appends an audit record.  Mutually exclusive with
-    ``checkpoint`` (the journal alias of the same machinery).
+    ``checkpoint``.
     """
 
     width: int
@@ -183,8 +187,8 @@ class VerifyRequest:
         self,
         on_shard: Optional[OnShard] = None,
         should_stop: Optional[ShouldStop] = None,
-        cache: Optional[Any] = None,
-        store: Optional[Any] = None,
+        cache: Optional[ResultStore] = None,
+        store: Optional[ResultStore] = None,
     ) -> VerificationResult:
         """The single synchronous code path (CLI, service, and tests).
 
@@ -193,8 +197,8 @@ class VerifyRequest:
         handle's counters afterwards); when it is None but the request
         carries a ``store`` spec, the store is opened -- and closed --
         here.  A caller-provided ``cache`` (the server-wide memory
-        store) is layered behind the per-request store so jobs on one
-        server still share warm results.
+        store) is layered behind the per-request store or checkpoint
+        journal so jobs on one server still share warm results.
         """
         self.validate()
         circuit = build_two_sort(self.width)
@@ -205,14 +209,10 @@ class VerifyRequest:
 
             store = opened = open_store(self.store)
         if self.checkpoint is not None:
-            # Imported lazily: the checkpoint layer must not make every
-            # service import pay for repro.distributed.
-            from ..distributed.checkpoint import StackedCache, SweepCheckpoint
+            from ..store import JournalStore, StackedStore
 
-            journal = SweepCheckpoint(self.checkpoint)
-            cache = (
-                StackedCache(journal, cache) if cache is not None else journal
-            )
+            journal = JournalStore(self.checkpoint)
+            cache = StackedStore(journal, cache)
         if store is not None and cache is not None:
             from ..store import StackedStore
 
@@ -321,7 +321,6 @@ class SortRequest:
         self,
         on_shard: Optional[OnShard] = None,
         should_stop: Optional[ShouldStop] = None,
-        cache: Optional[Any] = None,
     ) -> List[List[str]]:
         """Sort every vector; identical to the CLI ``sort`` semantics.
 
@@ -329,9 +328,7 @@ class SortRequest:
         :func:`~repro.graycode.valid.validate` and the batch runs on
         :func:`~repro.networks.simulate.sort_strings_batch`, so the
         result is rows of word strings (``M`` upper-case) and no
-        :class:`~repro.ternary.word.Word` is built.  ``cache`` is
-        accepted for interface uniformity and ignored -- sort workloads
-        have no shard-stable key to cache on.
+        :class:`~repro.ternary.word.Word` is built.
         """
         self.validate()
         for vec in self.vectors:
@@ -509,12 +506,12 @@ class JobManager:
         cache_size: int = 8192,
         default_backend: Optional[str] = None,
         keep_finished: int = 256,
-        store: Optional[Any] = None,
+        store: Optional[ResultStore] = None,
     ):
         import asyncio
         from concurrent.futures import ThreadPoolExecutor
 
-        from .cache import ShardCache
+        from ..store import MemoryStore, StackedStore
 
         self.max_jobs = max(1, jobs)
         self.default_backend = default_backend
@@ -527,16 +524,11 @@ class JobManager:
         #: :class:`~repro.store.base.ResultStore`, e.g. ``serve
         #: --store``) a durable backend fronted by that LRU, so results
         #: survive restarts and are shared with CLI runs against the
-        #: same path.  ``cache`` is the historical alias for the same
-        #: object.
-        memory = ShardCache(maxsize=cache_size)
-        if store is not None:
-            from ..store import StackedStore
-
-            self.store: Any = StackedStore(store, memory)
-        else:
-            self.store = memory
-        self.cache = self.store
+        #: same path.
+        memory = MemoryStore(maxsize=cache_size)
+        self.store: ResultStore = (
+            memory if store is None else StackedStore(store, memory)
+        )
         self._jobs: Dict[str, Job] = {}
         self._sem = asyncio.Semaphore(self.max_jobs)
         self._pool = ThreadPoolExecutor(
@@ -546,14 +538,6 @@ class JobManager:
         self._seq = itertools.count(1)
 
     # -- accounting ----------------------------------------------------
-    @property
-    def cache_hits(self) -> int:
-        return self.cache.hits
-
-    @property
-    def cache_misses(self) -> int:
-        return self.cache.misses
-
     def stats(self) -> Dict[str, Any]:
         by_state: Dict[str, int] = {}
         for job in self._jobs.values():
@@ -561,12 +545,11 @@ class JobManager:
         return {
             "jobs": by_state,
             "max_jobs": self.max_jobs,
-            "cache": self.cache.stats(),
+            "cache": self.store.stats(),
             # The uniform observability block (same shape as the CLI's
             # `verify --json` store section), including audit counters.
             "store": dict(
-                self.store.counters(),
-                runs=len(self.store.runs() or []),
+                self.store.counters(), runs=len(self.store.runs())
             ),
         }
 
@@ -731,8 +714,9 @@ class JobManager:
                 job.request.run,
                 on_shard=on_shard,
                 should_stop=job._cancel.is_set,
-                cache=self.cache,
             )
+            if isinstance(job.request, VerifyRequest):
+                body = partial(body, cache=self.store)
             try:
                 result = await loop.run_in_executor(self._pool, body)
             except SweepCancelled:

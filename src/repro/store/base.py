@@ -1,13 +1,9 @@
 """The ``ResultStore`` protocol: one seam for all result persistence.
 
-PRs 4-6 grew three divergent persistence layers -- the in-process LRU
-``ShardCache``, the append-only ``SweepCheckpoint`` journal, and the
-``StackedCache`` glue -- each speaking a slightly different get/put
-dialect.  This module is the unification: every backend (memory,
-journal, sqlite) and the stacking combinator implement one
-:class:`ResultStore` interface, and every consumer -- the sharded
-sweep, the service layer, the distributed workers, the CLI -- talks to
-that interface only.
+Every backend (memory, journal, sqlite) and the stacking combinator
+implement one :class:`ResultStore` interface, and every consumer --
+the sharded sweep, the service layer, the distributed workers, the CLI
+-- talks to that interface only.
 
 A store holds three record families:
 
@@ -38,7 +34,9 @@ Every keyed operation has a batched twin -- :meth:`~ResultStore.get_many`,
 :meth:`~ResultStore.claim_many`, :meth:`~ResultStore.put_many` -- so a
 region sweep pays one store round per g-row range, not one per output
 cone.  The base class loops over the single-key methods; the sqlite
-backend runs each batch as one statement or one transaction.
+backend runs each batch as one statement or one transaction, the
+journal appends a batch with one write and one fsync, and the stack
+makes one batched call per layer.
 """
 
 from __future__ import annotations
@@ -47,9 +45,7 @@ import hashlib
 import json
 import time
 from dataclasses import asdict, dataclass
-from typing import (
-    Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
-)
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..verify.exhaustive import SweepEpoch, VerificationResult
 
@@ -93,10 +89,9 @@ def result_from_record(data: Dict[str, Any]) -> VerificationResult:
 def encode_value(value: Any) -> Dict[str, Any]:
     """One-key envelope distinguishing typed results from plain JSON.
 
-    ``{"result": ...}`` is the wire form the PR-6 journal already used
-    for :class:`VerificationResult` records; any other JSON value (the
-    per-region outcome dicts) travels as ``{"value": ...}``, so old
-    journals load unchanged and new record kinds need no migration.
+    ``{"result": ...}`` carries a :class:`VerificationResult`; any
+    other JSON value (the per-region outcome dicts) travels as
+    ``{"value": ...}``, so new record kinds need no migration.
     """
     if isinstance(value, VerificationResult):
         return {"result": result_to_record(value)}
@@ -181,10 +176,10 @@ class RunRecord:
 class ResultStore:
     """Base class / protocol for verification-result stores.
 
-    Subclasses implement :meth:`get`, :meth:`put`, :meth:`scan`,
-    :meth:`record_epoch`, :meth:`record_run`, and :meth:`runs`; the
-    base supplies counters, claim defaults, the batched twins of the
-    keyed methods, and context-manager plumbing.  Keys are tuples of
+    Subclasses implement :meth:`get`, :meth:`put`, :meth:`record_epoch`,
+    :meth:`epochs`, :meth:`record_run`, and :meth:`runs`; the base
+    supplies counters, claim defaults, the batched twins of the keyed
+    methods, and context-manager plumbing.  Keys are tuples of
     JSON scalars (the shard/region keys built by
     :mod:`repro.verify.parallel`); values are
     :class:`VerificationResult` instances or plain JSON values.
@@ -209,10 +204,6 @@ class ResultStore:
         raise NotImplementedError
 
     def put(self, key: Tuple, value: Any) -> None:
-        raise NotImplementedError
-
-    def scan(self, prefix: Tuple = ()) -> Iterator[Tuple[Tuple, Any]]:
-        """Iterate ``(key, value)`` pairs whose key starts with ``prefix``."""
         raise NotImplementedError
 
     def claim(self, key: Tuple, ttl: Optional[float] = None) -> bool:

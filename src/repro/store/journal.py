@@ -1,13 +1,11 @@
 """The ``journal`` backend: an append-only JSON-lines result store.
 
-The durable sweep checkpoint from PR 6
-(``repro.distributed.checkpoint.SweepCheckpoint``), adapted behind the
-:class:`~repro.store.base.ResultStore` protocol -- the old class
-remains as a thin alias.  A coordinator that dies mid-sweep (SIGKILL,
-OOM, power) loses nothing: every released shard result is one JSON
-line, keyed on the same content-addressed tuples every other backend
-uses, so resume needs no new machinery -- journaled shards are skipped
-and only the unfinished remainder is dispatched.
+The durable sweep checkpoint behind ``verify --checkpoint``.  A
+coordinator that dies mid-sweep (SIGKILL, OOM, power) loses nothing:
+every released shard result is one JSON line, keyed on the same
+content-addressed tuples every other backend uses, so resume needs no
+new machinery -- journaled shards are skipped and only the unfinished
+remainder is dispatched.
 
 Record formats, one JSON object per line::
 
@@ -18,18 +16,18 @@ Record formats, one JSON object per line::
     {"type": "value", "key": [...], "value": <any JSON>}
     {"type": "run", "run": {...}}
 
-``"result"`` is the PR-6 wire form for
-:class:`~repro.verify.exhaustive.VerificationResult` records (old
-journals load unchanged); ``"value"`` carries any other JSON value
-(the per-region outcome dicts); ``"run"`` is one audit-trail record
-per completed sweep.
+``"result"`` carries a
+:class:`~repro.verify.exhaustive.VerificationResult`; ``"value"``
+carries any other JSON value (the per-region outcome dicts); ``"run"``
+is one audit-trail record per completed sweep.
 
-Crash tolerance: writes are flushed (and by default fsynced) per
-record, and the loader tolerates a torn trailing line -- the partial
-record a SIGKILL mid-write leaves behind is counted and dropped, never
-fatal.  Duplicate keys keep the first record (first-write-wins,
-matching the coordinator's result accounting), so replaying a journal
-is idempotent.
+Crash tolerance: each ``put``/``put_many`` call is one write, flushed
+(and by default fsynced) before it returns, and the loader tolerates a
+torn trailing line -- the partial record a SIGKILL mid-write leaves
+behind is counted and dropped, never fatal, and the complete lines
+before it load.  Duplicate keys keep the first record
+(first-write-wins, matching the coordinator's result accounting), so
+replaying a journal is idempotent.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from __future__ import annotations
 import json
 import os
 import threading
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..verify.exhaustive import SweepEpoch
 from .base import ResultStore, RunRecord, decode_value, encode_value
@@ -49,9 +47,9 @@ class JournalStore(ResultStore):
     """Append-only JSON-lines store with first-write-wins semantics.
 
     ``fsync=True`` (the default) makes every record durable against
-    power loss before ``put`` returns; pass ``False`` to trade that for
-    speed when only process death matters.  Thread-safe: the service
-    layer shares one journal across its sweep threads.  Not
+    power loss before ``put``/``put_many`` returns; pass ``False`` to
+    trade that for speed when only process death matters.  Thread-safe:
+    the service layer shares one journal across its sweep threads.  Not
     cross-process shareable -- two handles on one path each hold an
     append handle and neither sees the other's writes until reload;
     use the ``sqlite`` backend for shared stores.
@@ -106,9 +104,13 @@ class JournalStore(ResultStore):
             self._runs.append(RunRecord.from_dict(record["run"]))
         # Unknown record types are ignored: forward compatibility.
 
-    def _append(self, record: Dict[str, Any]) -> None:
-        data = json.dumps(record, separators=(",", ":")).encode("utf-8")
-        self._fh.write(data + b"\n")
+    def _append(self, records: Sequence[Dict[str, Any]]) -> None:
+        """One write, one flush and (by default) one fsync per batch."""
+        self._fh.write(b"".join(
+            json.dumps(record, separators=(",", ":")).encode("utf-8")
+            + b"\n"
+            for record in records
+        ))
         self._fh.flush()
         if self.fsync:
             os.fsync(self._fh.fileno())
@@ -124,28 +126,24 @@ class JournalStore(ResultStore):
             return hit
 
     def put(self, key: Tuple, value: Any) -> None:
-        key = tuple(key)
-        with self._lock:
-            if key in self._results:
-                return  # already durable; keep the journal append-only
-            self._results[key] = value
-            self.puts += 1
-            record = {"type": "result", "key": list(key)}
-            envelope = encode_value(value)
-            if "result" in envelope:
-                record["result"] = envelope["result"]
-            else:
-                record["type"] = "value"
-                record["value"] = envelope["value"]
-            self._append(record)
+        self.put_many([(key, value)])
 
-    def scan(self, prefix: Tuple = ()) -> Iterator[Tuple[Tuple, Any]]:
-        prefix = tuple(prefix)
+    def put_many(self, items: Sequence[Tuple[Tuple, Any]]) -> None:
+        records = []
         with self._lock:
-            snapshot = list(self._results.items())
-        for key, value in snapshot:
-            if key[: len(prefix)] == prefix:
-                yield key, value
+            for key, value in items:
+                key = tuple(key)
+                if key in self._results:
+                    continue  # already durable; keep the journal append-only
+                self._results[key] = value
+                envelope = encode_value(value)
+                kind = "result" if "result" in envelope else "value"
+                records.append(
+                    {"type": kind, "key": list(key), kind: envelope[kind]}
+                )
+            if records:
+                self.puts += len(records)
+                self._append(records)
 
     def record_epoch(
         self,
@@ -168,12 +166,12 @@ class JournalStore(ResultStore):
             if shard_size is not None:
                 record["shard_size"] = shard_size
             self._epochs[fp] = record
-            self._append(record)
+            self._append([record])
 
     def record_run(self, run: RunRecord) -> None:
         with self._lock:
             self._runs.append(run)
-            self._append({"type": "run", "run": run.to_dict()})
+            self._append([{"type": "run", "run": run.to_dict()}])
 
     def runs(self, limit: Optional[int] = None) -> List[RunRecord]:
         with self._lock:
@@ -218,9 +216,3 @@ class JournalStore(ResultStore):
                 if self.fsync:
                     os.fsync(self._fh.fileno())
                 self._fh.close()
-
-    def __enter__(self) -> "JournalStore":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()

@@ -1,10 +1,9 @@
 """The ``memory`` backend: a bounded in-process LRU result store.
 
-The LRU previously living in ``repro.service.cache.ShardCache``,
-extracted behind the :class:`~repro.store.base.ResultStore` protocol
-(``ShardCache`` remains as a thin alias).  Epochs and audit records are
-kept in plain dicts/lists -- useful for the service layer's run
-counters and for tests, gone with the process by design.
+The job service's server-wide cache, and the ``memory`` store spec.
+Epochs and audit records are kept in plain dicts/lists -- useful for
+the service layer's run counters and for tests, gone with the process
+by design.
 
 Thread-safe: job bodies run on a thread pool, and two concurrent
 verify jobs for the same circuit may read and write the same keys.
@@ -14,7 +13,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..verify.exhaustive import SweepEpoch
 from .base import ResultStore, RunRecord
@@ -25,9 +24,10 @@ __all__ = ["MemoryStore"]
 class MemoryStore(ResultStore):
     """A bounded LRU map with hit/miss accounting.
 
-    ``maxsize`` counts *entries* (one per shard); at the default shard
-    sizing a full B=13 sweep is ~2.6k shards, so the default of 8192
-    holds a few full widths.  ``maxsize <= 0`` disables storage (every
+    ``maxsize`` counts *entries* (one per shard).  At the default shard
+    sizing a full B=13 sweep is 1,024 shards on ``native``, so the
+    default of 8192 holds several, but 16,383 on ``bigint``, more than
+    the default holds.  ``maxsize <= 0`` disables storage (every
     ``get`` is a miss, ``put`` is a no-op) -- the switch for callers
     that must never serve a stale-circuit result even in theory.
     """
@@ -71,14 +71,6 @@ class MemoryStore(ResultStore):
             while len(self._data) > self.maxsize:
                 self._data.popitem(last=False)
 
-    def scan(self, prefix: Tuple = ()) -> Iterator[Tuple[Tuple, Any]]:
-        prefix = tuple(prefix)
-        with self._lock:
-            snapshot = list(self._data.items())
-        for key, value in snapshot:
-            if key[: len(prefix)] == prefix:
-                yield key, value
-
     def record_epoch(
         self,
         epoch: SweepEpoch,
@@ -100,10 +92,6 @@ class MemoryStore(ResultStore):
         with self._lock:
             out = list(self._runs)
         return out[-limit:] if limit else out
-
-    def clear(self) -> None:
-        with self._lock:
-            self._data.clear()
 
     def __len__(self) -> int:
         with self._lock:

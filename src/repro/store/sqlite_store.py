@@ -27,10 +27,10 @@ Each batched call is one round: :meth:`get_many` one ``SELECT`` (per
 the single-key methods are their one-key case.
 
 Keys are stored as their canonical JSON-array text, so any tuple of
-JSON scalars works and prefix scans decode losslessly.  Connections
-use ``busy_timeout`` + WAL so concurrent writers queue instead of
-failing, and every handle is thread-safe behind one lock (SQLite
-serializes per-connection access anyway).
+JSON scalars works.  Connections use ``busy_timeout`` + WAL so
+concurrent writers queue instead of failing, and every handle is
+thread-safe behind one lock (SQLite serializes per-connection access
+anyway).
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import os
 import sqlite3
 import threading
 import time
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..verify.exhaustive import SweepEpoch
 from .base import ResultStore, RunRecord, decode_value, encode_value
@@ -204,17 +204,6 @@ class SqliteStore(ResultStore):
                 self._conn.execute("ROLLBACK")
                 raise
             self.puts += len(rows)
-
-    def scan(self, prefix: Tuple = ()) -> Iterator[Tuple[Tuple, Any]]:
-        prefix = tuple(prefix)
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT key, value FROM results ORDER BY key"
-            ).fetchall()
-        for key_text, blob in rows:
-            key = tuple(json.loads(key_text))
-            if key[: len(prefix)] == prefix:
-                yield key, decode_value(json.loads(blob))
 
     def claim(self, key: Tuple, ttl: Optional[float] = None) -> bool:
         return self.claim_many([key], ttl=ttl)[0]

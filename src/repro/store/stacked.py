@@ -1,25 +1,25 @@
 """The ``stacked`` combinator: layered stores with backfill.
 
-Replaces the ad-hoc ``StackedCache`` from PR 6 with a general
-combinator over any number of :class:`~repro.store.base.ResultStore`
+A combinator over any number of :class:`~repro.store.base.ResultStore`
 layers.  The canonical uses:
 
 * service layer: ``StackedStore(sqlite_or_journal, memory_lru)`` --
   durable ground truth in front, memory speed on repeat sweeps;
-* a request-scoped store in front of the server-wide one.
+* a request-scoped store (or ``--checkpoint`` journal) in front of the
+  server-wide one.
 
 Lookups try layers in order; a hit at any layer is backfilled into
 every *other* layer, so all layers converge on everything any of them
-knows (the journal-vs-memory bidirectional backfill from PR 6, now for
-any stack).  Writes, epoch records, and audit records go to every
-layer.  Duck-typed layers with only ``get``/``put`` (the test spies)
-still work: optional protocol methods are forwarded only where
-present.
+knows.  Batches stay batches: :meth:`StackedStore.get_many` asks each
+layer once for the keys still missing and backfills each layer with
+one ``put_many``, writes are one ``put_many`` per layer, and claims go
+to the one shareable layer.  Writes, epoch records, and audit records
+go to every layer.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..verify.exhaustive import SweepEpoch
 from .base import ResultStore, RunRecord
@@ -30,71 +30,86 @@ __all__ = ["StackedStore"]
 class StackedStore(ResultStore):
     """Check layers in order, backfill on hit, write through to all.
 
-    The stack does not own its layers: :meth:`close` is a no-op so a
-    caller may stack a request-scoped store over a long-lived
-    server-wide one without the request tearing the server store down.
+    ``None`` layers are dropped, so a caller can stack an optional
+    store without branching.  The stack does not own its layers:
+    :meth:`close` is a no-op so a caller may stack a request-scoped
+    store over a long-lived server-wide one without the request tearing
+    the server store down.
     """
 
     backend_name = "stacked"
 
-    def __init__(self, *layers: Any):
-        layers = tuple(layer for layer in layers if layer is not None)
-        if not layers:
+    def __init__(self, *layers: Optional[ResultStore]):
+        self.layers: Tuple[ResultStore, ...] = tuple(
+            layer for layer in layers if layer is not None
+        )
+        if not self.layers:
             raise ValueError("StackedStore needs at least one layer")
         super().__init__(
             spec="stacked(%s)"
-            % ",".join(getattr(l, "spec", None) or "?" for l in layers)
+            % ",".join(layer.spec or "?" for layer in self.layers)
         )
-        self.layers = layers
 
     @property
     def shareable(self) -> bool:  # type: ignore[override]
-        return any(getattr(l, "shareable", False) for l in self.layers)
+        return any(layer.shareable for layer in self.layers)
 
     def share_spec(self) -> Optional[str]:
         for layer in self.layers:
-            spec = None
-            if hasattr(layer, "share_spec"):
-                spec = layer.share_spec()
+            spec = layer.share_spec()
             if spec is not None:
                 return spec
         return None
 
     # -- keyed results -------------------------------------------------
     def get(self, key: Tuple) -> Optional[Any]:
-        for i, layer in enumerate(self.layers):
-            hit = layer.get(key)
-            if hit is not None:
-                self.hits += 1
-                for j, other in enumerate(self.layers):
-                    if j != i:
-                        other.put(key, hit)
-                return hit
-        self.misses += 1
-        return None
+        return self.get_many([key])[0]
+
+    def get_many(self, keys: Sequence[Tuple]) -> List[Optional[Any]]:
+        values: List[Optional[Any]] = [None] * len(keys)
+        # The layer each key was found in.
+        source: List[Optional[int]] = [None] * len(keys)
+        pending = list(range(len(keys)))
+        for n, layer in enumerate(self.layers):
+            if not pending:
+                break
+            hits = layer.get_many([keys[i] for i in pending])
+            for i, hit in zip(pending, hits):
+                if hit is not None:
+                    values[i], source[i] = hit, n
+            pending = [i for i in pending if source[i] is None]
+        for n, layer in enumerate(self.layers):
+            backfill = [
+                (keys[i], values[i])
+                for i in range(len(keys))
+                if source[i] is not None and source[i] != n
+            ]
+            if backfill:
+                layer.put_many(backfill)
+        self.hits += len(keys) - len(pending)
+        self.misses += len(pending)
+        return values
 
     def put(self, key: Tuple, value: Any) -> None:
-        self.puts += 1
-        for layer in self.layers:
-            layer.put(key, value)
+        self.put_many([(key, value)])
 
-    def scan(self, prefix: Tuple = ()) -> Iterator[Tuple[Tuple, Any]]:
-        seen = set()
+    def put_many(self, items: Sequence[Tuple[Tuple, Any]]) -> None:
+        self.puts += len(items)
         for layer in self.layers:
-            if not hasattr(layer, "scan"):
-                continue
-            for key, value in layer.scan(prefix):
-                if key not in seen:
-                    seen.add(key)
-                    yield key, value
+            layer.put_many(items)
 
     def claim(self, key: Tuple, ttl: Optional[float] = None) -> bool:
+        return self.claim_many([key], ttl=ttl)[0]
+
+    def claim_many(
+        self, keys: Sequence[Tuple], ttl: Optional[float] = None
+    ) -> List[bool]:
         # Arbitration belongs to the shared layer (there is at most one
         # that other processes can see); local-only stacks grant all.
         for layer in self.layers:
-            if getattr(layer, "shareable", False):
-                return layer.claim(key, ttl=ttl)
-        return True
+            if layer.shareable:
+                return layer.claim_many(keys, ttl=ttl)
+        return [True] * len(keys)
 
     # -- epochs / audit ------------------------------------------------
     def record_epoch(
@@ -104,37 +119,28 @@ class StackedStore(ResultStore):
         shard_size: Optional[int] = None,
     ) -> None:
         for layer in self.layers:
-            if hasattr(layer, "record_epoch"):
-                layer.record_epoch(epoch, shards=shards, shard_size=shard_size)
+            layer.record_epoch(epoch, shards=shards, shard_size=shard_size)
 
     def epochs(self) -> List[SweepEpoch]:
         seen: Dict[str, SweepEpoch] = {}
         for layer in self.layers:
-            if hasattr(layer, "epochs"):
-                for epoch in layer.epochs():
-                    seen.setdefault(epoch.fingerprint(), epoch)
+            for epoch in layer.epochs():
+                seen.setdefault(epoch.fingerprint(), epoch)
         return list(seen.values())
 
     def record_run(self, run: RunRecord) -> None:
         for layer in self.layers:
-            if hasattr(layer, "record_run"):
-                layer.record_run(run)
+            layer.record_run(run)
 
     def runs(self, limit: Optional[int] = None) -> List[RunRecord]:
         # The front layer is ground truth for the audit trail (every
         # record_run reached all layers anyway).
-        for layer in self.layers:
-            if hasattr(layer, "runs"):
-                return layer.runs(limit)
-        return []
+        return self.layers[0].runs(limit)
 
     # -- introspection -------------------------------------------------
     def stats(self) -> Dict[str, Any]:
         out = self.counters()
-        out["layers"] = [
-            layer.stats() if hasattr(layer, "stats") else {}
-            for layer in self.layers
-        ]
+        out["layers"] = [layer.stats() for layer in self.layers]
         return out
 
     def close(self) -> None:

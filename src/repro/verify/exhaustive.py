@@ -109,10 +109,10 @@ class SweepEpoch:
     def fingerprint(self) -> str:
         """Stable short digest of the whole descriptor.
 
-        Content-addressed identity for an epoch *as serialized* -- the
-        checkpoint journal (:mod:`repro.distributed.checkpoint`) dedups
-        its epoch records on it, and audits can match a journal to a
-        sweep without comparing field by field.
+        Content-addressed identity for an epoch *as serialized* -- every
+        result store (:meth:`repro.store.base.ResultStore.record_epoch`)
+        dedups its epoch records on it, and audits can match a journal
+        to a sweep without comparing field by field.
         """
         blob = json.dumps(
             self.to_dict(), sort_keys=True, separators=(",", ":")

@@ -40,16 +40,22 @@ merge with :meth:`VerificationResult.merge` (or plain concatenation for
 batch workloads), so the outcome is bit-identical for any job count --
 ``--jobs N`` changes wall-clock time, never the report.
 
-**Region sweeps.**  With a store, results are keyed per output cone
-per g-row range (:meth:`~repro.circuits.netlist.Circuit.region_hashes`),
-but the unit of work stays the range: the sweep reads every key in one
+**Stores.**  A sweep takes at most one
+:class:`~repro.store.base.ResultStore` and keys it at one of two
+granularities.  ``cache=`` keys whole-circuit shards: the sweep reads
+every key in one ``get_many`` and puts each fresh shard as it
+completes, so a ``--checkpoint`` journal holds every finished shard.
+``store=`` keys each output cone per g-row range
+(:meth:`~repro.circuits.netlist.Circuit.region_hashes`), but the unit
+of work stays the range: the sweep reads every key in one
 ``get_many``, runs one task per range over the cones that range still
 needs -- one kernel call, on the full program when every cone is
-pending (a cold sweep), else on the union of the pending cones --
-and writes the range's values once with ``put_many``.  Workers that
-hold a shareable store's spec re-check and claim a range's keys in one
+pending (a cold sweep), else on the union of the pending cones -- and
+writes the range's values once with ``put_many``.  Workers that hold a
+shareable store's spec re-check and claim a range's keys in one
 transaction before executing (:func:`repro.store.base.consult`) and
-write nothing themselves.
+write nothing themselves.  With neither and no progress hook the
+executor streams nothing, so a process pool keeps its plain ``map``.
 
 **Imports.**  A serial sweep, the CLI default, loads neither
 ``multiprocessing`` nor the store nor ``socket``: each is imported where
@@ -61,7 +67,9 @@ from __future__ import annotations
 import os
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple,
+)
 
 from ..backends import (
     AUTO_BACKEND,
@@ -80,6 +88,9 @@ from .exhaustive import (
     verify_two_sort_region_range,
     verify_two_sort_shard,
 )
+
+if TYPE_CHECKING:
+    from ..store.base import ResultStore
 
 __all__ = [
     "SweepCancelled",
@@ -398,7 +409,7 @@ def _region_key(
     Keyed on the *region* digest, not the whole-circuit content hash:
     an edit invalidates exactly the keys of the cones it touches, which
     is what makes re-verification after an edit incremental.  The
-    ``"r"`` marker keeps region keys disjoint from the historical
+    ``"r"`` marker keeps region keys disjoint from the
     circuit-granularity shard keys in shared stores.
     """
     return (
@@ -513,8 +524,8 @@ def verify_two_sort_sharded(
     backend: BackendLike = None,
     on_shard: Optional[OnShard] = None,
     should_stop: Optional[ShouldStop] = None,
-    cache: Optional[Any] = None,
-    store: Optional[Any] = None,
+    cache: Optional[ResultStore] = None,
+    store: Optional[ResultStore] = None,
 ) -> VerificationResult:
     """Exhaustively verify a 2-sort circuit with sharded execution.
 
@@ -536,35 +547,32 @@ def verify_two_sort_sharded(
     * ``should_stop()`` is polled between shards; a true return raises
       :class:`SweepCancelled` (cooperative cancellation -- in-flight
       shards on a process pool are abandoned);
-    * ``cache`` is an optional mapping-like object with
-      ``get(key)``/``put(key, value)`` (see
-      :class:`repro.service.cache.ShardCache`).  Shards are keyed on
-      ``(circuit.name, circuit.content_hash(), backend.name, width,
-      g_lo, g_hi)`` -- the content hash identifies the netlist
-      *structure*, so a rebuilt-but-identical circuit hits while any
-      structural edit (which also bumps ``version``) misses, and two
-      different circuits can never collide the way an in-process
-      mutation counter could.  Hits skip the worker entirely but still
-      count toward progress, and fresh results are inserted as they
-      complete (so even a cancelled run warms the cache);
-    * ``store`` is a :class:`repro.store.base.ResultStore`: same role
-      as ``cache`` (``store`` wins when both are given) but it selects
-      **region granularity** -- results are keyed per primary-output
-      cone per g-row range, on the cone's *region* digest
-      (:meth:`Circuit.region_hashes`) instead of the whole-circuit
-      hash, so a one-gate edit misses only on the cones it touched,
-      while each range still costs one kernel call and one store round
-      (module docstring).  Shareable stores (sqlite) additionally ship
-      their spec to workers, which claim a range's keys *before
-      executing* -- the no-double-execute mechanism across processes
-      and hosts.  Clean ranges merge into the report as synthetic
-      all-clear counts;
-      a range whose cone mismatches is re-verified at circuit
-      granularity through the canonical
-      :func:`~repro.verify.exhaustive.verify_two_sort_shard`, so the
-      merged report is byte-identical to an uncached sweep.  Every
-      completed (non-plain) sweep appends a
-      :class:`~repro.store.base.RunRecord` audit row to the store.
+    * ``cache`` is a :class:`repro.store.base.ResultStore` keyed per
+      whole-circuit shard: ``(circuit.name, circuit.content_hash(),
+      backend.name, width, g_lo, g_hi)`` -- the content hash identifies
+      the netlist *structure*, so a rebuilt-but-identical circuit hits
+      while any structural edit misses.  Hits skip the worker entirely
+      but still count toward progress, and fresh results are put one
+      by one as they complete (so even a cancelled run warms the cache,
+      and a journal checkpoint holds every finished shard);
+    * ``store`` is a :class:`repro.store.base.ResultStore` keyed at
+      **region granularity** (``store`` wins when both are given):
+      results are keyed per primary-output cone per g-row range, on the
+      cone's *region* digest (:meth:`Circuit.region_hashes`) instead of
+      the whole-circuit hash, so a one-gate edit misses only on the
+      cones it touched, while each range still costs one kernel call
+      and one store round (module docstring).  Shareable stores
+      (sqlite) additionally ship their spec to workers, which claim a
+      range's keys *before executing* -- the no-double-execute
+      mechanism across processes and hosts.  Clean ranges merge into
+      the report as synthetic all-clear counts; a range whose cone
+      mismatches is re-verified at circuit granularity through the
+      canonical :func:`~repro.verify.exhaustive.verify_two_sort_shard`,
+      so the merged report is byte-identical to a store-less sweep.
+
+    A sweep with a ``cache`` or ``store`` journals its
+    :class:`~repro.verify.exhaustive.SweepEpoch` up front and appends a
+    :class:`~repro.store.base.RunRecord` audit row when it completes.
     """
     check_two_sort_shape(circuit, width)
     jobs = default_jobs() if not jobs else max(1, jobs)
@@ -579,7 +587,6 @@ def verify_two_sort_sharded(
     if shard_size is None:
         shard_size = _default_pair_shard_size(width, jobs, backend)
     shards = pair_shards(width, shard_size)
-    total = len(shards)
     # The sweep's shared-setup descriptor: remote workers compile once
     # per epoch and verify the circuit they deserialized against the
     # content hash before any result merges.  `backend` stays the
@@ -591,65 +598,33 @@ def verify_two_sort_sharded(
         width=width,
         backend=backend,
     )
-    plain = (
-        on_shard is None and should_stop is None
-        and cache is None and store is None
-    )
-    if plain:
-        # The zero-overhead path: bit-for-bit the pre-service behaviour.
-        tasks = [(width, g_lo, g_hi) for g_lo, g_hi in shards]
-        results = run_sharded(
-            _verify_shard_worker,
-            tasks,
-            jobs=jobs,
-            executor=executor,
-            initializer=_init_verify_worker,
-            initargs=(circuit, backend),
-            epoch=epoch,
-        )
-        return VerificationResult.merge(results)
-
-    backend_name = get_backend(backend).name
-    circuit_hash = epoch.circuit_hash
-    # `store` and `cache` are one seam with two granularities: `store`
-    # wins when both are given, and switches the sweep to per-region
-    # keys.
     handle = store if store is not None else cache
-    region_mode = store is not None
-    # Stores that journal sweeps (the journal backend) take the epoch
-    # descriptor up front, so the journal is self-describing even if
-    # the run dies before any shard completes.
-    if handle is not None and hasattr(handle, "record_epoch"):
-        handle.record_epoch(epoch, shards=total, shard_size=shard_size)
-
-    if region_mode:
-        merged = _run_region_sweep(
-            circuit, width, shards, jobs, executor, backend, backend_name,
-            circuit_hash, handle, on_shard, should_stop, epoch,
-        )
-    else:
-        merged = _run_circuit_sweep(
-            circuit, width, shards, jobs, executor, backend, backend_name,
-            circuit_hash, handle, on_shard, should_stop, epoch,
-        )
-
-    if handle is not None and hasattr(handle, "record_run"):
+    if handle is not None:
+        # Up front, so a journal is self-describing even if the run
+        # dies before any shard completes.
+        handle.record_epoch(epoch, shards=len(shards), shard_size=shard_size)
+    sweep = _run_region_sweep if store is not None else _run_circuit_sweep
+    merged = sweep(
+        circuit, width, shards, jobs, executor, backend, handle,
+        on_shard, should_stop, epoch,
+    )
+    if handle is not None:
         import socket
 
         from ..store.base import RunRecord, result_digest
 
         handle.record_run(RunRecord(
             circuit=circuit.name,
-            circuit_hash=circuit_hash,
-            backend=backend_name,
+            circuit_hash=epoch.circuit_hash,
+            backend=get_backend(backend).name,
             executor=executor or ("process" if jobs > 1 else "serial"),
             width=width,
-            shards=total,
+            shards=len(shards),
             checked=merged.checked,
             failure_count=merged.failure_count,
             ok=merged.failure_count == 0,
             result_digest=result_digest(merged),
-            mode="regions" if region_mode else "shards",
+            mode="regions" if store is not None else "shards",
             host=socket.gethostname(),
             pid=os.getpid(),
             timestamp=time.time(),
@@ -664,67 +639,62 @@ def _run_circuit_sweep(
     jobs: int,
     executor: Optional[str],
     backend: BackendLike,
-    backend_name: str,
-    circuit_hash: str,
-    cache: Optional[Any],
+    cache: Optional[ResultStore],
     on_shard: Optional[OnShard],
     should_stop: Optional[ShouldStop],
     epoch: SweepEpoch,
 ) -> VerificationResult:
     """Circuit-granularity sweep: one key per whole-circuit shard."""
     total = len(shards)
-
-    def shard_key(index: int) -> Tuple:
-        g_lo, g_hi = shards[index]
-        return (
-            circuit.name, circuit_hash, backend_name, width, g_lo, g_hi
-        )
-
+    keys: List[Tuple] = []
     results: List[Optional[VerificationResult]] = [None] * total
-    pending: List[int] = []
-    for i in range(total):
-        hit = cache.get(shard_key(i)) if cache is not None else None
-        if hit is not None:
-            results[i] = hit
-        else:
-            pending.append(i)
+    if cache is not None:
+        backend_name = get_backend(backend).name
+        keys = [
+            (circuit.name, epoch.circuit_hash, backend_name, width, g_lo, g_hi)
+            for g_lo, g_hi in shards
+        ]
+        results = cache.get_many(keys)
+    pending = [i for i, hit in enumerate(results) if hit is None]
 
     done = 0
     # Cached shards report first (ascending shard order), then fresh
     # ones as the executor completes them -- `done` stays strictly
     # increasing either way.
-    for i in range(total):
-        if results[i] is None:
+    for i, hit in enumerate(results):
+        if hit is None:
             continue
         if should_stop is not None and should_stop():
             raise SweepCancelled([r for r in results[:i] if r is not None])
         done += 1
         if on_shard is not None:
-            on_shard(done, total, results[i])
+            on_shard(done, total, hit)
 
     def _record(k: int, result: VerificationResult) -> None:
         nonlocal done
-        i = pending[k]
-        results[i] = result
         if cache is not None:
-            cache.put(shard_key(i), result)
+            cache.put(keys[pending[k]], result)
         done += 1
         if on_shard is not None:
             on_shard(done, total, result)
 
     if pending:
-        tasks = [(width,) + shards[i] for i in pending]
-        run_sharded(
+        fresh = run_sharded(
             _verify_shard_worker,
-            tasks,
+            [(width,) + shards[i] for i in pending],
             jobs=jobs,
             executor=executor,
             initializer=_init_verify_worker,
             initargs=(circuit, backend),
-            on_result=_record,
+            # Nothing to stream: a process pool keeps its plain `map`.
+            on_result=(
+                None if cache is None and on_shard is None else _record
+            ),
             should_stop=should_stop,
             epoch=epoch,
         )
+        for i, result in zip(pending, fresh):
+            results[i] = result
     return VerificationResult.merge(results)
 
 
@@ -735,9 +705,7 @@ def _run_region_sweep(
     jobs: int,
     executor: Optional[str],
     backend: BackendLike,
-    backend_name: str,
-    circuit_hash: str,
-    store: Any,
+    store: ResultStore,
     on_shard: Optional[OnShard],
     should_stop: Optional[ShouldStop],
     epoch: SweepEpoch,
@@ -753,6 +721,7 @@ def _run_region_sweep(
     merged report -- stay byte-identical to an uncached sweep.
     """
     total = len(shards)
+    backend_name = get_backend(backend).name
     region_hashes = circuit.region_hashes()
     n_out = len(region_hashes)
     S = (1 << (width + 1)) - 1
@@ -789,8 +758,10 @@ def _run_region_sweep(
             return VerificationResult(checked=(g_hi - g_lo) * S)
         # A cone mismatched somewhere in this range: produce the
         # canonical per-pair failure messages via the full-circuit
-        # shard (stored under the historical circuit-granularity key).
-        ckey = (circuit.name, circuit_hash, backend_name, width, g_lo, g_hi)
+        # shard (stored under its circuit-granularity key).
+        ckey = (
+            circuit.name, epoch.circuit_hash, backend_name, width, g_lo, g_hi
+        )
         hit = store.get(ckey)
         if hit is not None:
             return hit

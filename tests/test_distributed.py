@@ -311,10 +311,10 @@ class TestDistributedExecution:
     def test_verify_progress_hooks_and_cache(self):
         """The service-layer seams (on_shard, cache) work unchanged
         through the distributed executor."""
-        from repro.service.cache import ShardCache
+        from repro.store import MemoryStore
 
         circuit = build_two_sort(5)
-        cache = ShardCache()
+        cache = MemoryStore()
         snapshots = []
         with _cluster(workers=2):
             first = verify_two_sort_sharded(
@@ -591,9 +591,9 @@ class TestMergeOrderInvariance:
 # ----------------------------------------------------------------------
 class TestContentHashCacheKeys:
     def test_rebuilt_identical_circuit_hits(self):
-        from repro.service.cache import ShardCache
+        from repro.store import MemoryStore
 
-        cache = ShardCache()
+        cache = MemoryStore()
         verify_two_sort_sharded(
             build_two_sort(4), 4, jobs=1, shard_size=100, cache=cache
         )
@@ -610,16 +610,15 @@ class TestContentHashCacheKeys:
         """Shard keys identify the netlist by structure digest, so two
         circuits sharing (name, version) -- possible with the old
         mutation-counter key -- can never collide."""
+        from repro.store import MemoryStore
+
         circuit = build_two_sort(3)
         keys = []
 
-        class Spy:
+        class Spy(MemoryStore):
             def get(self, key):
                 keys.append(key)
                 return None
-
-            def put(self, key, value):
-                pass
 
         verify_two_sort_sharded(circuit, 3, jobs=1, shard_size=50, cache=Spy())
         assert keys
@@ -627,9 +626,9 @@ class TestContentHashCacheKeys:
 
     def test_edited_circuit_misses_cleanly(self):
         from repro.circuits.gates import BUF
-        from repro.service.cache import ShardCache
+        from repro.store import MemoryStore
 
-        cache = ShardCache()
+        cache = MemoryStore()
         circuit = build_two_sort(3)
         verify_two_sort_sharded(circuit, 3, jobs=1, shard_size=50, cache=cache)
         # A structural edit that keeps the 2-sort shape (and, with the

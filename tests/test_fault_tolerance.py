@@ -2,9 +2,10 @@
 
 Three layers of test, matching the three layers of machinery:
 
-* unit tests for :class:`repro.distributed.checkpoint.SweepCheckpoint`
-  (torn lines, first-write-wins, append-only idempotence) and the
-  chaos primitives (seeded schedules are deterministic);
+* unit tests for the sweep checkpoint, a
+  :class:`repro.store.JournalStore` (torn lines, first-write-wins,
+  append-only idempotence), and the chaos primitives (seeded schedules
+  are deterministic);
 * in-process cluster tests: interrupted sweeps resume with zero
   recompute, workers dial before the coordinator exists and survive
   its abrupt death, scripted clients pin the exact ``late`` /
@@ -34,12 +35,11 @@ from repro.distributed import (
     LineChannel,
     ShardCoordinator,
     ShardWorker,
-    StackedCache,
-    SweepCheckpoint,
     pack,
     use_coordinator,
 )
 from repro.distributed.wire import ChannelTimeout, encode_line
+from repro.store import JournalStore, MemoryStore, StackedStore
 from repro.testing import ChaosProxy, FaultSchedule, FlakyChannel
 from repro.verify.exhaustive import SweepEpoch, VerificationResult
 from repro.verify.parallel import SweepCancelled, verify_two_sort_sharded
@@ -80,10 +80,10 @@ class TestSweepCheckpoint:
     def test_roundtrip_across_reopen(self, tmp_path):
         path = str(tmp_path / "j.jsonl")
         key = ("two-sort", "abc123", "bigint", 4, 0, 10)
-        with SweepCheckpoint(path, fsync=False) as journal:
+        with JournalStore(path, fsync=False) as journal:
             assert journal.get(key) is None
             journal.put(key, _result(7, ["f1", "f2"]))
-        with SweepCheckpoint(path, fsync=False) as journal:
+        with JournalStore(path, fsync=False) as journal:
             back = journal.get(key)
         assert back is not None
         assert back.checked == 7
@@ -94,22 +94,22 @@ class TestSweepCheckpoint:
     def test_results_roundtrip_byte_identically(self, tmp_path):
         path = str(tmp_path / "j.jsonl")
         original = _result(9, [f"fail {i}" for i in range(25)])  # truncated
-        with SweepCheckpoint(path, fsync=False) as journal:
+        with JournalStore(path, fsync=False) as journal:
             journal.put(("k",), original)
-        with SweepCheckpoint(path, fsync=False) as journal:
+        with JournalStore(path, fsync=False) as journal:
             back = journal.get(("k",))
         assert back.to_json() == original.to_json()
         assert back.truncated
 
     def test_torn_trailing_line_is_dropped_not_fatal(self, tmp_path):
         path = str(tmp_path / "j.jsonl")
-        with SweepCheckpoint(path, fsync=False) as journal:
+        with JournalStore(path, fsync=False) as journal:
             journal.put(("a",), _result(1))
             journal.put(("b",), _result(2))
         # Simulate SIGKILL mid-append: cut the final record in half.
         data = Path(path).read_bytes()
         Path(path).write_bytes(data[: len(data) - len(data.splitlines()[-1]) // 2 - 1])
-        with SweepCheckpoint(path, fsync=False) as journal:
+        with JournalStore(path, fsync=False) as journal:
             assert journal.get(("a",)) is not None
             assert journal.get(("b",)) is None  # the torn one
             assert journal.torn == 1
@@ -119,7 +119,7 @@ class TestSweepCheckpoint:
 
     def test_duplicate_records_first_write_wins(self, tmp_path):
         path = str(tmp_path / "j.jsonl")
-        with SweepCheckpoint(path, fsync=False) as journal:
+        with JournalStore(path, fsync=False) as journal:
             journal.put(("k",), _result(1))
         # A second writer (or a replayed journal) appends the same key.
         record = {
@@ -132,13 +132,13 @@ class TestSweepCheckpoint:
         }
         with open(path, "a") as fh:
             fh.write(json.dumps(record) + "\n")
-        with SweepCheckpoint(path, fsync=False) as journal:
+        with JournalStore(path, fsync=False) as journal:
             assert journal.duplicates == 1
             assert journal.get(("k",)).checked == 1  # first write won
 
     def test_put_existing_key_does_not_grow_journal(self, tmp_path):
         path = str(tmp_path / "j.jsonl")
-        with SweepCheckpoint(path, fsync=False) as journal:
+        with JournalStore(path, fsync=False) as journal:
             journal.put(("k",), _result(1))
             size = os.path.getsize(path)
             journal.put(("k",), _result(42))
@@ -151,12 +151,12 @@ class TestSweepCheckpoint:
             kind="verify-two-sort", circuit_name="two-sort",
             circuit_hash="deadbeef", width=6, backend="bigint",
         )
-        with SweepCheckpoint(path, fsync=False) as journal:
+        with JournalStore(path, fsync=False) as journal:
             journal.record_epoch(epoch, shards=17, shard_size=4080)
             journal.record_epoch(epoch, shards=17, shard_size=4080)
             assert os.path.getsize(path) == len(Path(path).read_bytes())
             assert Path(path).read_text().count('"type":"epoch"') == 1
-        with SweepCheckpoint(path, fsync=False) as journal:
+        with JournalStore(path, fsync=False) as journal:
             assert journal.epochs() == [epoch]
             assert journal.stats()["epochs"] == 1
 
@@ -168,16 +168,14 @@ class TestSweepCheckpoint:
         assert a.fingerprint() != c.fingerprint()
 
     def test_stacked_cache_backfills_both_ways(self, tmp_path):
-        from repro.service.cache import ShardCache
-
         path = str(tmp_path / "j.jsonl")
-        memory = ShardCache()
-        with SweepCheckpoint(path, fsync=False) as journal:
-            stack = StackedCache(journal, memory)
+        memory = MemoryStore()
+        with JournalStore(path, fsync=False) as journal:
+            stack = StackedStore(journal, memory)
             stack.put(("a",), _result(1))
             # Journal hit warms memory.
-            memory2 = ShardCache()
-            stack2 = StackedCache(journal, memory2)
+            memory2 = MemoryStore()
+            stack2 = StackedStore(journal, memory2)
             assert stack2.get(("a",)).checked == 1
             assert memory2.get(("a",)) is not None
             # Memory-only hit becomes durable.
@@ -209,7 +207,7 @@ class TestResume:
         )
 
         done = []
-        journal = SweepCheckpoint(path, fsync=False)
+        journal = JournalStore(path, fsync=False)
         try:
             with pytest.raises(SweepCancelled):
                 verify_two_sort_sharded(
@@ -222,13 +220,13 @@ class TestResume:
             journal.close()
         first_run = len(executed)
         assert first_run >= 5
-        with SweepCheckpoint(path, fsync=False) as peek:
+        with JournalStore(path, fsync=False) as peek:
             checkpointed = len(peek)
             assert checkpointed == first_run  # every executed shard durable
             assert len(peek.epochs()) == 1  # journal knows its sweep
 
         executed.clear()
-        journal = SweepCheckpoint(path, fsync=False)
+        journal = JournalStore(path, fsync=False)
         try:
             resumed = verify_two_sort_sharded(
                 circuit, 6, jobs=1, executor="serial", shard_size=200,
@@ -242,7 +240,7 @@ class TestResume:
         assert resumed.to_json() == reference.to_json()
         # A third run touches nothing at all.
         executed.clear()
-        with SweepCheckpoint(path, fsync=False) as journal:
+        with JournalStore(path, fsync=False) as journal:
             third = verify_two_sort_sharded(
                 circuit, 6, jobs=1, executor="serial", shard_size=200,
                 cache=journal,
@@ -913,7 +911,7 @@ class TestChaosAcceptance:
 
             # The journal is complete, self-describing, and free of
             # duplicate shard records.
-            with SweepCheckpoint(journal, fsync=False) as final:
+            with JournalStore(journal, fsync=False) as final:
                 assert len(final) == total
                 assert final.duplicates == 0
                 assert final.torn == 0

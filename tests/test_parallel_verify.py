@@ -265,6 +265,42 @@ class TestStreamingAndCancellation:
             )
         assert snapshots == [1, 2]
 
+    def test_bare_sweep_streams_nothing(self):
+        """With no cache, store or hook the executor gets no on_result
+        and no should_stop, so a process pool keeps its plain map."""
+        from repro.store import MemoryStore
+        from repro.verify.parallel import _EXECUTORS
+
+        calls = []
+
+        def recording(worker, tasks, jobs, initializer=None, initargs=(),
+                      on_result=None, should_stop=None, epoch=None):
+            calls.append((list(tasks), on_result, should_stop))
+            initializer(*initargs)
+            out = [worker(t) for t in tasks]
+            for i, r in enumerate(out):
+                if on_result is not None:
+                    on_result(i, r)
+            return out
+
+        register_executor("recording", recording)
+        try:
+            bare = verify_two_sort_sharded(
+                build_two_sort(4), 4, jobs=1, shard_size=100,
+                executor="recording",
+            )
+            cached = verify_two_sort_sharded(
+                build_two_sort(4), 4, jobs=1, shard_size=100,
+                executor="recording", cache=MemoryStore(),
+            )
+        finally:
+            del _EXECUTORS["recording"]
+        assert bare.to_json() == cached.to_json()
+        (tasks, on_result, should_stop), (_, cache_hook, _) = calls
+        assert tasks == [(4,) + s for s in pair_shards(4, 100)]
+        assert on_result is None and should_stop is None
+        assert cache_hook is not None
+
 
 def _double(t):
     return 2 * t

@@ -1,4 +1,4 @@
-"""Tests for repro.service: jobs, manager, cache, server, clients.
+"""Tests for repro.service: jobs, manager, server, clients.
 
 The event-loop tests run through ``asyncio.run`` (no pytest-asyncio
 dependency).  Timing-sensitive cancellation tests throttle the shard
@@ -18,7 +18,6 @@ from repro.service import (
     ReproServer,
     ServiceClient,
     ServiceError,
-    ShardCache,
     SortRequest,
     VerifyRequest,
     request_from_dict,
@@ -198,65 +197,6 @@ class TestRequests:
         expect = sort_words(best_known(4), words, engine="fsm")
         rows = SortRequest.single(values).run()
         assert rows == [expect]
-
-
-# ----------------------------------------------------------------------
-# ShardCache
-# ----------------------------------------------------------------------
-class TestShardCache:
-    def test_hit_miss_counters(self):
-        cache = ShardCache(maxsize=4)
-        assert cache.get("a") is None
-        cache.put("a", 1)
-        assert cache.get("a") == 1
-        assert (cache.hits, cache.misses) == (1, 1)
-
-    def test_lru_eviction(self):
-        cache = ShardCache(maxsize=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.get("a")  # refresh a
-        cache.put("c", 3)  # evicts b
-        assert cache.get("b") is None
-        assert cache.get("a") == 1 and cache.get("c") == 3
-
-    def test_disabled_cache_never_stores(self):
-        cache = ShardCache(maxsize=0)
-        cache.put("a", 1)
-        assert cache.get("a") is None
-        assert len(cache) == 0
-
-    def test_put_existing_key_refreshes_without_double_counting(self):
-        """Regression: re-putting a present key must update the value,
-        refresh its LRU recency, and never count as a second entry
-        toward maxsize.  The distributed path re-puts keys whenever an
-        expired lease is re-run, so getting this wrong would evict live
-        entries (or serve the stale value)."""
-        cache = ShardCache(maxsize=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.put("a", 10)  # refresh + replace, still 2 entries
-        assert len(cache) == 2
-        assert cache.get("a") == 10  # new value, not the stale one
-        cache.put("c", 3)  # must evict b (LRU), not a (just refreshed)
-        assert cache.get("b") is None
-        assert cache.get("a") == 10 and cache.get("c") == 3
-        assert len(cache) == 2
-
-    def test_put_existing_key_at_capacity_evicts_nothing(self):
-        cache = ShardCache(maxsize=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.put("b", 20)
-        assert len(cache) == 2
-        assert cache.get("a") == 1 and cache.get("b") == 20
-
-    def test_stats_shape(self):
-        stats = ShardCache(maxsize=8).stats()
-        # The unified store protocol adds backend/puts/runs counters on
-        # top of the historical shape.
-        assert {"entries", "maxsize", "hits", "misses"} <= set(stats)
-        assert stats["backend"] == "memory"
 
 
 # ----------------------------------------------------------------------
@@ -506,8 +446,8 @@ class TestManagerCache:
             try:
                 first = manager.submit(VerifyRequest(width=5))
                 await manager.wait(first.id)
-                misses_after_first = manager.cache_misses
-                hits_after_first = manager.cache_hits
+                misses_after_first = manager.store.misses
+                hits_after_first = manager.store.hits
                 second = manager.submit(VerifyRequest(width=5))
                 await manager.wait(second.id)
                 return (first, second, misses_after_first,
@@ -519,8 +459,8 @@ class TestManagerCache:
         shards = first.progress.shards_total
         assert shards >= 1
         assert misses1 == shards and hits1 == 0
-        assert manager.cache_hits == shards  # second run: all hits
-        assert manager.cache_misses == shards  # no new misses
+        assert manager.store.hits == shards  # second run: all hits
+        assert manager.store.misses == shards  # no new misses
         # Identical outcome, full progress reported from cache.
         assert second.result.checked == first.result.checked == pairs(5)
         assert second.progress.shards_done == shards
@@ -534,7 +474,7 @@ class TestManagerCache:
                 await manager.wait(a.id)
                 b = manager.submit(VerifyRequest(width=5))
                 await manager.wait(b.id)
-                return manager.cache_hits
+                return manager.store.hits
             finally:
                 await manager.aclose()
 

@@ -5,12 +5,16 @@ g-row range over that range's pending cones (one ``run_pair_shard``
 call), and writes each range's values once with ``put_many`` from the
 sweep's own store handle.  Workers holding a shared sqlite spec re-check
 and claim a range's keys in one transaction and write nothing.  These
-tests pin that shape, the batched store protocol under it, the claim
+tests pin that shape, the batched store protocol under it (a stack
+keeps one call per layer, a journal batch is one fsync), the claim
 race it closes, and the store counters users see, which must read
 exactly as they did when every (range, cone) pair was its own task.
 """
 
+import collections
 import json
+import os
+from pathlib import Path
 
 import pytest
 
@@ -120,6 +124,133 @@ class TestSqliteBatches:
             assert _key_text(key) == json.dumps(
                 list(key), separators=(",", ":"), sort_keys=False
             )
+
+
+class TestJournalBatches:
+    def test_put_many_is_one_fsync(self, tmp_path, monkeypatch):
+        fsyncs = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(
+            os, "fsync", lambda fd: fsyncs.append(fd) or real_fsync(fd)
+        )
+        path = str(tmp_path / "b.jsonl")
+        with JournalStore(path) as store:
+            store.put_many([(("k", i), value(i)) for i in range(50)])
+            assert len(fsyncs) == 1
+            # Keys already on file and repeats inside the batch are
+            # skipped (first write wins); the new ones are one append.
+            store.put_many(
+                [(("k", 0), value(99))]
+                + [(("k", i), value(i)) for i in range(50, 60)]
+                + [(("k", 50), value(99))]
+            )
+            assert len(fsyncs) == 2
+            assert store.counters()["puts"] == 60
+        lines = Path(path).read_bytes().splitlines()
+        assert len(lines) == 60
+        with JournalStore(path, fsync=False) as store:
+            assert store.get(("k", 0)) == value(0)
+            assert store.get(("k", 50)) == value(50)
+            assert store.duplicates == 0
+
+    def test_journal_cut_mid_batch_drops_only_the_torn_line(self, tmp_path):
+        path = str(tmp_path / "t.jsonl")
+        keys = [("k", i) for i in range(10)]
+        with JournalStore(path, fsync=False) as store:
+            store.put_many([(k, value(i)) for i, k in enumerate(keys)])
+        data = Path(path).read_bytes()
+        lines = data.splitlines(keepends=True)
+        assert len(lines) == 10
+        # SIGKILL inside the batch's one write, halfway through line 7.
+        cut = sum(len(line) for line in lines[:6]) + len(lines[6]) // 2
+        Path(path).write_bytes(data[:cut])
+        with JournalStore(path, fsync=False) as store:
+            assert store.torn == 1
+            assert store.get_many(keys) == (
+                [value(i) for i in range(6)] + [None] * 4
+            )
+
+
+class _CountingSqlite(SqliteStore):
+    """Counts every keyed call made on this handle."""
+
+    def __init__(self, path):
+        super().__init__(path)
+        self.calls = collections.Counter()
+
+    def get(self, key):
+        self.calls["get"] += 1
+        return super().get(key)
+
+    def get_many(self, keys):
+        self.calls["get_many"] += 1
+        return super().get_many(keys)
+
+    def put(self, key, value):
+        self.calls["put"] += 1
+        return super().put(key, value)
+
+    def put_many(self, items):
+        self.calls["put_many"] += 1
+        return super().put_many(items)
+
+
+class TestStackedBatches:
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_region_sweep_keeps_one_sqlite_round_per_range(
+        self, tmp_path, stacked
+    ):
+        """A served ``VerifyRequest(store=...)`` stacks the request's
+        store over the server's LRU; the stack must still read once and
+        write each range once on sqlite, as sqlite alone does."""
+        circuit = build_two_sort(5)
+        assert len(pair_shards(5, 200)) == 21
+        with _CountingSqlite(str(tmp_path / "s.db")) as db:
+            store = StackedStore(db, MemoryStore()) if stacked else db
+            result = verify_two_sort_sharded(
+                circuit, 5, jobs=1, shard_size=200, store=store
+            )
+            assert result.ok
+            assert db.calls == {"get_many": 1, "put_many": 21}
+            assert store.counters()["puts"] == 21 * 10
+
+    def test_get_many_backfills_each_layer_once(self):
+        calls = []
+
+        class Spy(MemoryStore):
+            def get_many(self, keys):
+                calls.append((self.spec, "get_many", len(keys)))
+                return super().get_many(keys)
+
+            def put_many(self, items):
+                calls.append((self.spec, "put_many", len(items)))
+                return super().put_many(items)
+
+        front, back = Spy(spec="front"), Spy(spec="back")
+        front.put(("a",), value(1))
+        back.put(("b",), value(2))
+        back.put(("c",), value(3))
+        stack = StackedStore(front, back)
+        got = stack.get_many([("a",), ("b",), ("c",), ("d",)])
+        assert got == [value(1), value(2), value(3), None]
+        # Each layer is asked once, for the keys still missing, and
+        # backfilled once with the hits the other layers found.
+        assert calls == [
+            ("front", "get_many", 4),
+            ("back", "get_many", 3),
+            ("front", "put_many", 2),
+            ("back", "put_many", 1),
+        ]
+        assert (stack.hits, stack.misses) == (3, 1)
+        assert front.get(("c",)) == value(3) and back.get(("a",)) == value(1)
+
+    def test_claims_go_to_the_shareable_layer(self, tmp_path):
+        with SqliteStore(str(tmp_path / "c.db")) as db, \
+                SqliteStore(str(tmp_path / "c.db")) as other:
+            stack = StackedStore(MemoryStore(), db)
+            assert stack.claim_many([("x",), ("y",)]) == [True, True]
+            assert other.claim_many([("x",), ("y",)]) == [False, False]
+        assert StackedStore(MemoryStore()).claim_many([("x",)]) == [True]
 
 
 # ----------------------------------------------------------------------
