@@ -1,4 +1,4 @@
-"""Tests for repro.service: jobs, manager, server, clients.
+"""Tests for repro.service: jobs, manager, shard cache, server, clients.
 
 The event-loop tests run through ``asyncio.run`` (no pytest-asyncio
 dependency).  Timing-sensitive cancellation tests throttle the shard
@@ -23,6 +23,7 @@ from repro.service import (
     request_from_dict,
 )
 from repro.circuits.compiled import TritVec
+from repro.store import MemoryStore
 from repro.verify.exhaustive import verify_two_sort_circuit
 from repro.verify.parallel import _EXECUTORS, _serial_executor, register_executor
 from repro.core.two_sort import build_two_sort
@@ -197,6 +198,65 @@ class TestRequests:
         expect = sort_words(best_known(4), words, engine="fsm")
         rows = SortRequest.single(values).run()
         assert rows == [expect]
+
+
+# ----------------------------------------------------------------------
+# Shard cache (the manager's MemoryStore LRU)
+# ----------------------------------------------------------------------
+class TestShardCache:
+    def test_hit_miss_counters(self):
+        cache = MemoryStore(maxsize=4)
+        assert cache.get("a") is None
+        cache.put("a", 1)
+        assert cache.get("a") == 1
+        assert (cache.hits, cache.misses) == (1, 1)
+
+    def test_lru_eviction(self):
+        cache = MemoryStore(maxsize=2)
+        cache.put("a", 1)
+        cache.put("b", 2)
+        cache.get("a")  # refresh a
+        cache.put("c", 3)  # evicts b
+        assert cache.get("b") is None
+        assert cache.get("a") == 1 and cache.get("c") == 3
+
+    def test_disabled_cache_never_stores(self):
+        cache = MemoryStore(maxsize=0)
+        cache.put("a", 1)
+        assert cache.get("a") is None
+        assert len(cache) == 0
+
+    def test_put_existing_key_refreshes_without_double_counting(self):
+        """Regression: re-putting a present key must update the value,
+        refresh its LRU recency, and never count as a second entry
+        toward maxsize.  The distributed path re-puts keys whenever an
+        expired lease is re-run, so getting this wrong would evict live
+        entries (or serve the stale value)."""
+        cache = MemoryStore(maxsize=2)
+        cache.put("a", 1)
+        cache.put("b", 2)
+        cache.put("a", 10)  # refresh + replace, still 2 entries
+        assert len(cache) == 2
+        assert cache.get("a") == 10  # new value, not the stale one
+        cache.put("c", 3)  # must evict b (LRU), not a (just refreshed)
+        assert cache.get("b") is None
+        assert cache.get("a") == 10 and cache.get("c") == 3
+        assert len(cache) == 2
+
+    def test_put_existing_key_at_capacity_evicts_nothing(self):
+        cache = MemoryStore(maxsize=2)
+        cache.put("a", 1)
+        cache.put("b", 2)
+        cache.put("b", 20)
+        assert len(cache) == 2
+        assert cache.get("a") == 1 and cache.get("b") == 20
+
+    def test_stats_shape(self):
+        stats = MemoryStore(maxsize=8).stats()
+        # The unified store protocol adds backend/puts/runs counters on
+        # top of the historical shape.
+        assert {"entries", "maxsize", "hits", "misses"} <= set(stats)
+        assert stats["backend"] == "memory"
 
 
 # ----------------------------------------------------------------------

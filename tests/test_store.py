@@ -117,7 +117,8 @@ class TestBackendContract:
     def test_replay_semantics(self, store):
         # Durable backends are first-write-wins (replays from another
         # worker must be idempotent); the memory backend is an LRU
-        # *cache*, where re-put replaces (pinned by TestMemoryLRU).
+        # *cache*, where re-put replaces (pinned by
+        # tests/test_service.py::TestShardCache).
         # Either way a re-put never errors.
         key = ("c", "h", "bigint", 5, 0, 8)
         store.put(key, {"lanes": 1, "mismatches": 0})
@@ -156,43 +157,6 @@ class TestBackendContract:
     def test_claim_default_granted(self, store):
         # Non-shareable backends always grant; sqlite grants the first.
         assert store.claim(("k",)) is True
-
-
-class TestMemoryLRU:
-    """The memory backend is a bounded LRU, not a first-write-wins log."""
-
-    def test_lru_eviction(self):
-        cache = MemoryStore(maxsize=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.get("a")  # refresh a
-        cache.put("c", 3)  # evicts b
-        assert cache.get("b") is None
-        assert cache.get("a") == 1 and cache.get("c") == 3
-
-    def test_disabled_cache_never_stores(self):
-        cache = MemoryStore(maxsize=0)
-        cache.put("a", 1)
-        assert cache.get("a") is None
-        assert len(cache) == 0
-
-    def test_put_existing_key_refreshes_without_double_counting(self):
-        """Regression: re-putting a present key must update the value,
-        refresh its LRU recency, and never count as a second entry
-        toward maxsize, so a re-put at capacity evicts nothing.  The
-        distributed path re-puts keys whenever an expired lease is
-        re-run, so getting this wrong would evict live entries (or
-        serve the stale value)."""
-        cache = MemoryStore(maxsize=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.put("a", 10)  # refresh + replace, still 2 entries
-        assert len(cache) == 2
-        assert cache.get("a") == 10  # new value, not the stale one
-        cache.put("c", 3)  # must evict b (LRU), not a (just refreshed)
-        assert cache.get("b") is None
-        assert cache.get("a") == 10 and cache.get("c") == 3
-        assert len(cache) == 2
 
 
 class TestPersistence:
