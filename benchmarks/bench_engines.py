@@ -23,7 +23,8 @@ trajectory so regressions are visible across PRs:
    engine (``sort_words(engine="circuit")``) vs the batched compiled
    path on ``Word`` values (``sort_words_batch``), plus the string
    entry point it wraps (``sort_strings_batch``, the service's path) on
-   the same workload as word strings.
+   the same workload as word strings, and the milliseconds one served
+   256-vector sort request spends in ``SortRequest.run`` per backend.
 
 Throughput is reported in **gate-visits per second** (gates x vectors /
 time), the metric that is invariant to circuit size.
@@ -55,6 +56,7 @@ import time
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.backends import get_backend  # noqa: E402
 from repro.circuits.compiled import compile_circuit  # noqa: E402
 from repro.circuits.evaluate import evaluate_interpreted  # noqa: E402
 from repro.core.two_sort import build_two_sort  # noqa: E402
@@ -66,6 +68,7 @@ from repro.networks.simulate import (  # noqa: E402
     sort_words_batch,
 )
 from repro.networks.topologies import SORT10_SIZE  # noqa: E402
+from repro.service.jobs import SortRequest  # noqa: E402
 from repro.ternary.word import Word  # noqa: E402
 from repro.verify.exhaustive import verify_two_sort_circuit  # noqa: E402
 from repro.verify.parallel import verify_two_sort_sharded  # noqa: E402
@@ -131,8 +134,16 @@ def bench_exhaustive_verification(width: int, scalar_sample: int) -> dict:
     }
 
 
-def bench_network_simulation(width: int, vectors: int) -> dict:
-    """Per-vector gate-level engine vs the batched compiled path."""
+def bench_network_simulation(width: int, vectors: int, requests: int) -> dict:
+    """Per-vector gate-level engine vs the batched compiled path.
+
+    The ``served_request`` row times what one ``serve-sort`` job runs:
+    :meth:`SortRequest.run <repro.service.jobs.SortRequest.run>`,
+    validation included, on 256 seeded vectors of 10 channels of 16-bit
+    words (~30 % ``M``), as the median over ``requests`` runs per plane
+    backend (``native`` is the bigint fallback where the kernel did not
+    build; ``native_built`` says which).
+    """
     network = SORT10_SIZE
     workload = measurement_sweep(
         width, network.channels, vectors, meta_rate=0.3, seed=2018
@@ -169,6 +180,31 @@ def bench_network_simulation(width: int, vectors: int) -> dict:
 
     assert strings_out == [[str(w) for w in row] for row in batch_out]
 
+    served_vectors = tuple(
+        tuple(str(w) for w in v)
+        for v in measurement_sweep(16, 10, 256, meta_rate=0.3, seed=2018)
+    )
+    served = {
+        "vectors": len(served_vectors),
+        "channels": 10,
+        "width": 16,
+        "requests": requests,
+        "native_built": get_backend("native").built,
+    }
+    served_rows = []
+    for backend in ("bigint", "native"):
+        request = SortRequest(vectors=served_vectors, backend=backend)
+        served_rows.append(request.run())  # warms the compile cache
+        times = []
+        for _ in range(requests):
+            t0 = time.perf_counter()
+            request.run()
+            times.append(time.perf_counter() - t0)
+        served[backend] = {
+            "ms_per_request": round(statistics.median(times) * 1e3, 3)
+        }
+    assert served_rows[0] == served_rows[1]
+
     return {
         "width": width,
         "network": network.name,
@@ -193,6 +229,7 @@ def bench_network_simulation(width: int, vectors: int) -> dict:
             "gate_visits_per_s": round(strings_rate * gates, 1),
             "speedup_vs_scalar": round(strings_rate / scalar_rate, 1),
         },
+        "served_request": served,
         "speedup": round(compiled_rate / scalar_rate, 1),
     }
 
@@ -775,7 +812,7 @@ def main(argv=None) -> int:
 
     if args.quick:
         verify_width, scalar_sample = 5, 500
-        net_width, net_vectors = 5, 32
+        net_width, net_vectors, net_requests = 5, 32, 10
         parallel_width, parallel_jobs = 6, [1, 2]
         native_width, native_large, native_gate = 8, 0, 5.0
         distributed_width, distributed_workers = 6, [1, 2]
@@ -784,7 +821,7 @@ def main(argv=None) -> int:
         startup_runs = 5
     else:
         verify_width, scalar_sample = 8, 4000
-        net_width, net_vectors = 8, 1024
+        net_width, net_vectors, net_requests = 8, 1024, 40
         parallel_width, parallel_jobs = 9, [1, 2, 4]
         native_width, native_large, native_gate = 8, 12, 10.0
         distributed_width, distributed_workers = 8, [1, 2, 4]
@@ -805,11 +842,17 @@ def main(argv=None) -> int:
     print(f"  speedup:  {exhaustive['speedup']:,.1f}x")
 
     print(f"== sorting-network simulation (B={net_width}, 10 channels) ==")
-    network = bench_network_simulation(net_width, net_vectors)
+    network = bench_network_simulation(net_width, net_vectors, net_requests)
     print(f"  scalar:   {network['scalar']['vectors_per_s']:>12,.1f} vectors/s")
     print(f"  compiled: {network['compiled']['vectors_per_s']:>12,.1f} vectors/s")
     print(f"  strings:  {network['strings']['vectors_per_s']:>12,.1f} vectors/s")
     print(f"  speedup:  {network['speedup']:,.1f}x")
+    served = network["served_request"]
+    print(
+        f"  served request (256 x 10 x 16-bit, validation included): "
+        f"bigint {served['bigint']['ms_per_request']:.2f} ms, "
+        f"native {served['native']['ms_per_request']:.2f} ms"
+    )
 
     print(f"== native backend (B={native_width}) ==")
     native = bench_native_backend(native_width, large_width=native_large)

@@ -71,21 +71,101 @@ from ..ternary.word import Word
 from .netlist import Circuit, CircuitError, Gate
 from .wire import NetId
 
-__all__ = ["TritVec", "CompiledCircuit", "compile_circuit"]
+__all__ = [
+    "TritVec", "CompiledCircuit", "compile_circuit", "planes_from_str",
+    "planes_to_str",
+]
 
 #: Backend selector accepted by every public entry point: a registry
 #: name, a resolved instance, or None for the process default.
 BackendLike = Union[str, PlaneBackend, None]
 
-#: The string codec of :class:`TritVec`: ``str.translate`` tables from
+#: The string codec (:func:`planes_from_str`, :func:`planes_to_str`,
+#: and :class:`TritVec` through them): ``str.translate`` tables from
 #: each canonical trit character to its can-be-0 / can-be-1 plane bit
 #: (:func:`~repro.ternary.trit.canonical_trit_string` reads ``'m'`` as
 #: ``'M'`` and rejects everything else first), and the
 #: ``bytes.translate`` table from a lane's byte sum in
-#: :meth:`TritVec.to_str` (``0x90 + can0 + 2 * can1``) to its character.
+#: :func:`planes_to_str` (``0x90 + can0 + 2 * can1``) to its character.
 _CAN0 = str.maketrans("01M", "101")
 _CAN1 = str.maketrans("01M", "011")
 _LANE_CHAR = bytes.maketrans(b"\x91\x92\x93", b"01M")
+
+
+# ----------------------------------------------------------------------
+# The string <-> plane codec
+# ----------------------------------------------------------------------
+def planes_from_str(
+    text: str, stride: int, backend: BackendLike = None
+) -> List[Tuple[Plane, Plane]]:
+    """Plane pairs of every column of a lane-major trit string.
+
+    ``text`` is ``n`` lanes of ``stride`` characters each over
+    ``{0, 1, M, m}``: lane ``j`` is ``text[j * stride:(j + 1) * stride]``
+    (a batch of equal-width words joined back to back is one).  Column
+    ``k`` -- character ``k`` of every lane, ``text[k::stride]`` --
+    becomes one ``(p0, p1)`` pair over the ``n`` lanes, lane ``j`` at
+    bit ``j``.  The whole text is canonicalized and translated once per
+    plane; each column is then one strided slice and one ``int(..., 2)``,
+    with no per-lane loop.  Returns the ``stride`` pairs in column order,
+    native to ``backend``.
+    """
+    be = get_backend(backend)
+    n, extra = divmod(len(text), stride)
+    if extra:
+        raise ValueError(
+            f"{len(text)} characters do not split into {stride}-wide lanes"
+        )
+    if not n:
+        return [(be.zeros(0), be.zeros(0))] * stride
+    # int() reads the first character as the top bit; lane 0 is bit 0,
+    # so the text goes in reversed and column k starts at stride-1-k.
+    lanes = canonical_trit_string(text)[::-1]
+    can0 = lanes.translate(_CAN0)
+    can1 = lanes.translate(_CAN1)
+    return [
+        (
+            be.from_int(int(can0[k::stride], 2), n),
+            be.from_int(int(can1[k::stride], 2), n),
+        )
+        for k in range(stride - 1, -1, -1)
+    ]
+
+
+def planes_to_str(
+    columns: Sequence[Tuple[Plane, Plane]],
+    lanes: int,
+    backend: BackendLike = None,
+) -> str:
+    """Inverse of :func:`planes_from_str`: the lane-major string.
+
+    ``columns[k]`` is the ``(p0, p1)`` pair of column ``k`` over
+    ``lanes`` lanes; the result holds ``lanes`` runs of
+    ``len(columns)`` characters, ``M`` upper-case.  Whole-plane integer
+    ops, no per-lane loop: each plane is written out as one ASCII
+    ``'0'``/``'1'`` byte per lane into its column's strided slice of one
+    of two buffers, the buffers are summed as integers (``0x30 + can0 +
+    2 * (0x30 + can1)`` never carries across a byte), and one
+    ``translate`` maps the three sums to characters.
+    """
+    stride = len(columns)
+    size = lanes * stride
+    if not size:
+        return ""
+    be = get_backend(backend)
+    fmt = f"0{lanes}b"
+    # format() writes the top lane first, so both buffers hold the text
+    # reversed, column k starting at stride-1-k.
+    buf0 = bytearray(size)
+    buf1 = bytearray(size)
+    for k, (p0, p1) in enumerate(columns):
+        col = slice(stride - 1 - k, None, stride)
+        buf0[col] = format(be.to_int(p0, lanes), fmt).encode()
+        buf1[col] = format(be.to_int(p1, lanes), fmt).encode()
+    codes = (
+        int.from_bytes(buf0, "big") + (int.from_bytes(buf1, "big") << 1)
+    ).to_bytes(size, "big")
+    return codes.translate(_LANE_CHAR)[::-1].decode("ascii")
 
 
 # ----------------------------------------------------------------------
@@ -156,18 +236,14 @@ class TritVec:
         """Pack a sequence of trit-likes; lane ``j`` is ``values[j]``.
 
         A string (``'0'``, ``'1'``, ``'M'`` or ``'m'`` per lane) is packed
-        with whole-string operations: one ``translate`` and one ``int``
-        per plane, no per-lane loop.
+        with whole-string operations (:func:`planes_from_str`, one
+        column): one ``translate`` and one ``int`` per plane, no
+        per-lane loop.
         """
         if isinstance(values, str):
             be = get_backend(backend)
-            n = len(values)
-            # int() reads the first character as the top bit; lane 0 is
-            # bit 0, so the lanes go in reversed.
-            lanes = canonical_trit_string(values)[::-1]
-            p0 = int(lanes.translate(_CAN0), 2) if n else 0
-            p1 = int(lanes.translate(_CAN1), 2) if n else 0
-            return cls._wrap(n, be.from_int(p0, n), be.from_int(p1, n), be)
+            ((p0, p1),) = planes_from_str(values, 1, be)
+            return cls._wrap(len(values), p0, p1, be)
         trits = [v if isinstance(v, Trit) else Trit.coerce(v) for v in values]
         be = get_backend(backend)
         n = len(trits)
@@ -246,21 +322,10 @@ class TritVec:
     def to_str(self) -> str:
         """All lanes as ``'0'``/``'1'``/``'M'``, lane ``j`` at index ``j``.
 
-        Whole-plane integer ops, no per-lane loop: each plane is written
-        out as one ASCII ``'0'``/``'1'`` byte per lane, the two byte
-        strings are summed as integers (``0x30 + can0 + 2 * (0x30 +
-        can1)`` never carries across a byte), and one ``translate``
-        maps the three sums to characters.
+        Whole-plane integer ops, no per-lane loop
+        (:func:`planes_to_str`, one column).
         """
-        n = self.n
-        if not n:
-            return ""
-        be = self.backend
-        fmt = f"0{n}b"
-        can0 = int.from_bytes(format(be.to_int(self.p0, n), fmt).encode(), "big")
-        can1 = int.from_bytes(format(be.to_int(self.p1, n), fmt).encode(), "big")
-        codes = (can0 + (can1 << 1)).to_bytes(n, "big")
-        return codes.translate(_LANE_CHAR)[::-1].decode("ascii")
+        return planes_to_str([(self.p0, self.p1)], self.n, self.backend)
 
     @property
     def metastable_lanes(self) -> int:
@@ -643,8 +708,11 @@ class CompiledCircuit:
 
         ``inputs[i]`` carries input ``i`` across all lanes and must live
         on this program's backend; returns one :class:`TritVec` per
-        primary output.  This is the zero-copy path used by the batched
-        sorting-network simulator.
+        primary output.  The planes go to :meth:`run_planes` as they are
+        and come back wrapped unchecked, with no copy.  (The batched
+        sorting-network simulator skips the wrappers: it keeps plain
+        plane pairs from :func:`planes_from_str` and calls
+        :meth:`run_planes` itself.)
         """
         if not inputs and self.n_inputs:
             raise ValueError(f"{self.name}: expected {self.n_inputs} inputs")

@@ -21,6 +21,7 @@ from .rgc import (
 )
 from .valid import (
     InvalidStringError,
+    all_valid,
     all_valid_strings,
     count_valid_strings,
     from_rank,
@@ -29,6 +30,7 @@ from .valid import (
     rank,
     try_rank,
     validate,
+    validate_all,
     value_interval,
 )
 from .ops import (
@@ -54,6 +56,7 @@ __all__ = [
     "successor_differs_at",
     "two_sort_stable",
     "InvalidStringError",
+    "all_valid",
     "all_valid_strings",
     "count_valid_strings",
     "from_rank",
@@ -62,6 +65,7 @@ __all__ = [
     "rank",
     "try_rank",
     "validate",
+    "validate_all",
     "value_interval",
     "compare_valid",
     "max_rg_closure",

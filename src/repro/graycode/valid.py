@@ -14,12 +14,28 @@ under which ``max_rg_M`` / ``min_rg_M`` (the metastable closures of
 max/min) are exactly the lattice max/min.  We expose the order through
 :func:`rank`: stable ``rg(x)`` has rank ``2x``, the superposed
 ``rg(x)∗rg(x+1)`` has rank ``2x+1``, so ranks enumerate Table 2 rows.
+
+**The string form.**  Over ``{0, 1, M}`` (``'m'`` reads as ``M``), a
+string is valid iff it holds no ``M``, or exactly one ``M`` that is
+either the last character or followed by a ``1`` and then only zeros
+-- the regular language ``[01]*(M(10*)?)?``.  This is where the
+reflected Gray code flips between neighbours: ``rg(x)`` and
+``rg(x+1)`` differ in the last bit when ``x`` is even, and otherwise in
+the bit just above the lowest ``1`` of ``rg(x)``, with only zeros
+below that ``1``.  Conversely each such ``M`` joins two adjacent
+codewords: a final ``M`` joins the even- and odd-parity completions of
+its prefix, and in ``...M10..0`` the odd-parity resolution is an odd
+``x`` whose next codeword flips exactly the ``M`` bit.  (Hamming
+distance one alone is not enough: ``rg(0) = 000`` and ``rg(7) = 100``
+are not neighbours.)  :func:`all_valid` checks a batch of words
+against this language with one regular-expression match per 256 words.
 """
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
-from typing import Optional, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 from ..ternary.trit import canonical_trit_string
 from ..ternary.word import Word
@@ -139,3 +155,50 @@ def validate(w: WordLike) -> WordLike:
     if not is_valid(w):
         raise InvalidStringError(f"{Word(w)!r} is not a valid string")
     return w
+
+
+#: :func:`all_valid`'s language over a batch: each word matches
+#: ``[01]*(M(10*)?)?`` (see the module docstring), words joined by
+#: ``_SEP``.  ``[01]`` and ``[Mm]`` are literal classes, so no other
+#: character -- not even a Unicode digit ``int()`` would read -- matches.
+#: Kept as source and compiled on first use (``re`` caches it), so
+#: importing this module stays free for ``verify``.
+_SEP = ","
+_WORD = r"[01]*(?:[Mm](?:10*)?)?"
+_VALID_BATCH = f"{_WORD}(?:{_SEP}{_WORD})*"
+#: Words per match: the engine keeps ~0.4 KB of backtracking state per
+#: repetition of the word group, so one match over a served batch of
+#: 2,560 words would peak near 1 MB; 256 words peak near 0.1 MB.
+_CHUNK = 256
+
+
+def all_valid(words: Sequence[str]) -> bool:
+    """Whether every string in ``words`` is in ``S^B_rg``.
+
+    One regular-expression match per 256 joined words instead of one
+    :func:`is_valid` call per word; the separator count rules out a word
+    that itself holds the separator passing as two.  A character outside
+    ``{0, 1, M, m}`` makes the answer False here (:func:`validate_all`
+    raises that word's :func:`validate` error).
+    """
+    for lo in range(0, len(words), _CHUNK):
+        part = words[lo : lo + _CHUNK]
+        joined = _SEP.join(part)
+        if (
+            joined.count(_SEP) != len(part) - 1
+            or re.fullmatch(_VALID_BATCH, joined) is None
+        ):
+            return False
+    return True
+
+
+def validate_all(words: Sequence[str]) -> None:
+    """:func:`validate` every string in ``words``, in one pass when valid.
+
+    A batch :func:`all_valid` accepts returns at once; otherwise the
+    per-word loop runs and raises exactly what :func:`validate` raises
+    for the first bad word.
+    """
+    if not all_valid(words):
+        for w in words:
+            validate(w)

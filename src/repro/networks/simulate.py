@@ -22,17 +22,23 @@ directly on :class:`~repro.ternary.word.Word` values using a pluggable
 
 **Batching.**  :func:`sort_words` runs one vector;
 :func:`sort_strings_batch` runs many measurement vectors through the
-network *simultaneously*: every channel holds a
-:class:`~repro.circuits.compiled.TritVec` per bit, and each comparator
-visit executes the compiled 2-sort program once for all vectors (layer
-by layer, exactly the hardware dataflow).  Its unit is the word
-*string*: a bit column becomes a plane through whole-string operations
-and a plane becomes a column through whole-integer operations, so no
+network *simultaneously*: every bit of every channel is one pair of
+bit planes over all vectors, and each comparator visit executes the
+compiled 2-sort program once for all vectors (layer by layer, exactly
+the hardware dataflow).  Its unit is the word *string*, and the batch
+travels as one string: the words joined back to back are lane-major
+(vector ``j`` is lane ``j``), so bit ``b`` of channel ``c`` is the
+strided column ``c * width + b``, read with one slice and one
+``int(..., 2)`` per plane and written back by one strided ``bytearray``
+slice assignment per plane (the codec of
+:func:`~repro.circuits.compiled.planes_from_str` /
+:func:`~repro.circuits.compiled.planes_to_str`).  No
 :class:`~repro.ternary.word.Word` or :class:`~repro.ternary.trit.Trit`
-is built and no Python loop runs per lane.  This is the
-high-throughput path for system-level workloads (the service's sort
-jobs run on it); :func:`sort_words_batch` is the same computation with
-``Word`` values at the edges.  Sharded compiled-engine runs grow each
+is built and no Python loop runs per lane or per word until the sorted
+text is cut into words.  This is the high-throughput path for
+system-level workloads (the service's sort jobs run on it);
+:func:`sort_words_batch` is the same computation with ``Word`` values
+at the edges.  Sharded compiled-engine runs grow each
 shard toward the plane backend's ``preferred_shard_lanes`` vectors (one
 vector is one lane), since every shard pays one run of the 2-sort
 program per comparator, but never past an even split over the workers.
@@ -42,10 +48,16 @@ from __future__ import annotations
 
 import threading
 from functools import lru_cache
+from itertools import chain
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..backends import PlaneBackend, get_backend
-from ..circuits.compiled import BackendLike, TritVec, compile_circuit
+from ..backends import Plane, PlaneBackend, get_backend
+from ..circuits.compiled import (
+    BackendLike,
+    compile_circuit,
+    planes_from_str,
+    planes_to_str,
+)
 from ..circuits.evaluate import evaluate_interpreted
 from ..core.functional import two_sort_via_fsm
 from ..core.two_sort import build_two_sort
@@ -178,9 +190,17 @@ def sort_strings_batch(
 
     With the default ``"compiled"`` engine all vectors advance through
     the network together: per comparator, one two-plane program run
-    sorts lane ``j`` of every channel simultaneously.  Each channel's
-    bit columns are packed with ``TritVec.from_trits(str)`` and read
-    back with ``TritVec.to_str()``.  Other engine names fall back to the
+    (:meth:`~repro.circuits.compiled.CompiledCircuit.run_planes`) sorts
+    lane ``j`` of every channel simultaneously.  The batch is joined
+    into one string and canonicalized once; each input plane (channel
+    ``c``, bit ``b``) is one strided slice of it (step ``channels *
+    width``) read with ``int(..., 2)``, and each sorted plane goes back
+    into one output buffer by strided slice assignment
+    (:func:`~repro.circuits.compiled.planes_from_str`,
+    :func:`~repro.circuits.compiled.planes_to_str`).  A character
+    outside ``{0, 1, M, m}`` raises the
+    :meth:`~repro.ternary.trit.Trit.from_char` ``ValueError`` of the
+    first one in the joined batch.  Other engine names fall back to the
     per-vector :func:`sort_words` loop (same results, provided for API
     uniformity).
 
@@ -214,8 +234,7 @@ def sort_strings_batch(
     # path rejects exactly the batches the serial compiled path rejects
     # (a per-shard check would depend on where shard boundaries fall).
     if engine == "compiled" and vectors:
-        width = len(vectors[0][0])
-        if any(len(w) != width for v in vectors for w in v):
+        if len(set(map(len, chain.from_iterable(vectors)))) > 1:
             raise ValueError("all words in a batch must share one width")
     # Any sharding argument routes through the executor registry, so
     # e.g. an unknown executor name raises regardless of batch size.
@@ -237,30 +256,32 @@ def sort_strings_batch(
         ]
     if not vectors:
         return []
+    n = len(vectors)
+    channels = network.channels
     width = len(vectors[0][0])
 
     be = get_backend(backend)
     program = compile_circuit(_cached_circuit(width), be)
-    # state[c][b]: bit b of channel c across all lanes; zip(*words) turns
-    # a channel's words into its bit columns.
-    state: List[List[TritVec]] = [
-        [
-            TritVec.from_trits("".join(column), backend=be)
-            for column in zip(*[vec[c] for vec in vectors])
-        ]
-        for c in range(network.channels)
+    outputs = program.output_slots
+    # The joined batch is lane-major (lane j is vector j's words back to
+    # back), so bit b of channel c over all lanes is column c*width + b.
+    planes = planes_from_str(
+        "".join(chain.from_iterable(vectors)), channels * width, be
+    )
+    # state[c][b]: the (p0, p1) planes of bit b of channel c.
+    state: List[List[Tuple[Plane, Plane]]] = [
+        planes[c * width : (c + 1) * width] for c in range(channels)
     ]
     for layer in network.layers:
         for comp in layer:
-            outs = program.run_tritvecs(state[comp.lo] + state[comp.hi])
+            p0, p1 = program.run_planes(state[comp.lo] + state[comp.hi], n)
+            outs = [(p0[s], p1[s]) for s in outputs]
             state[comp.hi] = outs[:width]  # max
             state[comp.lo] = outs[width:]  # min
-    # ...and zip(*columns) turns the sorted columns back into words.
-    channels = [
-        ["".join(bits) for bits in zip(*[tv.to_str() for tv in columns])]
-        for columns in state
-    ]
-    return [list(row) for row in zip(*channels)]
+    # ...and back: the sorted columns in the same layout, cut into words.
+    text = planes_to_str([p for columns in state for p in columns], n, be)
+    words = [text[i : i + width] for i in range(0, len(text), width)]
+    return [words[i : i + channels] for i in range(0, len(words), channels)]
 
 
 # ----------------------------------------------------------------------

@@ -199,7 +199,10 @@ class ServiceClient:
                 return
 
     def wait_for(self, job_id: str) -> Dict[str, Any]:
-        """Stream to completion (discarding events) and fetch the result."""
-        for _ in self.stream(job_id):
-            pass
+        """Block until the job is terminal; returns state + payload.
+
+        One ``result`` round trip: the server answers it only once the
+        job is done, failed or cancelled (stream the job's events with
+        :meth:`stream` to follow its progress instead).
+        """
         return self.result(job_id)

@@ -56,7 +56,7 @@ from typing import (
 
 from ..backends import known_backend_names
 from ..core.two_sort import build_two_sort
-from ..graycode.valid import validate
+from ..graycode.valid import validate_all
 from ..networks.simulate import ENGINES, sort_strings_batch
 from ..networks.topologies import best_known
 from ..verify.exhaustive import VerificationResult
@@ -279,20 +279,23 @@ class SortRequest:
         _validate_sharding(self.jobs, self.shard_size, self.executor, self.backend)
         if not self.vectors:
             raise ValueError("sort request needs at least one vector")
-        channels = {len(v) for v in self.vectors}
+        channels = set(map(len, self.vectors))
         if len(channels) != 1:
             raise ValueError(
                 f"all vectors must have the same channel count, got {sorted(channels)}"
             )
-        for v in self.vectors:
-            for s in v:
+        words = list(itertools.chain.from_iterable(self.vectors))
+        if set(map(type, words)) != {str}:
+            # Only a batch with a non-`str` type walks the words, to
+            # name the first one that is not a string.
+            for s in words:
                 if not isinstance(s, str):
                     # A JSON number would lose a Gray word's leading zeros.
                     raise ValueError(
                         f"words must be strings over 0/1/M, got "
                         f"{type(s).__name__} {s!r}"
                     )
-        widths = {len(s) for v in self.vectors for s in v}
+        widths = set(map(len, words))
         if len(widths) > 1:
             raise ValueError("all inputs must share one width")
         if widths == {0}:
@@ -324,16 +327,19 @@ class SortRequest:
     ) -> List[List[str]]:
         """Sort every vector; identical to the CLI ``sort`` semantics.
 
-        Every word string is checked with
-        :func:`~repro.graycode.valid.validate` and the batch runs on
-        :func:`~repro.networks.simulate.sort_strings_batch`, so the
-        result is rows of word strings (``M`` upper-case) and no
-        :class:`~repro.ternary.word.Word` is built.
+        All word strings are checked together with
+        :func:`~repro.graycode.valid.validate_all` (one regular-expression
+        match per 256 words; a bad word raises what
+        :func:`~repro.graycode.valid.validate` raises for the first one)
+        and the batch runs on
+        :func:`~repro.networks.simulate.sort_strings_batch`, which reads
+        and writes the bit planes straight from and into the joined
+        strings.  The result is rows of word strings (``M`` upper-case);
+        no :class:`~repro.ternary.word.Word` or
+        :class:`~repro.circuits.compiled.TritVec` is built.
         """
         self.validate()
-        for vec in self.vectors:
-            for s in vec:
-                validate(s)
+        validate_all(list(itertools.chain.from_iterable(self.vectors)))
         network = best_known(len(self.vectors[0]))
         return sort_strings_batch(
             network,

@@ -1061,6 +1061,17 @@ class TestCompactPairShardProgram:
         assert len(ops) == len(kept)
         self._check_rows(width, ops, cmp_rows, fill, n_rows)
 
+    def test_tile_scratch_is_64_byte_aligned(self):
+        """Where malloc puts a fresh slab depends on the process's
+        history, and the AVX2 tile loop is slower off a 32-byte
+        boundary, so every slab starts on a 64-byte one."""
+        native = get_backend("native")
+        if not native.built:
+            pytest.skip("native kernel not built")
+        kernel = native._resolve()
+        for n_rows in (47, 77, 300):  # 300 outgrows any slab left before
+            assert kernel._scratch_addr(n_rows) % 64 == 0
+
     @pytest.mark.parametrize("width", [3, 7])
     def test_grid_programs_keep_pinned_rows(self, width):
         for circuit in (

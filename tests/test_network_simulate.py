@@ -14,7 +14,14 @@ from repro.networks.simulate import (
     sort_words,
     sort_words_batch,
 )
-from repro.networks.topologies import SORT4, SORT7, SORT10_SIZE, batcher_odd_even
+from repro.networks.topologies import (
+    SORT4,
+    SORT7,
+    SORT10_SIZE,
+    batcher_odd_even,
+    best_known,
+)
+from repro.ternary.trit import Trit
 from repro.ternary.word import Word
 from repro.verify.random_valid import ValidStringSource
 
@@ -162,15 +169,15 @@ class TestSortWordsBatchSharded:
         assert out == sort_words_batch(SORT4, vectors)
 
 
-def _string_workload(n, width=4, seed=17):
-    """Seeded SORT7 rows of valid word strings, about half their ``M``s
-    as ``m``."""
+def _string_workload(n, width=4, seed=17, channels=SORT7.channels):
+    """Seeded rows of valid word strings (SORT7's by default), about
+    half their ``M``s as ``m``."""
     source = ValidStringSource(width, meta_rate=0.5, seed=seed)
     rng = random.Random(seed)
     return [
         [
             str(w).replace("M", "m") if rng.random() < 0.5 else str(w)
-            for w in source.sample_vector(SORT7.channels)
+            for w in source.sample_vector(channels)
         ]
         for _ in range(n)
     ]
@@ -205,11 +212,39 @@ class TestSortStringsBatch:
         assert all(type(w) is Word for row in words for w in row)
         assert [[str(w) for w in row] for row in words] == expect
 
-    def test_serial_path_agrees(self, plane_backend):
-        vectors = _string_workload(40, seed=5)
+    @pytest.mark.parametrize(
+        "sharding", [{}, {"jobs": 1, "shard_size": 64}],
+        ids=["serial", "shards64"],
+    )
+    @pytest.mark.parametrize("width", [1, 5, 16])
+    @pytest.mark.parametrize(
+        "network", [SORT4, SORT7, best_known(10)],
+        ids=["SORT4", "SORT7", "best10"],
+    )
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 257])
+    def test_serial_path_agrees(
+        self, plane_backend, n, network, width, sharding
+    ):
+        """The strided codec matches the rank-order sort across 64-lane
+        word edges, at every width, with ``m`` in the input."""
+        vectors = _string_workload(
+            n, width=width, seed=n + width, channels=network.channels
+        )
+        assert any("m" in s for v in vectors for s in v) or n == 1
+        expect = [sorted((s.upper() for s in v), key=rank) for v in vectors]
         assert sort_strings_batch(
-            SORT7, vectors, backend=plane_backend
-        ) == _per_vector(vectors)
+            network, vectors, backend=plane_backend, **sharding
+        ) == expect
+
+    @pytest.mark.parametrize("bad", ["x", " ", "١"])
+    def test_bad_character_raises_the_trit_error(self, plane_backend, bad):
+        vectors = _string_workload(70)
+        vectors[66][3] = vectors[66][3][:2] + bad + vectors[66][3][3:]
+        with pytest.raises(ValueError) as expect:
+            Trit.from_char(bad)
+        with pytest.raises(ValueError) as got:
+            sort_strings_batch(SORT7, vectors, backend=plane_backend)
+        assert str(got.value) == str(expect.value)
 
     def test_non_compiled_engine(self):
         vectors = _string_workload(9, seed=8)

@@ -22,7 +22,7 @@ from repro.service import (
     VerifyRequest,
     request_from_dict,
 )
-from repro.circuits.compiled import TritVec
+from repro.circuits.compiled import CompiledCircuit, TritVec
 from repro.store import MemoryStore
 from repro.verify.exhaustive import verify_two_sort_circuit
 from repro.verify.parallel import _EXECUTORS, _serial_executor, register_executor
@@ -137,10 +137,12 @@ class TestRequests:
 
     def test_sort_run_builds_no_words(self, monkeypatch):
         """A sort request goes from strings to planes and back: no Word
-        is constructed and no TritVec is decoded lane by lane."""
+        is constructed and no TritVec is packed, run or decoded."""
         request = SortRequest(vectors=_sort_vectors(64))
         expect = request.run()
-        calls = {"Word": 0, "to_trits": 0}
+        calls = dict.fromkeys(
+            ["Word", "from_trits", "run_tritvecs", "to_trits"], 0
+        )
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -149,11 +151,16 @@ class TestRequests:
             return wrapper
 
         monkeypatch.setattr(Word, "__init__", counted("Word", Word.__init__))
-        monkeypatch.setattr(
-            TritVec, "to_trits", counted("to_trits", TritVec.to_trits)
-        )
+        for owner, name in [
+            (TritVec, "from_trits"),
+            (CompiledCircuit, "run_tritvecs"),
+            (TritVec, "to_trits"),
+        ]:
+            monkeypatch.setattr(
+                owner, name, counted(name, getattr(owner, name))
+            )
         assert request.run() == expect
-        assert calls == {"Word": 0, "to_trits": 0}
+        assert set(calls.values()) == {0}
         Word("01")
         assert calls["Word"] == 1  # the counter itself works
 
@@ -198,6 +205,27 @@ class TestRequests:
         expect = sort_words(best_known(4), words, engine="fsm")
         rows = SortRequest.single(values).run()
         assert rows == [expect]
+
+    @pytest.mark.parametrize(
+        "bad", ["0MM0", "M0M0", "01x0", "0 10", "01١0", "0,10"]
+    )
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_sort_run_names_the_first_bad_word(self, bad, where):
+        """One bad word anywhere in the batch fails the request with
+        exactly what the per-word ``validate`` loop raises."""
+        rows = [list(v) for v in _sort_vectors(9, channels=4, width=4)]
+        j, c = {"first": (0, 0), "middle": (4, 2), "last": (8, 3)}[where]
+        rows[j][c] = bad
+        request = SortRequest(vectors=tuple(map(tuple, rows)))
+        request.validate()  # shape and width are fine
+        with pytest.raises(ValueError) as expect:
+            for row in rows:
+                for s in row:
+                    validate(s)
+        with pytest.raises(ValueError) as got:
+            request.run()
+        assert type(got.value) is type(expect.value)
+        assert str(got.value) == str(expect.value)
 
 
 # ----------------------------------------------------------------------
@@ -835,6 +863,45 @@ class TestSyncClient:
             assert status["state"] in {"queued", "running", "done"}
             response = client.wait_for(job_id)
         assert response["state"] == "done"
+
+    def test_wait_for_is_one_result_round_trip(
+        self, live_server, throttled_executor
+    ):
+        """``wait_for`` sends exactly one op and returns what streaming
+        to the end and then asking for the result returns, for done,
+        failed and cancelled jobs."""
+        with ServiceClient(port=live_server) as client:
+            sent = []
+            send = client._client._send
+
+            async def spy(payload):
+                sent.append(payload["op"])
+                await send(payload)
+
+            client._client._send = spy
+            vectors = _sort_vectors(8, channels=4, width=4)
+            bad = (("0MM0",) + vectors[0][1:],) + vectors[1:]
+            slow = VerifyRequest(width=6, shard_size=64,
+                                 executor=throttled_executor)
+            jobs = {
+                "done": client.submit(SortRequest(vectors=vectors)),
+                "failed": client.submit(SortRequest(vectors=bad)),
+                "cancelled": client.submit(slow),
+            }
+            assert client.cancel(jobs["cancelled"])
+            responses = {}
+            for state, job_id in jobs.items():
+                sent.clear()
+                responses[state] = client.wait_for(job_id)
+                assert sent == ["result"]
+                assert responses[state]["state"] == state
+                for _ in client.stream(job_id):
+                    pass
+                assert client.result(job_id) == responses[state]
+        assert responses["done"]["result"]["vectors"] == (
+            SortRequest(vectors=vectors).run()
+        )
+        assert responses["failed"]["error"].startswith("InvalidStringError")
 
     def test_failed_connect_releases_event_loop(self):
         """`with ServiceClient(...)` against a dead server must not leak

@@ -7,6 +7,7 @@ import pytest
 from repro.graycode.rgc import gray_decode, gray_encode
 from repro.graycode.valid import (
     InvalidStringError,
+    all_valid,
     all_valid_strings,
     count_valid_strings,
     from_rank,
@@ -15,6 +16,7 @@ from repro.graycode.valid import (
     rank,
     try_rank,
     validate,
+    validate_all,
     value_interval,
 )
 from repro.ternary.word import Word
@@ -159,6 +161,7 @@ class TestStringForm:
             expect = _reference_try_rank(Word(s))
             assert try_rank(s) == expect, s
             assert try_rank(Word(s)) == expect, s
+            assert all_valid([s]) is (expect is not None), s
 
     def test_empty_string_ranks_like_empty_word(self):
         assert try_rank("") == try_rank(Word("")) == 0
@@ -184,3 +187,58 @@ class TestStringForm:
         assert validate("0m10") == "0m10"
         assert rank("0m10") == rank(Word("0M10")) == 7
         assert value_interval("0m10") == (3, 4)
+
+
+def _first_error(words):
+    """What the per-word ``validate`` loop raises for ``words``."""
+    try:
+        for w in words:
+            validate(w)
+    except ValueError as exc:
+        return exc
+    raise AssertionError("no bad word in the batch")
+
+
+#: Width-4 words :func:`validate_all` must reject with the per-word
+#: error: invalid Gray words, bad characters (``١`` is a Unicode digit
+#: ``int()`` reads as 1) and words holding the batch join separator,
+#: whose halves are valid words.
+BAD_WORDS = ["0MM0", "M0M0", "01x0", "0 10", "01١0", "0,10", "01,1"]
+
+
+class TestBatchValidation:
+    """``all_valid``/``validate_all`` check a batch in one pass and fall
+    back to the per-word loop's exact error."""
+
+    #: 620 words: "middle" and "last" fall in later 256-word matches.
+    BATCH = [str(w) for w in all_valid_strings(4)] * 20
+
+    def test_valid_batches_pass(self):
+        assert all_valid(self.BATCH)
+        assert all_valid([s.lower() for s in self.BATCH])
+        assert all_valid([])
+        validate_all(self.BATCH)
+        validate_all([])
+
+    @pytest.mark.parametrize("bad", BAD_WORDS)
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_bad_word_raises_the_per_word_error(self, bad, where):
+        batch = list(self.BATCH)
+        at = {"first": 0, "middle": len(batch) // 2, "last": len(batch)}[where]
+        batch.insert(at, bad)
+        expect = _first_error(batch)
+        assert not all_valid(batch)
+        with pytest.raises(ValueError) as got:
+            validate_all(batch)
+        assert type(got.value) is type(expect)
+        assert str(got.value) == str(expect)
+
+    def test_first_bad_word_wins(self):
+        batch = self.BATCH[:3] + ["0MM0"] + self.BATCH[3:] + ["01x0"]
+        with pytest.raises(InvalidStringError, match="0MM0"):
+            validate_all(batch)
+
+    def test_separator_word_is_not_two_words(self):
+        assert all_valid(["0", "1", "M"])
+        assert not all_valid(["0", "1,M"])
+        assert not all_valid(["0,1"])
