@@ -10,10 +10,10 @@ name registry, mirroring the engine registry in
 
 * ``"bigint"`` -- arbitrary-precision Python ints (the original
   representation, extracted verbatim; the reference and the default),
-* ``"native"`` -- stdlib ``array("Q")`` lane words executed by a C
-  kernel built on first use (one call per shard for the whole compiled
-  program); on hosts without a compiler, or under ``REPRO_NO_NATIVE=1``,
-  it degrades to bigint planes with a one-time notice
+* ``"native"`` -- bigint planes, with each exhaustive-verification
+  shard run as one call of a C kernel built on first use; on hosts
+  without a compiler, or under ``REPRO_NO_NATIVE=1``, the shard runs
+  the Python reference after a one-time notice
   (:mod:`repro.backends.native`).
 
 ``"auto"`` is an *alias*, not a registered backend: it resolves to

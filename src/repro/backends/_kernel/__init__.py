@@ -15,8 +15,9 @@ just ``dlopen`` the cached one.
 
 Everything degrades gracefully: no compiler, a failed build, a bad cached
 artifact, or ``REPRO_NO_NATIVE=1`` all make :func:`load_kernel` return
-``None``, and the native backend falls back to bigint planes with a
-one-time stderr notice.
+``None``, and the native backend runs its verification shards in Python
+after a one-time stderr notice.  One lock covers the whole attempt, so a
+thread that asks while another builds waits for that build's result.
 """
 
 from __future__ import annotations
@@ -28,14 +29,18 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import threading
 
-_KERNEL_ABI = 5
+_KERNEL_ABI = 6
 _SOURCE_PATH = os.path.join(os.path.dirname(__file__), "kernel.c")
 _CFLAGS = ["-O3", "-shared", "-fPIC", "-std=c99"]
 #: Added to _CFLAGS when every CPU feature they name shows in _CPUINFO.
 _ISA_FLAGS = ["-mavx2", "-mpopcnt"]
 _CPUINFO = "/proc/cpuinfo"
 
+#: Held across the load attempt, so concurrent first callers wait for
+#: its result; also makes the fallback notice one-time.
+_lock = threading.Lock()
 _load_attempted = False
 _loaded_kernel = None
 _load_error: str | None = None
@@ -149,19 +154,8 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     # ctypes arrays directly, so cached int32 slot/program arrays pass as-is.
     ptr = ctypes.c_void_p
     i64 = ctypes.c_int64
-    u64 = ctypes.c_uint64
     lib.repro_kernel_abi.argtypes = []
     lib.repro_kernel_abi.restype = ctypes.c_int32
-    lib.repro_run_program.argtypes = [ptr, i64, ptr, ptr, i64]
-    lib.repro_run_program.restype = None
-    lib.repro_popcount.argtypes = [ptr, i64]
-    lib.repro_popcount.restype = i64
-    lib.repro_extract_lanes.argtypes = [ptr, i64, ptr, i64]
-    lib.repro_extract_lanes.restype = i64
-    lib.repro_bitwise.argtypes = [ctypes.c_int32, ptr, ptr, ptr, i64]
-    lib.repro_bitwise.restype = None
-    lib.repro_not_masked.argtypes = [ptr, ptr, i64, u64]
-    lib.repro_not_masked.restype = None
     lib.repro_tile_words.argtypes = []
     lib.repro_tile_words.restype = i64
     lib.repro_pair_shard.argtypes = [
@@ -218,13 +212,15 @@ def load_kernel():
 
     The result (including failure) is cached for the life of the process;
     the failure reason is available via :func:`load_failure_reason`.
+    Concurrent first calls all wait for the one attempt.
     """
     global _load_attempted, _loaded_kernel, _load_error, _loaded_isa
-    if not _load_attempted:
-        _load_attempted = True
-        isa = _isa_flags()
-        _loaded_kernel, _load_error = _load_uncached([*_CFLAGS, *isa])
-        _loaded_isa = isa if _loaded_kernel is not None else []
+    with _lock:
+        if not _load_attempted:
+            isa = _isa_flags()
+            _loaded_kernel, _load_error = _load_uncached([*_CFLAGS, *isa])
+            _loaded_isa = isa if _loaded_kernel is not None else []
+            _load_attempted = True
     return _loaded_kernel
 
 
@@ -241,12 +237,13 @@ def isa_flags() -> list[str]:
 
 
 def emit_fallback_notice() -> None:
-    """Print the one-time stderr notice for the bigint fallback path."""
+    """Print the one-time stderr notice for the Python shard fallback."""
     global _notice_emitted
-    if _notice_emitted:
-        return
-    _notice_emitted = True
     reason = load_failure_reason() or "kernel unavailable"
+    with _lock:
+        if _notice_emitted:
+            return
+        _notice_emitted = True
     print(
         f"repro: native plane kernel unavailable ({reason}); "
         "falling back to bigint planes",

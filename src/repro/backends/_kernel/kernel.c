@@ -1,14 +1,16 @@
-/* One-call executor for compiled two-plane programs over uint64 lane words.
+/* The exhaustive-verification shard of a compiled two-plane program, in C.
  *
  * The Python side (repro.backends.native) lowers a compiled op list --
  * (opcode, dst, a, b) tuples over plane slots, see repro.circuits.compiled
- * -- to a flat int32 array once per program.  Two entry points run it:
+ * -- to a compact flat int32 program once per program.  Three entry
+ * points:
  *
- *   repro_run_program   over caller-packed slot slabs (plane 0 / plane 1,
- *                       one row of `words` uint64 lane words per slot,
- *                       lane j at bit j&63 of word j>>6) -- run_ops;
- *   repro_pair_shard    over one g-row shard of the exhaustive 2-sort
- *                       pair product, which it generates itself from the
+ *   repro_kernel_abi    the ABI version, checked before a cached build
+ *                       is trusted;
+ *   repro_tile_words    the lane words per tile, which sizes the
+ *                       caller's scratch slab;
+ *   repro_pair_shard    one g-row shard of the exhaustive 2-sort pair
+ *                       product, which it generates itself from the
  *                       per-bit string masks, fused with the Table 2
  *                       select-compare -- one call per verification
  *                       shard, no Python-built planes.  Given a counts
@@ -17,45 +19,38 @@
  *                       g-row range of every output cone a region sweep
  *                       still needs.
  *
- * Both share apply_ops, the single copy of the opcode switch.
- *
  * Two-plane Kleene semantics (Table 3 of the paper):
  *   AND: d1 = a1 & b1, d0 = a0 | b0        OR is the plane-dual
- *   INV: swap planes                        BUF: copy
  *   XOR: d0 = (a0&b0)|(a1&b1), d1 = (a0&b1)|(a1&b0)
  *
  * Op word: bits 0-2 hold the opcode, whose values mirror
- * repro.backends.base (OP_AND..OP_BUF).  Bit 4 (OP_SWAP_A) reads operand
- * a with its two planes swapped, bit 5 (OP_SWAP_B) operand b: an
- * inverter folded into its reader.  The pair-shard lowering uses them so
- * that INV and BUF emit no op at all; run_program programs never set
- * them.  The Python loader checks repro_kernel_abi() before trusting a
- * cached build.  ABI 4 added repro_pair_shard's trailing counts pointer;
- * ABI 5 added the swap bits and the negative (~row, planes swapped)
- * compare entries.
+ * repro.backends.base (OP_AND, OP_OR, OP_XOR).  Bit 4 (OP_SWAP_A) reads
+ * operand a with its two planes swapped, bit 5 (OP_SWAP_B) operand b: an
+ * inverter folded into its reader, so INV and BUF emit no op at all.
+ * ABI 4 added repro_pair_shard's trailing counts pointer; ABI 5 added
+ * the swap bits and the negative (~row, planes swapped) compare entries;
+ * ABI 6 removed the plane-op entry points (run_program, bitwise,
+ * not_masked, popcount, extract_lanes) and the INV/BUF opcodes.
  *
  * Tail-mask note: every op is lane-wise, so garbage in lanes >= lanes
- * never reaches a real lane.  run_program's input rows are already
- * masked and all five ops preserve that; pair_shard masks its diff row.
+ * never reaches a real lane; pair_shard masks its diff row.
  */
 
 #include <stdint.h>
 
-#define REPRO_KERNEL_ABI 5
+#define REPRO_KERNEL_ABI 6
 
 #define OP_AND 0
 #define OP_OR 1
-#define OP_INV 2
 #define OP_XOR 3
-#define OP_BUF 4
 #define OP_CODE 7
 #define OP_SWAP_A 16
 #define OP_SWAP_B 32
 
 int32_t repro_kernel_abi(void) { return REPRO_KERNEL_ABI; }
 
-/* Lane-word tile: both entry points run all ops over one column block of
- * the rows before moving on, so the working set per tile is
+/* Lane-word tile: the shard runs all ops over one column block of the
+ * rows before moving on, so the working set per tile is
  * 2 planes * rows * REPRO_TILE_WORDS * 8 bytes instead of streaming every
  * row through memory once per op.  Ops are independent across words, so
  * tiling the word axis does not change results.  A pair-shard program
@@ -71,8 +66,9 @@ int32_t repro_kernel_abi(void) { return REPRO_KERNEL_ABI; }
 #endif
 
 /* Run the whole program over `span` words of every row; row r's words
- * start at p0 + r * stride and p1 + r * stride.  Kept out of line so the
- * switch is compiled once, not once per entry point. */
+ * start at p0 + r * stride and p1 + r * stride.  Its one caller is
+ * repro_pair_shard's tile loop.  It stays out of line: the sweep timings
+ * were measured on that code layout, and inlining would change it. */
 static REPRO_NOINLINE void apply_ops(const int32_t *prog, int64_t n_ops,
                                      uint64_t *p0, uint64_t *p1,
                                      int64_t stride, int64_t span) {
@@ -106,13 +102,7 @@ static REPRO_NOINLINE void apply_ops(const int32_t *prog, int64_t n_ops,
                 d1[w] = a1[w] | b1[w];
             }
             break;
-        case OP_INV:
-            for (w = 0; w < span; w++) {
-                d0[w] = a1[w];
-                d1[w] = a0[w];
-            }
-            break;
-        case OP_XOR:
+        default: /* OP_XOR */
             for (w = 0; w < span; w++) {
                 const uint64_t x0 = a0[w], x1 = a1[w];
                 const uint64_t y0 = b0[w], y1 = b1[w];
@@ -120,22 +110,7 @@ static REPRO_NOINLINE void apply_ops(const int32_t *prog, int64_t n_ops,
                 d1[w] = (x0 & y1) | (x1 & y0);
             }
             break;
-        default: /* OP_BUF */
-            for (w = 0; w < span; w++) {
-                d0[w] = a0[w];
-                d1[w] = a1[w];
-            }
-            break;
         }
-    }
-}
-
-void repro_run_program(const int32_t *prog, int64_t n_ops, uint64_t *p0,
-                       uint64_t *p1, int64_t words) {
-    for (int64_t t0 = 0; t0 < words; t0 += REPRO_TILE_WORDS) {
-        const int64_t span =
-            words - t0 < REPRO_TILE_WORDS ? words - t0 : REPRO_TILE_WORDS;
-        apply_ops(prog, n_ops, p0 + t0, p1 + t0, words, span);
     }
 }
 
@@ -154,7 +129,7 @@ static int64_t popcount64(uint64_t x) {
 #endif
 }
 
-int64_t repro_popcount(const uint64_t *a, int64_t words) {
+static int64_t popcount_words(const uint64_t *a, int64_t words) {
     int64_t total = 0;
     for (int64_t w = 0; w < words; w++)
         total += popcount64(a[w]);
@@ -363,57 +338,5 @@ int64_t repro_pair_shard(const int32_t *prog, int64_t n_ops,
     }
     if (words)
         diff[words - 1] &= low_ones(lanes - ((words - 1) << 6));
-    return repro_popcount(diff, words);
-}
-
-/* Ascending indices of set lanes (mismatch-lane extraction for failure
- * reports).  Writes at most `cap` indices into `out`; returns the number
- * written.  Callers size `out` with repro_popcount first. */
-int64_t repro_extract_lanes(const uint64_t *a, int64_t words, int32_t *out,
-                            int64_t cap) {
-    int64_t n = 0;
-    for (int64_t w = 0; w < words && n < cap; w++) {
-        uint64_t word = a[w];
-        while (word && n < cap) {
-#if defined(__GNUC__) || defined(__clang__)
-            const int bit = __builtin_ctzll(word);
-#else
-            int bit = 0;
-            while (!((word >> bit) & 1))
-                bit++;
-#endif
-            out[n++] = (int32_t)(w * 64 + bit);
-            word &= word - 1;
-        }
-    }
-    return n;
-}
-
-/* Primitive plane ops (band/bor/bxor/bnot of the built native backend):
- * op 0=AND 1=OR 2=XOR, matching repro.backends.native._KernelBackend. */
-void repro_bitwise(int32_t op, const uint64_t *a, const uint64_t *b,
-                   uint64_t *out, int64_t words) {
-    int64_t w;
-    switch (op) {
-    case 0:
-        for (w = 0; w < words; w++)
-            out[w] = a[w] & b[w];
-        break;
-    case 1:
-        for (w = 0; w < words; w++)
-            out[w] = a[w] | b[w];
-        break;
-    default:
-        for (w = 0; w < words; w++)
-            out[w] = a[w] ^ b[w];
-        break;
-    }
-}
-
-void repro_not_masked(const uint64_t *a, uint64_t *out, int64_t words,
-                      uint64_t tail_mask) {
-    for (int64_t w = 0; w < words; w++)
-        out[w] = ~a[w];
-    if (words)
-        out[words - 1] &= tail_mask;
+    return popcount_words(diff, words);
 }

@@ -2,12 +2,11 @@
 
 Everything hot in this codebase runs on **planes** -- bitmaps with one
 bit per *lane* (batch vector), two per net (:mod:`repro.circuits.compiled`).
-Until this package existed the plane representation was hardcoded as
-arbitrary-precision Python ints; a :class:`PlaneBackend` abstracts that
-choice so the same compiled programs, verification sweeps, and batch
-simulations can run on fixed-width lane words (stdlib ``array("Q")``
-driven by the native C kernel) -- the bit-slicing-over-words layout
-that trades big-int carry chains for machine-word loops.
+A :class:`PlaneBackend` owns how planes are stored and run.  Both
+shipped backends store a plane as one Python int
+(:mod:`repro.backends.bigint`); ``native`` differs only in running the
+exhaustive-verification shard in a C kernel
+(:mod:`repro.backends.native`).
 
 A backend owns four concerns:
 
@@ -23,12 +22,11 @@ A backend owns four concerns:
   :meth:`~PlaneBackend.iter_set_lanes` (mismatch-lane extraction for
   failure reports), :meth:`~PlaneBackend.popcount`;
 * **program execution** -- :meth:`~PlaneBackend.run_ops`, the compiled
-  op sweep over plane slots.  This is *the* hot loop, so each backend
-  specializes it (big-int: inline int operators; native: one kernel
-  call over two slabs) instead of paying a virtual call per gate.
-  :meth:`~PlaneBackend.run_pair_shard` is the whole verification shard
-  (pair product, sweep, compare), which the native kernel runs in one
-  call.
+  op sweep over plane slots.  This is *the* hot loop, so a backend
+  specializes it (big-int: inline int operators) instead of paying a
+  virtual call per gate.  :meth:`~PlaneBackend.run_pair_shard` is the
+  whole verification shard (pair product, sweep, compare), which the
+  native kernel runs in one call.
 
 Invariant: every plane is **tail-masked** -- bits at lane indices
 ``>= lanes`` are zero.  Constructors enforce it, ``bnot`` re-masks, and
@@ -43,7 +41,7 @@ from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = ["Plane", "PlaneBackend"]
 
-#: A backend-native plane object (an int, an ``array("Q")`` ...).
+#: A backend-native plane object (an int on both shipped backends).
 Plane = Any
 
 #: Compiled-program opcodes (shared with repro.circuits.compiled; defined
@@ -67,8 +65,8 @@ class PlaneBackend(abc.ABC):
 
     #: Registry name; also the compile-cache key component.
     name: str = "abstract"
-    #: Preferred lane-word size in bits (1 bigint byte-walks at 8; word
-    #: backends use their machine word).
+    #: Preferred lane-word size in bits (bigint byte-walks at 8; the
+    #: native kernel's shards end on 64-bit words).
     word_bits: int = 8
     #: Preferred lanes per verification shard: the batch size at which
     #: this representation's op sweep runs best (big ints like planes

@@ -10,9 +10,9 @@ Strengths: zero packing cost from the int-space plane constructions
 (pair products are built with shifts and one big multiply), no per-op
 call overhead in :meth:`BigIntBackend.run_ops` (inline operators, the
 pre-refactor loop).  Weakness: every op walks the carry-normalized limb
-array sequentially, and each op is a Python-level call; the
-``"native"`` backend runs a whole program over fixed-width lane words
-in one C call instead.
+array sequentially, and each op is a Python-level call.  The
+``"native"`` backend is this class with the exhaustive-verification
+shard moved into a C kernel (:mod:`repro.backends.native`).
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ class BigIntBackend(PlaneBackend):
     def coerce(self, plane: int, lanes: int) -> int:
         if not isinstance(plane, int):
             raise TypeError(
-                f"bigint backend got a {type(plane).__name__} plane"
+                f"{self.name} backend got a {type(plane).__name__} plane"
             )
         return plane
 

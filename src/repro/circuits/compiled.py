@@ -30,15 +30,13 @@ at once, at C speed:
   batch and scalar semantics agree *by construction* (and the test
   suite re-checks every gate kind over its full ternary truth table).
 
-**Plane storage is pluggable.**  How a plane is represented -- one
-arbitrary-precision int or a stdlib ``array("Q")`` of lane words -- is
+**Plane storage is pluggable.**  How a plane is represented and run is
 owned by a :class:`~repro.backends.PlaneBackend`
 (:mod:`repro.backends`); :class:`TritVec` and :class:`CompiledCircuit`
-are parameterized by one.  The default (``"bigint"``) reproduces the
-original behavior exactly; the ``"native"`` backend trades big-int carry
-chains for fixed-width word ops in a C kernel.  The backend also owns
-the compiled-op sweep (``run_ops``), so each representation keeps a
-specialized hot loop.
+are parameterized by one.  Both shipped backends store a plane as one
+arbitrary-precision int; ``"native"`` also runs each exhaustive
+verification shard in a C kernel.  The backend owns the compiled-op
+sweep (``run_ops``), so a representation keeps a specialized hot loop.
 
 :class:`CompiledCircuit` lowers a :class:`~repro.circuits.netlist.Circuit`
 once into a flat program over integer net slots; :func:`compile_circuit`

@@ -582,7 +582,7 @@ def verify_two_sort_sharded(
         # Resolve the alias once, up front, so shard sizing, cache and
         # epoch keys, and the name forwarded to every worker all agree
         # on one concrete backend (workers on compiler-less hosts still
-        # degrade via the native proxy's bigint fallback).
+        # run native's shards in Python).
         backend = resolve_backend_name(backend)
     if shard_size is None:
         shard_size = _default_pair_shard_size(width, jobs, backend)

@@ -3,13 +3,17 @@
 The load-bearing property is that every backend is a *drop-in*
 representation: identical TritVec semantics, identical compiled-program
 results, identical (bit-for-bit) verification reports -- big-int planes
-and the native kernel's ``array("Q")`` lane words must be
-indistinguishable except in wall-clock time.
+and the native kernel's pair shard must be indistinguishable except in
+wall-clock time.
 """
 
 import itertools
 import os
 import random
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -54,15 +58,17 @@ from repro.verify.parallel import (
     _default_pair_shard_size,
     verify_two_sort_sharded,
 )
-from repro.graycode.valid import from_rank
+from repro.graycode.valid import from_rank, rank
+
+SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def _backend_params():
     """Every representation under test.
 
-    ``native`` is the registry proxy: on hosts with a C compiler it
-    resolves to the kernel-backed lane-word representation, elsewhere
-    to the bigint fallback -- either way it must be a drop-in.
+    ``native`` is the registry's instance: big-int planes whose
+    verification shards run in the C kernel on hosts with a compiler
+    and in the Python reference elsewhere -- either way a drop-in.
     """
     return [
         pytest.param(BigIntBackend(), id="bigint"),
@@ -146,10 +152,10 @@ class TestRegistry:
 class TestNativeFallback:
     """The graceful-degradation contract: no kernel, same behavior.
 
-    These construct *fresh* proxies after resetting the kernel loader,
-    so they exercise the fallback resolution path regardless of whether
-    this host built the kernel; the registry's own native instance is
-    left untouched (its resolution is cached per instance).
+    These construct *fresh* backends after resetting the kernel loader,
+    so they exercise the fallback path regardless of whether this host
+    built the kernel; the registry's own native instance is left
+    untouched (its kernel lookup is cached per instance).
     """
 
     @pytest.fixture
@@ -189,12 +195,12 @@ class TestNativeFallback:
 
     def test_one_time_stderr_notice(self, no_native, capsys):
         first = NativeBackend()
-        first.zeros(8)  # forces resolution
+        assert first.variant == "fallback"  # forces the kernel lookup
         err = capsys.readouterr().err
         assert "native plane kernel unavailable" in err
         assert "falling back to bigint planes" in err
         second = NativeBackend()
-        second.zeros(8)
+        assert second.variant == "fallback"
         assert capsys.readouterr().err == ""  # emitted once per process
 
     def test_abi_mismatch_falls_back(self, monkeypatch, capsys):
@@ -237,8 +243,8 @@ class TestKernelBuild:
     def loader(self, monkeypatch, tmp_path):
         from repro.backends import _kernel
 
-        # Resolve the registry's proxy first: resolving it later would
-        # load a kernel into the test's cache before the test sets up.
+        # Ask the registry's native backend first: asking later would
+        # build a kernel into the test's cache before the test sets up.
         self.built = get_backend("native").built
         monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path / "cache"))
         _kernel._reset_for_tests()
@@ -323,6 +329,100 @@ class TestKernelBuild:
         assert loader._isa_flags() == ["-mavx2", "-mpopcnt"]
 
 
+class TestKernelFirstUse:
+    """``native`` keeps big-int planes and loads its kernel only for the
+    verification shard: once per process, even under concurrent first
+    use, and never for a sort."""
+
+    def test_native_planes_are_ints(self):
+        tv = TritVec.from_trits("01M", backend="native")
+        assert type(tv.p0) is int and type(tv.p1) is int
+        program = compile_circuit(build_two_sort(2), "native")
+        planes, n = program.encode_inputs([list("0M10"), list("1M00")])
+        p0, p1 = program.run_planes(planes, n)
+        assert all(type(p) is int for p in p0 + p1)
+
+    def test_concurrent_first_use_waits_for_the_load(self, monkeypatch, capsys):
+        """Regression: a thread that asked while another was still loading
+        got no kernel, printed the fallback notice and took the fallback.
+        The load is held open until the second thread is inside
+        ``load_kernel``; both must then see the same variant, and the
+        notice appears only if the kernel really failed."""
+        from repro.backends import _kernel
+
+        real_uncached, real_load = _kernel._load_uncached, _kernel.load_kernel
+        loading, second_asked, release = (threading.Event() for _ in range(3))
+
+        def held_uncached(flags):
+            loading.set()
+            assert release.wait(60)
+            return real_uncached(flags)
+
+        def spied_load():
+            if threading.current_thread().name == "second":
+                second_asked.set()
+            return real_load()
+
+        monkeypatch.setattr(_kernel, "_load_uncached", held_uncached)
+        monkeypatch.setattr(_kernel, "load_kernel", spied_load)
+        _kernel._reset_for_tests()
+        backend = NativeBackend()
+        seen = {}
+
+        def resolve():
+            seen[threading.current_thread().name] = backend.variant
+
+        threads = [
+            threading.Thread(target=resolve, name=name)
+            for name in ("first", "second")
+        ]
+        try:
+            threads[0].start()
+            assert loading.wait(60)
+            threads[1].start()
+            assert second_asked.wait(60)
+            release.set()
+            for thread in threads:
+                thread.join(60)
+                assert not thread.is_alive(), thread.name
+            assert seen["first"] == seen["second"], seen
+            notices = capsys.readouterr().err.count(
+                "native plane kernel unavailable"
+            )
+            assert notices == (seen["first"] == "fallback")
+        finally:
+            release.set()
+            for thread in threads:
+                if thread.is_alive():
+                    thread.join(60)
+            monkeypatch.undo()
+            _kernel._reset_for_tests()
+
+    def test_sort_never_builds_the_kernel(self, tmp_path):
+        """A fresh ``sort --engine compiled --backend native`` with an
+        empty kernel cache prints bigint's rows and no notice, and leaves
+        the cache empty."""
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        words = ["0M10", "0110", "0010", "1M10", "111M"]
+        out = {}
+        for name in ("bigint", "native"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "sort", *words,
+                 "--engine", "compiled", "--backend", name],
+                env={**os.environ, "PYTHONPATH": SRC_DIR,
+                     "REPRO_NATIVE_CACHE": str(cache)},
+                capture_output=True,
+                text=True,
+                timeout=300,
+            )
+            assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+            out[name] = proc.stdout
+        assert out["native"] == out["bigint"]
+        assert out["native"].split() == sorted(words, key=rank)
+        assert os.listdir(cache) == []
+
+
 # ----------------------------------------------------------------------
 # Plane-op contract, per backend
 # ----------------------------------------------------------------------
@@ -387,21 +487,6 @@ class TestPlaneOps:
         for j in range(lanes):
             assert backend.get_lane(plane, j) == (value >> j) & 1
         assert list(backend.iter_set_lanes(plane, lanes)) == [0, 63, 64, 129]
-
-    def test_array_lane_word_addressing(self):
-        """The explicit lane -> (word, bit) contract of the native layout."""
-        native = get_backend("native")
-        if not native.built:
-            pytest.skip("native kernel not built: planes are bigints")
-        impl = native._resolve()
-        assert impl.lane_address(0) == (0, 0)
-        assert impl.lane_address(63) == (0, 63)
-        assert impl.lane_address(64) == (1, 0)
-        assert impl.words_for(0) == 0
-        assert impl.words_for(64) == 1
-        assert impl.words_for(65) == 2
-        # lane 64 is bit 0 of word 1; lane 63 the top bit of word 0
-        assert list(impl.from_int((1 << 64) | (1 << 63), 65)) == [1 << 63, 1]
 
     def test_coerce_rejects_foreign_planes(self, backend):
         with pytest.raises(TypeError):
@@ -780,6 +865,7 @@ class TestPairShardFused:
             lanes = (g_hi - g_lo) * ((1 << (width + 1)) - 1)
             want_diff, want_n = ref.run_pair_shard(width, masks, g_lo, g_hi, pairs)
             got_diff, got_n = native.run_pair_shard(width, masks, g_lo, g_hi, pairs)
+            assert type(got_diff) is int and got_diff == want_diff
             want = ref.backend.to_bytes(want_diff, lanes)
             got = native.backend.to_bytes(got_diff, lanes)
             assert (got, got_n) == (want, want_n), (circuit.name, g_lo, g_hi)
@@ -1068,9 +1154,8 @@ class TestCompactPairShardProgram:
         native = get_backend("native")
         if not native.built:
             pytest.skip("native kernel not built")
-        kernel = native._resolve()
         for n_rows in (47, 77, 300):  # 300 outgrows any slab left before
-            assert kernel._scratch_addr(n_rows) % 64 == 0
+            assert native._scratch_addr(n_rows) % 64 == 0
 
     @pytest.mark.parametrize("width", [3, 7])
     def test_grid_programs_keep_pinned_rows(self, width):
@@ -1308,7 +1393,7 @@ class TestDefaultShardSize:
 
     def test_pinned_sizes_native(self):
         if not get_backend("native").built:
-            pytest.skip("native kernel not built: proxy sizes as bigint")
+            pytest.skip("native kernel not built: native sizes as bigint")
         # The native budget (1<<18 lanes) runs the whole B=8 pair domain
         # as one shard when serial; B>=10 spends it on whole g-rows.
         expected = {
@@ -1324,8 +1409,8 @@ class TestDefaultShardSize:
             assert got == want, (width, jobs, got, want)
 
     def test_word_alignment(self):
-        # The native proxy sizes with its resolved representation's word
-        # width: 64-bit lane words when built, bigint bytes on fallback.
+        # Native shards end on 64-bit words when the kernel built and on
+        # bigint bytes otherwise.
         native_word = 64 if get_backend("native").built else 8
         for width in range(4, 14):
             for jobs in (1, 2, 8):
