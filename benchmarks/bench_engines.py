@@ -141,8 +141,10 @@ def bench_network_simulation(width: int, vectors: int, requests: int) -> dict:
     :meth:`SortRequest.run <repro.service.jobs.SortRequest.run>`,
     validation included, on 256 seeded vectors of 10 channels of 16-bit
     words (~30 % ``M``), as the median over ``requests`` runs per plane
-    backend (``native`` is the bigint fallback where the kernel did not
-    build; ``native_built`` says which).
+    backend (``native_built`` says whether the kernel built; a sort
+    never calls it).  The backends' runs are interleaved, one request
+    each per round with the first backend alternating between rounds,
+    so drift in host speed lands on both rows alike.
     """
     network = SORT10_SIZE
     workload = measurement_sweep(
@@ -191,19 +193,24 @@ def bench_network_simulation(width: int, vectors: int, requests: int) -> dict:
         "requests": requests,
         "native_built": get_backend("native").built,
     }
-    served_rows = []
-    for backend in ("bigint", "native"):
-        request = SortRequest(vectors=served_vectors, backend=backend)
-        served_rows.append(request.run())  # warms the compile cache
-        times = []
-        for _ in range(requests):
-            t0 = time.perf_counter()
-            request.run()
-            times.append(time.perf_counter() - t0)
-        served[backend] = {
-            "ms_per_request": round(statistics.median(times) * 1e3, 3)
-        }
+    backends = ("bigint", "native")
+    served_requests = {
+        backend: SortRequest(vectors=served_vectors, backend=backend)
+        for backend in backends
+    }
+    # One untimed run each warms the compile caches.
+    served_rows = [served_requests[backend].run() for backend in backends]
     assert served_rows[0] == served_rows[1]
+    times = {backend: [] for backend in backends}
+    for i in range(requests):
+        for backend in backends[:: 1 if i % 2 == 0 else -1]:
+            t0 = time.perf_counter()
+            served_requests[backend].run()
+            times[backend].append(time.perf_counter() - t0)
+    for backend in backends:
+        served[backend] = {
+            "ms_per_request": round(statistics.median(times[backend]) * 1e3, 3)
+        }
 
     return {
         "width": width,

@@ -1,20 +1,20 @@
-"""Pluggable plane backends: how two-plane batches are stored and run.
+"""Plane backends: who runs the exhaustive-verification shard.
 
 The compiled engine, the exhaustive verifier, and the batched network
-simulator all operate on **planes** (one bit per batch lane, two planes
-per net).  This package owns the choice of plane representation behind
-the :class:`~repro.backends.base.PlaneBackend` interface and a small
-name registry, mirroring the engine registry in
+simulator all operate on **planes** -- one Python int per plane, one
+bit per batch lane, two planes per net (:mod:`repro.circuits.compiled`).
+Every backend stores planes the same way, so results never depend on
+the backend.  What a :class:`~repro.backends.base.PlaneBackend` owns is
+the verification shard and its sizing, chosen from a small name
+registry that mirrors the engine registry in
 :mod:`repro.networks.simulate` and the executor registry in
 :mod:`repro.verify.parallel`:
 
-* ``"bigint"`` -- arbitrary-precision Python ints (the original
-  representation, extracted verbatim; the reference and the default),
-* ``"native"`` -- bigint planes, with each exhaustive-verification
-  shard run as one call of a C kernel built on first use; on hosts
-  without a compiler, or under ``REPRO_NO_NATIVE=1``, the shard runs
-  the Python reference after a one-time notice
-  (:mod:`repro.backends.native`).
+* ``"bigint"`` -- the Python reference shard engine (the default),
+* ``"native"`` -- each exhaustive-verification shard run as one call
+  of a C kernel built on first use; on hosts without a compiler, or
+  under ``REPRO_NO_NATIVE=1``, the shard runs the Python reference
+  after a one-time notice (:mod:`repro.backends.native`).
 
 ``"auto"`` is an *alias*, not a registered backend: it resolves to
 ``native`` when the kernel is built on this host and ``bigint``
@@ -39,7 +39,7 @@ from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Union
 
 from ._kernel import native_disabled_by_env
-from .base import Plane, PlaneBackend
+from .base import PlaneBackend
 from .bigint import BigIntBackend
 from .native import NativeBackend
 
@@ -47,7 +47,6 @@ __all__ = [
     "AUTO_BACKEND",
     "BigIntBackend",
     "NativeBackend",
-    "Plane",
     "PlaneBackend",
     "available_backends",
     "default_backend_name",

@@ -1,51 +1,40 @@
-"""The plane-backend interface: pluggable storage for two-plane batches.
+"""The verification-shard engine over int planes: the Python reference.
 
-Everything hot in this codebase runs on **planes** -- bitmaps with one
-bit per *lane* (batch vector), two per net (:mod:`repro.circuits.compiled`).
-A :class:`PlaneBackend` owns how planes are stored and run.  Both
-shipped backends store a plane as one Python int
-(:mod:`repro.backends.bigint`); ``native`` differs only in running the
-exhaustive-verification shard in a C kernel
-(:mod:`repro.backends.native`).
+Everything hot in this codebase runs on **planes** -- Python ints with
+one bit per *lane* (batch vector), bit ``j`` = lane ``j``, two per net
+(:mod:`repro.circuits.compiled`).  Every plane is **tail-masked**: bits
+at lane indices ``>= lanes`` are zero.  A plane is an int everywhere
+outside the C kernel, so callers use int operators on it directly.
 
-A backend owns four concerns:
+A :class:`PlaneBackend` owns what still differs between backends: how
+an exhaustive-verification shard runs, and how big a shard should be.
 
-* **allocation / packing** -- :meth:`~PlaneBackend.zeros`,
-  :meth:`~PlaneBackend.ones`, :meth:`~PlaneBackend.from_int`,
-  :meth:`~PlaneBackend.from_bytes`, and the inverse conversions
-  (:meth:`~PlaneBackend.to_int`, :meth:`~PlaneBackend.to_bytes`, both
-  little-endian in lane order so every backend round-trips through the
-  same canonical byte form);
-* **plane ops** -- the bitwise AND/OR/XOR/NOT that the two-plane Kleene
-  connectives are built from (``band``/``bor``/``bxor``/``bnot``);
-* **lane addressing** -- :meth:`~PlaneBackend.get_lane`,
-  :meth:`~PlaneBackend.iter_set_lanes` (mismatch-lane extraction for
-  failure reports), :meth:`~PlaneBackend.popcount`;
-* **program execution** -- :meth:`~PlaneBackend.run_ops`, the compiled
-  op sweep over plane slots.  This is *the* hot loop, so a backend
-  specializes it (big-int: inline int operators) instead of paying a
-  virtual call per gate.  :meth:`~PlaneBackend.run_pair_shard` is the
-  whole verification shard (pair product, sweep, compare), which the
-  native kernel runs in one call.
-
-Invariant: every plane is **tail-masked** -- bits at lane indices
-``>= lanes`` are zero.  Constructors enforce it, ``bnot`` re-masks, and
-the structural ops (AND/OR/XOR) preserve it, so queries like
-``popcount`` and ``iter_set_lanes`` never see garbage lanes.
+* **shard sizing** -- ``preferred_shard_lanes`` and ``word_bits``;
+* **the shard** -- :meth:`~PlaneBackend.run_pair_shard` checks one
+  g-row shard of the 2-sort pair product (pair product, op sweep,
+  compare) in one call.  This class runs it in Python, from the
+  structured-packing helpers (:meth:`~PlaneBackend.pair_shard_planes`,
+  :meth:`~PlaneBackend.from_pattern`, :meth:`~PlaneBackend.expand_bits`,
+  :meth:`~PlaneBackend.from_prefix_runs`) and the fused sweep-and-compare
+  :meth:`~PlaneBackend.run_ops_select_diff`; this is the reference
+  semantics, and ``native`` overrides it with one C kernel call
+  (:mod:`repro.backends.native`);
+* **the op sweep** -- :meth:`~PlaneBackend.run_ops`, the compiled
+  program over plane slots with inline int operators, which batch
+  simulation runs too (:meth:`CompiledCircuit.run_planes
+  <repro.circuits.compiled.CompiledCircuit.run_planes>`);
+* **mismatch lanes** -- :meth:`~PlaneBackend.iter_set_lanes`, for
+  failure reports.
 """
 
 from __future__ import annotations
 
-import abc
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
-__all__ = ["Plane", "PlaneBackend"]
+__all__ = ["PlaneBackend"]
 
-#: A backend-native plane object (an int on both shipped backends).
-Plane = Any
-
-#: Compiled-program opcodes (shared with repro.circuits.compiled; defined
-#: here so backends can specialize run_ops without a circular import).
+#: Compiled-program opcodes (used by repro.circuits.compiled to emit
+#: programs and here to run them).
 OP_AND = 0
 OP_OR = 1
 OP_INV = 2
@@ -53,10 +42,14 @@ OP_XOR = 3
 OP_BUF = 4
 
 
-class PlaneBackend(abc.ABC):
-    """Strategy object for one plane representation.
+def _popcount(plane: int) -> int:
+    return bin(plane).count("1")
 
-    Subclasses are stateless (safe to share across threads/processes and
+
+class PlaneBackend:
+    """The reference verification-shard engine, over int planes.
+
+    Instances are stateless (safe to share across threads/processes and
     to key compile caches on ``name``); all methods are pure functions
     of their arguments.  ``word_bits`` is the preferred lane-word
     granularity: shard planners align lane budgets to it so no shard
@@ -64,46 +57,16 @@ class PlaneBackend(abc.ABC):
     """
 
     #: Registry name; also the compile-cache key component.
-    name: str = "abstract"
-    #: Preferred lane-word size in bits (bigint byte-walks at 8; the
+    name: str = "reference"
+    #: Preferred lane-word size in bits (int planes byte-walk at 8; the
     #: native kernel's shards end on 64-bit words).
     word_bits: int = 8
-    #: Preferred lanes per verification shard: the batch size at which
-    #: this representation's op sweep runs best (big ints like planes
-    #: that keep the whole slot file cache-resident; the native kernel
-    #: wants wide shards to amortize each Python-to-C crossing).
+    #: Preferred lanes per int-plane batch: the size at which the op
+    #: sweep runs best (planes that keep the whole slot file
+    #: cache-resident).  Batch sorts always size their shards by this
+    #: class value; a verification shard reads its backend's, which the
+    #: native kernel widens to amortize each Python-to-C crossing.
     preferred_shard_lanes: int = 1 << 14
-
-    # ------------------------------------------------------------------
-    # Allocation / packing
-    # ------------------------------------------------------------------
-    @abc.abstractmethod
-    def zeros(self, lanes: int) -> Plane:
-        """The all-zero plane over ``lanes`` lanes."""
-
-    @abc.abstractmethod
-    def ones(self, lanes: int) -> Plane:
-        """The all-ones (full mask) plane over ``lanes`` lanes."""
-
-    @abc.abstractmethod
-    def from_int(self, value: int, lanes: int) -> Plane:
-        """Pack a non-negative int (bit ``j`` = lane ``j``) into a plane."""
-
-    @abc.abstractmethod
-    def from_bytes(self, data: bytes, lanes: int) -> Plane:
-        """Pack little-endian lane bytes (``ceil(lanes/8)`` of them)."""
-
-    def coerce(self, plane: Plane, lanes: int) -> Plane:
-        """Accept a native plane as-is; convert a plain int.
-
-        The compiled executor takes input planes from both int-space
-        constructions (pair products, encoders) and native
-        :class:`~repro.circuits.compiled.TritVec` planes; this is the
-        single adapter between the two.
-        """
-        if isinstance(plane, int):
-            return self.from_int(plane, lanes)
-        return plane
 
     # ------------------------------------------------------------------
     # Structured packing
@@ -111,11 +74,11 @@ class PlaneBackend(abc.ABC):
     # The exhaustive pair product (pair_shard_planes, run_pair_shard) is
     # built from three bit-layout shapes: a per-string pattern tiled
     # across g-row blocks, single bits smeared into row-wide runs, and a
-    # block-triangular prefix mask.  These defaults are the reference
-    # semantics; the native backend generates the same bits inside its
-    # kernel instead of building planes.
+    # block-triangular prefix mask.  These are the reference semantics;
+    # the native backend generates the same bits inside its kernel
+    # instead of building planes.
     # ------------------------------------------------------------------
-    def from_pattern(self, value: int, period: int, lanes: int) -> Plane:
+    def from_pattern(self, value: int, period: int, lanes: int) -> int:
         """``value`` (a ``period``-bit pattern) tiled every ``period`` bits.
 
         Replicated ``ceil(lanes / period)`` times and tail-masked to
@@ -123,13 +86,13 @@ class PlaneBackend(abc.ABC):
         """
         reps = -(-lanes // period) if lanes else 0
         if not reps:
-            return self.zeros(lanes)
+            return 0
         # 1 bit at the base of each block: replicates the pattern across
         # the whole plane with one multiply.
         rep = ((1 << (period * reps)) - 1) // ((1 << period) - 1)
-        return self.from_int(value * rep, lanes)
+        return (value * rep) & ((1 << lanes) - 1)
 
-    def expand_bits(self, value: int, run: int, lanes: int) -> Plane:
+    def expand_bits(self, value: int, run: int, lanes: int) -> int:
         """Bit ``k`` of ``value`` smeared into a ``run``-wide block.
 
         Block ``k`` covers bits ``[k * run, (k + 1) * run)``; the result
@@ -141,9 +104,9 @@ class PlaneBackend(abc.ABC):
         for k in range(count):
             if (value >> k) & 1:
                 out |= block << (k * run)
-        return self.from_int(out, lanes)
+        return out & ((1 << lanes) - 1)
 
-    def from_prefix_runs(self, first: int, period: int, lanes: int) -> Plane:
+    def from_prefix_runs(self, first: int, period: int, lanes: int) -> int:
         """Row ``k`` (one ``period``-bit block) gets ``first + k`` low ones.
 
         The block-triangular select mask of the pair sweep; rows are
@@ -153,7 +116,7 @@ class PlaneBackend(abc.ABC):
         out = 0
         for k in range(count):
             out |= ((1 << min(first + k, period)) - 1) << (k * period)
-        return self.from_int(out, lanes)
+        return out & ((1 << lanes) - 1)
 
     def pair_shard_planes(
         self,
@@ -161,7 +124,7 @@ class PlaneBackend(abc.ABC):
         width: int,
         g_lo: int,
         g_hi: int,
-    ) -> Tuple[Tuple[Tuple[Plane, Plane], ...], int]:
+    ) -> Tuple[Tuple[Tuple[int, int], ...], int]:
         """Input planes of one g-row shard of the 2-sort pair product.
 
         ``masks`` is ``(m0, m1)``: ``m0[b]`` (``m1[b]``) has bit ``i``
@@ -194,66 +157,16 @@ class PlaneBackend(abc.ABC):
         return tuple(planes), lanes
 
     # ------------------------------------------------------------------
-    # Conversion
+    # Lane addressing
     # ------------------------------------------------------------------
-    @abc.abstractmethod
-    def to_int(self, plane: Plane, lanes: int) -> int:
-        """The plane as a Python int (bit ``j`` = lane ``j``)."""
-
-    @abc.abstractmethod
-    def to_bytes(self, plane: Plane, lanes: int) -> bytes:
-        """Exactly ``ceil(lanes/8)`` little-endian lane bytes.
-
-        The canonical form: equal planes on *any* backend produce equal
-        byte strings, which is what cross-backend ``TritVec`` equality
-        and hashing compare.
-        """
-
-    # ------------------------------------------------------------------
-    # Bitwise plane ops
-    # ------------------------------------------------------------------
-    @abc.abstractmethod
-    def band(self, a: Plane, b: Plane) -> Plane:
-        """Bitwise AND."""
-
-    @abc.abstractmethod
-    def bor(self, a: Plane, b: Plane) -> Plane:
-        """Bitwise OR."""
-
-    @abc.abstractmethod
-    def bxor(self, a: Plane, b: Plane) -> Plane:
-        """Bitwise XOR."""
-
-    @abc.abstractmethod
-    def bnot(self, a: Plane, lanes: int) -> Plane:
-        """Bitwise complement, re-masked to ``lanes`` lanes."""
-
-    # ------------------------------------------------------------------
-    # Queries / lane addressing
-    # ------------------------------------------------------------------
-    @abc.abstractmethod
-    def eq(self, a: Plane, b: Plane) -> bool:
-        """True iff the planes are bit-identical."""
-
-    @abc.abstractmethod
-    def any(self, a: Plane) -> bool:
-        """True iff any lane bit is set."""
-
-    @abc.abstractmethod
-    def popcount(self, a: Plane) -> int:
-        """Number of set lane bits."""
-
-    @abc.abstractmethod
-    def get_lane(self, a: Plane, lane: int) -> int:
-        """Bit of one lane (0 or 1)."""
-
-    def iter_set_lanes(self, a: Plane, lanes: int) -> Iterator[int]:
+    def iter_set_lanes(self, a: int, lanes: int) -> Iterator[int]:
         """Ascending indices of set lanes (mismatch-lane extraction).
 
-        Default: byte-walk over the canonical form -- O(1) per probed
-        byte, and only failure reporting ever calls it.
+        A byte-walk over the plane's ``ceil(lanes/8)`` little-endian
+        bytes -- O(1) per probed byte, and only failure reporting ever
+        calls it.
         """
-        raw = self.to_bytes(a, lanes)
+        raw = a.to_bytes((lanes + 7) >> 3, "little")
         for byte_index, byte in enumerate(raw):
             if byte:
                 base = byte_index << 3
@@ -267,35 +180,32 @@ class PlaneBackend(abc.ABC):
     def run_ops(
         self,
         ops: Sequence[Tuple[int, int, int, int]],
-        p0: List[Plane],
-        p1: List[Plane],
+        p0: List[int],
+        p1: List[int],
     ) -> None:
         """Execute a compiled op list over the slot planes, in place.
 
         ``ops`` entries are ``(opcode, dst, a, b)`` over slot indices
         (two-plane Kleene semantics, :mod:`repro.circuits.compiled`);
-        input and constant slots of ``p0``/``p1`` are pre-filled, every
-        ``dst`` slot is written exactly once, and planes already stored
-        in slots are never mutated (aliasing buffered copies is safe).
-
-        This generic version is built from the primitive ops; concrete
-        backends override it with a specialized loop.
+        input and constant slots of ``p0``/``p1`` are pre-filled, and
+        every ``dst`` slot is written exactly once.  Inline int
+        operators, no per-op call: this is the hot loop of batch
+        simulation.
         """
-        band, bor, bxor = self.band, self.bor, self.bxor
         for op, d, a, b in ops:
             if op == OP_AND:
-                p1[d] = band(p1[a], p1[b])
-                p0[d] = bor(p0[a], p0[b])
+                p1[d] = p1[a] & p1[b]
+                p0[d] = p0[a] | p0[b]
             elif op == OP_OR:
-                p0[d] = band(p0[a], p0[b])
-                p1[d] = bor(p1[a], p1[b])
+                p0[d] = p0[a] & p0[b]
+                p1[d] = p1[a] | p1[b]
             elif op == OP_INV:
                 p0[d] = p1[a]
                 p1[d] = p0[a]
             elif op == OP_XOR:
                 a0, a1, b0, b1 = p0[a], p1[a], p0[b], p1[b]
-                p0[d] = bor(band(a0, b0), band(a1, b1))
-                p1[d] = bor(band(a0, b1), band(a1, b0))
+                p1[d] = (a0 & b1) | (a1 & b0)
+                p0[d] = (a0 & b0) | (a1 & b1)
             else:  # OP_BUF
                 p0[d] = p0[a]
                 p1[d] = p1[a]
@@ -304,19 +214,18 @@ class PlaneBackend(abc.ABC):
         self,
         ops: Sequence[Tuple[int, int, int, int]],
         n_slots: int,
-        inputs: Sequence[Tuple[int, Plane, Plane]],
+        inputs: Sequence[Tuple[int, int, int]],
         cmp: Sequence[Tuple[int, int, int]],
-        sel: Plane,
-        nsel: Plane,
+        sel: int,
+        nsel: int,
         lanes: int,
         counts: Optional[List[int]] = None,
-    ) -> Tuple[Plane, int]:
+    ) -> Tuple[int, int]:
         """Run a program and reduce it to a mismatch plane in one step.
 
-        ``inputs`` presets slots (``(slot, p0, p1)``, already
-        backend-native); every other slot starts all-zero.  Each
-        ``cmp`` triple ``(slot, a_slot, b_slot)`` checks ``slot``
-        against the lane-wise mux of two other slots,
+        ``inputs`` presets slots (``(slot, p0, p1)``); every other slot
+        starts all-zero.  Each ``cmp`` triple ``(slot, a_slot, b_slot)``
+        checks ``slot`` against the lane-wise mux of two other slots,
 
             ``expected = (sel & a_slot) | (nsel & b_slot)``
 
@@ -327,30 +236,23 @@ class PlaneBackend(abc.ABC):
         :mod:`repro.verify.exhaustive`, whose expected outputs are
         exactly ``sel``-muxes of the input planes.  When ``counts`` is
         given (one int per triple), each triple's own mismatch popcount
-        is added to its entry.  Backends that execute programs natively
-        can fuse the compare into the sweep so neither the intermediate
-        slot planes nor the expected planes ever materialize; this
-        generic version just runs :meth:`run_ops` and folds with the
-        primitive ops, which is the reference semantics every override
-        must match bit-for-bit.
+        is added to its entry.
         """
-        zero = self.zeros(lanes)
-        p0: List[Plane] = [zero] * n_slots
-        p1: List[Plane] = [zero] * n_slots
+        p0 = [0] * n_slots
+        p1 = [0] * n_slots
         for slot, a0, a1 in inputs:
             p0[slot] = a0
             p1[slot] = a1
         self.run_ops(ops, p0, p1)
-        band, bor, bxor = self.band, self.bor, self.bxor
-        diff = self.zeros(lanes)
+        diff = 0
         for j, (slot, a, b) in enumerate(cmp):
-            e0 = bor(band(sel, p0[a]), band(nsel, p0[b]))
-            e1 = bor(band(sel, p1[a]), band(nsel, p1[b]))
-            miss = bor(bxor(p0[slot], e0), bxor(p1[slot], e1))
-            diff = bor(diff, miss)
+            e0 = (sel & p0[a]) | (nsel & p0[b])
+            e1 = (sel & p1[a]) | (nsel & p1[b])
+            miss = (p0[slot] ^ e0) | (p1[slot] ^ e1)
+            diff |= miss
             if counts is not None:
-                counts[j] += self.popcount(miss)
-        return diff, self.popcount(diff)
+                counts[j] += _popcount(miss)
+        return diff, _popcount(diff)
 
     def run_pair_shard(
         self,
@@ -361,7 +263,7 @@ class PlaneBackend(abc.ABC):
         g_lo: int,
         g_hi: int,
         counts: Optional[List[int]] = None,
-    ) -> Tuple[Plane, int]:
+    ) -> Tuple[int, int]:
         """Check one g-row shard of the 2-sort pair product in one step.
 
         ``program`` is a compiled program (``ops``, ``n_slots``,
@@ -379,28 +281,27 @@ class PlaneBackend(abc.ABC):
         triple) also gets each compared output's mismatching lanes
         added, which is what lets one call check several output cones.
 
-        This default packs the planes through the structured-packing
-        primitives and runs :meth:`run_ops_select_diff`; it is the
-        reference semantics every override must match bit-for-bit.
-        Backends that execute programs natively can generate the pair
-        product in place, so no input plane is ever built.
+        This packs the planes through the structured-packing helpers
+        and runs :meth:`run_ops_select_diff`; it is the reference
+        semantics every override must match bit-for-bit.  The native
+        kernel generates the pair product in place, so no input plane
+        is ever built.
         """
         planes, lanes = self.pair_shard_planes(masks, width, g_lo, g_hi)
+        full = (1 << lanes) - 1
         sel = self.from_prefix_runs(g_lo + 1, (1 << (width + 1)) - 1, lanes)
         inputs = [
             (slot, a0, a1) for slot, (a0, a1) in zip(program.input_slots, planes)
         ]
-        if program.const_slots:
-            zero, full = self.zeros(lanes), self.ones(lanes)
-            for slot, can0, can1 in program.const_slots:
-                inputs.append((slot, full if can0 else zero, full if can1 else zero))
+        for slot, can0, can1 in program.const_slots:
+            inputs.append((slot, full if can0 else 0, full if can1 else 0))
         return self.run_ops_select_diff(
             program.ops,
             program.n_slots,
             inputs,
             cmp,
             sel,
-            self.bnot(sel, lanes),
+            sel ^ full,
             lanes,
             counts=counts,
         )

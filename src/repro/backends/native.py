@@ -1,10 +1,11 @@
-"""Native plane backend: big-int planes plus a C kernel for the pair shard.
+"""Native plane backend: the pair shard in a C kernel.
 
 ``NativeBackend`` is :class:`~repro.backends.bigint.BigIntBackend` with
-one method moved into C.  Its planes are Python ints, and every plane
-op, ``run_ops`` and failure decode is bigint's own code; only
-:meth:`~NativeBackend.run_pair_shard` -- a whole exhaustive-verification
-shard -- differs.  It is one ``repro_pair_shard`` call of the kernel in
+one method moved into C.  Planes are Python ints on every backend, and
+``run_ops`` and failure decode are the reference engine's own code;
+only :meth:`~NativeBackend.run_pair_shard` -- a whole
+exhaustive-verification shard -- differs.  It is one
+``repro_pair_shard`` call of the kernel in
 :mod:`repro.backends._kernel`, which generates the pair product itself,
 so no input plane is built in Python.  The shard's ``diff`` comes back
 as an int: 0 when no lane mismatched, else converted once.
@@ -15,8 +16,9 @@ liveness -- 2-sort(13) goes from 314 ops over 340 slots to 242 ops over
 77 rows, whose 32-word tiles fit in L1.
 
 The kernel loads on first use of ``built``, ``variant``, ``word_bits``,
-``preferred_shard_lanes`` or ``run_pair_shard``, so a single-process
-sort never builds it.  When it is unavailable (no compiler, build failure,
+``preferred_shard_lanes`` or ``run_pair_shard``.  A sort reads none of
+them, so a sort on ``native`` never builds it (resolving ``auto``
+does).  When it is unavailable (no compiler, build failure,
 ``REPRO_NO_NATIVE=1``) the shard runs the inherited Python reference
 after a one-time stderr notice, and shards are sized as bigint's.
 

@@ -30,13 +30,14 @@ at once, at C speed:
   batch and scalar semantics agree *by construction* (and the test
   suite re-checks every gate kind over its full ternary truth table).
 
-**Plane storage is pluggable.**  How a plane is represented and run is
-owned by a :class:`~repro.backends.PlaneBackend`
-(:mod:`repro.backends`); :class:`TritVec` and :class:`CompiledCircuit`
-are parameterized by one.  Both shipped backends store a plane as one
-arbitrary-precision int; ``"native"`` also runs each exhaustive
-verification shard in a C kernel.  The backend owns the compiled-op
-sweep (``run_ops``), so a representation keeps a specialized hot loop.
+**A plane is an int.**  Every plane -- in a :class:`TritVec`, in
+:meth:`CompiledCircuit.run_planes`, in the string codec -- is one
+arbitrary-precision Python int, lane ``j`` at bit ``j``, tail-masked to
+the lane count, and is read and written with int operators.  A
+:class:`CompiledCircuit` still names a :class:`~repro.backends.PlaneBackend`
+(:mod:`repro.backends`): it picks who runs an exhaustive-verification
+shard (the Python reference, or ``"native"``'s C kernel) and how big the
+shards are, and its name keys the compile cache.
 
 :class:`CompiledCircuit` lowers a :class:`~repro.circuits.netlist.Circuit`
 once into a flat program over integer net slots; :func:`compile_circuit`
@@ -52,21 +53,13 @@ milliseconds instead of minutes (see ``benchmarks/bench_engines.py``).
 
 from __future__ import annotations
 
-from typing import (
-    Dict,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from ..backends import Plane, PlaneBackend, get_backend
+from ..backends import PlaneBackend, get_backend
+from ..backends.base import OP_AND, OP_BUF, OP_INV, OP_OR, OP_XOR
 from ..ternary.trit import Trit, TritLike, canonical_trit_string
 from ..ternary.word import Word
-from .netlist import Circuit, CircuitError, Gate
+from .netlist import Circuit, CircuitError
 from .wire import NetId
 
 __all__ = [
@@ -93,9 +86,7 @@ _LANE_CHAR = bytes.maketrans(b"\x91\x92\x93", b"01M")
 # ----------------------------------------------------------------------
 # The string <-> plane codec
 # ----------------------------------------------------------------------
-def planes_from_str(
-    text: str, stride: int, backend: BackendLike = None
-) -> List[Tuple[Plane, Plane]]:
+def planes_from_str(text: str, stride: int) -> List[Tuple[int, int]]:
     """Plane pairs of every column of a lane-major trit string.
 
     ``text`` is ``n`` lanes of ``stride`` characters each over
@@ -105,36 +96,27 @@ def planes_from_str(
     becomes one ``(p0, p1)`` pair over the ``n`` lanes, lane ``j`` at
     bit ``j``.  The whole text is canonicalized and translated once per
     plane; each column is then one strided slice and one ``int(..., 2)``,
-    with no per-lane loop.  Returns the ``stride`` pairs in column order,
-    native to ``backend``.
+    with no per-lane loop.  Returns the ``stride`` pairs in column order.
     """
-    be = get_backend(backend)
     n, extra = divmod(len(text), stride)
     if extra:
         raise ValueError(
             f"{len(text)} characters do not split into {stride}-wide lanes"
         )
     if not n:
-        return [(be.zeros(0), be.zeros(0))] * stride
+        return [(0, 0)] * stride
     # int() reads the first character as the top bit; lane 0 is bit 0,
     # so the text goes in reversed and column k starts at stride-1-k.
     lanes = canonical_trit_string(text)[::-1]
     can0 = lanes.translate(_CAN0)
     can1 = lanes.translate(_CAN1)
     return [
-        (
-            be.from_int(int(can0[k::stride], 2), n),
-            be.from_int(int(can1[k::stride], 2), n),
-        )
+        (int(can0[k::stride], 2), int(can1[k::stride], 2))
         for k in range(stride - 1, -1, -1)
     ]
 
 
-def planes_to_str(
-    columns: Sequence[Tuple[Plane, Plane]],
-    lanes: int,
-    backend: BackendLike = None,
-) -> str:
+def planes_to_str(columns: Sequence[Tuple[int, int]], lanes: int) -> str:
     """Inverse of :func:`planes_from_str`: the lane-major string.
 
     ``columns[k]`` is the ``(p0, p1)`` pair of column ``k`` over
@@ -150,7 +132,6 @@ def planes_to_str(
     size = lanes * stride
     if not size:
         return ""
-    be = get_backend(backend)
     fmt = f"0{lanes}b"
     # format() writes the top lane first, so both buffers hold the text
     # reversed, column k starting at stride-1-k.
@@ -158,8 +139,8 @@ def planes_to_str(
     buf1 = bytearray(size)
     for k, (p0, p1) in enumerate(columns):
         col = slice(stride - 1 - k, None, stride)
-        buf0[col] = format(be.to_int(p0, lanes), fmt).encode()
-        buf1[col] = format(be.to_int(p1, lanes), fmt).encode()
+        buf0[col] = format(p0, fmt).encode()
+        buf1[col] = format(p1, fmt).encode()
     codes = (
         int.from_bytes(buf0, "big") + (int.from_bytes(buf1, "big") << 1)
     ).to_bytes(size, "big")
@@ -173,51 +154,38 @@ class TritVec:
     """An immutable batch of ``n`` trits in two-plane encoding.
 
     Lane ``j`` holds one ternary value; ``p0``/``p1`` are the
-    can-be-0 / can-be-1 planes over all lanes, stored in the
-    representation of ``backend`` (plain ints on the default ``bigint``
-    backend -- plane ints passed to the constructor are validated and
-    packed for whichever backend is selected).  Kleene connectives are
-    provided as operators so a :class:`TritVec` behaves like ``n``
-    trits evaluated simultaneously::
+    can-be-0 / can-be-1 planes over all lanes, as ints.  Kleene
+    connectives are provided as operators so a :class:`TritVec` behaves
+    like ``n`` trits evaluated simultaneously::
 
         >>> a = TritVec.from_trits("01M")
         >>> b = TritVec.broadcast("M", 3)
         >>> (a & b).to_str()
         '0MM'
 
-    Equality and hashing are *content*-based across backends: the same
-    trits on ``bigint`` and ``native`` planes compare equal.
+    Equality and hashing compare ``(n, p0, p1)``.
     """
 
-    __slots__ = ("n", "p0", "p1", "backend")
+    __slots__ = ("n", "p0", "p1")
 
-    def __init__(self, n: int, p0, p1, backend: BackendLike = None):
-        be = get_backend(backend)
+    def __init__(self, n: int, p0: int, p1: int):
         if n < 0:
             raise ValueError("TritVec length must be >= 0")
-        if isinstance(p0, int) and isinstance(p1, int):
-            mask = (1 << n) - 1
-            if not (0 <= p0 <= mask and 0 <= p1 <= mask):
-                raise ValueError(f"planes out of range for {n} lanes")
-            if p0 | p1 != mask:
-                raise ValueError(
-                    "every lane must encode a trit: plane union must be "
-                    "all-ones"
+        for plane in (p0, p1):
+            if not isinstance(plane, int):
+                raise TypeError(
+                    f"TritVec planes are ints, got a {type(plane).__name__}"
                 )
-            p0 = be.from_int(p0, n)
-            p1 = be.from_int(p1, n)
-        else:
-            p0 = be.coerce(p0, n)
-            p1 = be.coerce(p1, n)
-            if not be.eq(be.bor(p0, p1), be.ones(n)):
-                raise ValueError(
-                    "every lane must encode a trit: plane union must be "
-                    "all-ones"
-                )
+        mask = (1 << n) - 1
+        if not (0 <= p0 <= mask and 0 <= p1 <= mask):
+            raise ValueError(f"planes out of range for {n} lanes")
+        if p0 | p1 != mask:
+            raise ValueError(
+                "every lane must encode a trit: plane union must be all-ones"
+            )
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "p0", p0)
         object.__setattr__(self, "p1", p1)
-        object.__setattr__(self, "backend", be)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability
         raise AttributeError("TritVec is immutable")
@@ -226,11 +194,7 @@ class TritVec:
     # Constructors
     # ------------------------------------------------------------------
     @classmethod
-    def from_trits(
-        cls,
-        values: Union[str, Iterable[TritLike]],
-        backend: BackendLike = None,
-    ) -> "TritVec":
+    def from_trits(cls, values: Union[str, Iterable[TritLike]]) -> "TritVec":
         """Pack a sequence of trit-likes; lane ``j`` is ``values[j]``.
 
         A string (``'0'``, ``'1'``, ``'M'`` or ``'m'`` per lane) is packed
@@ -239,11 +203,9 @@ class TritVec:
         per-lane loop.
         """
         if isinstance(values, str):
-            be = get_backend(backend)
-            ((p0, p1),) = planes_from_str(values, 1, be)
-            return cls._wrap(len(values), p0, p1, be)
+            ((p0, p1),) = planes_from_str(values, 1)
+            return cls._wrap(len(values), p0, p1)
         trits = [v if isinstance(v, Trit) else Trit.coerce(v) for v in values]
-        be = get_backend(backend)
         n = len(trits)
         b0 = bytearray((n + 7) >> 3)
         b1 = bytearray((n + 7) >> 3)
@@ -254,32 +216,25 @@ class TritVec:
             if t is not Trit.ZERO:
                 b1[j >> 3] |= bit
         return cls._wrap(
-            n, be.from_bytes(bytes(b0), n), be.from_bytes(bytes(b1), n), be
+            n, int.from_bytes(b0, "little"), int.from_bytes(b1, "little")
         )
 
     @classmethod
-    def broadcast(
-        cls, value: TritLike, n: int, backend: BackendLike = None
-    ) -> "TritVec":
+    def broadcast(cls, value: TritLike, n: int) -> "TritVec":
         """All ``n`` lanes hold the same trit."""
         t = Trit.coerce(value)
-        be = get_backend(backend)
-        vec = object.__new__(cls)
-        ones, zeros = be.ones(n), be.zeros(n)
-        object.__setattr__(vec, "n", n)
-        object.__setattr__(vec, "p0", zeros if t is Trit.ONE else ones)
-        object.__setattr__(vec, "p1", zeros if t is Trit.ZERO else ones)
-        object.__setattr__(vec, "backend", be)
-        return vec
+        ones = (1 << n) - 1
+        return cls._wrap(
+            n, 0 if t is Trit.ONE else ones, 0 if t is Trit.ZERO else ones
+        )
 
     @classmethod
-    def _wrap(cls, n: int, p0: Plane, p1: Plane, be: PlaneBackend) -> "TritVec":
-        """Internal: adopt already-valid native planes without rechecking."""
+    def _wrap(cls, n: int, p0: int, p1: int) -> "TritVec":
+        """Internal: adopt already-valid planes without rechecking."""
         vec = object.__new__(cls)
         object.__setattr__(vec, "n", n)
         object.__setattr__(vec, "p0", p0)
         object.__setattr__(vec, "p1", p1)
-        object.__setattr__(vec, "backend", be)
         return vec
 
     # ------------------------------------------------------------------
@@ -293,19 +248,13 @@ class TritVec:
             j += self.n
         if not 0 <= j < self.n:
             raise IndexError(f"lane {j} out of range for {self.n} lanes")
-        be = self.backend
-        z = be.get_lane(self.p0, j)
-        o = be.get_lane(self.p1, j)
-        if z and o:
-            return Trit.META
-        return Trit.ZERO if z else Trit.ONE
+        return trit_from_planes((self.p0 >> j) & 1, (self.p1 >> j) & 1)
 
     def to_trits(self) -> List[Trit]:
         """All lanes as a list (bulk path; O(1) per lane via bytes)."""
         n = self.n
-        be = self.backend
-        b0 = be.to_bytes(self.p0, n)
-        b1 = be.to_bytes(self.p1, n)
+        b0 = self.p0.to_bytes((n + 7) >> 3, "little")
+        b1 = self.p1.to_bytes((n + 7) >> 3, "little")
         out: List[Trit] = []
         for j in range(n):
             bit = 1 << (j & 7)
@@ -323,78 +272,46 @@ class TritVec:
         Whole-plane integer ops, no per-lane loop
         (:func:`planes_to_str`, one column).
         """
-        return planes_to_str([(self.p0, self.p1)], self.n, self.backend)
+        return planes_to_str([(self.p0, self.p1)], self.n)
 
     @property
     def metastable_lanes(self) -> int:
         """Number of lanes holding ``M`` (popcount of the plane overlap)."""
-        be = self.backend
-        return be.popcount(be.band(self.p0, self.p1))
+        return bin(self.p0 & self.p1).count("1")
 
     # ------------------------------------------------------------------
     # Kleene connectives (Table 3, batched)
     # ------------------------------------------------------------------
-    def _check(self, other: "TritVec") -> "PlaneBackend":
+    def _check(self, other: "TritVec") -> None:
         if self.n != other.n:
             raise ValueError(f"lane-count mismatch: {self.n} vs {other.n}")
-        if self.backend is not other.backend:
-            raise ValueError(
-                f"plane-backend mismatch: {self.backend.name} vs "
-                f"{other.backend.name}"
-            )
-        return self.backend
 
     def __and__(self, other: "TritVec") -> "TritVec":
-        be = self._check(other)
-        return TritVec._wrap(
-            self.n,
-            be.bor(self.p0, other.p0),
-            be.band(self.p1, other.p1),
-            be,
-        )
+        self._check(other)
+        return TritVec._wrap(self.n, self.p0 | other.p0, self.p1 & other.p1)
 
     def __or__(self, other: "TritVec") -> "TritVec":
-        be = self._check(other)
-        return TritVec._wrap(
-            self.n,
-            be.band(self.p0, other.p0),
-            be.bor(self.p1, other.p1),
-            be,
-        )
+        self._check(other)
+        return TritVec._wrap(self.n, self.p0 & other.p0, self.p1 | other.p1)
 
     def __invert__(self) -> "TritVec":
-        return TritVec._wrap(self.n, self.p1, self.p0, self.backend)
+        return TritVec._wrap(self.n, self.p1, self.p0)
 
     def xor(self, other: "TritVec") -> "TritVec":
-        be = self._check(other)
+        self._check(other)
         a0, a1, b0, b1 = self.p0, self.p1, other.p0, other.p1
         return TritVec._wrap(
-            self.n,
-            be.bor(be.band(a0, b0), be.band(a1, b1)),
-            be.bor(be.band(a0, b1), be.band(a1, b0)),
-            be,
+            self.n, (a0 & b0) | (a1 & b1), (a0 & b1) | (a1 & b0)
         )
 
     # ------------------------------------------------------------------
-    def _canonical(self) -> Tuple[int, bytes, bytes]:
-        be = self.backend
-        return (
-            self.n,
-            be.to_bytes(self.p0, self.n),
-            be.to_bytes(self.p1, self.n),
-        )
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, TritVec):
-            if self.backend is other.backend and self.n == other.n:
-                return self.backend.eq(self.p0, other.p0) and self.backend.eq(
-                    self.p1, other.p1
-                )
-            return self._canonical() == other._canonical()
+            return (self.n, self.p0, self.p1) == (other.n, other.p0, other.p1)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._canonical())
+        return hash((self.n, self.p0, self.p1))
 
     def __repr__(self) -> str:
         if self.n <= 64:
@@ -405,14 +322,6 @@ class TritVec:
 # ----------------------------------------------------------------------
 # The compiled program
 # ----------------------------------------------------------------------
-# Primitive opcodes over (p0, p1) slot pairs.  Mirrored in
-# repro.backends.base so backends can specialize the op sweep.
-_OP_AND = 0
-_OP_OR = 1
-_OP_INV = 2
-_OP_XOR = 3
-_OP_BUF = 4
-
 #: ``(can0, can1)`` plane flags of each trit: single-lane encodings for
 #: scalar wrappers, and the form constant slots store.
 _TRIT_PLANES = {
@@ -440,9 +349,9 @@ class CompiledCircuit:
     of primitive ops over integer *slots* (one slot per net, plus
     temporaries for composite cells).  :meth:`evaluate_batch` then runs
     the whole program over a batch of input vectors, each bitwise op
-    processing every vector simultaneously.  Plane storage and the op
-    sweep belong to the program's ``backend``
-    (:class:`~repro.backends.PlaneBackend`).
+    processing every vector simultaneously.  The program's ``backend``
+    (:class:`~repro.backends.PlaneBackend`) runs the op sweep and, for
+    :meth:`run_pair_shard`, the whole verification shard.
 
     Instances are immutable snapshots: they record the circuit's
     mutation ``version`` at compile time, and :func:`compile_circuit`
@@ -485,38 +394,38 @@ class CompiledCircuit:
             n_slots += 1
             slot_of[gate.output] = dst
             if kind == "AND2":
-                emit(_OP_AND, dst, src[0], src[1])
+                emit(OP_AND, dst, src[0], src[1])
             elif kind == "OR2":
-                emit(_OP_OR, dst, src[0], src[1])
+                emit(OP_OR, dst, src[0], src[1])
             elif kind == "INV":
-                emit(_OP_INV, dst, src[0])
+                emit(OP_INV, dst, src[0])
             elif kind == "BUF":
-                emit(_OP_BUF, dst, src[0])
+                emit(OP_BUF, dst, src[0])
             elif kind == "XOR2":
-                emit(_OP_XOR, dst, src[0], src[1])
+                emit(OP_XOR, dst, src[0], src[1])
             elif kind == "NAND2":
-                t = emit(_OP_AND, temp(), src[0], src[1])
-                emit(_OP_INV, dst, t)
+                t = emit(OP_AND, temp(), src[0], src[1])
+                emit(OP_INV, dst, t)
             elif kind == "NOR2":
-                t = emit(_OP_OR, temp(), src[0], src[1])
-                emit(_OP_INV, dst, t)
+                t = emit(OP_OR, temp(), src[0], src[1])
+                emit(OP_INV, dst, t)
             elif kind == "XNOR2":
-                t = emit(_OP_XOR, temp(), src[0], src[1])
-                emit(_OP_INV, dst, t)
+                t = emit(OP_XOR, temp(), src[0], src[1])
+                emit(OP_INV, dst, t)
             elif kind == "AOI21":
-                t1 = emit(_OP_AND, temp(), src[0], src[1])
-                t2 = emit(_OP_OR, temp(), t1, src[2])
-                emit(_OP_INV, dst, t2)
+                t1 = emit(OP_AND, temp(), src[0], src[1])
+                t2 = emit(OP_OR, temp(), t1, src[2])
+                emit(OP_INV, dst, t2)
             elif kind == "OAI21":
-                t1 = emit(_OP_OR, temp(), src[0], src[1])
-                t2 = emit(_OP_AND, temp(), t1, src[2])
-                emit(_OP_INV, dst, t2)
+                t1 = emit(OP_OR, temp(), src[0], src[1])
+                t2 = emit(OP_AND, temp(), t1, src[2])
+                emit(OP_INV, dst, t2)
             elif kind == "MUX2":
                 # (sel, a, b) -> (~sel & a) | (sel & b), as in kleene_mux.
-                ns = emit(_OP_INV, temp(), src[0])
-                t1 = emit(_OP_AND, temp(), ns, src[1])
-                t2 = emit(_OP_AND, temp(), src[0], src[2])
-                emit(_OP_OR, dst, t1, t2)
+                ns = emit(OP_INV, temp(), src[0])
+                t1 = emit(OP_AND, temp(), ns, src[1])
+                t2 = emit(OP_AND, temp(), src[0], src[2])
+                emit(OP_OR, dst, t1, t2)
             elif kind in ("CONST0", "CONST1"):
                 value = Trit.ONE if kind == "CONST1" else Trit.ZERO
                 const_slots.append((dst, *_TRIT_PLANES[value]))
@@ -542,36 +451,33 @@ class CompiledCircuit:
     # Core executor
     # ------------------------------------------------------------------
     def run_planes(
-        self, input_planes: Sequence[Tuple[Plane, Plane]], n_vectors: int
-    ) -> Tuple[List[Plane], List[Plane]]:
+        self, input_planes: Sequence[Tuple[int, int]], n_vectors: int
+    ) -> Tuple[List[int], List[int]]:
         """Execute the program on raw planes; returns all slot planes.
 
-        ``input_planes[i]`` is the ``(p0, p1)`` pair for primary input
-        ``i`` over ``n_vectors`` lanes -- plain ints and backend-native
-        planes are both accepted (``backend.coerce``).  Callers project
-        the returned per-slot plane lists through :attr:`output_slots`
-        or :attr:`net_slot`; the planes are native to :attr:`backend`.
+        ``input_planes[i]`` is the ``(p0, p1)`` int pair for primary
+        input ``i`` over ``n_vectors`` lanes.  Callers project the
+        returned per-slot plane lists through :attr:`output_slots` or
+        :attr:`net_slot`.
         """
         if len(input_planes) != self.n_inputs:
             raise ValueError(
                 f"{self.name}: expected planes for {self.n_inputs} inputs, "
                 f"got {len(input_planes)}"
             )
-        be = self.backend
-        zero = be.zeros(n_vectors)
-        p0: List[Plane] = [zero] * self.n_slots
-        p1: List[Plane] = [zero] * self.n_slots
+        p0 = [0] * self.n_slots
+        p1 = [0] * self.n_slots
         for slot, (a0, a1) in zip(self.input_slots, input_planes):
-            p0[slot] = be.coerce(a0, n_vectors)
-            p1[slot] = be.coerce(a1, n_vectors)
+            p0[slot] = a0
+            p1[slot] = a1
         if self.const_slots:
-            full = be.ones(n_vectors)
+            full = (1 << n_vectors) - 1
             for slot, can0, can1 in self.const_slots:
                 if can0:
                     p0[slot] = full
                 if can1:
                     p1[slot] = full
-        be.run_ops(self.ops, p0, p1)
+        self.backend.run_ops(self.ops, p0, p1)
         return p0, p1
 
     def run_pair_shard(
@@ -582,7 +488,7 @@ class CompiledCircuit:
         g_hi: int,
         pairs: Sequence[Tuple[int, int, int]],
         counts: Optional[List[int]] = None,
-    ) -> Tuple[Plane, int]:
+    ) -> Tuple[int, int]:
         """Check one g-row shard of the 2-sort pair product.
 
         The primary inputs are the shard's pair product (g bits, then h
@@ -621,9 +527,9 @@ class CompiledCircuit:
         """Pack input vectors into per-input planes.
 
         Each vector supplies all primary inputs for one lane, in the
-        circuit's input order (a :class:`Word` works directly).  Planes
-        are returned as plain ints -- the backend-agnostic interchange
-        form that :meth:`run_planes` coerces on entry.
+        circuit's input order (a :class:`Word` works directly).  Returns
+        the ``(p0, p1)`` int pairs :meth:`run_planes` takes, and the lane
+        count.
         """
         n = len(input_vectors)
         ni = self.n_inputs
@@ -651,12 +557,12 @@ class CompiledCircuit:
         return planes, n
 
     def decode_outputs(
-        self, p0: Sequence[Plane], p1: Sequence[Plane], n_vectors: int
+        self, p0: Sequence[int], p1: Sequence[int], n_vectors: int
     ) -> List[Word]:
         """Unpack output planes into one :class:`Word` per lane."""
-        be = self.backend
+        nbytes = (n_vectors + 7) >> 3
         outs = [
-            (be.to_bytes(p0[s], n_vectors), be.to_bytes(p1[s], n_vectors))
+            (p0[s].to_bytes(nbytes, "little"), p1[s].to_bytes(nbytes, "little"))
             for s in self.output_slots
         ]
         meta, zero, one = Trit.META, Trit.ZERO, Trit.ONE
@@ -674,12 +580,11 @@ class CompiledCircuit:
         return words
 
     def decode_lane(
-        self, p0: Sequence[Plane], p1: Sequence[Plane], lane: int
+        self, p0: Sequence[int], p1: Sequence[int], lane: int
     ) -> Word:
         """Output word of a single lane (per-lane slow path)."""
-        be = self.backend
         return Word(
-            trit_from_planes(be.get_lane(p0[s], lane), be.get_lane(p1[s], lane))
+            trit_from_planes((p0[s] >> lane) & 1, (p1[s] >> lane) & 1)
             for s in self.output_slots
         )
 
@@ -704,29 +609,23 @@ class CompiledCircuit:
     def run_tritvecs(self, inputs: Sequence[TritVec]) -> List[TritVec]:
         """Batch-evaluate with :class:`TritVec` per input net.
 
-        ``inputs[i]`` carries input ``i`` across all lanes and must live
-        on this program's backend; returns one :class:`TritVec` per
-        primary output.  The planes go to :meth:`run_planes` as they are
-        and come back wrapped unchecked, with no copy.  (The batched
+        ``inputs[i]`` carries input ``i`` across all lanes; returns one
+        :class:`TritVec` per primary output.  The planes go to
+        :meth:`run_planes` as they are and come back wrapped unchecked,
+        with no copy.  (The batched
         sorting-network simulator skips the wrappers: it keeps plain
         plane pairs from :func:`planes_from_str` and calls
         :meth:`run_planes` itself.)
         """
         if not inputs and self.n_inputs:
             raise ValueError(f"{self.name}: expected {self.n_inputs} inputs")
-        be = self.backend
         n = inputs[0].n if inputs else 0
         for tv in inputs:
             if tv.n != n:
                 raise ValueError("all input TritVecs must have equal lanes")
-            if tv.backend is not be:
-                raise ValueError(
-                    f"{self.name}: input TritVec on backend "
-                    f"{tv.backend.name!r}, program compiled for {be.name!r}"
-                )
         planes = [(tv.p0, tv.p1) for tv in inputs]
         p0, p1 = self.run_planes(planes, n)
-        return [TritVec._wrap(n, p0[s], p1[s], be) for s in self.output_slots]
+        return [TritVec._wrap(n, p0[s], p1[s]) for s in self.output_slots]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -67,9 +67,8 @@ def evaluate(circuit: Circuit, input_values: Mapping[NetId, Trit]) -> Dict[NetId
         _TRIT_PLANES[Trit.coerce(input_values[n])] for n in circuit.inputs
     ]
     p0, p1 = program.run_planes(planes, 1)
-    be = program.backend  # planes are backend-native; read lane 0 via it
     return {
-        net: trit_from_planes(be.get_lane(p0[slot], 0), be.get_lane(p1[slot], 0))
+        net: trit_from_planes(p0[slot], p1[slot])
         for net, slot in program.net_slot.items()
     }
 
@@ -147,11 +146,7 @@ def evaluate_all_resolutions(circuit: Circuit, *words: Word) -> Word:
     program = compile_circuit(circuit)
     planes, n = program.encode_inputs(resolutions(combined))
     p0, p1 = program.run_planes(planes, n)
-    be = program.backend  # any-lane reduction in backend plane space
-    return Word(
-        trit_from_planes(be.any(p0[s]), be.any(p1[s]))
-        for s in program.output_slots
-    )
+    return Word(trit_from_planes(p0[s], p1[s]) for s in program.output_slots)
 
 
 def weaker_than_closure(circuit: Circuit, *words: Word) -> List[int]:

@@ -39,9 +39,13 @@ text is cut into words.  This is the high-throughput path for
 system-level workloads (the service's sort jobs run on it);
 :func:`sort_words_batch` is the same computation with ``Word`` values
 at the edges.  Sharded compiled-engine runs grow each
-shard toward the plane backend's ``preferred_shard_lanes`` vectors (one
+shard toward the int-plane budget
+(:attr:`PlaneBackend.preferred_shard_lanes
+<repro.backends.base.PlaneBackend.preferred_shard_lanes>` vectors; one
 vector is one lane), since every shard pays one run of the 2-sort
 program per comparator, but never past an even split over the workers.
+A sort runs int planes on every backend, so no backend's own budget
+(nor ``native``'s kernel) enters into it.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from functools import lru_cache
 from itertools import chain
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..backends import Plane, PlaneBackend, get_backend
+from ..backends import PlaneBackend
 from ..circuits.compiled import (
     BackendLike,
     compile_circuit,
@@ -213,12 +217,14 @@ def sort_strings_batch(
     This is the million-vector path: each worker runs the compiled
     batch on its own shard.  Without ``shard_size`` there are about
     four shards per worker; a compiled-engine shard grows toward the
-    backend's ``preferred_shard_lanes`` vectors while every worker
-    still gets one (``jobs=1`` runs up to that many as one shard).
+    int-plane budget, ``PlaneBackend.preferred_shard_lanes`` vectors,
+    while every worker still gets one (``jobs=1`` runs up to that many
+    as one shard).
 
-    ``backend`` selects the plane representation for the ``"compiled"``
-    engine (:mod:`repro.backends`; other engines have no planes and
-    ignore it).  It is forwarded to shard workers by name.
+    ``backend`` names the plane backend the ``"compiled"`` engine
+    compiles for (:mod:`repro.backends`; other engines have no planes
+    and ignore it).  Planes are ints on every backend, so the rows do
+    not depend on it.  It is forwarded to shard workers by name.
 
     ``on_shard(done, total, rows)`` and ``should_stop()`` are the same
     progress/cancellation hooks as
@@ -260,16 +266,15 @@ def sort_strings_batch(
     channels = network.channels
     width = len(vectors[0][0])
 
-    be = get_backend(backend)
-    program = compile_circuit(_cached_circuit(width), be)
+    program = compile_circuit(_cached_circuit(width), backend)
     outputs = program.output_slots
     # The joined batch is lane-major (lane j is vector j's words back to
     # back), so bit b of channel c over all lanes is column c*width + b.
     planes = planes_from_str(
-        "".join(chain.from_iterable(vectors)), channels * width, be
+        "".join(chain.from_iterable(vectors)), channels * width
     )
     # state[c][b]: the (p0, p1) planes of bit b of channel c.
-    state: List[List[Tuple[Plane, Plane]]] = [
+    state: List[List[Tuple[int, int]]] = [
         planes[c * width : (c + 1) * width] for c in range(channels)
     ]
     for layer in network.layers:
@@ -279,7 +284,7 @@ def sort_strings_batch(
             state[comp.hi] = outs[:width]  # max
             state[comp.lo] = outs[width:]  # min
     # ...and back: the sorted columns in the same layout, cut into words.
-    text = planes_to_str([p for columns in state for p in columns], n, be)
+    text = planes_to_str([p for columns in state for p in columns], n)
     words = [text[i : i + width] for i in range(0, len(text), width)]
     return [words[i : i + channels] for i in range(0, len(words), channels)]
 
@@ -346,10 +351,12 @@ def _sort_strings_batch_sharded(
         shard_size = -(-n // (4 * jobs))  # ~4 shards per worker
         if engine == "compiled":
             # A shard pays one 2-sort program run per comparator, so it
-            # grows toward the backend's lane budget (a vector is a
+            # grows toward the int-plane lane budget (a vector is a
             # lane) -- but never past an even split, so every worker
-            # still gets a shard.
-            budget = get_backend(backend).preferred_shard_lanes
+            # still gets a shard.  The class value, never an instance's:
+            # native's budget is sized for its kernel, which a sort
+            # never runs, and reading it would build the kernel.
+            budget = PlaneBackend.preferred_shard_lanes
             shard_size = max(shard_size, min(budget, -(-n // jobs)))
     if isinstance(backend, PlaneBackend):
         backend = backend.name  # keep pool initargs picklable

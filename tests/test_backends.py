@@ -1,10 +1,10 @@
-"""Tests for the pluggable plane-backend subsystem (repro.backends).
+"""Tests for the plane-backend subsystem (repro.backends).
 
-The load-bearing property is that every backend is a *drop-in*
-representation: identical TritVec semantics, identical compiled-program
-results, identical (bit-for-bit) verification reports -- big-int planes
-and the native kernel's pair shard must be indistinguishable except in
-wall-clock time.
+Planes are ints on every backend; a backend picks who runs the
+exhaustive-verification shard.  The load-bearing property is that the
+choice is a *drop-in*: identical compiled-program results and identical
+(bit-for-bit) verification reports -- the Python reference shard and
+the native kernel's must be indistinguishable except in wall-clock time.
 """
 
 import itertools
@@ -31,7 +31,7 @@ from repro.backends import (
     set_default_backend,
     use_backend,
 )
-from repro.circuits.compiled import TritVec, compile_circuit
+from repro.circuits.compiled import compile_circuit
 from repro.circuits.netlist import Circuit
 from repro.circuits.gates import (
     AND2,
@@ -48,9 +48,11 @@ from repro.circuits.gates import (
     XNOR2,
     XOR2,
 )
+from repro.backends.base import OP_AND, OP_BUF, OP_INV, OP_OR, OP_XOR
 from repro.core.two_sort import build_two_sort
 from repro.networks.comparator import from_comparator_list
 from repro.networks.simulate import sort_words, sort_words_batch
+from repro.ternary.kleene import kleene_and, kleene_not, kleene_or, kleene_xor
 from repro.ternary.trit import ALL_TRITS, Trit
 from repro.ternary.word import Word
 from repro.verify.exhaustive import verify_two_sort_circuit
@@ -335,8 +337,6 @@ class TestKernelFirstUse:
     use, and never for a sort."""
 
     def test_native_planes_are_ints(self):
-        tv = TritVec.from_trits("01M", backend="native")
-        assert type(tv.p0) is int and type(tv.p1) is int
         program = compile_circuit(build_two_sort(2), "native")
         planes, n = program.encode_inputs([list("0M10"), list("1M00")])
         p0, p1 = program.run_planes(planes, n)
@@ -398,10 +398,11 @@ class TestKernelFirstUse:
             monkeypatch.undo()
             _kernel._reset_for_tests()
 
-    def test_sort_never_builds_the_kernel(self, tmp_path):
-        """A fresh ``sort --engine compiled --backend native`` with an
-        empty kernel cache prints bigint's rows and no notice, and leaves
-        the cache empty."""
+    @staticmethod
+    def _check_sort_builds_nothing(tmp_path, *args):
+        """A fresh ``sort --engine compiled`` subprocess per backend, with
+        an empty kernel cache: native prints bigint's rows and no notice,
+        and the cache stays empty."""
         cache = tmp_path / "cache"
         cache.mkdir()
         words = ["0M10", "0110", "0010", "1M10", "111M"]
@@ -409,7 +410,7 @@ class TestKernelFirstUse:
         for name in ("bigint", "native"):
             proc = subprocess.run(
                 [sys.executable, "-m", "repro", "sort", *words,
-                 "--engine", "compiled", "--backend", name],
+                 "--engine", "compiled", "--backend", name, *args],
                 env={**os.environ, "PYTHONPATH": SRC_DIR,
                      "REPRO_NATIVE_CACHE": str(cache)},
                 capture_output=True,
@@ -422,84 +423,25 @@ class TestKernelFirstUse:
         assert out["native"].split() == sorted(words, key=rank)
         assert os.listdir(cache) == []
 
+    def test_sort_never_builds_the_kernel(self, tmp_path):
+        self._check_sort_builds_nothing(tmp_path)
+
+    def test_sharded_sort_never_builds_the_kernel(self, tmp_path):
+        """Regression: a sharded sort (``--executor serial``) on native
+        sized its shards by native's kernel budget, and reading that
+        budget built the kernel it never calls."""
+        self._check_sort_builds_nothing(tmp_path, "--executor", "serial")
+
 
 # ----------------------------------------------------------------------
-# Plane-op contract, per backend
+# What a backend object still carries: lane addressing, pickling
 # ----------------------------------------------------------------------
 class TestPlaneOps:
-    LANES = [0, 1, 7, 8, 63, 64, 65, 200]
-
-    def test_int_round_trip(self, backend):
-        rng = random.Random(20180319)
-        for lanes in self.LANES:
-            for _ in range(5):
-                value = rng.getrandbits(lanes) if lanes else 0
-                plane = backend.from_int(value, lanes)
-                assert backend.to_int(plane, lanes) == value
-
-    def test_to_bytes_is_canonical(self, backend):
-        ref = BigIntBackend()
-        rng = random.Random(7)
-        for lanes in self.LANES:
-            value = rng.getrandbits(lanes) if lanes else 0
-            assert backend.to_bytes(
-                backend.from_int(value, lanes), lanes
-            ) == ref.to_bytes(value, lanes)
-
-    def test_zeros_ones(self, backend):
-        for lanes in self.LANES:
-            assert backend.to_int(backend.zeros(lanes), lanes) == 0
-            assert backend.to_int(backend.ones(lanes), lanes) == (1 << lanes) - 1
-
-    def test_bitwise_ops_match_int_reference(self, backend):
-        rng = random.Random(99)
-        for lanes in self.LANES:
-            a = rng.getrandbits(lanes) if lanes else 0
-            b = rng.getrandbits(lanes) if lanes else 0
-            pa, pb = backend.from_int(a, lanes), backend.from_int(b, lanes)
-            assert backend.to_int(backend.band(pa, pb), lanes) == a & b
-            assert backend.to_int(backend.bor(pa, pb), lanes) == a | b
-            assert backend.to_int(backend.bxor(pa, pb), lanes) == a ^ b
-
-    def test_bnot_masks_tail(self, backend):
-        for lanes in self.LANES:
-            inv = backend.bnot(backend.zeros(lanes), lanes)
-            assert backend.to_int(inv, lanes) == (1 << lanes) - 1
-            # bits beyond the lane count never leak into the byte form
-            raw = backend.to_bytes(inv, lanes)
-            assert len(raw) == (lanes + 7) >> 3
-            if lanes & 7:
-                assert raw[-1] >> (lanes & 7) == 0
-
-    def test_popcount_and_queries(self, backend):
-        rng = random.Random(5)
-        for lanes in self.LANES:
-            value = rng.getrandbits(lanes) if lanes else 0
-            plane = backend.from_int(value, lanes)
-            assert backend.popcount(plane) == bin(value).count("1")
-            assert backend.any(plane) == (value != 0)
-            assert backend.eq(plane, backend.from_int(value, lanes))
-
     def test_lane_addressing(self, backend):
-        lanes = 130
-        value = (1 << 0) | (1 << 63) | (1 << 64) | (1 << 129)
-        plane = backend.from_int(value, lanes)
-        for j in range(lanes):
-            assert backend.get_lane(plane, j) == (value >> j) & 1
-        assert list(backend.iter_set_lanes(plane, lanes)) == [0, 63, 64, 129]
-
-    def test_coerce_rejects_foreign_planes(self, backend):
-        with pytest.raises(TypeError):
-            backend.coerce("not a plane", 8)
-
-    def test_from_bytes_masks_tail(self, backend):
-        """Regression: from_bytes is a public constructor and must
-        enforce the tail-mask invariant like every other one."""
-        plane = backend.from_bytes(b"\xff", 5)
-        assert backend.to_int(plane, 5) == 0b11111
-        assert backend.popcount(plane) == 5
-        assert backend.eq(plane, backend.ones(5))
-        assert list(backend.iter_set_lanes(plane, 5)) == [0, 1, 2, 3, 4]
+        plane = (1 << 0) | (1 << 63) | (1 << 64) | (1 << 129)
+        assert list(backend.iter_set_lanes(plane, 130)) == [0, 63, 64, 129]
+        assert list(backend.iter_set_lanes(0b11111, 5)) == [0, 1, 2, 3, 4]
+        assert list(backend.iter_set_lanes(0, 0)) == []
 
     def test_backend_picklable(self, backend):
         """Regression: backends ride along with compiled circuits into
@@ -511,7 +453,7 @@ class TestPlaneOps:
         assert clone.name == backend.name
         if isinstance(backend, NativeBackend):
             assert clone.variant == backend.variant
-        assert clone.to_int(clone.from_int(0b101, 3), 3) == 0b101
+        assert list(clone.iter_set_lanes(0b101, 3)) == [0, 2]
 
     def test_circuit_pickle_drops_compile_cache(self, backend):
         """A circuit compiled on any backend must still pickle (pool
@@ -535,45 +477,47 @@ class TestPlaneOps:
 EDGE_LANES = [1, 63, 64, 65, 130]
 
 
+def _plane(bit, lanes):
+    """The int plane whose lane ``j`` is ``bit(j)``, lane by lane."""
+    return sum(1 << j for j in range(lanes) if bit(j))
+
+
 class TestStructuredPacking:
-    """from_pattern / expand_bits / from_prefix_runs must agree with the
-    bigint reference bit-for-bit at every word boundary (the native
-    backend builds these planes in C)."""
+    """from_pattern / expand_bits / from_prefix_runs against their
+    docstrings' rules, evaluated bit by bit at every word boundary (the
+    native kernel generates the same bits in C)."""
 
     @pytest.mark.parametrize("lanes", EDGE_LANES)
     def test_from_pattern(self, lanes, backend):
-        ref = BigIntBackend()
         rng = random.Random(lanes)
         for period in (1, 2, 7, 63, 64, 65):
             value = rng.getrandbits(period)
-            want = ref.to_bytes(ref.from_pattern(value, period, lanes), lanes)
+            # lane j holds bit j mod period of the pattern
+            want = _plane(lambda j: (value >> (j % period)) & 1, lanes)
             got = backend.from_pattern(value, period, lanes)
-            assert backend.to_bytes(got, lanes) == want, (value, period)
+            assert got == want, (value, period)
 
     @pytest.mark.parametrize("lanes", EDGE_LANES)
     def test_expand_bits(self, lanes, backend):
-        ref = BigIntBackend()
         rng = random.Random(lanes)
         for run in (1, 3, 64, 65):
             bits = rng.getrandbits(-(-lanes // run))
-            want = ref.to_bytes(ref.expand_bits(bits, run, lanes), lanes)
-            got = backend.expand_bits(bits, run, lanes)
-            assert backend.to_bytes(got, lanes) == want, run
+            # lane j holds bit k of the value for the block k = j // run
+            want = _plane(lambda j: (bits >> (j // run)) & 1, lanes)
+            assert backend.expand_bits(bits, run, lanes) == want, run
 
     @pytest.mark.parametrize("lanes", EDGE_LANES)
     def test_from_prefix_runs(self, lanes, backend):
-        ref = BigIntBackend()
         for first, period in [(1, 1), (1, 2), (3, 7), (63, 64), (64, 65), (65, 66)]:
-            want = ref.to_bytes(ref.from_prefix_runs(first, period, lanes), lanes)
+            # row k = j // period has its first + k low lanes set
+            want = _plane(lambda j: j % period < first + j // period, lanes)
             got = backend.from_prefix_runs(first, period, lanes)
-            assert backend.to_bytes(got, lanes) == want, (first, period)
+            assert got == want, (first, period)
 
 
 def _random_select_diff_case(rng, n_inputs=4, n_ops=15, n_cmp=3):
     """A random SSA program + input/cmp/sel marshalling for the fused
     select-diff entry point (same shape the verifier produces)."""
-    from repro.backends.base import OP_AND, OP_BUF, OP_INV, OP_OR, OP_XOR
-
     ops = []
     written = n_inputs
     for _ in range(n_ops):
@@ -596,45 +540,77 @@ def _random_select_diff_case(rng, n_inputs=4, n_ops=15, n_cmp=3):
     return ops, written + 1, cmp
 
 
+#: One Kleene connective per opcode: the per-lane meaning of the program.
+_KLEENE_OPS = {
+    OP_AND: kleene_and,
+    OP_OR: kleene_or,
+    OP_INV: lambda a, b: kleene_not(a),
+    OP_XOR: kleene_xor,
+    OP_BUF: lambda a, b: a,
+}
+
+
+def _select_diff_per_lane(ops, cmp, lane_inputs, sel_bits):
+    """``(diff, counts)`` of a select-diff call, one lane at a time.
+
+    ``lane_inputs[j]`` maps each input slot to lane ``j``'s trit; the
+    program runs through ``repro.ternary.kleene`` and each triple's slot
+    is compared with ``a`` where ``sel`` and ``b`` elsewhere.  A slot
+    nothing writes holds no trit, so it differs from every expected one.
+    """
+    diff = 0
+    counts = [0] * len(cmp)
+    for j, inputs in enumerate(lane_inputs):
+        value = dict(inputs)
+        for op, d, a, b in ops:
+            value[d] = _KLEENE_OPS[op](value[a], value[b])
+        for k, (slot, a, b) in enumerate(cmp):
+            want = value[a] if (sel_bits >> j) & 1 else value[b]
+            if value.get(slot) != want:
+                diff |= 1 << j
+                counts[k] += 1
+    return diff, counts
+
+
 class TestSelectDiffContract:
-    """run_ops_select_diff: every backend must match the bigint
-    reference semantics bit-for-bit, including the tail-mask edges
-    (the native kernel complements sel in-register, so ~sel's tail
-    bits must never leak into the diff)."""
+    """run_ops_select_diff against the program evaluated lane by lane
+    with the Kleene tables (``repro.ternary.kleene``), at every word
+    boundary: diff, mismatch count and per-triple counts."""
 
     @pytest.mark.parametrize("lanes", EDGE_LANES)
     def test_matches_bigint_reference(self, lanes, backend):
-        ref = BigIntBackend()
         rng = random.Random(20180000 + lanes)
         for trial in range(5):
             ops, n_slots, cmp = _random_select_diff_case(rng)
-            in_vals = [
-                (slot, rng.getrandbits(lanes), rng.getrandbits(lanes))
-                for slot in range(4)
+            lane_inputs = [
+                {slot: rng.choice(ALL_TRITS) for slot in range(4)}
+                for _ in range(lanes)
             ]
-            sel_int = rng.getrandbits(lanes)
-            nsel_int = ((1 << lanes) - 1) ^ sel_int
-
-            def run(be):
-                inputs = [
-                    (s, be.from_int(v0, lanes), be.from_int(v1, lanes))
-                    for s, v0, v1 in in_vals
-                ]
-                diff, count = be.run_ops_select_diff(
-                    ops,
-                    n_slots,
-                    inputs,
-                    cmp,
-                    be.from_int(sel_int, lanes),
-                    be.from_int(nsel_int, lanes),
-                    lanes,
-                )
-                return be.to_int(diff, lanes), count
-
-            want = run(ref)
-            got = run(backend)
-            assert got == want, (trial, lanes)
-            assert got[1] == bin(want[0]).count("1")
+            sel = rng.getrandbits(lanes)
+            inputs = []
+            for slot in range(4):
+                trits = [lane[slot] for lane in lane_inputs]
+                can0 = _plane(lambda j: trits[j] is not Trit.ONE, lanes)
+                can1 = _plane(lambda j: trits[j] is not Trit.ZERO, lanes)
+                inputs.append((slot, can0, can1))
+            counts = [0] * len(cmp)
+            diff, count = backend.run_ops_select_diff(
+                ops,
+                n_slots,
+                inputs,
+                cmp,
+                sel,
+                ((1 << lanes) - 1) ^ sel,
+                lanes,
+                counts=counts,
+            )
+            want_diff, want_counts = _select_diff_per_lane(
+                ops, cmp, lane_inputs, sel
+            )
+            assert (diff, counts) == (want_diff, want_counts), (trial, lanes)
+            assert count == bin(want_diff).count("1")
+            # the never-written slot mismatches on every lane
+            assert counts[-1] == lanes
 
 
 def _swap_gate(base, site):
@@ -846,8 +822,8 @@ def _random_netlist(width, seed):
 
 class TestPairShardFused:
     """run_pair_shard: the native kernel generates the pair product in
-    C; its diff bytes and mismatch counts must equal the base-class
-    reference (bigint planes packed in Python) on every shard shape --
+    C; its diff plane and mismatch counts must equal the base-class
+    reference (int planes packed in Python) on every shard shape --
     S < 64 and S >= 64, short last shards, single-output cones, real
     faults, and constant nets preset in-tile."""
 
@@ -865,11 +841,12 @@ class TestPairShardFused:
             lanes = (g_hi - g_lo) * ((1 << (width + 1)) - 1)
             want_diff, want_n = ref.run_pair_shard(width, masks, g_lo, g_hi, pairs)
             got_diff, got_n = native.run_pair_shard(width, masks, g_lo, g_hi, pairs)
-            assert type(got_diff) is int and got_diff == want_diff
-            want = ref.backend.to_bytes(want_diff, lanes)
-            got = native.backend.to_bytes(got_diff, lanes)
-            assert (got, got_n) == (want, want_n), (circuit.name, g_lo, g_hi)
-            assert got_n == native.backend.popcount(got_diff)
+            assert type(got_diff) is int
+            assert (got_diff, got_n) == (want_diff, want_n), (
+                circuit.name, g_lo, g_hi,
+            )
+            assert got_diff >> lanes == 0  # tail-masked
+            assert got_n == bin(got_diff).count("1")
             total += got_n
         return total
 
@@ -1015,7 +992,6 @@ class TestPairShardFused:
         }
         totals = [0] * len(pairs)
         for g_lo, g_hi in shards:
-            lanes = (g_hi - g_lo) * ((1 << (width + 1)) - 1)
             got = {}
             for name, program in programs.items():
                 counts = [0] * len(pairs)
@@ -1025,9 +1001,7 @@ class TestPairShardFused:
                 plain_diff, plain_n = program.run_pair_shard(
                     width, masks, g_lo, g_hi, pairs
                 )
-                be = program.backend
-                assert be.to_bytes(diff, lanes) == be.to_bytes(plain_diff, lanes)
-                assert n == plain_n
+                assert (diff, n) == (plain_diff, plain_n)
                 assert max(counts, default=0) <= n <= sum(counts)
                 got[name] = counts
             assert got["native"] == got["bigint"], (circuit.name, g_lo, g_hi)
@@ -1036,7 +1010,7 @@ class TestPairShardFused:
                 own_diff, own_n = ref.run_pair_shard(
                     width, masks, g_lo, g_hi, [pair]
                 )
-                assert got["bigint"][j] == own_n == ref.backend.popcount(own_diff)
+                assert got["bigint"][j] == own_n == bin(own_diff).count("1")
             for name, program in programs.items():
                 values = verify_two_sort_region_range(
                     program, width, outputs, g_lo, g_hi
@@ -1136,8 +1110,6 @@ class TestCompactPairShardProgram:
 
     @pytest.mark.parametrize("width, max_rows", [(13, 80), (16, 96)])
     def test_two_sort_program_is_compact(self, width, max_rows):
-        from repro.backends.base import OP_BUF, OP_INV
-
         program, ops, cmp_rows, fill, n_rows = self._lowered(
             build_two_sort(width), width
         )
@@ -1179,46 +1151,6 @@ class TestCompactPairShardProgram:
         assert not pinned & set(dsts)
         for r in {~c if c < 0 else c for c in cmp_rows} - pinned:
             assert dsts.count(r) == 1
-
-
-# ----------------------------------------------------------------------
-# TritVec across backends
-# ----------------------------------------------------------------------
-class TestTritVecBackends:
-    def test_from_trits_equal_across_backends(self, backend):
-        tv = TritVec.from_trits("01M10M", backend=backend)
-        ref = TritVec.from_trits("01M10M")
-        assert tv.to_str() == "01M10M"
-        assert tv == ref and ref == tv
-        assert hash(tv) == hash(ref)
-
-    def test_kleene_ops_match_bigint(self, backend):
-        pairs = list(itertools.product(ALL_TRITS, repeat=2))
-        a = TritVec.from_trits([p[0] for p in pairs], backend=backend)
-        b = TritVec.from_trits([p[1] for p in pairs], backend=backend)
-        ra = TritVec.from_trits([p[0] for p in pairs])
-        rb = TritVec.from_trits([p[1] for p in pairs])
-        assert (a & b) == (ra & rb)
-        assert (a | b) == (ra | rb)
-        assert a.xor(b) == ra.xor(rb)
-        assert ~a == ~ra
-        assert a.metastable_lanes == ra.metastable_lanes
-
-    def test_int_plane_constructor_validates(self, backend):
-        with pytest.raises(ValueError, match="encode a trit"):
-            TritVec(2, 0b01, 0b00, backend=backend)
-        tv = TritVec(2, 0b01, 0b10, backend=backend)
-        assert tv.to_str() == "01"
-
-    def test_mixed_backend_ops_rejected(self):
-        a = TritVec.from_trits("0M", backend="bigint")
-        b = TritVec.from_trits("0M", backend="native")
-        with pytest.raises(ValueError, match="backend mismatch"):
-            a & b
-
-    def test_broadcast(self, backend):
-        assert TritVec.broadcast("M", 70, backend=backend).to_str() == "M" * 70
-        assert TritVec.broadcast(1, 3, backend=backend).metastable_lanes == 0
 
 
 # ----------------------------------------------------------------------
@@ -1299,13 +1231,6 @@ class TestCompiledBackends:
                 )
         finally:
             register_backend(name, original)
-
-    def test_run_tritvecs_rejects_foreign_backend(self):
-        circuit = build_two_sort(1)
-        program = compile_circuit(circuit, "native")
-        ins = [TritVec.from_trits("01", backend="bigint") for _ in range(2)]
-        with pytest.raises(ValueError, match="backend"):
-            program.run_tritvecs(ins)
 
 
 # ----------------------------------------------------------------------
@@ -1467,9 +1392,6 @@ class TestBatchSimulationBackends:
 # ----------------------------------------------------------------------
 # Property-based equivalence (hypothesis)
 # ----------------------------------------------------------------------
-trits = st.sampled_from(list(ALL_TRITS))
-
-
 def valid_strings(width):
     n_ranks = (1 << (width + 1)) - 1
     return st.integers(min_value=0, max_value=n_ranks - 1).map(
@@ -1497,25 +1419,6 @@ def layered_networks(max_channels=5, max_comparators=8):
 
 
 _PROPERTY_BACKENDS = ["bigint", get_backend("native")]
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.lists(trits, max_size=80))
-def test_tritvec_semantics_identical_across_backends(batch):
-    """Same trits in, same trits out, every backend, every connective."""
-    vecs = [TritVec.from_trits(batch, backend=be) for be in _PROPERTY_BACKENDS]
-    ref = vecs[0]
-    rev = list(reversed(batch))
-    for be, tv in zip(_PROPERTY_BACKENDS, vecs):
-        other = TritVec.from_trits(rev, backend=be)
-        assert tv == ref and hash(tv) == hash(ref)
-        assert tv.to_trits() == batch
-        assert (tv & other) == (ref & TritVec.from_trits(rev))
-        assert (tv | other).to_trits() == (
-            ref | TritVec.from_trits(rev)
-        ).to_trits()
-        assert tv.xor(other) == vecs[0].xor(TritVec.from_trits(rev))
-        assert (~tv).to_trits() == (~ref).to_trits()
 
 
 @settings(max_examples=20, deadline=None)

@@ -84,23 +84,71 @@ class TestTritVec:
         assert tv == TritVec.from_trits("0M")
         assert hash(tv) == hash(TritVec.from_trits("0M"))
 
+    def test_planes_are_ints(self):
+        tv = TritVec.from_trits("01M")
+        assert type(tv.p0) is int and type(tv.p1) is int
+        assert (tv.p0, tv.p1) == (0b101, 0b110)
+        assert not hasattr(tv, "backend")
+
+    @pytest.mark.parametrize(
+        "bad", ["0b01", 1.0, None, b"\x01", [1]],
+        ids=["str", "float", "None", "bytes", "list"],
+    )
+    def test_non_int_plane_raises_type_error(self, bad):
+        with pytest.raises(TypeError, match="ints"):
+            TritVec(2, bad, 0b11)
+        with pytest.raises(TypeError, match="ints"):
+            TritVec(2, 0b11, bad)
+
+    @pytest.mark.parametrize("value", ["0", "1", "M"])
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65])
+    def test_equal_vectors_hash_equal_across_constructors(self, value, n):
+        t = Trit.from_char(value)
+        full = (1 << n) - 1
+        built = [
+            TritVec.broadcast(value, n),
+            TritVec.from_trits(value * n),
+            TritVec.from_trits([t] * n),
+            TritVec(n, 0 if t is ONE else full, 0 if t is ZERO else full),
+        ]
+        for tv in built:
+            assert tv == built[0] and hash(tv) == hash(built[0])
+        assert len({*built}) == 1
+        if n:
+            assert TritVec.broadcast(ONE if t is ZERO else ZERO, n) != built[0]
+
+
+def _pass_through_circuit():
+    """One input, two outputs that both equal it: ``INV(INV(a))`` and
+    ``AND2(a, a)``."""
+    c = Circuit("pass_through")
+    a = c.add_input("a")
+    c.add_output(c.add_gate(INV, [c.add_gate(INV, [a])]))
+    c.add_output(c.add_gate(AND2, [a, a]))
+    return c
+
+
+_PASS_THROUGH = _pass_through_circuit()
+
 
 class TestTritVecStringCodec:
     """``from_trits(str)`` and ``to_str()`` run whole-string/whole-plane
     operations; they must equal the per-lane path (``from_trits`` of a
-    ``Trit`` list, ``to_trits``) on every backend."""
+    ``Trit`` list, ``to_trits``), and the planes they build must run
+    unchanged through a compiled program on every backend."""
 
     @staticmethod
     def _check(s, backend):
-        per_lane = TritVec.from_trits(
-            [Trit.from_char(c) for c in s], backend=backend
-        )
-        packed = TritVec.from_trits(s, backend=backend)
-        assert packed.backend is per_lane.backend
+        per_lane = TritVec.from_trits([Trit.from_char(c) for c in s])
+        packed = TritVec.from_trits(s)
         assert packed.n == per_lane.n == len(s)
         assert packed == per_lane, s
         expect = "".join(t.to_char() for t in per_lane.to_trits())
         assert packed.to_str() == per_lane.to_str() == expect, s
+        program = compile_circuit(_PASS_THROUGH, backend)
+        assert program.backend.name == backend
+        for out in program.run_tritvecs([packed]):
+            assert out == packed and out.to_str() == expect, s
 
     def test_every_short_string(self, plane_backend):
         for n in range(7):
@@ -116,13 +164,14 @@ class TestTritVecStringCodec:
             )
 
     def test_lowercase_m_and_empty(self, plane_backend):
-        be = plane_backend
-        assert TritVec.from_trits("0m1M", backend=be).to_str() == "0M1M"
-        assert TritVec.from_trits("0m1M", backend=be) == TritVec.from_trits(
-            [ZERO, META, ONE, META], backend=be
+        assert TritVec.from_trits("0m1M").to_str() == "0M1M"
+        assert TritVec.from_trits("0m1M") == TritVec.from_trits(
+            [ZERO, META, ONE, META]
         )
-        empty = TritVec.from_trits("", backend=be)
+        self._check("0m1M", plane_backend)
+        empty = TritVec.from_trits("")
         assert empty.n == 0 and empty.to_str() == "" and empty.to_trits() == []
+        self._check("", plane_backend)
 
     @pytest.mark.parametrize("bad", ["01x", "0 1", "1_0", "0b1", "2"])
     def test_bad_character_raises_the_word_error(self, bad):

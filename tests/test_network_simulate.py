@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.backends import get_backend
+from repro.backends import PlaneBackend
 from repro.graycode.rgc import gray_encode
 from repro.graycode.valid import rank
 from repro.networks.properties import check_mc_sort, is_sorted_by_rank, outputs_all_valid
@@ -273,9 +273,10 @@ class TestSortStringsBatch:
 
 
 class TestSortShardSize:
-    """A default compiled-engine shard grows toward the backend's
-    ``preferred_shard_lanes`` vectors but never past an even split over
-    the workers; past the budget, ~4 shards per worker."""
+    """A default compiled-engine shard grows toward the int-plane budget
+    (``PlaneBackend.preferred_shard_lanes`` vectors, on every backend)
+    but never past an even split over the workers; past the budget, ~4
+    shards per worker."""
 
     @staticmethod
     def _totals(vectors, **kwargs):
@@ -291,15 +292,15 @@ class TestSortShardSize:
         assert self._totals(_string_workload(256), jobs=1) == {1}
 
     def test_past_the_budget_four_shards_per_worker(self, monkeypatch):
-        monkeypatch.setattr(get_backend("bigint"), "preferred_shard_lanes", 8)
+        monkeypatch.setattr(PlaneBackend, "preferred_shard_lanes", 8)
         vectors = _string_workload(100)
         assert self._totals(vectors, jobs=1, backend="bigint") == {4}
-        monkeypatch.setattr(get_backend("bigint"), "preferred_shard_lanes", 64)
+        monkeypatch.setattr(PlaneBackend, "preferred_shard_lanes", 64)
         assert self._totals(vectors, jobs=1, backend="bigint") == {2}
 
     @pytest.mark.parametrize("jobs", [2, 3, 4])
     def test_every_worker_gets_a_shard(self, jobs):
-        # 1,000 vectors are far below bigint's 16,384-lane budget; the
+        # 1,000 vectors are far below the 16,384-lane int-plane budget; the
         # budget must not leave workers idle.
         vectors = _string_workload(1000)
         assert self._totals(vectors, jobs=jobs, backend="bigint") == {jobs}
