@@ -134,17 +134,33 @@ def bench_exhaustive_verification(width: int, scalar_sample: int) -> dict:
     }
 
 
+def _interleaved_medians(runs: dict, rounds: int) -> dict:
+    """Median seconds of each of ``runs``' callables over ``rounds``
+    rounds of one call each, the first caller alternating between
+    rounds, so drift in host speed lands on every row alike."""
+    names = list(runs)
+    times = {name: [] for name in names}
+    for i in range(rounds):
+        for name in names[:: 1 if i % 2 == 0 else -1]:
+            t0 = time.perf_counter()
+            runs[name]()
+            times[name].append(time.perf_counter() - t0)
+    return {name: statistics.median(t) for name, t in times.items()}
+
+
 def bench_network_simulation(width: int, vectors: int, requests: int) -> dict:
     """Per-vector gate-level engine vs the batched compiled path.
 
-    The ``served_request`` row times what one ``serve-sort`` job runs:
-    :meth:`SortRequest.run <repro.service.jobs.SortRequest.run>`,
-    validation included, on 256 seeded vectors of 10 channels of 16-bit
-    words (~30 % ``M``), as the median over ``requests`` runs per plane
-    backend (``native_built`` says whether the kernel built; a sort
-    never calls it).  The backends' runs are interleaved, one request
-    each per round with the first backend alternating between rounds,
-    so drift in host speed lands on both rows alike.
+    The ``compiled`` (:func:`sort_words_batch`) and ``strings``
+    (:func:`sort_strings_batch`) rows are the median of ``requests``
+    interleaved runs of the whole workload, after an untimed run each
+    whose output is checked.  The ``served_request`` row times what one
+    ``serve-sort`` job runs: :meth:`SortRequest.run
+    <repro.service.jobs.SortRequest.run>`, validation included, on 256
+    seeded vectors of 10 channels of 16-bit words (~30 % ``M``), as the
+    median over ``requests`` interleaved runs per plane backend
+    (``native_built`` says whether the kernel built; a sort never calls
+    it).
     """
     network = SORT10_SIZE
     workload = measurement_sweep(
@@ -166,21 +182,24 @@ def bench_network_simulation(width: int, vectors: int, requests: int) -> dict:
     scalar_time = time.perf_counter() - t0
     scalar_rate = len(scalar_vectors) / scalar_time
 
-    t0 = time.perf_counter()
     batch_out = sort_words_batch(network, workload)
-    compiled_time = time.perf_counter() - t0
-    compiled_rate = len(workload) / compiled_time
-
     assert batch_out[: len(scalar_out)] == scalar_out
-
     # The same workload as word strings, the form service requests carry.
     strings = [[str(w) for w in v] for v in workload]
-    t0 = time.perf_counter()
     strings_out = sort_strings_batch(network, strings)
-    strings_time = time.perf_counter() - t0
-    strings_rate = len(workload) / strings_time
-
     assert strings_out == [[str(w) for w in row] for row in batch_out]
+
+    sort_times = _interleaved_medians(
+        {
+            "compiled": lambda: sort_words_batch(network, workload),
+            "strings": lambda: sort_strings_batch(network, strings),
+        },
+        requests,
+    )
+    compiled_time = sort_times["compiled"]
+    compiled_rate = len(workload) / compiled_time
+    strings_time = sort_times["strings"]
+    strings_rate = len(workload) / strings_time
 
     served_vectors = tuple(
         tuple(str(w) for w in v)
@@ -201,15 +220,13 @@ def bench_network_simulation(width: int, vectors: int, requests: int) -> dict:
     # One untimed run each warms the compile caches.
     served_rows = [served_requests[backend].run() for backend in backends]
     assert served_rows[0] == served_rows[1]
-    times = {backend: [] for backend in backends}
-    for i in range(requests):
-        for backend in backends[:: 1 if i % 2 == 0 else -1]:
-            t0 = time.perf_counter()
-            served_requests[backend].run()
-            times[backend].append(time.perf_counter() - t0)
+    served_times = _interleaved_medians(
+        {backend: served_requests[backend].run for backend in backends},
+        requests,
+    )
     for backend in backends:
         served[backend] = {
-            "ms_per_request": round(statistics.median(times[backend]) * 1e3, 3)
+            "ms_per_request": round(served_times[backend] * 1e3, 3)
         }
 
     return {
@@ -225,12 +242,14 @@ def bench_network_simulation(width: int, vectors: int, requests: int) -> dict:
         },
         "compiled": {
             "vectors_measured": len(workload),
+            "repeats": requests,
             "time_s": round(compiled_time, 4),
             "vectors_per_s": round(compiled_rate, 1),
             "gate_visits_per_s": round(compiled_rate * gates, 1),
         },
         "strings": {
             "vectors_measured": len(workload),
+            "repeats": requests,
             "time_s": round(strings_time, 4),
             "vectors_per_s": round(strings_rate, 1),
             "gate_visits_per_s": round(strings_rate * gates, 1),

@@ -465,8 +465,9 @@ def _cmd_sort(args) -> int:
         return 2
     if args.backend is not None and args.engine != "compiled":
         print(
-            f"error: --backend selects a plane representation, which only "
-            f"the compiled engine uses; pass --engine compiled "
+            "error: --backend picks the verification-shard engine and "
+            "compile-cache key of a compiled program, and only the "
+            "compiled engine builds one; pass --engine compiled "
             f"(got --engine {args.engine})",
             file=sys.stderr,
         )

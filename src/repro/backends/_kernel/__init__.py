@@ -31,7 +31,7 @@ import sys
 import tempfile
 import threading
 
-_KERNEL_ABI = 6
+_KERNEL_ABI = 7
 _SOURCE_PATH = os.path.join(os.path.dirname(__file__), "kernel.c")
 _CFLAGS = ["-O3", "-shared", "-fPIC", "-std=c99"]
 #: Added to _CFLAGS when every CPU feature they name shows in _CPUINFO.

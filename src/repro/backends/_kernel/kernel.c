@@ -30,15 +30,27 @@
  * ABI 4 added repro_pair_shard's trailing counts pointer; ABI 5 added
  * the swap bits and the negative (~row, planes swapped) compare entries;
  * ABI 6 removed the plane-op entry points (run_program, bitwise,
- * not_masked, popcount, extract_lanes) and the INV/BUF opcodes.
+ * not_masked, popcount, extract_lanes) and the INV/BUF opcodes; ABI 7
+ * gave repro_pair_shard its padded lane layout (mask rows carry no pad
+ * word, and mw is the words per padded g-row).
  *
- * Tail-mask note: every op is lane-wise, so garbage in lanes >= lanes
- * never reaches a real lane; pair_shard masks its diff row.
+ * Lane layouts.  A shard's compact lanes -- the layout of its diff and
+ * of the reference planes -- run g-row after g-row, S = 2^(width+1) - 1
+ * lanes each, so a g-row never starts on a word boundary.  Inside the
+ * kernel every g-row instead takes R = max(1, (S + 1) / 64) whole words,
+ * a power of two: word x holds g-row x >> log2(R) and the h-indices
+ * 64 * (x mod R) onwards, so each input word is a copy or a smeared bit.
+ * The lanes that are not pairs -- h-index S of each g-row (and, at
+ * width <= 4, every h-index >= S of its one word), and every word past
+ * the shard -- are dead: a `live` mask keeps them out of every compare
+ * and count.  Every op is lane-wise, so what a dead lane holds never
+ * reaches a live one.  Live mismatches are scattered back to their
+ * compact lanes, so the caller only ever sees the compact layout.
  */
 
 #include <stdint.h>
 
-#define REPRO_KERNEL_ABI 6
+#define REPRO_KERNEL_ABI 7
 
 #define OP_AND 0
 #define OP_OR 1
@@ -56,7 +68,9 @@ int32_t repro_kernel_abi(void) { return REPRO_KERNEL_ABI; }
  * tiling the word axis does not change results.  A pair-shard program
  * shares rows between values by liveness: 2-sort(13) runs in 77 rows,
  * 38.5 KB per tile, inside a 48 KB L1d (its 340 one-per-net slots would
- * be 170 KB). */
+ * be 170 KB).  Every tile runs all REPRO_TILE_WORDS words (the shard's
+ * last one past its end on dead words), so each loop over a tile has a
+ * fixed trip count. */
 #define REPRO_TILE_WORDS 32
 
 #if defined(__GNUC__) || defined(__clang__)
@@ -65,20 +79,56 @@ int32_t repro_kernel_abi(void) { return REPRO_KERNEL_ABI; }
 #define REPRO_NOINLINE
 #endif
 
-/* Run the whole program over `span` words of every row; row r's words
- * start at p0 + r * stride and p1 + r * stride.  Its one caller is
- * repro_pair_shard's tile loop.  It stays out of line: the sweep timings
- * were measured on that code layout, and inlining would change it. */
+/* One op over one tile.  The destination planes are restrict: no op
+ * writes one of its own source rows (repro.backends.native's
+ * _lower_pair_shard takes a destination row before it frees its
+ * sources, and tests/test_backends.py
+ * TestCompactPairShardProgram._check_rows asserts it), and the two
+ * planes of a row never overlap.  They are parameters because compilers
+ * honour restrict there; GCC ignores it on block-scope pointers and
+ * guards each loop with a run-time overlap check instead. */
+static inline void apply_op(int32_t op, uint64_t *restrict d0,
+                            uint64_t *restrict d1, const uint64_t *a0,
+                            const uint64_t *a1, const uint64_t *b0,
+                            const uint64_t *b1) {
+    int64_t w;
+    switch (op & OP_CODE) {
+    case OP_AND:
+        for (w = 0; w < REPRO_TILE_WORDS; w++) {
+            d1[w] = a1[w] & b1[w];
+            d0[w] = a0[w] | b0[w];
+        }
+        break;
+    case OP_OR:
+        for (w = 0; w < REPRO_TILE_WORDS; w++) {
+            d0[w] = a0[w] & b0[w];
+            d1[w] = a1[w] | b1[w];
+        }
+        break;
+    default: /* OP_XOR */
+        for (w = 0; w < REPRO_TILE_WORDS; w++) {
+            const uint64_t x0 = a0[w], x1 = a1[w];
+            const uint64_t y0 = b0[w], y1 = b1[w];
+            d0[w] = (x0 & y0) | (x1 & y1);
+            d1[w] = (x0 & y1) | (x1 & y0);
+        }
+        break;
+    }
+}
+
+/* Run the whole program over one tile; row r's words start at
+ * p0 + r * REPRO_TILE_WORDS and p1 + r * REPRO_TILE_WORDS.  Its one
+ * caller is repro_pair_shard's tile loop.  It stays out of line: the
+ * sweep timings were measured on that code layout, and inlining would
+ * change it. */
 static REPRO_NOINLINE void apply_ops(const int32_t *prog, int64_t n_ops,
-                                     uint64_t *p0, uint64_t *p1,
-                                     int64_t stride, int64_t span) {
+                                     uint64_t *p0, uint64_t *p1) {
+    const int64_t T = REPRO_TILE_WORDS;
     for (int64_t i = 0; i < n_ops; i++) {
         const int32_t *q = prog + 4 * i;
-        uint64_t *d0 = p0 + q[1] * stride, *d1 = p1 + q[1] * stride;
-        const uint64_t *a0 = p0 + q[2] * stride, *a1 = p1 + q[2] * stride;
-        const uint64_t *b0 = p0 + q[3] * stride, *b1 = p1 + q[3] * stride;
+        const uint64_t *a0 = p0 + q[2] * T, *a1 = p1 + q[2] * T;
+        const uint64_t *b0 = p0 + q[3] * T, *b1 = p1 + q[3] * T;
         const uint64_t *t;
-        int64_t w;
         if (q[0] & OP_SWAP_A) {
             t = a0;
             a0 = a1;
@@ -89,28 +139,7 @@ static REPRO_NOINLINE void apply_ops(const int32_t *prog, int64_t n_ops,
             b0 = b1;
             b1 = t;
         }
-        switch (q[0] & OP_CODE) {
-        case OP_AND:
-            for (w = 0; w < span; w++) {
-                d1[w] = a1[w] & b1[w];
-                d0[w] = a0[w] | b0[w];
-            }
-            break;
-        case OP_OR:
-            for (w = 0; w < span; w++) {
-                d0[w] = a0[w] & b0[w];
-                d1[w] = a1[w] | b1[w];
-            }
-            break;
-        default: /* OP_XOR */
-            for (w = 0; w < span; w++) {
-                const uint64_t x0 = a0[w], x1 = a1[w];
-                const uint64_t y0 = b0[w], y1 = b1[w];
-                d0[w] = (x0 & y0) | (x1 & y1);
-                d1[w] = (x0 & y1) | (x1 & y0);
-            }
-            break;
-        }
+        apply_op(q[0], p0 + q[1] * T, p1 + q[1] * T, a0, a1, b0, b1);
     }
 }
 
@@ -129,44 +158,35 @@ static int64_t popcount64(uint64_t x) {
 #endif
 }
 
-static int64_t popcount_words(const uint64_t *a, int64_t words) {
-    int64_t total = 0;
-    for (int64_t w = 0; w < words; w++)
-        total += popcount64(a[w]);
-    return total;
-}
-
 /* ------------------------------------------------------------------ */
 /* The exhaustive pair product, generated in-tile.                     */
 /* ------------------------------------------------------------------ */
 
-/* The low n bits set, 0 <= n <= 64. */
+/* The low n bits set, 0 <= n; all 64 from n = 64 on. */
 static uint64_t low_ones(int64_t n) {
     return n >= 64 ? ~(uint64_t)0 : ((uint64_t)1 << n) - 1;
 }
 
-/* 64 bits of a bit string starting at bit `pos`; `m` carries one zero
- * pad word past its last bit so the window never reads beyond it.  The
- * split shift keeps pos % 64 == 0 well defined without a branch. */
-static uint64_t window64(const uint64_t *m, int64_t pos) {
-    const int64_t w = pos >> 6;
-    const int sh = (int)(pos & 63);
-    return (m[w] >> sh) | ((m[w + 1] << 1) << (63 - sh));
+/* n input words of g-row gi from mask word r on, for one string bit:
+ * the g side is bit gi of mask rows q0/q1 smeared, the h side their
+ * words r .. r + n - 1 copied.  The rows are restrict parameters, as in
+ * apply_op, so the loops vectorize without a run-time overlap check:
+ * the four rows are distinct, and the masks are another buffer. */
+static inline void input_run(uint64_t *restrict g0, uint64_t *restrict g1,
+                             uint64_t *restrict h0, uint64_t *restrict h1,
+                             const uint64_t *q0, const uint64_t *q1,
+                             int64_t gi, int64_t r, int64_t n) {
+    const uint64_t v0 = (uint64_t)0 - ((q0[gi >> 6] >> (gi & 63)) & 1);
+    const uint64_t v1 = (uint64_t)0 - ((q1[gi >> 6] >> (gi & 63)) & 1);
+    for (int64_t j = 0; j < n; j++) {
+        g0[j] = v0;
+        g1[j] = v1;
+    }
+    for (int64_t j = 0; j < n; j++) {
+        h0[j] = q0[r + j];
+        h1[j] = q1[r + j];
+    }
 }
-
-/* All-ones when bit `i` of `m` is set, else zero. */
-static uint64_t bit_smear(const uint64_t *m, int64_t i) {
-    return (uint64_t)0 - ((m[i >> 6] >> (i & 63)) & 1);
-}
-
-/* A run of lanes inside one word that share a g-row: bits [p, p + n),
- * g-row k (relative to g_lo), h-indices [r, r + n). */
-typedef struct {
-    int32_t p, n, k, r;
-} segment;
-
-/* Every word holds at most 64 / S + 2 runs; S >= 3 (width >= 1). */
-#define REPRO_MAX_SEGMENTS (REPRO_TILE_WORDS * 24)
 
 /* Rows of compare entry c: row c, or row ~c with its planes swapped
  * when c is negative (an inverted output read without an INV op). */
@@ -183,32 +203,34 @@ static void cmp_rows(const uint64_t *s0, const uint64_t *s1, int64_t T,
 
 /* Verify one g-row shard of the 2-sort(width) pair product in one call.
  *
- * Lane L = (gi - g_lo) * S + hi for gi in [g_lo, g_hi), hi in [0, S):
- * scratch row b (g bit b) holds bit gi of m0/m1 row b, and row
- * width + b (h bit b) bit hi.  m0/m1 are `width` rows of
- * `mw` words each (row b = the can-be-0 / can-be-1 mask of bit b over
- * the S valid strings), plus one trailing zero pad word.
+ * Compact lane L = (gi - g_lo) * S + hi for gi in [g_lo, g_hi), hi in
+ * [0, S): input row b (g bit b) holds bit gi of m0/m1 row b, and row
+ * width + b (h bit b) bit hi.  m0/m1 are `width` rows of `mw` = R words
+ * (row b = the can-be-0 / can-be-1 mask of bit b over the S valid
+ * strings, zero from bit S on).
  *
- * Per tile the call writes, into the scratch slab (2 * n_rows *
- * REPRO_TILE_WORDS words): the g-side rows (one bit per S-lane g-row
- * block), the h-side rows (64-bit windowed reads of each bit's string
- * pattern, period S), and the select mask (lanes with hi <= gi).  Then
- * it runs the program and checks each compared row cmp[3j] against the
- * lane-wise mux of two other rows on both planes,
+ * Per tile of the padded layout (see the header) the call writes the
+ * input rows into the scratch slab (2 * n_rows * REPRO_TILE_WORDS
+ * words) -- h-side row b of word x is word x mod R of mask row b,
+ * g-side row b bit g_lo + (x >> log2 R) of it smeared -- and the select
+ * mask, the lanes with hi <= gi.  Then it runs the program and checks
+ * each compared row cmp[3j] on its live lanes against the lane-wise mux
+ * of two other rows on both planes,
  *
  *   expected = (sel & row cmp[3j+1]) | (~sel & row cmp[3j+2])
  *
- * OR-ing mismatches into `diff` (ceil(lanes / 64) words, fully written
- * and tail-masked).  A negative compare entry c names row ~c with its
- * planes swapped.  `fill` lists [row, p0_ones, p1_ones] triples for
- * rows no op writes and no input provides (constant nets, unwired
- * reads); they are preset once, since nothing in the sweep writes them.
- * When `counts` is not NULL, counts[j] is increased by the number of
- * lanes where compared output j mismatches: the popcount of the same
- * tail-masked word it ORs into `diff`.  With NULL (plain sweeps) no
- * per-output popcount runs -- without a hardware popcount instruction
- * (plain -O3) each one is a dozen ALU ops per word per output.
- * Returns the popcount of `diff` (mismatching lanes). */
+ * A negative compare entry c names row ~c with its planes swapped.  The
+ * mismatches of all outputs are ORed and scattered back to compact
+ * lanes -- word x's bits go to lanes from (x >> log2 R) * S +
+ * 64 * (x mod R) on -- in `diff`: ceil(K * S / 64) words for
+ * K = g_hi - g_lo, zeroed first.  `fill` lists [row, p0_ones, p1_ones]
+ * triples for rows no op writes and no input provides (constant nets,
+ * unwired reads); they are preset once, since nothing in the sweep
+ * writes them.  When `counts` is not NULL, counts[j] is increased by
+ * the number of lanes where compared output j mismatches.  With NULL
+ * (plain sweeps) no per-output popcount runs -- without a hardware
+ * popcount instruction (plain -O3) each one is a dozen ALU ops per word
+ * per output.  Returns the popcount of `diff` (mismatching lanes). */
 int64_t repro_pair_shard(const int32_t *prog, int64_t n_ops,
                          const int32_t *cmp, int64_t n_out,
                          const int32_t *fill, int64_t n_fill,
@@ -218,14 +240,15 @@ int64_t repro_pair_shard(const int32_t *prog, int64_t n_ops,
                          int64_t n_rows, uint64_t *diff, int64_t *counts) {
     const int64_t T = REPRO_TILE_WORDS;
     const int64_t S = ((int64_t)1 << (width + 1)) - 1;
+    const int lg = width > 5 ? (int)width - 5 : 0; /* R = mw = 1 << lg */
     const int64_t K = g_hi - g_lo;
-    const int64_t lanes = K * S;
-    const int64_t words = (lanes + 63) >> 6;
+    const int64_t words = K << lg;
+    const int64_t run = mw < T ? mw : T; /* a g-row's words in one tile */
     uint64_t *s0 = scratch;
     uint64_t *s1 = scratch + n_rows * T;
-    uint64_t sel[REPRO_TILE_WORDS];
-    segment seg[REPRO_MAX_SEGMENTS];
-    int64_t i, w;
+    uint64_t sel[REPRO_TILE_WORDS], live[REPRO_TILE_WORDS];
+    uint64_t d[REPRO_TILE_WORDS];
+    int64_t total = 0, i, w;
 
     for (i = 0; i < n_fill; i++) {
         const uint64_t v0 = fill[3 * i + 1] ? ~(uint64_t)0 : 0;
@@ -236,77 +259,32 @@ int64_t repro_pair_shard(const int32_t *prog, int64_t n_ops,
             r1[w] = v1;
         }
     }
+    for (w = 0; w < (K * S + 63) >> 6; w++)
+        diff[w] = 0;
 
-    /* (k, r): g-row and h-index of the next lane to cover. */
-    int64_t k = 0, r = 0;
     for (int64_t t0 = 0; t0 < words; t0 += T) {
-        const int64_t span = words - t0 < T ? words - t0 : T;
-        /* Word w's runs are seg[first[w]] .. seg[first[w + 1] - 1]. */
-        int64_t first[REPRO_TILE_WORDS + 1];
-        int64_t n_seg = 0;
-        for (w = 0; w < span; w++) {
-            sel[w] = 0;
-            first[w] = n_seg;
-            for (int64_t p = 0; p < 64;) {
-                const int64_t n = S - r < 64 - p ? S - r : 64 - p;
-                if (k < K) {
-                    /* sel: hi <= gi, i.e. the first g_lo + k + 1 h-indices. */
-                    int64_t c = g_lo + k + 1 - r;
-                    c = c < 0 ? 0 : (c > n ? n : c);
-                    sel[w] |= low_ones(c) << p;
-                }
-                seg[n_seg].p = (int32_t)p;
-                seg[n_seg].n = (int32_t)n;
-                seg[n_seg].k = (int32_t)k;
-                seg[n_seg].r = (int32_t)r;
-                n_seg++;
-                p += n;
-                r += n;
-                if (r == S) {
-                    r = 0;
-                    k++;
-                }
-            }
+        for (w = 0; w < T; w++) {
+            const int64_t x = t0 + w;
+            const int64_t h = (x & (mw - 1)) << 6; /* first h-index */
+            const int64_t c = g_lo + (x >> lg) + 1 - h; /* hi <= gi */
+            sel[w] = low_ones(c < 0 ? 0 : c);
+            live[w] = x < words ? low_ones(S - h) : 0;
         }
-        first[span] = n_seg;
-        for (int64_t b = 0; b < width; b++) {
-            const uint64_t *q0 = m0 + b * mw, *q1 = m1 + b * mw;
-            uint64_t *g0 = s0 + b * T, *g1 = s1 + b * T;
-            uint64_t *h0 = s0 + (width + b) * T, *h1 = s1 + (width + b) * T;
-            for (w = 0; w < span; w++) {
-                const segment *sg = seg + first[w];
-                const segment *end = seg + first[w + 1];
-                if (end - sg == 1) {
-                    /* Fast path once S >= 64: all 64 lanes in one g-row,
-                     * which lies below `lanes`, so k < K. */
-                    g0[w] = bit_smear(q0, g_lo + sg->k);
-                    g1[w] = bit_smear(q1, g_lo + sg->k);
-                    h0[w] = window64(q0, sg->r);
-                    h1[w] = window64(q1, sg->r);
-                    continue;
-                }
-                g0[w] = g1[w] = h0[w] = h1[w] = 0;
-                for (; sg < end; sg++) {
-                    const uint64_t run = low_ones(sg->n) << sg->p;
-                    if (sg->k < K) {
-                        g0[w] |= run & bit_smear(q0, g_lo + sg->k);
-                        g1[w] |= run & bit_smear(q1, g_lo + sg->k);
-                    }
-                    h0[w] |= (window64(q0, sg->r) << sg->p) & run;
-                    h1[w] |= (window64(q1, sg->r) << sg->p) & run;
-                }
-            }
+        /* One run per g-row the tile touches; a run past the shard's end
+         * repeats its last g-row, so no read leaves the mask rows. */
+        for (w = 0; w < T; w += run) {
+            const int64_t x = t0 + w;
+            const int64_t gi = g_lo + (x < words ? x >> lg : K - 1);
+            for (int64_t b = 0; b < width; b++)
+                input_run(s0 + b * T + w, s1 + b * T + w,
+                          s0 + (width + b) * T + w, s1 + (width + b) * T + w,
+                          m0 + b * mw, m1 + b * mw, gi, x & (mw - 1), run);
         }
 
-        apply_ops(prog, n_ops, s0, s1, T, span);
+        apply_ops(prog, n_ops, s0, s1);
 
-        uint64_t *d = diff + t0;
-        for (w = 0; w < span; w++)
+        for (w = 0; w < T; w++)
             d[w] = 0;
-        /* Lanes past `lanes` in the shard's last word are not pairs. */
-        const uint64_t last =
-            t0 + span == words ? low_ones(lanes - ((words - 1) << 6))
-                               : ~(uint64_t)0;
         for (i = 0; i < n_out; i++) {
             const int32_t *c = cmp + 3 * i;
             const uint64_t *r0, *r1, *a0, *a1, *b0, *b1;
@@ -315,28 +293,40 @@ int64_t repro_pair_shard(const int32_t *prog, int64_t n_ops,
             cmp_rows(s0, s1, T, c[2], &b0, &b1);
             if (counts) {
                 int64_t n = 0;
-                for (w = 0; w < span; w++) {
+                for (w = 0; w < T; w++) {
                     const uint64_t s = sel[w];
                     const uint64_t e0 = (s & a0[w]) | (~s & b0[w]);
                     const uint64_t e1 = (s & a1[w]) | (~s & b1[w]);
-                    uint64_t m = (r0[w] ^ e0) | (r1[w] ^ e1);
-                    if (w == span - 1)
-                        m &= last;
+                    const uint64_t m =
+                        ((r0[w] ^ e0) | (r1[w] ^ e1)) & live[w];
                     d[w] |= m;
                     n += popcount64(m);
                 }
                 counts[i] += n;
                 continue;
             }
-            for (w = 0; w < span; w++) {
+            for (w = 0; w < T; w++) {
                 const uint64_t s = sel[w];
                 const uint64_t e0 = (s & a0[w]) | (~s & b0[w]);
                 const uint64_t e1 = (s & a1[w]) | (~s & b1[w]);
-                d[w] |= (r0[w] ^ e0) | (r1[w] ^ e1);
+                d[w] |= ((r0[w] ^ e0) | (r1[w] ^ e1)) & live[w];
             }
         }
+        /* Scatter the live mismatches to their compact lanes.  The split
+         * shift keeps pos % 64 == 0 well defined; a word's high part is
+         * nonzero only when its lanes reach into the next diff word. */
+        for (w = 0; w < T; w++) {
+            if (!d[w])
+                continue;
+            const int64_t x = t0 + w;
+            const int64_t pos = (x >> lg) * S + ((x & (mw - 1)) << 6);
+            const int sh = (int)(pos & 63);
+            const uint64_t high = (d[w] >> 1) >> (63 - sh);
+            diff[pos >> 6] |= d[w] << sh;
+            if (high)
+                diff[(pos >> 6) + 1] |= high;
+            total += popcount64(d[w]);
+        }
     }
-    if (words)
-        diff[words - 1] &= low_ones(lanes - ((words - 1) << 6));
-    return popcount_words(diff, words);
+    return total;
 }

@@ -7,8 +7,12 @@ only :meth:`~NativeBackend.run_pair_shard` -- a whole
 exhaustive-verification shard -- differs.  It is one
 ``repro_pair_shard`` call of the kernel in
 :mod:`repro.backends._kernel`, which generates the pair product itself,
-so no input plane is built in Python.  The shard's ``diff`` comes back
-as an int: 0 when no lane mismatched, else converted once.
+so no input plane is built in Python.  Inside the call every g-row is
+padded to a power-of-two count of whole words, so each input word is a
+copied mask word or a smeared mask bit (``kernel.c`` ABI 7); the mask
+rows go in as ``ceil(S / 64)``-word rows with no pad word, and ``diff``
+comes back in the compact lane layout ``(gi - g_lo) * S + hi`` of the
+reference, as an int: 0 when no lane mismatched, else converted once.
 
 The shard runs a compact program (:func:`_lower_pair_shard`): inverters
 and buffers become operand plane swaps, and values share rows by
@@ -272,10 +276,11 @@ class NativeBackend(BigIntBackend):
     def _mask_rows(self, masks, width: int):
         """``(m0, m1, words)``: the string masks as row-major uint64 rows.
 
-        Each side is ``width`` rows of ``words`` words plus one zero pad
-        word for the kernel's windowed reads.  Cached for the last
-        ``masks`` object: a sweep passes the same memoized tuple for
-        every shard.
+        Each side is ``width`` rows of ``words`` words, where ``words``
+        -- ``ceil(S / 64)`` for ``S`` valid strings -- is also the
+        kernel's words per padded g-row: ``(S + 1) / 64``, or 1 below
+        width 5.  Cached for the last ``masks`` object: a sweep passes
+        the same memoized tuple for every shard.
         """
         cached = self._masks
         if cached is not None and cached[0] is masks and cached[1] == width:
@@ -287,8 +292,6 @@ class NativeBackend(BigIntBackend):
             array("Q", b"".join(m.to_bytes(8 * mw, "little") for m in side))
             for side in masks
         )
-        m0.append(0)
-        m1.append(0)
         self._masks = (masks, width, (m0, m1, mw))
         return m0, m1, mw
 

@@ -273,8 +273,9 @@ class SortRequest:
             )
         if self.backend is not None and self.engine != "compiled":
             raise ValueError(
-                "backend selects a plane representation, which only the "
-                f"compiled engine uses (got engine={self.engine!r})"
+                "backend picks the verification-shard engine and "
+                "compile-cache key of a compiled program, and only the "
+                f"compiled engine builds one (got engine={self.engine!r})"
             )
         _validate_sharding(self.jobs, self.shard_size, self.executor, self.backend)
         if not self.vectors:

@@ -414,9 +414,10 @@ def verify_two_sort_circuit(
     a few bit-parallel sweeps and compared against the Table 2 order
     max/min in plane space (equal to the Definition 2.8 closure on valid
     strings).  Failure messages still quote the closure spec per pair.
-    ``backend`` picks the plane representation
-    (:mod:`repro.backends`; default: the process default) -- the result
-    is bit-identical for every backend.
+    ``backend`` picks the engine that runs each verification shard and
+    the compile-cache key (:mod:`repro.backends`; default: the process
+    default) -- planes are ints on every backend, and the result is
+    bit-identical for each.
 
     Single-process; :func:`repro.verify.parallel.verify_two_sort_sharded`
     runs the same shards across a worker pool.
@@ -438,8 +439,11 @@ def verify_containment(
 
     This is the "containment" contract on its own, checkable even for
     designs that are not closure-exact.  Circuit evaluation is batched
-    (on the selected plane backend); validity is then checked per
-    decoded output pair.
+    over int planes; validity is then checked per decoded output pair.
+    No verification shard runs, so shards are sized by the class value
+    ``PlaneBackend.preferred_shard_lanes`` (as batch sorts are), never
+    by a backend's kernel budget: reading native's would build a kernel
+    this never calls.
     """
     check_two_sort_shape(circuit, width)
     strings = all_valid_strings(width)
@@ -447,9 +451,7 @@ def verify_containment(
     program = compile_circuit(circuit, get_backend(backend))
     result = VerificationResult()
 
-    for g_lo, g_hi in pair_shards(
-        width, program.backend.preferred_shard_lanes
-    ):
+    for g_lo, g_hi in pair_shards(width, PlaneBackend.preferred_shard_lanes):
         planes, lanes = _shard_input_planes(
             program.backend, width, g_lo, g_hi
         )

@@ -8,10 +8,12 @@ the native kernel's must be indistinguishable except in wall-clock time.
 """
 
 import itertools
+import json
 import os
 import random
 import subprocess
 import sys
+import textwrap
 import threading
 from pathlib import Path
 
@@ -431,6 +433,51 @@ class TestKernelFirstUse:
         sized its shards by native's kernel budget, and reading that
         budget built the kernel it never calls."""
         self._check_sort_builds_nothing(tmp_path, "--executor", "serial")
+
+    def test_containment_never_builds_the_kernel(self, tmp_path):
+        """Regression: ``verify_containment`` sized its shards by native's
+        kernel budget, and reading that budget built the kernel it never
+        calls (it runs ``run_planes`` and a per-lane decode).  A fresh
+        subprocess per backend checks 2-sort(6) and an AND2<->OR2 swap of
+        it; native's reports equal bigint's and the cache stays empty."""
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        script = textwrap.dedent("""
+            import sys
+            from repro.circuits.gates import AND2, OR2
+            from repro.circuits.netlist import Circuit
+            from repro.core.two_sort import build_two_sort
+            from repro.verify.exhaustive import verify_containment
+
+            base = build_two_sort(6)
+            site = next(g.output for g in base.gates if g.kind is OR2)
+            faulty = Circuit(name="two-sort-6-swap")
+            for net in base.inputs:
+                faulty.add_input(net=net)
+            for g in base.gates:
+                kind = AND2 if g.output == site else g.kind
+                faulty.add_gate(kind, g.inputs, output=g.output)
+            faulty.add_outputs(base.outputs)
+            for circuit in (base, faulty):
+                result = verify_containment(circuit, 6, backend=sys.argv[1])
+                print(result.to_json())
+        """)
+        out = {}
+        for name in ("bigint", "native"):
+            proc = subprocess.run(
+                [sys.executable, "-c", script, name],
+                env={**os.environ, "PYTHONPATH": SRC_DIR,
+                     "REPRO_NATIVE_CACHE": str(cache)},
+                capture_output=True,
+                text=True,
+                timeout=300,
+            )
+            assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+            out[name] = proc.stdout
+        assert out["native"] == out["bigint"]
+        ok, faulty = (json.loads(line) for line in out["native"].splitlines())
+        assert ok["ok"] and not faulty["ok"], out["native"]
+        assert os.listdir(cache) == []
 
 
 # ----------------------------------------------------------------------
@@ -1088,6 +1135,66 @@ class TestPairShardFused:
                     )
                     for o in picks
                 ]
+
+    # -- widths whose padded g-row spans whole tiles -------------------
+    @staticmethod
+    def _whole_tile_cases(width):
+        """From width 10 on the kernel pads a g-row to R >= 32 words (one
+        tile), so each tile lies inside one g-row.  The correct netlist
+        and three AND2<->OR2 swaps, over the first, middle and last
+        shards of a 1<<18-lane sweep and short shards at both ends."""
+        from repro.verify.exhaustive import pair_shards
+
+        S = (1 << (width + 1)) - 1
+        sweep = pair_shards(width, 1 << 18)
+        shards = [sweep[0], sweep[len(sweep) // 2], sweep[-1], (3, 7), (S - 2, S)]
+        base = build_two_sort(width)
+        sites = [g.output for g in base.gates if g.kind in (AND2, OR2)]
+        rng = random.Random(20180319 + width)
+        faulty = [_swap_gate(base, site) for site in rng.sample(sites, 3)]
+        return base, faulty, shards
+
+    @pytest.mark.parametrize("width", [10, 11])
+    def test_and_or_swapped_netlists_whole_tile_rows(self, width):
+        from repro.verify.exhaustive import _two_sort_select_pairs
+
+        pairs = _two_sort_select_pairs(width)
+        base, faulty, shards = self._whole_tile_cases(width)
+        assert self._check(base, width, pairs, shards) == 0
+        for circuit in faulty:
+            assert self._check(circuit, width, pairs, shards) > 0
+
+    @pytest.mark.parametrize("width", [10, 11])
+    def test_counts_and_or_swapped_netlists_whole_tile_rows(self, width):
+        """Per-output counts equal bigint's, and asking for them changes
+        neither the diff nor the total."""
+        from repro.verify.exhaustive import (
+            _string_bit_masks,
+            _two_sort_select_pairs,
+        )
+
+        masks = _string_bit_masks(width)
+        pairs = _two_sort_select_pairs(width)
+        base, faulty, shards = self._whole_tile_cases(width)
+        for circuit in (base, *faulty):
+            ref = compile_circuit(circuit, "bigint")
+            native = compile_circuit(circuit, "native")
+            total = 0
+            for g_lo, g_hi in shards:
+                want = [0] * len(pairs)
+                result = ref.run_pair_shard(
+                    width, masks, g_lo, g_hi, pairs, counts=want
+                )
+                got = [0] * len(pairs)
+                assert native.run_pair_shard(
+                    width, masks, g_lo, g_hi, pairs, counts=got
+                ) == result
+                assert got == want, (circuit.name, g_lo, g_hi)
+                assert native.run_pair_shard(
+                    width, masks, g_lo, g_hi, pairs
+                ) == result
+                total += sum(got)
+            assert (total > 0) == (circuit is not base), circuit.name
 
 
 class TestCompactPairShardProgram:
