@@ -24,7 +24,7 @@ trajectory so regressions are visible across PRs:
    path on ``Word`` values (``sort_words_batch``), plus the string
    entry point it wraps (``sort_strings_batch``, the service's path) on
    the same workload as word strings, and the milliseconds one served
-   256-vector sort request spends in ``SortRequest.run`` per backend.
+   256-vector sort request spends in ``SortRequest.run``.
 
 Throughput is reported in **gate-visits per second** (gates x vectors /
 time), the metric that is invariant to circuit size.
@@ -56,7 +56,6 @@ import time
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.backends import get_backend  # noqa: E402
 from repro.circuits.compiled import compile_circuit  # noqa: E402
 from repro.circuits.evaluate import evaluate_interpreted  # noqa: E402
 from repro.core.two_sort import build_two_sort  # noqa: E402
@@ -67,7 +66,7 @@ from repro.networks.simulate import (  # noqa: E402
     sort_words,
     sort_words_batch,
 )
-from repro.networks.topologies import SORT10_SIZE  # noqa: E402
+from repro.networks.topologies import SORT10_SIZE, best_known  # noqa: E402
 from repro.service.jobs import SortRequest  # noqa: E402
 from repro.ternary.word import Word  # noqa: E402
 from repro.verify.exhaustive import verify_two_sort_circuit  # noqa: E402
@@ -134,18 +133,30 @@ def bench_exhaustive_verification(width: int, scalar_sample: int) -> dict:
     }
 
 
-def _interleaved_medians(runs: dict, rounds: int) -> dict:
+def _interleaved_medians(
+    runs: dict, rounds: int, every: dict | None = None
+) -> dict:
     """Median seconds of each of ``runs``' callables over ``rounds``
     rounds of one call each, the first caller alternating between
-    rounds, so drift in host speed lands on every row alike."""
+    rounds, so drift in host speed lands on every row alike.  A name
+    in ``every`` runs only in every ``every[name]``-th round, starting
+    with the first."""
     names = list(runs)
+    every = every or {}
     times = {name: [] for name in names}
     for i in range(rounds):
         for name in names[:: 1 if i % 2 == 0 else -1]:
+            if i % every.get(name, 1):
+                continue
             t0 = time.perf_counter()
             runs[name]()
             times[name].append(time.perf_counter() - t0)
     return {name: statistics.median(t) for name, t in times.items()}
+
+
+#: Timed runs of the network-simulation scalar side (~1 s each at full
+#: size), spread evenly over the rounds of the batch rows.
+SCALAR_REPEATS = 5
 
 
 def bench_network_simulation(width: int, vectors: int, requests: int) -> dict:
@@ -154,13 +165,15 @@ def bench_network_simulation(width: int, vectors: int, requests: int) -> dict:
     The ``compiled`` (:func:`sort_words_batch`) and ``strings``
     (:func:`sort_strings_batch`) rows are the median of ``requests``
     interleaved runs of the whole workload, after an untimed run each
-    whose output is checked.  The ``served_request`` row times what one
-    ``serve-sort`` job runs: :meth:`SortRequest.run
+    whose output is checked.  The ``scalar`` row (``sort_words`` with
+    the gate-level engine, one vector at a time, on the first eighth of
+    the workload) is the median of :data:`SCALAR_REPEATS` runs spread
+    evenly over the same rounds, after its own checked run, so
+    ``speedup`` divides two medians taken side by side.  The ``served_request`` row
+    times what one ``serve-sort`` job runs: :meth:`SortRequest.run
     <repro.service.jobs.SortRequest.run>`, validation included, on 256
     seeded vectors of 10 channels of 16-bit words (~30 % ``M``), as the
-    median over ``requests`` interleaved runs per plane backend
-    (``native_built`` says whether the kernel built; a sort never calls
-    it).
+    median over ``requests`` runs.
     """
     network = SORT10_SIZE
     workload = measurement_sweep(
@@ -175,13 +188,13 @@ def bench_network_simulation(width: int, vectors: int, requests: int) -> dict:
     sort_words_batch(network, workload[:1])
 
     scalar_vectors = workload[: max(4, vectors // 8)]
-    t0 = time.perf_counter()
-    scalar_out = [
-        sort_words(network, v, engine="circuit") for v in scalar_vectors
-    ]
-    scalar_time = time.perf_counter() - t0
-    scalar_rate = len(scalar_vectors) / scalar_time
 
+    def scalar():
+        return [
+            sort_words(network, v, engine="circuit") for v in scalar_vectors
+        ]
+
+    scalar_out = scalar()
     batch_out = sort_words_batch(network, workload)
     assert batch_out[: len(scalar_out)] == scalar_out
     # The same workload as word strings, the form service requests carry.
@@ -189,13 +202,18 @@ def bench_network_simulation(width: int, vectors: int, requests: int) -> dict:
     strings_out = sort_strings_batch(network, strings)
     assert strings_out == [[str(w) for w in row] for row in batch_out]
 
+    scalar_every = max(1, requests // SCALAR_REPEATS)
     sort_times = _interleaved_medians(
         {
+            "scalar": scalar,
             "compiled": lambda: sort_words_batch(network, workload),
             "strings": lambda: sort_strings_batch(network, strings),
         },
         requests,
+        every={"scalar": scalar_every},
     )
+    scalar_time = sort_times["scalar"]
+    scalar_rate = len(scalar_vectors) / scalar_time
     compiled_time = sort_times["compiled"]
     compiled_rate = len(workload) / compiled_time
     strings_time = sort_times["strings"]
@@ -205,29 +223,22 @@ def bench_network_simulation(width: int, vectors: int, requests: int) -> dict:
         tuple(str(w) for w in v)
         for v in measurement_sweep(16, 10, 256, meta_rate=0.3, seed=2018)
     )
+    served_request = SortRequest(vectors=served_vectors)
+    # One untimed, checked run warms the compile cache.
+    served_rows = served_request.run()
+    assert served_rows == sort_strings_batch(
+        best_known(10), served_vectors, engine="rank"
+    )
+    served_time = _interleaved_medians(
+        {"served": served_request.run}, requests
+    )["served"]
     served = {
         "vectors": len(served_vectors),
         "channels": 10,
         "width": 16,
         "requests": requests,
-        "native_built": get_backend("native").built,
+        "ms_per_request": round(served_time * 1e3, 3),
     }
-    backends = ("bigint", "native")
-    served_requests = {
-        backend: SortRequest(vectors=served_vectors, backend=backend)
-        for backend in backends
-    }
-    # One untimed run each warms the compile caches.
-    served_rows = [served_requests[backend].run() for backend in backends]
-    assert served_rows[0] == served_rows[1]
-    served_times = _interleaved_medians(
-        {backend: served_requests[backend].run for backend in backends},
-        requests,
-    )
-    for backend in backends:
-        served[backend] = {
-            "ms_per_request": round(served_times[backend] * 1e3, 3)
-        }
 
     return {
         "width": width,
@@ -236,6 +247,7 @@ def bench_network_simulation(width: int, vectors: int, requests: int) -> dict:
         "vectors": len(workload),
         "scalar": {
             "vectors_measured": len(scalar_vectors),
+            "repeats": -(-requests // scalar_every),
             "time_s": round(scalar_time, 4),
             "vectors_per_s": round(scalar_rate, 1),
             "gate_visits_per_s": round(scalar_rate * gates, 1),
@@ -876,8 +888,7 @@ def main(argv=None) -> int:
     served = network["served_request"]
     print(
         f"  served request (256 x 10 x 16-bit, validation included): "
-        f"bigint {served['bigint']['ms_per_request']:.2f} ms, "
-        f"native {served['native']['ms_per_request']:.2f} ms"
+        f"{served['ms_per_request']:.2f} ms"
     )
 
     print(f"== native backend (B={native_width}) ==")

@@ -32,14 +32,14 @@ backends            list registered plane backends, their variant on
 sort g h [...]      sort valid strings with the paper's circuit
      --engine       2-sort engine (fsm default; compiled = batch path)
      --executor     execution strategy for the sharded batch path
-     --backend      plane backend for --engine compiled
      --json         machine-readable sorted output
 serve               run the async job service (JSON lines over TCP)
      --port/--host  bind address (default 127.0.0.1:7421)
      --jobs         max concurrently *running* jobs
-     --backend      default plane backend for requests that omit one
      --listen A     also run a shard coordinator ([HOST:]PORT), so
                     submitted jobs may use executor "distributed"
+     --store S      server-wide store for jobs that name none (keyed
+                    per whole-circuit shard, unlike verify --store)
 worker              attach a shard worker to a running coordinator
      --connect H:P  coordinator address
      --jobs N       local process fan-out under this one connection
@@ -110,26 +110,6 @@ def _check_positive_args(args) -> int:
         print(
             f"error: --shard-size must be a positive lane count, "
             f"got {shard_size}",
-            file=sys.stderr,
-        )
-        return 2
-    return 0
-
-
-def _check_backend_args(args) -> int:
-    """Validate --backend against the registry (exit code 2 on misuse).
-
-    Replaces argparse ``choices=``: the registry can grow (plugins,
-    tests register fakes), and the error should enumerate what *this*
-    process actually has -- including the ``auto`` alias.
-    """
-    from .backends import known_backend_names
-
-    backend = getattr(args, "backend", None)
-    if backend is not None and backend not in known_backend_names():
-        print(
-            f"error: unknown plane backend {backend!r}; "
-            f"available: {', '.join(known_backend_names())}",
             file=sys.stderr,
         )
         return 2
@@ -293,7 +273,6 @@ def _cmd_verify(args) -> int:
     bad = (
         _check_positive_args(args)
         or _check_executor_args(args)
-        or _check_backend_args(args)
         or _check_checkpoint_args(args)
     )
     if bad:
@@ -313,7 +292,9 @@ def _cmd_verify(args) -> int:
     try:
         request.validate()
     except ValueError as exc:
-        # e.g. width < 1: a usage error, same exit code as the checks above.
+        # e.g. width < 1 or an unknown --backend (the registry can grow,
+        # so argparse choices= would miss names registered at run time):
+        # a usage error, same exit code as the checks above.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if request.checkpoint and os.path.exists(request.checkpoint):
@@ -440,17 +421,14 @@ def _sort_request(args):
     from .service.jobs import SortRequest
 
     return SortRequest.single(
-        list(args.values),
-        engine=args.engine,
-        executor=args.executor,
-        backend=args.backend,
+        list(args.values), engine=args.engine, executor=args.executor
     )
 
 
 def _cmd_sort(args) -> int:
     from .graycode.valid import InvalidStringError
 
-    bad = _check_executor_args(args) or _check_backend_args(args)
+    bad = _check_executor_args(args)
     if bad:
         return bad
     if args.executor == "distributed":
@@ -460,15 +438,6 @@ def _cmd_sort(args) -> int:
             "error: sort cannot host a shard coordinator; run one with "
             "`serve --listen PORT` and use "
             "`submit sort --executor distributed` instead",
-            file=sys.stderr,
-        )
-        return 2
-    if args.backend is not None and args.engine != "compiled":
-        print(
-            "error: --backend picks the verification-shard engine and "
-            "compile-cache key of a compiled program, and only the "
-            "compiled engine builds one; pass --engine compiled "
-            f"(got --engine {args.engine})",
             file=sys.stderr,
         )
         return 2
@@ -500,7 +469,7 @@ def _cmd_serve(args) -> int:
     from .service.jobs import JobManager
     from .service.server import ReproServer
 
-    bad = _check_positive_args(args) or _check_backend_args(args)
+    bad = _check_positive_args(args)
     if bad:
         return bad
     if args.listen is not None:
@@ -531,7 +500,6 @@ def _cmd_serve(args) -> int:
         manager = JobManager(
             jobs=args.jobs or os.cpu_count() or 1,
             cache_size=args.cache_size,
-            default_backend=args.backend,
             store=durable,
         )
         server = ReproServer(manager, host=args.host, port=args.port)
@@ -589,10 +557,8 @@ def _cmd_submit(args) -> int:
     from .service.client import ServiceError
     from .verify.exhaustive import VerificationResult
 
-    bad = (
-        _check_executor_args(args)
-        or _check_backend_args(args)
-        or _check_checkpoint_args(args, local=False)
+    bad = _check_executor_args(args) or _check_checkpoint_args(
+        args, local=False
     )
     if bad:
         return bad
@@ -601,8 +567,8 @@ def _cmd_submit(args) -> int:
     else:
         request = _sort_request(args)
     try:
-        # One validator (the request's own) covers jobs/shard-size/width;
-        # validation failures are usage errors, exit 2.
+        # One validator (the request's own) covers jobs/shard-size/width
+        # and the backend; validation failures are usage errors, exit 2.
         request.validate()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -688,15 +654,11 @@ def _cmd_worker(args) -> int:
             file=sys.stderr,
         )
         return 2
-    bad = _check_backend_args(args)
-    if bad:
-        return bad
     jobs = args.jobs or os.cpu_count() or 1
     worker = ShardWorker(
         host,
         int(port_text),
         jobs=jobs,
-        backend=args.backend,
         name=args.name,
         throttle=args.throttle,
         retry_max=args.retry_max,
@@ -878,11 +840,6 @@ def _add_sort_args(parser) -> None:
         "(serial, process, distributed)",
     )
     parser.add_argument(
-        "--backend",
-        default=None,
-        help="plane backend for --engine compiled (auto/bigint/native)",
-    )
-    parser.add_argument(
         "--json", action="store_true", help="print the sorted words as JSON"
     )
 
@@ -937,12 +894,6 @@ def main(argv=None) -> int:
         "0 = one per core)",
     )
     p.add_argument(
-        "--backend",
-        default=None,
-        help="default plane backend for requests that omit one "
-        "(auto/bigint/native)",
-    )
-    p.add_argument(
         "--cache-size",
         type=int,
         default=8192,
@@ -959,9 +910,12 @@ def main(argv=None) -> int:
         "--store",
         default=None,
         metavar="SPEC",
-        help="server-wide durable result store (as for verify --store): "
-        "job results survive restarts and are shared with CLI runs "
-        "against the same path",
+        help="server-wide durable result store (a spec as for verify "
+        "--store): jobs that name no store of their own keep "
+        "whole-circuit shard results here, so they survive restarts and "
+        "warm the server's later jobs. It shares nothing with verify "
+        "--store, which keys results per output cone; a job submitted "
+        "with --store SPEC uses that store's cone keys, as the CLI does",
     )
     p.set_defaults(fn=_cmd_serve)
 
@@ -981,12 +935,6 @@ def main(argv=None) -> int:
         default=1,
         help="local worker processes under this connection "
         "(default %(default)s; 0 = one per core)",
-    )
-    p.add_argument(
-        "--backend",
-        default=None,
-        help="plane backend for sweeps that do not pin one "
-        "(auto/bigint/native)",
     )
     p.add_argument("--name", default=None, help="worker name in coordinator stats")
     p.add_argument(

@@ -3,7 +3,7 @@
 The compiled engine, the exhaustive verifier, and the batched network
 simulator all operate on **planes** -- one Python int per plane, one
 bit per batch lane, two planes per net (:mod:`repro.circuits.compiled`).
-Every backend stores planes the same way, so results never depend on
+Every backend stores planes the same way, so reports never depend on
 the backend.  What a :class:`~repro.backends.base.PlaneBackend` owns is
 the verification shard and its sizing, chosen from a small name
 registry that mirrors the engine registry in
@@ -18,25 +18,22 @@ registry that mirrors the engine registry in
 
 ``"auto"`` is an *alias*, not a registered backend: it resolves to
 ``native`` when the kernel is built on this host and ``bigint``
-otherwise (:func:`resolve_backend_name`).  The CLI defaults to it;
-library callers that persist or forward backend choices should resolve
-it to a concrete name first so cache and epoch keys stay stable across
-hosts with different toolchains.
+otherwise (:func:`resolve_backend_name`).  ``verify --backend``
+defaults to it; a sweep resolves it once, up front, so cache and epoch
+keys name a concrete backend on every host.
 
-Selection is by name everywhere a backend crosses an API boundary
-(``compile_circuit(..., backend=...)``, ``verify --backend``, pool
-initializers), so backend choices serialize trivially to worker
-processes and compile caches can key on ``(circuit.version, name)``.
-The process-wide default is ``"bigint"`` unless ``REPRO_PLANE_BACKEND``
-says otherwise; :func:`use_backend` scopes an override (used by
-distributed workers, :mod:`repro.distributed.worker`).
+A backend is an argument of the verification sweep only
+(``verify_two_sort_sharded(backend=...)``, ``verify --backend``, and
+the sweep's pool initializers, which forward it by name) and of
+``compile_circuit(..., backend=...)``, whose cache keys on
+``(circuit.version, name)``.  Everywhere else -- sorts, containment
+checks, scalar evaluation -- programs compile for the default, and
+``None`` means ``"bigint"`` on every host.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Dict, List, Optional, Union
 
 from ._kernel import native_disabled_by_env
 from .base import PlaneBackend
@@ -55,18 +52,12 @@ __all__ = [
     "native_disabled_by_env",
     "register_backend",
     "resolve_backend_name",
-    "set_default_backend",
-    "use_backend",
 ]
 
 #: The auto-selection alias accepted wherever a backend name is.
 AUTO_BACKEND = "auto"
 
 _BACKENDS: Dict[str, PlaneBackend] = {}
-
-#: Scoped override of the default backend name (see use_backend); the
-#: environment variable is consulted only when this is unset.
-_default_override: Optional[str] = None
 
 
 def register_backend(name: str, backend: PlaneBackend) -> None:
@@ -101,7 +92,7 @@ def resolve_backend_name(name: Optional[str]) -> str:
     unknown ones -- :func:`get_backend` owns that error).
     """
     if name is None:
-        name = default_backend_name()
+        return default_backend_name()
     if name == AUTO_BACKEND:
         native = _BACKENDS.get("native")
         if native is not None and getattr(native, "built", False):
@@ -111,32 +102,8 @@ def resolve_backend_name(name: Optional[str]) -> str:
 
 
 def default_backend_name() -> str:
-    """The process default: override > ``REPRO_PLANE_BACKEND`` > bigint."""
-    if _default_override is not None:
-        return _default_override
-    return os.environ.get("REPRO_PLANE_BACKEND", "") or "bigint"
-
-
-def set_default_backend(name: Optional[str]) -> None:
-    """Pin (or with ``None`` clear) the process-default backend."""
-    global _default_override
-    if name is not None and name != AUTO_BACKEND and name not in _BACKENDS:
-        raise KeyError(
-            f"unknown plane backend {name!r}; available: {available_backends()}"
-        )
-    _default_override = name
-
-
-@contextmanager
-def use_backend(name: str) -> Iterator[PlaneBackend]:
-    """Scope the default backend to ``name`` for a ``with`` block."""
-    global _default_override
-    previous = _default_override
-    set_default_backend(name)
-    try:
-        yield get_backend(name)
-    finally:
-        _default_override = previous
+    """What ``None`` means wherever a backend is named: ``bigint``."""
+    return "bigint"
 
 
 def get_backend(
@@ -144,8 +111,8 @@ def get_backend(
 ) -> PlaneBackend:
     """Resolve a backend argument: instance, registry name, or default.
 
-    ``None`` means the process default (:func:`default_backend_name`);
-    a :class:`PlaneBackend` instance passes through, so internal layers
+    ``None`` means ``bigint`` (:func:`default_backend_name`); a
+    :class:`PlaneBackend` instance passes through, so internal layers
     can resolve once and hand the object down.
     """
     if isinstance(backend, PlaneBackend):

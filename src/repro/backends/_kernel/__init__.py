@@ -148,10 +148,10 @@ def _build(cc: list[str], flags: list[str], out_path: str) -> None:
 
 def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     # All pointer parameters are declared c_void_p so callers can pass raw
-    # integer addresses (an array("Q")'s buffer_info()[0])
-    # without building ctypes pointer objects -- that per-call marshalling
-    # is measurable on the hot verification path.  c_void_p also accepts
-    # ctypes arrays directly, so cached int32 slot/program arrays pass as-is.
+    # integer addresses (the aligned tile slab's) without building ctypes
+    # pointer objects -- that per-call marshalling is measurable on the
+    # hot verification path.  c_void_p also accepts ctypes arrays
+    # directly, so the program, mask-row and diff arrays pass as-is.
     ptr = ctypes.c_void_p
     i64 = ctypes.c_int64
     lib.repro_kernel_abi.argtypes = []

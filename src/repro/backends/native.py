@@ -55,21 +55,13 @@ _PROGRAM_CACHE_CAP = 32
 
 
 def _int32s(values: Iterable[int]) -> ctypes.Array:
-    # A ctypes view of an array("i"), which it keeps alive: several times
-    # faster to build than a ctypes array constructed from *args.
+    # An exact-size ctypes copy of an array("i"): several times faster to
+    # build than a ctypes array constructed from *args.  Every buffer the
+    # kernel reads or writes, except the aligned tile slab, is an
+    # exact-size ctypes array: array() over-allocates, which would hide
+    # a sanitized kernel's read past the end of its buffer.
     flat = array("i", values)
-    return (ctypes.c_int32 * len(flat)).from_buffer(flat)
-
-
-def _qptr(plane: array) -> int:
-    # Raw buffer address: every kernel pointer parameter is bound as
-    # c_void_p, so plain ints cross the FFI without a ctypes cast.
-    return plane.buffer_info()[0]
-
-
-def _words(n: int) -> array:
-    """``n`` zeroed uint64 words."""
-    return array("Q", bytes(8 * n))
+    return (ctypes.c_int32 * len(flat)).from_buffer_copy(flat)
 
 
 def _words_for(lanes: int) -> int:
@@ -240,8 +232,10 @@ class NativeBackend(BigIntBackend):
         nwords = 2 * n_rows * self._tile
         cached = getattr(self._local, "scratch", None)
         if cached is None or cached[1] < nwords:
-            buf = _words(nwords + 7)  # room to round the base up 56 bytes
-            cached = (buf, nwords, -(-_qptr(buf) // 64) * 64)
+            # Room to round the base up 56 bytes; the address is a plain
+            # int, which crosses the c_void_p parameter without a cast.
+            buf = array("Q", bytes(8 * (nwords + 7)))
+            cached = (buf, nwords, -(-buf.buffer_info()[0] // 64) * 64)
             self._local.scratch = cached
         return cached[2]
 
@@ -289,7 +283,9 @@ class NativeBackend(BigIntBackend):
             raise ValueError(f"masks must hold {width} rows per plane")
         mw = _words_for((1 << (width + 1)) - 1)
         m0, m1 = (
-            array("Q", b"".join(m.to_bytes(8 * mw, "little") for m in side))
+            (ctypes.c_uint64 * (width * mw)).from_buffer_copy(
+                b"".join(m.to_bytes(8 * mw, "little") for m in side)
+            )
             for side in masks
         )
         self._masks = (masks, width, (m0, m1, mw))
@@ -313,7 +309,7 @@ class NativeBackend(BigIntBackend):
             self._shard_marshal(program, cmp)
         )
         m0, m1, mw = self._mask_rows(masks, width)
-        diff = _words(_words_for((g_hi - g_lo) * S))
+        diff = (ctypes.c_uint64 * _words_for((g_hi - g_lo) * S))()
         tally = None if counts is None else (ctypes.c_int64 * n_cmp)()
         mismatches = lib.repro_pair_shard(
             prog,
@@ -322,15 +318,15 @@ class NativeBackend(BigIntBackend):
             n_cmp,
             fill_arr,
             n_fill,
-            _qptr(m0),
-            _qptr(m1),
+            m0,
+            m1,
             width,
             mw,
             g_lo,
             g_hi,
             self._scratch_addr(n_rows),
             n_rows,
-            _qptr(diff),
+            diff,
             tally,
         )
         if tally is not None:
@@ -338,6 +334,9 @@ class NativeBackend(BigIntBackend):
                 counts[j] += n
         if not mismatches:
             return 0, 0
+        raw = bytes(diff)
         if sys.byteorder == "big":
-            diff.byteswap()
-        return int.from_bytes(diff.tobytes(), "little"), int(mismatches)
+            words = array("Q", raw)
+            words.byteswap()
+            raw = words.tobytes()
+        return int.from_bytes(raw, "little"), int(mismatches)

@@ -1,6 +1,6 @@
 """Worker agent: pull leased shards from a coordinator and run them.
 
-``python -m repro worker --connect HOST:PORT [--jobs N] [--backend B]``
+``python -m repro worker --connect HOST:PORT [--jobs N]``
 starts one :class:`ShardWorker`.  It dials *out* to the coordinator
 (so worker boxes need no open ports), announces how many slots it
 offers, and then pulls task *ranges* one lease at a time:
@@ -10,6 +10,9 @@ offers, and then pulls task *ranges* one lease at a time:
   so an 8-core box contributes 8-way process sharding under a single
   connection -- the same pool initializer contract as the local
   ``"process"`` executor, just fed over the wire.
+
+The worker picks no plane backend: a sweep's initargs name the one it
+resolved, and everything else runs ``bigint``.
 
 **Epochs.**  Tasks arrive tagged with their
 :class:`~repro.verify.exhaustive.SweepEpoch`: the ``(circuit, backend,
@@ -59,7 +62,6 @@ import time
 from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..backends import use_backend
 from ..circuits.netlist import Circuit
 from .wire import (
     DEFAULT_WORK_PORT,
@@ -101,24 +103,6 @@ class _ConnectionLost(ConnectionError):
     """This session's transport died; the supervisor should redial."""
 
 
-def _pool_worker_setup(backend, initializer, initargs) -> None:
-    """Pool-child initializer: apply the agent's ``--backend``, then
-    run the sweep's own initializer.
-
-    Module-level (spawn context pickles it by reference).  The agent's
-    ``use_backend`` scope is a process-global override that spawned
-    children never inherit, so the effective default is re-applied
-    here -- otherwise ``--jobs N --backend B`` would silently compile
-    unpinned sweeps on each child's own default.
-    """
-    if backend is not None:
-        from ..backends import set_default_backend
-
-        set_default_backend(backend)
-    if initializer is not None:
-        initializer(*initargs)
-
-
 def _epoch_key(meta: Dict[str, Any]) -> str:
     return json.dumps(meta, sort_keys=True, separators=(",", ":"))
 
@@ -148,7 +132,6 @@ class ShardWorker:
         host: str,
         port: int = DEFAULT_WORK_PORT,
         jobs: int = 1,
-        backend: Optional[str] = None,
         name: Optional[str] = None,
         throttle: float = 0.0,
         retry_max: int = 10,
@@ -161,7 +144,6 @@ class ShardWorker:
         self.host = host
         self.port = port
         self.jobs = max(1, jobs)
-        self.backend = backend
         self.name = name or f"worker@{host}"
         self.throttle = throttle
         self.retry_max = max(0, retry_max)
@@ -206,12 +188,6 @@ class ShardWorker:
                 name="repro-worker-stopwatch",
                 daemon=True,
             ).start()
-        if self.backend is not None:
-            with use_backend(self.backend):
-                return self._run_supervised(stop)
-        return self._run_supervised(stop)
-
-    def _run_supervised(self, stop: Optional[threading.Event]) -> int:
         attempts = 0
         connected_before = False
         try:
@@ -468,8 +444,8 @@ class ShardWorker:
             ctx = multiprocessing.get_context("spawn")
             epoch.pool = ctx.Pool(
                 processes=self.jobs,
-                initializer=_pool_worker_setup,
-                initargs=(self.backend, epoch.initializer, epoch.initargs),
+                initializer=epoch.initializer,
+                initargs=epoch.initargs,
             )
         with self._pending_cond:
             self._outstanding += len(tasks)

@@ -44,24 +44,19 @@ shard toward the int-plane budget
 <repro.backends.base.PlaneBackend.preferred_shard_lanes>` vectors; one
 vector is one lane), since every shard pays one run of the 2-sort
 program per comparator, but never past an even split over the workers.
-A sort runs int planes on every backend, so no backend's own budget
-(nor ``native``'s kernel) enters into it.
+A sort names no plane backend: its programs compile for the default
+(``bigint``), so no backend's own budget (nor ``native``'s kernel)
+enters into it.
 """
 
 from __future__ import annotations
 
-import threading
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..backends import PlaneBackend
-from ..circuits.compiled import (
-    BackendLike,
-    compile_circuit,
-    planes_from_str,
-    planes_to_str,
-)
+from ..circuits.compiled import compile_circuit, planes_from_str, planes_to_str
 from ..circuits.evaluate import evaluate_interpreted
 from ..core.functional import two_sort_via_fsm
 from ..core.two_sort import build_two_sort
@@ -136,7 +131,6 @@ def sort_words_batch(
     jobs: Optional[int] = None,
     shard_size: Optional[int] = None,
     executor: Optional[str] = None,
-    backend: BackendLike = None,
     on_shard: Optional[Callable[[int, int, Any], None]] = None,
     should_stop: Optional[Callable[[], bool]] = None,
 ) -> List[List[Word]]:
@@ -163,7 +157,6 @@ def sort_words_batch(
         jobs=jobs,
         shard_size=shard_size,
         executor=executor,
-        backend=backend,
         on_shard=on_rows,
         should_stop=should_stop,
     )
@@ -181,7 +174,6 @@ def sort_strings_batch(
     jobs: Optional[int] = None,
     shard_size: Optional[int] = None,
     executor: Optional[str] = None,
-    backend: BackendLike = None,
     on_shard: Optional[Callable[[int, int, Any], None]] = None,
     should_stop: Optional[Callable[[], bool]] = None,
 ) -> List[List[str]]:
@@ -221,11 +213,6 @@ def sort_strings_batch(
     while every worker still gets one (``jobs=1`` runs up to that many
     as one shard).
 
-    ``backend`` names the plane backend the ``"compiled"`` engine
-    compiles for (:mod:`repro.backends`; other engines have no planes
-    and ignore it).  Planes are ints on every backend, so the rows do
-    not depend on it.  It is forwarded to shard workers by name.
-
     ``on_shard(done, total, rows)`` and ``should_stop()`` are the same
     progress/cancellation hooks as
     :func:`repro.verify.parallel.verify_two_sort_sharded` (``rows`` is
@@ -252,8 +239,8 @@ def sort_strings_batch(
         or should_stop is not None
     ):
         return _sort_strings_batch_sharded(
-            network, vectors, engine, jobs, shard_size, executor, backend,
-            on_shard, should_stop,
+            network, vectors, engine, jobs, shard_size, executor, on_shard,
+            should_stop,
         )
     if engine != "compiled":
         return [
@@ -266,7 +253,7 @@ def sort_strings_batch(
     channels = network.channels
     width = len(vectors[0][0])
 
-    program = compile_circuit(_cached_circuit(width), backend)
+    program = compile_circuit(_cached_circuit(width))
     outputs = program.output_slots
     # The joined batch is lane-major (lane j is vector j's words back to
     # back), so bit b of channel c over all lanes is column c*width + b.
@@ -303,33 +290,6 @@ def _check_batch_shapes(
             )
 
 
-#: Per-worker state installed by the pool initializer: only the small,
-#: shard-invariant context (network + engine name).  The vector batch is
-#: NOT broadcast -- each task carries just its own slice, so the whole
-#: batch crosses the process boundary exactly once in total.
-#: Thread-local, like ``repro.verify.parallel._VERIFY_STATE``: the
-#: service layer runs concurrent in-process batches on a thread pool,
-#: and multiprocessing pool workers init + run on one thread.
-_BATCH_STATE = threading.local()
-
-
-def _init_batch_worker(
-    network: SortingNetwork, engine: str, backend: BackendLike = None
-) -> None:
-    _BATCH_STATE.network = network
-    _BATCH_STATE.engine = engine
-    _BATCH_STATE.backend = backend
-
-
-def _batch_shard_worker(shard: List[List[str]]) -> List[List[str]]:
-    return sort_strings_batch(
-        _BATCH_STATE.network,
-        shard,
-        engine=_BATCH_STATE.engine,
-        backend=getattr(_BATCH_STATE, "backend", None),
-    )
-
-
 def _sort_strings_batch_sharded(
     network: SortingNetwork,
     vectors: List[List[str]],
@@ -337,11 +297,15 @@ def _sort_strings_batch_sharded(
     jobs: int,
     shard_size: Optional[int],
     executor: Optional[str],
-    backend: BackendLike = None,
     on_shard: Optional[Callable[[int, int, Any], None]] = None,
     should_stop: Optional[Callable[[], bool]] = None,
 ) -> List[List[str]]:
-    """Dispatch vector shards over the executor registry and concatenate."""
+    """Dispatch vector shards over the executor registry and concatenate.
+
+    The worker is ``sort_strings_batch`` bound to the network and engine
+    (a picklable ``partial``), and each task is one slice of vectors, so
+    the batch crosses a process boundary once in total.
+    """
     from ..verify.parallel import default_jobs, plan_shards, run_sharded
 
     # None and 0 both mean "one worker per core", matching run_sharded.
@@ -353,13 +317,9 @@ def _sort_strings_batch_sharded(
             # A shard pays one 2-sort program run per comparator, so it
             # grows toward the int-plane lane budget (a vector is a
             # lane) -- but never past an even split, so every worker
-            # still gets a shard.  The class value, never an instance's:
-            # native's budget is sized for its kernel, which a sort
-            # never runs, and reading it would build the kernel.
+            # still gets a shard.
             budget = PlaneBackend.preferred_shard_lanes
             shard_size = max(shard_size, min(budget, -(-n // jobs)))
-    if isinstance(backend, PlaneBackend):
-        backend = backend.name  # keep pool initargs picklable
     tasks = [vectors[lo:hi] for lo, hi in plan_shards(len(vectors), shard_size)]
     on_result = None
     if on_shard is not None:
@@ -370,19 +330,12 @@ def _sort_strings_batch_sharded(
             # number of shards done -- same contract as the verify path.
             on_shard(i + 1, total, rows)
 
-    try:
-        results = run_sharded(
-            _batch_shard_worker,
-            tasks,
-            jobs=jobs,
-            executor=executor,
-            initializer=_init_batch_worker,
-            initargs=(network, engine, backend),
-            on_result=on_result,
-            should_stop=should_stop,
-        )
-    finally:
-        # Serial executors ran in this thread: drop the refs so a big
-        # network/batch isn't pinned past the call.
-        _BATCH_STATE.__dict__.clear()
+    results = run_sharded(
+        partial(sort_strings_batch, network, engine=engine),
+        tasks,
+        jobs=jobs,
+        executor=executor,
+        on_result=on_result,
+        should_stop=should_stop,
+    )
     return [row for chunk in results for row in chunk]

@@ -89,10 +89,7 @@ ShouldStop = Callable[[], bool]
 
 
 def _validate_sharding(
-    jobs: Optional[int],
-    shard_size: Optional[int],
-    executor: Optional[str],
-    backend: Optional[str],
+    jobs: Optional[int], shard_size: Optional[int], executor: Optional[str]
 ) -> None:
     if jobs is not None and jobs < 0:
         raise ValueError(
@@ -106,11 +103,6 @@ def _validate_sharding(
         raise ValueError(
             f"unknown executor {executor!r}; "
             f"available: {available_executors()}"
-        )
-    if backend is not None and backend not in known_backend_names():
-        raise ValueError(
-            f"unknown plane backend {backend!r}; "
-            f"available: {known_backend_names()}"
         )
 
 
@@ -168,7 +160,13 @@ class VerifyRequest:
                 "checkpoint and store are mutually exclusive "
                 "(a checkpoint is the journal store; pass one or the other)"
             )
-        _validate_sharding(self.jobs, self.shard_size, self.executor, self.backend)
+        _validate_sharding(self.jobs, self.shard_size, self.executor)
+        names = known_backend_names()
+        if self.backend is not None and self.backend not in names:
+            raise ValueError(
+                f"unknown plane backend {self.backend!r}; "
+                f"available: {', '.join(names)}"
+            )
 
     def describe(self) -> str:
         return f"verify 2-sort({self.width})"
@@ -256,7 +254,6 @@ class SortRequest:
     jobs: int = 1
     shard_size: Optional[int] = None
     executor: Optional[str] = None
-    backend: Optional[str] = None
 
     kind: ClassVar[str] = "sort"
 
@@ -271,13 +268,7 @@ class SortRequest:
                 f"unknown simulation engine {self.engine!r}; "
                 f"available: {sorted(ENGINES)}"
             )
-        if self.backend is not None and self.engine != "compiled":
-            raise ValueError(
-                "backend picks the verification-shard engine and "
-                "compile-cache key of a compiled program, and only the "
-                f"compiled engine builds one (got engine={self.engine!r})"
-            )
-        _validate_sharding(self.jobs, self.shard_size, self.executor, self.backend)
+        _validate_sharding(self.jobs, self.shard_size, self.executor)
         if not self.vectors:
             raise ValueError("sort request needs at least one vector")
         channels = set(map(len, self.vectors))
@@ -315,7 +306,7 @@ class SortRequest:
         }
         if self.jobs != 1:
             out["jobs"] = self.jobs
-        for name in ("shard_size", "executor", "backend"):
+        for name in ("shard_size", "executor"):
             value = getattr(self, name)
             if value is not None:
                 out[name] = value
@@ -349,7 +340,6 @@ class SortRequest:
             jobs=self.jobs,
             shard_size=self.shard_size,
             executor=self.executor,
-            backend=self.backend,
             on_shard=on_shard,
             should_stop=should_stop,
         )
@@ -511,7 +501,6 @@ class JobManager:
         self,
         jobs: int = 2,
         cache_size: int = 8192,
-        default_backend: Optional[str] = None,
         keep_finished: int = 256,
         store: Optional[ResultStore] = None,
     ):
@@ -521,17 +510,17 @@ class JobManager:
         from ..store import MemoryStore, StackedStore
 
         self.max_jobs = max(1, jobs)
-        self.default_backend = default_backend
         #: Terminal jobs retained for status/result queries; beyond
         #: this the oldest are evicted so a long-lived server doesn't
         #: accumulate every result and event history forever.
         self.keep_finished = max(1, keep_finished)
-        #: The server-wide result store every job consults.  By default
-        #: an in-process LRU; with ``store`` (an open
+        #: The server-wide result store every verify job consults.  By
+        #: default an in-process LRU; with ``store`` (an open
         #: :class:`~repro.store.base.ResultStore`, e.g. ``serve
         #: --store``) a durable backend fronted by that LRU, so results
-        #: survive restarts and are shared with CLI runs against the
-        #: same path.
+        #: survive restarts.  Jobs reach it as ``cache=``, keyed per
+        #: whole-circuit shard, so ``verify --store`` runs against the
+        #: same path, which key output cones, share none of it.
         memory = MemoryStore(maxsize=cache_size)
         self.store: ResultStore = (
             memory if store is None else StackedStore(store, memory)
@@ -566,15 +555,6 @@ class JobManager:
         import asyncio
         import uuid
 
-        if (
-            self.default_backend is not None
-            and request.backend is None
-            # Only requests that *use* a plane backend: forcing one onto
-            # e.g. an fsm-engine sort would turn it invalid.
-            and (request.kind == "verify" or getattr(request, "engine", None)
-                 == "compiled")
-        ):
-            request = dataclasses.replace(request, backend=self.default_backend)
         request.validate()  # fail fast, before a job exists
         job_id = f"j{next(self._seq):04d}-{uuid.uuid4().hex[:6]}"
         job = Job(job_id, request)

@@ -415,8 +415,8 @@ def verify_two_sort_circuit(
     max/min in plane space (equal to the Definition 2.8 closure on valid
     strings).  Failure messages still quote the closure spec per pair.
     ``backend`` picks the engine that runs each verification shard and
-    the compile-cache key (:mod:`repro.backends`; default: the process
-    default) -- planes are ints on every backend, and the result is
+    the compile-cache key (:mod:`repro.backends`; default ``bigint``)
+    -- planes are ints on every backend, and the result is
     bit-identical for each.
 
     Single-process; :func:`repro.verify.parallel.verify_two_sort_sharded`
@@ -432,23 +432,20 @@ def verify_two_sort_circuit(
     )
 
 
-def verify_containment(
-    circuit: Circuit, width: int, backend: BackendLike = None
-) -> VerificationResult:
+def verify_containment(circuit: Circuit, width: int) -> VerificationResult:
     """Weaker property: outputs are valid strings for all valid inputs.
 
     This is the "containment" contract on its own, checkable even for
     designs that are not closure-exact.  Circuit evaluation is batched
     over int planes; validity is then checked per decoded output pair.
-    No verification shard runs, so shards are sized by the class value
-    ``PlaneBackend.preferred_shard_lanes`` (as batch sorts are), never
-    by a backend's kernel budget: reading native's would build a kernel
-    this never calls.
+    No verification shard runs, so the program compiles for the default
+    backend and shards are sized by its int-plane budget, as batch
+    sorts are.
     """
     check_two_sort_shape(circuit, width)
     strings = all_valid_strings(width)
     S = len(strings)
-    program = compile_circuit(circuit, get_backend(backend))
+    program = compile_circuit(circuit)
     result = VerificationResult()
 
     for g_lo, g_hi in pair_shards(width, PlaneBackend.preferred_shard_lanes):

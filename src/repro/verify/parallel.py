@@ -29,11 +29,11 @@ Three executors ship:
   registration stub); the only one that uses ``epoch``.
 
 :func:`register_executor` is the hook, exactly like the engine registry
-in :mod:`repro.networks.simulate`.  Orthogonally, every sharded entry
-point takes a ``backend`` argument that the pool initializers forward
-to workers **by name**, so any executor can run any plane
-representation (process pools pickle the name, never the backend
-object).
+in :mod:`repro.networks.simulate`.  Orthogonally, the verification
+sweep -- the one sharded entry point that takes a ``backend`` -- has
+its pool initializers forward the backend to workers **by name**, so
+any executor can run either shard engine (process pools pickle the
+name, never the backend object).  Batch sorts name none.
 
 **Determinism.**  Executors must return results in task order; callers
 merge with :meth:`VerificationResult.merge` (or plain concatenation for
@@ -358,10 +358,10 @@ def _init_verify_worker(
     circuit: Circuit, backend: BackendLike = None,
     store_spec: Optional[str] = None,
 ) -> None:
-    # `backend` arrives as a registry name (or None for the executor /
-    # process default) and `store_spec` as a store spec string (or None
-    # when the sweep's store is not shareable) so the initargs stay
-    # picklable for pool *and remote* workers.  Nothing is compiled
+    # `backend` arrives as a registry name (or None for bigint) and
+    # `store_spec` as a store spec string (or None when the sweep's
+    # store is not shareable) so the initargs stay picklable for pool
+    # *and remote* workers.  Nothing is compiled
     # here: a region sweep after a clean edit never runs the full
     # circuit, so each program is compiled when a task first needs it.
     state = _VERIFY_STATE
@@ -590,7 +590,7 @@ def verify_two_sort_sharded(
     # The sweep's shared-setup descriptor: remote workers compile once
     # per epoch and verify the circuit they deserialized against the
     # content hash before any result merges.  `backend` stays the
-    # caller's *name* (None = worker default), matching the initargs.
+    # caller's *name* (None = bigint), matching the initargs.
     epoch = SweepEpoch(
         kind="verify-two-sort",
         circuit_name=circuit.name,

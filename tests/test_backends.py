@@ -30,8 +30,6 @@ from repro.backends import (
     known_backend_names,
     register_backend,
     resolve_backend_name,
-    set_default_backend,
-    use_backend,
 )
 from repro.circuits.compiled import compile_circuit
 from repro.circuits.netlist import Circuit
@@ -56,7 +54,6 @@ from repro.networks.comparator import from_comparator_list
 from repro.networks.simulate import sort_words, sort_words_batch
 from repro.ternary.kleene import kleene_and, kleene_not, kleene_or, kleene_xor
 from repro.ternary.trit import ALL_TRITS, Trit
-from repro.ternary.word import Word
 from repro.verify.exhaustive import verify_two_sort_circuit
 from repro.verify.parallel import (
     _default_pair_shard_size,
@@ -106,21 +103,11 @@ class TestRegistry:
         assert get_backend(None).name == "bigint"
 
     def test_env_var_default(self, monkeypatch):
+        """``None`` means bigint whatever the environment says:
+        ``REPRO_PLANE_BACKEND`` no longer picks the default."""
         monkeypatch.setenv("REPRO_PLANE_BACKEND", "native")
-        assert default_backend_name() == "native"
-        assert get_backend(None).name == "native"
-
-    def test_use_backend_scopes_default(self):
         assert default_backend_name() == "bigint"
-        with use_backend("native") as be:
-            assert be.name == "native"
-            assert default_backend_name() == "native"
-            assert get_backend(None) is be
-        assert default_backend_name() == "bigint"
-
-    def test_set_default_backend_validates(self):
-        with pytest.raises(KeyError, match="unknown plane backend"):
-            set_default_backend("gpu")
+        assert get_backend(None).name == "bigint"
 
     def test_native_registered(self):
         assert "native" in available_backends()
@@ -141,12 +128,6 @@ class TestRegistry:
         assert get_backend(AUTO_BACKEND).name == resolved
         # concrete names resolve to themselves; the default is unchanged
         assert resolve_backend_name("bigint") == "bigint"
-        assert default_backend_name() == "bigint"
-
-    def test_use_backend_accepts_auto(self):
-        with use_backend(AUTO_BACKEND) as be:
-            assert be.name == resolve_backend_name(AUTO_BACKEND)
-            assert get_backend(None) is be
         assert default_backend_name() == "bigint"
 
 
@@ -400,30 +381,32 @@ class TestKernelFirstUse:
             monkeypatch.undo()
             _kernel._reset_for_tests()
 
+    _WORDS = ["0M10", "0110", "0010", "1M10", "111M"]
+
     @staticmethod
-    def _check_sort_builds_nothing(tmp_path, *args):
-        """A fresh ``sort --engine compiled`` subprocess per backend, with
-        an empty kernel cache: native prints bigint's rows and no notice,
-        and the cache stays empty."""
+    def _sort(tmp_path, *args):
+        """``repro sort --engine compiled`` in a fresh subprocess with an
+        empty kernel cache; returns the process and the cache listing."""
         cache = tmp_path / "cache"
         cache.mkdir()
-        words = ["0M10", "0110", "0010", "1M10", "111M"]
-        out = {}
-        for name in ("bigint", "native"):
-            proc = subprocess.run(
-                [sys.executable, "-m", "repro", "sort", *words,
-                 "--engine", "compiled", "--backend", name, *args],
-                env={**os.environ, "PYTHONPATH": SRC_DIR,
-                     "REPRO_NATIVE_CACHE": str(cache)},
-                capture_output=True,
-                text=True,
-                timeout=300,
-            )
-            assert proc.returncode == 0 and proc.stderr == "", proc.stderr
-            out[name] = proc.stdout
-        assert out["native"] == out["bigint"]
-        assert out["native"].split() == sorted(words, key=rank)
-        assert os.listdir(cache) == []
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "sort", *TestKernelFirstUse._WORDS,
+             "--engine", "compiled", *args],
+            env={**os.environ, "PYTHONPATH": SRC_DIR,
+                 "REPRO_NATIVE_CACHE": str(cache)},
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        return proc, os.listdir(cache)
+
+    def _check_sort_builds_nothing(self, tmp_path, *args):
+        """The sort prints the rank-ordered rows and no notice, and the
+        cache stays empty."""
+        proc, cached = self._sort(tmp_path, *args)
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        assert proc.stdout.split() == sorted(self._WORDS, key=rank)
+        assert cached == []
 
     def test_sort_never_builds_the_kernel(self, tmp_path):
         self._check_sort_builds_nothing(tmp_path)
@@ -434,16 +417,25 @@ class TestKernelFirstUse:
         budget built the kernel it never calls."""
         self._check_sort_builds_nothing(tmp_path, "--executor", "serial")
 
+    def test_sort_has_no_backend_flag(self, tmp_path):
+        """Regression: ``sort --backend auto`` resolved the alias, and
+        resolving it built the kernel a sort never calls.  A sort names
+        no backend now, so the flag is a usage error that builds
+        nothing."""
+        proc, cached = self._sort(tmp_path, "--backend", "auto")
+        assert proc.returncode == 2, proc.stdout
+        assert "--backend" in proc.stderr
+        assert cached == []
+
     def test_containment_never_builds_the_kernel(self, tmp_path):
         """Regression: ``verify_containment`` sized its shards by native's
         kernel budget, and reading that budget built the kernel it never
         calls (it runs ``run_planes`` and a per-lane decode).  A fresh
-        subprocess per backend checks 2-sort(6) and an AND2<->OR2 swap of
-        it; native's reports equal bigint's and the cache stays empty."""
+        subprocess checks 2-sort(6) and an AND2<->OR2 swap of it: the
+        first passes, the second fails, and the cache stays empty."""
         cache = tmp_path / "cache"
         cache.mkdir()
         script = textwrap.dedent("""
-            import sys
             from repro.circuits.gates import AND2, OR2
             from repro.circuits.netlist import Circuit
             from repro.core.two_sort import build_two_sort
@@ -459,24 +451,19 @@ class TestKernelFirstUse:
                 faulty.add_gate(kind, g.inputs, output=g.output)
             faulty.add_outputs(base.outputs)
             for circuit in (base, faulty):
-                result = verify_containment(circuit, 6, backend=sys.argv[1])
-                print(result.to_json())
+                print(verify_containment(circuit, 6).to_json())
         """)
-        out = {}
-        for name in ("bigint", "native"):
-            proc = subprocess.run(
-                [sys.executable, "-c", script, name],
-                env={**os.environ, "PYTHONPATH": SRC_DIR,
-                     "REPRO_NATIVE_CACHE": str(cache)},
-                capture_output=True,
-                text=True,
-                timeout=300,
-            )
-            assert proc.returncode == 0 and proc.stderr == "", proc.stderr
-            out[name] = proc.stdout
-        assert out["native"] == out["bigint"]
-        ok, faulty = (json.loads(line) for line in out["native"].splitlines())
-        assert ok["ok"] and not faulty["ok"], out["native"]
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": SRC_DIR,
+                 "REPRO_NATIVE_CACHE": str(cache)},
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        ok, faulty = (json.loads(line) for line in proc.stdout.splitlines())
+        assert ok["ok"] and not faulty["ok"], proc.stdout
         assert os.listdir(cache) == []
 
 
@@ -1305,40 +1292,6 @@ class TestCompiledBackends:
         out = compile_circuit(circuit, backend).evaluate_batch(vectors)
         assert out == ref
 
-    def test_scalar_wrappers_honor_default_backend(self, backend):
-        """Regression: evaluate()/evaluate_all_resolutions() decode
-        backend-native planes -- under a lane-word backend they used to
-        see truthy word-arrays and return M for every net (or crash on
-        multi-word planes)."""
-        from repro.circuits.evaluate import (
-            evaluate,
-            evaluate_all_resolutions,
-            evaluate_interpreted,
-            evaluate_words,
-        )
-
-        circuit = build_two_sort(2)
-        stable = {n: Trit.ZERO for n in circuit.inputs}
-        ref = evaluate_interpreted(circuit, stable)
-        big = build_two_sort(4)
-        ref_words = evaluate_words(circuit, Word("0M"), Word("01"))
-        ref_res = evaluate_all_resolutions(big, Word("MMMM"), Word("0MMM"))
-        name = backend.name
-        original = get_backend(name)
-        try:
-            register_backend(name, backend)
-            with use_backend(name):
-                assert evaluate(circuit, stable) == ref
-                assert evaluate_words(circuit, Word("0M"), Word("01")) == ref_words
-                # 7 M bits -> 128 resolution lanes: two words per plane,
-                # exercising the multi-word any-lane reduction.
-                assert (
-                    evaluate_all_resolutions(big, Word("MMMM"), Word("0MMM"))
-                    == ref_res
-                )
-        finally:
-            register_backend(name, original)
-
 
 # ----------------------------------------------------------------------
 # Verification equivalence
@@ -1463,40 +1416,6 @@ class TestDefaultShardSize:
 
 
 # ----------------------------------------------------------------------
-# Batched network simulation across backends
-# ----------------------------------------------------------------------
-class TestBatchSimulationBackends:
-    def test_sort_words_batch_backend_arg(self, backend):
-        from repro.networks.topologies import best_known
-
-        net = best_known(4)
-        rng = random.Random(11)
-        vectors = [
-            [from_rank(rng.randrange(31), 4) for _ in range(4)]
-            for _ in range(12)
-        ]
-        ref = sort_words_batch(net, vectors)
-        out = sort_words_batch(net, vectors, backend=backend)
-        assert out == ref
-
-    def test_sharded_batch_forwards_backend(self):
-        from repro.networks.topologies import best_known
-
-        net = best_known(4)
-        rng = random.Random(13)
-        vectors = [
-            [from_rank(rng.randrange(31), 4) for _ in range(4)]
-            for _ in range(9)
-        ]
-        ref = sort_words_batch(net, vectors)
-        out = sort_words_batch(
-            net, vectors, jobs=2, shard_size=3, executor="serial",
-            backend="native",
-        )
-        assert out == ref
-
-
-# ----------------------------------------------------------------------
 # Property-based equivalence (hypothesis)
 # ----------------------------------------------------------------------
 def valid_strings(width):
@@ -1525,14 +1444,11 @@ def layered_networks(max_channels=5, max_comparators=8):
     ).map(build)
 
 
-_PROPERTY_BACKENDS = ["bigint", get_backend("native")]
-
-
 @settings(max_examples=20, deadline=None)
 @given(st.data())
-def test_batch_identical_across_backends_on_random_networks(data):
-    """bigint and native sort identically through random layered
-    networks, including the sharded dispatch path."""
+def test_batch_serial_equals_sharded_on_random_networks(data):
+    """The serial batch path and the sharded dispatch path sort random
+    layered networks identically, and both match the fsm engine."""
     width = data.draw(st.integers(min_value=1, max_value=3))
     net = data.draw(layered_networks())
     vectors = data.draw(
@@ -1545,13 +1461,10 @@ def test_batch_identical_across_backends_on_random_networks(data):
             max_size=5,
         )
     )
-    reference = sort_words_batch(net, vectors, backend="bigint")
+    reference = sort_words_batch(net, vectors)
     assert reference == [sort_words(net, v, engine="fsm") for v in vectors]
-    for be in _PROPERTY_BACKENDS[1:]:
-        assert sort_words_batch(net, vectors, backend=be) == reference
     sharded = sort_words_batch(
-        net, vectors, jobs=2, shard_size=2, executor="serial",
-        backend="native",
+        net, vectors, jobs=2, shard_size=2, executor="serial"
     )
     assert sharded == reference
 

@@ -34,7 +34,7 @@ from repro.distributed import (
     unpack,
     use_coordinator,
 )
-from repro.verify.exhaustive import SweepEpoch, VerificationResult
+from repro.verify.exhaustive import SweepEpoch, VerificationResult, pair_shards
 from repro.verify.parallel import (
     SweepCancelled,
     available_executors,
@@ -271,6 +271,33 @@ class TestDistributedExecution:
         assert distributed.to_json() == serial.to_json()
         # Both agents actually contributed under one sweep.
         assert all(a.completed >= 1 for a in agents)
+
+    def test_worker_pool_runs_sorts_and_sweeps(self):
+        """A worker with ``jobs=2`` fans leased tasks over a spawned pool
+        whose initializer is the batch's own: none for a sharded sort
+        (its worker is ``sort_strings_batch`` bound to the network),
+        the sweep's compile setup for a verification.  Both equal the
+        serial results."""
+        from repro.networks.simulate import sort_strings_batch
+        from repro.networks.topologies import best_known
+        from repro.verify.random_valid import ValidStringSource
+
+        source = ValidStringSource(4, meta_rate=0.5, seed=5)
+        vectors = [[str(w) for w in source.sample_vector(4)] for _ in range(9)]
+        circuit = build_two_sort(4)
+        serial = verify_two_sort_sharded(
+            circuit, 4, jobs=1, executor="serial", shard_size=100
+        )
+        with _cluster(workers=1, jobs=2) as (coordinator, agents):
+            rows = sort_strings_batch(
+                best_known(4), vectors, executor="distributed", shard_size=3
+            )
+            swept = verify_two_sort_sharded(
+                circuit, 4, executor="distributed", shard_size=100
+            )
+        assert rows == sort_strings_batch(best_known(4), vectors)
+        assert swept.to_json() == serial.to_json()
+        assert agents[0].completed == 3 + len(pair_shards(4, 100))
 
     def test_on_result_streams_in_task_order(self):
         seen = []

@@ -193,7 +193,11 @@ def _per_vector(vectors, engine="circuit"):
 
 class TestSortStringsBatch:
     """The string entry point, the ``Word`` facade over it and the
-    per-vector gate-level engine agree row for row."""
+    per-vector gate-level engine agree row for row.
+
+    A sort names no plane backend; the ``plane_backend`` parametrization
+    stays only so that these test ids stay stable, and both halves run
+    the same sort."""
 
     @pytest.mark.parametrize("executor", ["serial", "process"])
     @pytest.mark.parametrize("shard_size", [None, 1, 7])
@@ -201,10 +205,7 @@ class TestSortStringsBatch:
         vectors = _string_workload(23)
         assert any("m" in s for v in vectors for s in v)
         expect = _per_vector(vectors)
-        kwargs = dict(
-            jobs=2, shard_size=shard_size, executor=executor,
-            backend=plane_backend,
-        )
+        kwargs = dict(jobs=2, shard_size=shard_size, executor=executor)
         assert sort_strings_batch(SORT7, vectors, **kwargs) == expect
         words = sort_words_batch(
             SORT7, [[Word(s) for s in v] for v in vectors], **kwargs
@@ -232,9 +233,7 @@ class TestSortStringsBatch:
         )
         assert any("m" in s for v in vectors for s in v) or n == 1
         expect = [sorted((s.upper() for s in v), key=rank) for v in vectors]
-        assert sort_strings_batch(
-            network, vectors, backend=plane_backend, **sharding
-        ) == expect
+        assert sort_strings_batch(network, vectors, **sharding) == expect
 
     @pytest.mark.parametrize("bad", ["x", " ", "١"])
     def test_bad_character_raises_the_trit_error(self, plane_backend, bad):
@@ -243,7 +242,7 @@ class TestSortStringsBatch:
         with pytest.raises(ValueError) as expect:
             Trit.from_char(bad)
         with pytest.raises(ValueError) as got:
-            sort_strings_batch(SORT7, vectors, backend=plane_backend)
+            sort_strings_batch(SORT7, vectors)
         assert str(got.value) == str(expect.value)
 
     def test_non_compiled_engine(self):
@@ -274,7 +273,7 @@ class TestSortStringsBatch:
 
 class TestSortShardSize:
     """A default compiled-engine shard grows toward the int-plane budget
-    (``PlaneBackend.preferred_shard_lanes`` vectors, on every backend)
+    (``PlaneBackend.preferred_shard_lanes`` vectors)
     but never past an even split over the workers; past the budget, ~4
     shards per worker."""
 
@@ -294,16 +293,16 @@ class TestSortShardSize:
     def test_past_the_budget_four_shards_per_worker(self, monkeypatch):
         monkeypatch.setattr(PlaneBackend, "preferred_shard_lanes", 8)
         vectors = _string_workload(100)
-        assert self._totals(vectors, jobs=1, backend="bigint") == {4}
+        assert self._totals(vectors, jobs=1) == {4}
         monkeypatch.setattr(PlaneBackend, "preferred_shard_lanes", 64)
-        assert self._totals(vectors, jobs=1, backend="bigint") == {2}
+        assert self._totals(vectors, jobs=1) == {2}
 
     @pytest.mark.parametrize("jobs", [2, 3, 4])
     def test_every_worker_gets_a_shard(self, jobs):
         # 1,000 vectors are far below the 16,384-lane int-plane budget; the
         # budget must not leave workers idle.
         vectors = _string_workload(1000)
-        assert self._totals(vectors, jobs=jobs, backend="bigint") == {jobs}
+        assert self._totals(vectors, jobs=jobs) == {jobs}
 
     def test_explicit_shard_size_wins(self):
         assert self._totals(_string_workload(10), shard_size=3) == {4}

@@ -112,10 +112,14 @@ class TestRequests:
         with pytest.raises(ValueError, match="unknown simulation engine"):
             SortRequest.single(["01", "00"], engine="warp").validate()
 
-    def test_sort_backend_needs_compiled(self):
-        with pytest.raises(ValueError, match="compiled"):
-            SortRequest.single(["01", "00"], engine="fsm",
-                               backend="native").validate()
+    def test_sort_request_has_no_backend(self):
+        """A sort names no plane backend, so the wire form refuses one
+        like any other unknown field."""
+        with pytest.raises(ValueError, match=r"unknown sort request field"):
+            request_from_dict({
+                "kind": "sort", "vectors": [["0110", "0010"]],
+                "engine": "compiled", "backend": "native",
+            })
 
     def test_sort_rejects_mixed_widths(self):
         with pytest.raises(ValueError, match="share one width"):
@@ -567,45 +571,6 @@ class TestManagerCache:
                 await manager.aclose()
 
         assert asyncio.run(go()) == 0
-
-    def test_default_backend_applied(self):
-        async def go():
-            manager = JobManager(jobs=1, default_backend="native")
-            try:
-                job = manager.submit(VerifyRequest(width=4))
-                await manager.wait(job.id)
-                return job
-            finally:
-                await manager.aclose()
-
-        job = asyncio.run(go())
-        assert job.request.backend == "native"
-        assert job.state is JobState.DONE
-        assert job.result.checked == pairs(4)
-
-    def test_default_backend_skips_planeless_sorts(self):
-        """A server-wide default plane backend must not invalidate sort
-        jobs whose engine has no planes (regression: the fsm default)."""
-        async def go():
-            manager = JobManager(jobs=1, default_backend="native")
-            try:
-                job = manager.submit(
-                    SortRequest.single(["0110", "0010"], engine="fsm")
-                )
-                await manager.wait(job.id)
-                compiled = manager.submit(
-                    SortRequest.single(["0110", "0010"], engine="compiled")
-                )
-                await manager.wait(compiled.id)
-                return job, compiled
-            finally:
-                await manager.aclose()
-
-        job, compiled = asyncio.run(go())
-        assert job.state is JobState.DONE
-        assert job.request.backend is None  # untouched
-        assert compiled.state is JobState.DONE
-        assert compiled.request.backend == "native"  # default applied
 
     def test_finished_jobs_are_evicted_beyond_retention(self):
         async def go():
