@@ -291,7 +291,8 @@ def bench_native_backend(
 
     Each width also records the ISA flags the kernel was built with and
     the program's shape: compiled ops and slots (one per net), and the
-    ops and rows of the compact pair-shard program the kernel runs.
+    ops (fused ones among them) and rows of the compact pair-shard
+    program the kernel runs.
 
     On hosts where the kernel cannot build, the section records the
     fallback reason and no timings; the gate is skipped (the fallback
@@ -299,7 +300,7 @@ def bench_native_backend(
     """
     from repro.backends import get_backend, resolve_backend_name
     from repro.backends._kernel import isa_flags, load_failure_reason
-    from repro.backends.native import _lower_pair_shard
+    from repro.backends.native import _FUSED, _lower_pair_shard
     from repro.verify.exhaustive import _two_sort_select_pairs
 
     native = get_backend("native")
@@ -324,7 +325,8 @@ def bench_native_backend(
         return {
             "ops": len(program.ops),
             "slots": program.n_slots,
-            "lowered_ops": len(prog) // 4,
+            "lowered_ops": len(prog) // 5,
+            "lowered_fused_ops": sum(1 for w in prog[::5] if w & _FUSED),
             "lowered_rows": rows,
         }
 

@@ -2,16 +2,19 @@
 
 The kernel is a single C file (``kernel.c``) compiled to a shared library
 with whatever C compiler the host has, then loaded through :mod:`ctypes`
-(no third-party build dependency).  Where the CPU runs AVX2 and POPCNT
-(the first ``flags`` line of ``/proc/cpuinfo`` lists both) the build adds
-``-mavx2 -mpopcnt``; elsewhere -- no ``/proc/cpuinfo`` (macOS), no
-``flags`` line (aarch64) -- it uses the plain flags.  Builds are cached
-per host under ``$REPRO_NATIVE_CACHE`` (default ``~/.cache/repro/native``)
-in a file keyed on the SHA-256 of the kernel source, the full compiler
-command and its identity, and the flags, so upgrading the source,
-switching compilers or sharing a cache between an AVX2 host and an older
-one rebuilds rather than serving the wrong artifact, while repeat imports
-just ``dlopen`` the cached one.
+(no third-party build dependency).  The build picks an ISA tier from
+the first ``flags`` line of ``/proc/cpuinfo``: ``-mavx2 -mpopcnt`` where
+it lists ``avx2`` and ``popcnt``, plus ``-mavx512f -mavx512vl`` where it
+also lists ``avx512f`` and ``avx512vl`` (GCC then computes each plane of
+a fused three-input op with one ``vpternlogq`` on 512-bit registers);
+elsewhere -- no ``/proc/cpuinfo`` (macOS), no ``flags`` line (aarch64)
+-- it uses the plain flags.  Builds are cached per host under
+``$REPRO_NATIVE_CACHE`` (default ``~/.cache/repro/native``) in a file
+keyed on the SHA-256 of the kernel source, the full compiler command and
+its identity, and the flags, so upgrading the source, switching
+compilers or sharing a cache between hosts of different tiers rebuilds
+rather than serving the wrong artifact, while repeat imports just
+``dlopen`` the cached one.
 
 Everything degrades gracefully: no compiler, a failed build, a bad cached
 artifact, or ``REPRO_NO_NATIVE=1`` all make :func:`load_kernel` return
@@ -31,11 +34,16 @@ import sys
 import tempfile
 import threading
 
-_KERNEL_ABI = 7
+_KERNEL_ABI = 8
 _SOURCE_PATH = os.path.join(os.path.dirname(__file__), "kernel.c")
 _CFLAGS = ["-O3", "-shared", "-fPIC", "-std=c99"]
-#: Added to _CFLAGS when every CPU feature they name shows in _CPUINFO.
-_ISA_FLAGS = ["-mavx2", "-mpopcnt"]
+#: ISA tiers, lowest first: a tier's flags are added to _CFLAGS when
+#: _CPUINFO lists its CPU features and every lower tier's.  On the
+#: AVX-512 tier GCC computes each plane of a fused op with one vpternlogq.
+_ISA_TIERS = [
+    ({"avx2", "popcnt"}, ["-mavx2", "-mpopcnt"]),
+    ({"avx512f", "avx512vl"}, ["-mavx512f", "-mavx512vl"]),
+]
 _CPUINFO = "/proc/cpuinfo"
 
 #: Held across the load attempt, so concurrent first callers wait for
@@ -92,14 +100,20 @@ def _compiler_id(cc: list[str]) -> str:
 
 
 def _isa_flags() -> list[str]:
-    """``_ISA_FLAGS`` when the first ``flags`` line of ``_CPUINFO`` lists
-    ``avx2`` and ``popcnt``; otherwise (no such file or line) none."""
+    """The flags of every ``_ISA_TIERS`` tier, lowest first, whose CPU
+    features the first ``flags`` line of ``_CPUINFO`` lists up to the
+    first tier it lacks; none without such a file or line."""
     try:
         with open(_CPUINFO, encoding="utf-8", errors="replace") as fh:
             for line in fh:
                 if line.startswith("flags"):
                     cpu = set(line.partition(":")[2].split())
-                    return [*_ISA_FLAGS] if {"avx2", "popcnt"} <= cpu else []
+                    flags: list[str] = []
+                    for features, tier in _ISA_TIERS:
+                        if not features <= cpu:
+                            break
+                        flags += tier
+                    return flags
     except OSError:
         pass
     return []

@@ -23,16 +23,30 @@
  *   AND: d1 = a1 & b1, d0 = a0 | b0        OR is the plane-dual
  *   XOR: d0 = (a0&b0)|(a1&b1), d1 = (a0&b1)|(a1&b0)
  *
- * Op word: bits 0-2 hold the opcode, whose values mirror
+ * A program is n_ops ops of five int32s, [op word, dst, a, b, c] over
+ * rows.  Op word: bits 0-2 hold the opcode, whose values mirror
  * repro.backends.base (OP_AND, OP_OR, OP_XOR).  Bit 4 (OP_SWAP_A) reads
- * operand a with its two planes swapped, bit 5 (OP_SWAP_B) operand b: an
- * inverter folded into its reader, so INV and BUF emit no op at all.
+ * operand a with its two planes swapped, bit 5 (OP_SWAP_B) operand b,
+ * bit 6 (OP_SWAP_C) operand c: an inverter folded into its reader, so
+ * INV and BUF emit no op at all.  Bit 3 (OP_FUSED) makes the op
+ * OUTER(INNER(a, b), c), with the opcode as OUTER and bits 8-10 as
+ * INNER, both AND or OR: an AND/OR value with one reader, folded into
+ * that reader (repro.backends.native._lower_pair_shard).  Negation is a
+ * plane swap, so De Morgan's law holds exactly on both planes, M
+ * included -- the swap of AND(a, b) is OR(swap a, swap b) -- and an
+ * inverted read of the folded value becomes the dual inner op over
+ * swapped a and b.  Per plane each of the four fused forms is one
+ * three-input function, a single vpternlogq under AVX-512; an OR, fused
+ * or not, runs as the plane dual of an AND (apply_ops).  An op without
+ * OP_FUSED never reads c.
+ *
  * ABI 4 added repro_pair_shard's trailing counts pointer; ABI 5 added
  * the swap bits and the negative (~row, planes swapped) compare entries;
  * ABI 6 removed the plane-op entry points (run_program, bitwise,
  * not_masked, popcount, extract_lanes) and the INV/BUF opcodes; ABI 7
  * gave repro_pair_shard its padded lane layout (mask rows carry no pad
- * word, and mw is the words per padded g-row).
+ * word, and mw is the words per padded g-row); ABI 8 made ops five
+ * int32s, with OP_FUSED, the inner opcode and OP_SWAP_C.
  *
  * Lane layouts.  A shard's compact lanes -- the layout of its diff and
  * of the reference planes -- run g-row after g-row, S = 2^(width+1) - 1
@@ -50,14 +64,17 @@
 
 #include <stdint.h>
 
-#define REPRO_KERNEL_ABI 7
+#define REPRO_KERNEL_ABI 8
 
 #define OP_AND 0
 #define OP_OR 1
 #define OP_XOR 3
 #define OP_CODE 7
+#define OP_FUSED 8
 #define OP_SWAP_A 16
 #define OP_SWAP_B 32
+#define OP_SWAP_C 64
+#define OP_INNER_SHIFT 8
 
 int32_t repro_kernel_abi(void) { return REPRO_KERNEL_ABI; }
 
@@ -66,8 +83,8 @@ int32_t repro_kernel_abi(void) { return REPRO_KERNEL_ABI; }
  * 2 planes * rows * REPRO_TILE_WORDS * 8 bytes instead of streaming every
  * row through memory once per op.  Ops are independent across words, so
  * tiling the word axis does not change results.  A pair-shard program
- * shares rows between values by liveness: 2-sort(13) runs in 77 rows,
- * 38.5 KB per tile, inside a 48 KB L1d (its 340 one-per-net slots would
+ * shares rows between values by liveness: 2-sort(13) runs in 75 rows,
+ * 37.5 KB per tile, inside a 48 KB L1d (its 340 one-per-net slots would
  * be 170 KB).  Every tile runs all REPRO_TILE_WORDS words (the shard's
  * last one past its end on dead words), so each loop over a tile has a
  * fixed trip count. */
@@ -79,10 +96,11 @@ int32_t repro_kernel_abi(void) { return REPRO_KERNEL_ABI; }
 #define REPRO_NOINLINE
 #endif
 
-/* One op over one tile.  The destination planes are restrict: no op
- * writes one of its own source rows (repro.backends.native's
- * _lower_pair_shard takes a destination row before it frees its
- * sources, and tests/test_backends.py
+/* One AND or XOR op over one tile (apply_ops turns an OR into its plane
+ * dual).  The destination planes are restrict, here and in apply_fused:
+ * no op writes one of its up to three source rows
+ * (repro.backends.native's _lower_pair_shard takes a destination row
+ * before it frees its sources, and tests/test_backends.py
  * TestCompactPairShardProgram._check_rows asserts it), and the two
  * planes of a row never overlap.  They are parameters because compilers
  * honour restrict there; GCC ignores it on block-scope pointers and
@@ -92,28 +110,51 @@ static inline void apply_op(int32_t op, uint64_t *restrict d0,
                             const uint64_t *a1, const uint64_t *b0,
                             const uint64_t *b1) {
     int64_t w;
-    switch (op & OP_CODE) {
-    case OP_AND:
+    if ((op & OP_CODE) == OP_AND) {
         for (w = 0; w < REPRO_TILE_WORDS; w++) {
             d1[w] = a1[w] & b1[w];
             d0[w] = a0[w] | b0[w];
         }
-        break;
-    case OP_OR:
-        for (w = 0; w < REPRO_TILE_WORDS; w++) {
-            d0[w] = a0[w] & b0[w];
-            d1[w] = a1[w] | b1[w];
-        }
-        break;
-    default: /* OP_XOR */
+    } else { /* OP_XOR */
         for (w = 0; w < REPRO_TILE_WORDS; w++) {
             const uint64_t x0 = a0[w], x1 = a1[w];
             const uint64_t y0 = b0[w], y1 = b1[w];
             d0[w] = (x0 & y0) | (x1 & y1);
             d1[w] = (x0 & y1) | (x1 & y0);
         }
-        break;
     }
+}
+
+/* A fused op over one tile whose outer op is AND: AND(INNER(x, y), z),
+ * INNER = AND or OR by the op word (apply_ops turns an outer OR into its
+ * plane dual).  Per plane it is one three-input function of the tile
+ * words. */
+static inline void apply_fused(int32_t op, uint64_t *restrict d0,
+                               uint64_t *restrict d1, const uint64_t *x0,
+                               const uint64_t *x1, const uint64_t *y0,
+                               const uint64_t *y1, const uint64_t *z0,
+                               const uint64_t *z1) {
+    int64_t w;
+    if (((op >> OP_INNER_SHIFT) & OP_CODE) == OP_AND) {
+        for (w = 0; w < REPRO_TILE_WORDS; w++) {
+            d1[w] = x1[w] & y1[w] & z1[w];
+            d0[w] = x0[w] | y0[w] | z0[w];
+        }
+    } else { /* OP_OR */
+        for (w = 0; w < REPRO_TILE_WORDS; w++) {
+            d1[w] = (x1[w] | y1[w]) & z1[w];
+            d0[w] = (x0[w] & y0[w]) | z0[w];
+        }
+    }
+}
+
+/* Tile rows of operand `row`, planes swapped when `swap` is set. */
+static inline void operand(const uint64_t *p0, const uint64_t *p1,
+                           int32_t row, int32_t swap, const uint64_t **r0,
+                           const uint64_t **r1) {
+    const int64_t at = (int64_t)row * REPRO_TILE_WORDS;
+    *r0 = (swap ? p1 : p0) + at;
+    *r1 = (swap ? p0 : p1) + at;
 }
 
 /* Run the whole program over one tile; row r's words start at
@@ -125,21 +166,31 @@ static REPRO_NOINLINE void apply_ops(const int32_t *prog, int64_t n_ops,
                                      uint64_t *p0, uint64_t *p1) {
     const int64_t T = REPRO_TILE_WORDS;
     for (int64_t i = 0; i < n_ops; i++) {
-        const int32_t *q = prog + 4 * i;
-        const uint64_t *a0 = p0 + q[2] * T, *a1 = p1 + q[2] * T;
-        const uint64_t *b0 = p0 + q[3] * T, *b1 = p1 + q[3] * T;
-        const uint64_t *t;
-        if (q[0] & OP_SWAP_A) {
-            t = a0;
-            a0 = a1;
-            a1 = t;
+        const int32_t *q = prog + 5 * i;
+        int32_t op = q[0];
+        uint64_t *d0 = p0 + q[1] * T, *d1 = p1 + q[1] * T, *t;
+        const uint64_t *a0, *a1, *b0, *b1, *c0, *c1;
+        if ((op & OP_CODE) == OP_OR) {
+            /* OR(a, b) is the plane swap of AND(~a, ~b), and a fused
+             * OR(INNER(a, b), c) that of AND(~INNER(a, b), ~c), where
+             * ~INNER(a, b) is the dual inner op over ~a and ~b: so flip
+             * both opcodes and all three swap bits (the inner ones are
+             * unread unless fused), and write the destination's planes
+             * swapped.  One loop per AND form keeps the build small. */
+            op ^= OP_OR | (OP_OR << OP_INNER_SHIFT) | OP_SWAP_A | OP_SWAP_B |
+                  OP_SWAP_C;
+            t = d0;
+            d0 = d1;
+            d1 = t;
         }
-        if (q[0] & OP_SWAP_B) {
-            t = b0;
-            b0 = b1;
-            b1 = t;
+        operand(p0, p1, q[2], op & OP_SWAP_A, &a0, &a1);
+        operand(p0, p1, q[3], op & OP_SWAP_B, &b0, &b1);
+        if (op & OP_FUSED) {
+            operand(p0, p1, q[4], op & OP_SWAP_C, &c0, &c1);
+            apply_fused(op, d0, d1, a0, a1, b0, b1, c0, c1);
+        } else {
+            apply_op(op, d0, d1, a0, a1, b0, b1);
         }
-        apply_op(q[0], p0 + q[1] * T, p1 + q[1] * T, a0, a1, b0, b1);
     }
 }
 

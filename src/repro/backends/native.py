@@ -9,15 +9,18 @@ exhaustive-verification shard -- differs.  It is one
 :mod:`repro.backends._kernel`, which generates the pair product itself,
 so no input plane is built in Python.  Inside the call every g-row is
 padded to a power-of-two count of whole words, so each input word is a
-copied mask word or a smeared mask bit (``kernel.c`` ABI 7); the mask
-rows go in as ``ceil(S / 64)``-word rows with no pad word, and ``diff``
-comes back in the compact lane layout ``(gi - g_lo) * S + hi`` of the
-reference, as an int: 0 when no lane mismatched, else converted once.
+copied mask word or a smeared mask bit; the mask rows go in as
+``ceil(S / 64)``-word rows with no pad word, and ``diff`` comes back in
+the compact lane layout ``(gi - g_lo) * S + hi`` of the reference, as
+an int: 0 when no lane mismatched, else converted once.
 
-The shard runs a compact program (:func:`_lower_pair_shard`): inverters
-and buffers become operand plane swaps, and values share rows by
-liveness -- 2-sort(13) goes from 314 ops over 340 slots to 242 ops over
-77 rows, whose 32-word tiles fit in L1.
+The shard runs a compact program (:func:`_lower_pair_shard`, ``kernel.c``
+ABI 8): inverters and buffers become operand plane swaps, each AND/OR
+value with one reader folds into that reader as one three-input op
+(a single ``vpternlogq`` per plane on the kernel's AVX-512 tier), and
+values share rows by liveness -- 2-sort(13) goes from 314 ops over 340
+slots to 122 ops (120 of them fused) over 75 rows, whose 32-word tiles
+fit in L1.
 
 The kernel loads on first use of ``built``, ``variant``, ``word_bits``,
 ``preferred_shard_lanes`` or ``run_pair_shard``.  A sort reads none of
@@ -41,7 +44,7 @@ from array import array
 from typing import Iterable, List, Sequence, Tuple
 
 from . import _kernel
-from .base import OP_BUF, OP_INV
+from .base import OP_AND, OP_BUF, OP_INV, OP_OR, OP_XOR
 from .bigint import BigIntBackend
 
 __all__ = ["NativeBackend"]
@@ -57,9 +60,9 @@ _PROGRAM_CACHE_CAP = 32
 def _int32s(values: Iterable[int]) -> ctypes.Array:
     # An exact-size ctypes copy of an array("i"): several times faster to
     # build than a ctypes array constructed from *args.  Every buffer the
-    # kernel reads or writes, except the aligned tile slab, is an
-    # exact-size ctypes array: array() over-allocates, which would hide
-    # a sanitized kernel's read past the end of its buffer.
+    # kernel reads or writes is exact-size (the tile slab is a _Slab):
+    # array() over-allocates, which would hide a sanitized kernel's read
+    # past the end of its buffer.
     flat = array("i", values)
     return (ctypes.c_int32 * len(flat)).from_buffer_copy(flat)
 
@@ -70,38 +73,53 @@ def _words_for(lanes: int) -> int:
     return (lanes + _WORD_BITS - 1) >> 6
 
 
-#: Op-word bits that read operand a / b with its two planes swapped
-#: (kernel.c OP_SWAP_A / OP_SWAP_B).
+#: Op-word bits (kernel.c): read operand a / b / c with its two planes
+#: swapped (OP_SWAP_A/B/C), and OP_FUSED, an op OUTER(INNER(a, b), c)
+#: whose inner opcode sits at bit _INNER_SHIFT.
 _SWAP_A = 16
 _SWAP_B = 32
+_SWAP_C = 64
+_FUSED = 8
+_INNER_SHIFT = 8
+_OP_CODE = 7
 
 
 def _lower_pair_shard(program, cmp: Sequence[Tuple[int, int, int]]):
     """The compact pair-shard program of ``program`` checking ``cmp``.
 
     Returns ``(prog, cmp_rows, fill, n_rows)``: the flat
-    ``[op_word, dst, a, b]`` program, the compare triples over rows (a
-    negative entry ``~r`` reads row ``r`` with its planes swapped), the
-    ``[row, can0, can1]`` preset rows, and the number of rows.  Input
-    ``i`` lives in row ``i``, where the kernel writes it.
+    ``[op_word, dst, a, b, c]`` program, the compare triples over rows
+    (a negative entry ``~r`` reads row ``r`` with its planes swapped),
+    the ``[row, can0, can1]`` preset rows, and the number of rows.
+    Input ``i`` lives in row ``i``, where the kernel writes it.
 
     An INV or BUF emits no op: every slot names a root value and a
     polarity bit, and readers of an inverted root swap its planes (op
-    word bits ``_SWAP_A`` / ``_SWAP_B``).  Rows are shared by liveness.
-    The inputs, the preset rows (constants, and reads nobody writes,
-    which get zero rows as in the generic path) and every compared root
-    come first and stay live to the end; each other value takes a freed
-    row, last freed first, and frees it after its last read -- at once
-    if nothing reads it.  A destination is taken before its op's sources
-    are freed, since a plane-swapped read is not in-place safe.
+    word bits ``_SWAP_A`` / ``_SWAP_B``).  Then each AND/OR value that
+    has exactly one read, is not a compared root and has absorbed
+    nothing itself folds into its AND/OR reader, which becomes the
+    fused op ``OUTER(INNER(a, b), c)`` (``_FUSED``; ``c`` is the
+    reader's other operand).  Negation is a plane swap, so De Morgan
+    holds exactly in the two-plane encoding: an inverted read of the
+    folded value turns its inner AND into OR, or OR into AND, with the
+    swap bits of ``a`` and ``b`` toggled.  An op that is not fused
+    carries ``c = 0``, which the kernel never reads.
+
+    Rows are shared by liveness over the fused program.  The inputs,
+    the preset rows (constants, and reads nobody writes, which get zero
+    rows as in the generic path) and every compared root come first and
+    stay live to the end; each other value takes a freed row, last
+    freed first, and frees it after its last read -- at once if nothing
+    reads it.  A destination is taken before its op's sources are
+    freed, since a plane-swapped read is not in-place safe.
     """
     ops = program.ops
     base = program.n_slots
     # Pass 1: value ids below ``base`` are slot s's initial content;
-    # the k-th emitted op computes value base + k.
+    # the k-th body op computes value base + k.
     val = list(range(base))
     pol = [0] * base
-    last = [-1] * (base + len(ops))  # index of the last op reading a value
+    reads = [0] * (base + len(ops))
     body = []  # (op word, value a, value b)
     for op, d, a, b in ops:
         if op == OP_INV:
@@ -113,19 +131,53 @@ def _lower_pair_shard(program, cmp: Sequence[Tuple[int, int, int]]):
         else:
             k = len(body)
             va, vb = val[a], val[b]
-            last[va] = last[vb] = k
+            reads[va] += 1
+            reads[vb] += 1
             body.append((op | pol[a] * _SWAP_A | pol[b] * _SWAP_B, va, vb))
             val[d] = base + k
             pol[d] = 0
+    roots = [(val[s], pol[s]) for triple in cmp for s in triple]
+    for v, _ in roots:
+        reads[v] = 0  # a compared value keeps its row: it never folds
+    # Pass 2: fold.  emit[k] is body op k as (value, op word, a, b, c),
+    # c None unless fused, or None once folded into its one reader;
+    # can_fold[k] says whether it is an AND/OR that absorbed nothing.
+    # Ops keep their body order, so a body index orders reads: last[v]
+    # is the index of the last op reading v.
+    emit: List = []
+    can_fold: List[bool] = []
+    last = [-1] * (base + len(ops))
+    for k, (word, va, vb) in enumerate(body):
+        entry = (base + k, word, va, vb, None)
+        andor = word & _OP_CODE != OP_XOR
+        if andor:
+            v, z, swap, z_swap = va, vb, _SWAP_A, _SWAP_B
+            if reads[v] != 1 or v < base or not can_fold[v - base]:
+                v, z, swap, z_swap = vb, va, _SWAP_B, _SWAP_A
+            if reads[v] == 1 and v >= base and can_fold[v - base]:
+                _, inner, x, y, _ = emit[v - base]
+                if word & swap:  # De Morgan: ~AND(x, y) = OR(~x, ~y), and dually
+                    inner ^= (OP_AND ^ OP_OR) | _SWAP_A | _SWAP_B
+                entry = (base + k, word & _OP_CODE | _FUSED
+                         | (inner & _OP_CODE) << _INNER_SHIFT
+                         | inner & (_SWAP_A | _SWAP_B)
+                         | (_SWAP_C if word & z_swap else 0), x, y, z)
+                emit[v - base] = None
+                andor = False
+        _, _, a, b, c = entry
+        last[a] = last[b] = k
+        if c is not None:
+            last[c] = k
+        emit.append(entry)
+        can_fold.append(andor)
     # Pinned rows: inputs, then preset rows, then compared roots.
     never = len(body)
-    row = [-1] * (base + len(body))
+    row = [-1] * (base + len(ops))
     n_rows = 0
     for s in program.input_slots:
         row[s] = n_rows
         last[s] = never
         n_rows += 1
-    roots = [(val[s], pol[s]) for triple in cmp for s in triple]
     for v, _ in roots:
         last[v] = max(last[v], 0)  # a compared value counts as read
     consts = {s: (c0, c1) for s, c0, c1 in program.const_slots}
@@ -141,25 +193,70 @@ def _lower_pair_shard(program, cmp: Sequence[Tuple[int, int, int]]):
         if row[v] < 0:
             row[v] = n_rows
             n_rows += 1
-    # Pass 2: place every other value and emit.
+    # Pass 3: place every other value and emit.
     free: List[int] = []
     prog: List[int] = []
-    for k, (word, va, vb) in enumerate(body):
-        r = row[base + k]
+    for i, entry in enumerate(emit):
+        if entry is None:
+            continue
+        v, word, a, b, c = entry
+        r = row[v]
         if r < 0:
             r = free.pop() if free else n_rows
             if r == n_rows:
                 n_rows += 1
-            row[base + k] = r
-            if last[base + k] < 0:
+            row[v] = r
+            if last[v] < 0:
                 free.append(r)
-        prog += (word, r, row[va], row[vb])
-        if last[va] == k:
-            free.append(row[va])
-        if last[vb] == k and vb != va:
-            free.append(row[vb])
+        # c is 0 on an op that is not fused; the kernel never reads it.
+        rc = 0 if c is None else row[c]
+        prog += (word, r, row[a], row[b], rc)
+        if last[a] == i:
+            free.append(row[a])
+        if last[b] == i and b != a:
+            free.append(row[b])
+        if c is not None and last[c] == i and c != a and c != b:
+            free.append(rc)
     cmp_rows = [row[v] if p == 0 else ~row[v] for v, p in roots]
     return prog, cmp_rows, fill, n_rows
+
+
+class _Slab:
+    """A zeroed buffer of ``words`` uint64 words on a 64-byte boundary.
+
+    The AVX2 tile loop ran ~15 % slower on a slab that was not 32-byte
+    aligned, and where malloc puts a fresh buffer depends on what the
+    process allocated before, down to which modules it imported; so the
+    slab comes from ``posix_memalign``.  It is exact-size -- no slack to
+    round the base up -- so a sanitized kernel's read past its last row
+    is caught.  Freed with the object: when its thread's slab is
+    replaced, or with the thread's locals.
+    """
+
+    __slots__ = ("addr", "words")
+    _libc = None
+
+    def __init__(self, words: int):
+        libc = _Slab._libc
+        if libc is None:  # bound before it is shared with other threads
+            libc = ctypes.CDLL(None)
+            libc.posix_memalign.argtypes = [
+                ctypes.POINTER(ctypes.c_void_p), ctypes.c_size_t,
+                ctypes.c_size_t,
+            ]
+            libc.free.argtypes = [ctypes.c_void_p]
+            _Slab._libc = libc
+        self.addr = None  # free(NULL) is a no-op if allocation fails
+        ptr = ctypes.c_void_p()
+        if libc.posix_memalign(ctypes.byref(ptr), 64, 8 * words):
+            raise MemoryError(f"no {8 * words}-byte aligned tile slab")
+        ctypes.memset(ptr.value, 0, 8 * words)
+        # A plain int crosses the c_void_p parameter without a cast.
+        self.addr = ptr.value
+        self.words = words
+
+    def __del__(self):
+        self._libc.free(self.addr)
 
 
 class NativeBackend(BigIntBackend):
@@ -220,24 +317,19 @@ class NativeBackend(BigIntBackend):
         return BigIntBackend.preferred_shard_lanes
 
     def _scratch_addr(self, n_rows: int) -> int:
-        """Address of a reusable per-thread tile slab (one C call at a time).
+        """Address of this thread's tile slab for ``n_rows`` rows (one C
+        call at a time).
 
-        The buffer (2 * n_rows * tile words) and its base address are
-        cached together so the hot path pays no per-call address
-        extraction.  The slab starts on a 64-byte boundary: the AVX2
-        tile loop ran ~15 % slower on a slab that was not 32-byte
-        aligned, and where malloc puts a fresh buffer depends on what
-        the process allocated before, down to which modules it imported.
+        The slab (2 * n_rows * tile words, :class:`_Slab`) and its
+        address are cached together so the hot path pays no per-call
+        address extraction; a call with another row count replaces it,
+        so the slab is always exactly as long as the kernel may use.
         """
         nwords = 2 * n_rows * self._tile
-        cached = getattr(self._local, "scratch", None)
-        if cached is None or cached[1] < nwords:
-            # Room to round the base up 56 bytes; the address is a plain
-            # int, which crosses the c_void_p parameter without a cast.
-            buf = array("Q", bytes(8 * (nwords + 7)))
-            cached = (buf, nwords, -(-buf.buffer_info()[0] // 64) * 64)
-            self._local.scratch = cached
-        return cached[2]
+        slab = getattr(self._local, "scratch", None)
+        if slab is None or slab.words != nwords:
+            slab = self._local.scratch = _Slab(nwords)
+        return slab.addr
 
     def _shard_marshal(self, program, cmp: Sequence[Tuple[int, int, int]]):
         """Cached per-(program, compare triples) int32 arrays for the C call.
@@ -255,7 +347,7 @@ class NativeBackend(BigIntBackend):
         prog, cmp_rows, fill, n_rows = _lower_pair_shard(program, cmp_t)
         entry = (
             _int32s(prog),
-            len(prog) >> 2,
+            len(prog) // 5,
             _int32s(cmp_rows),
             len(cmp_t),
             _int32s(fill),

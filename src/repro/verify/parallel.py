@@ -71,12 +71,7 @@ from typing import (
     TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple,
 )
 
-from ..backends import (
-    AUTO_BACKEND,
-    PlaneBackend,
-    get_backend,
-    resolve_backend_name,
-)
+from ..backends import PlaneBackend, get_backend, resolve_backend_name
 from ..circuits.compiled import BackendLike, compile_circuit
 from ..circuits.netlist import Circuit
 from .exhaustive import (
@@ -578,19 +573,19 @@ def verify_two_sort_sharded(
     jobs = default_jobs() if not jobs else max(1, jobs)
     if isinstance(backend, PlaneBackend):
         backend = backend.name
-    if backend == AUTO_BACKEND:
-        # Resolve the alias once, up front, so shard sizing, cache and
-        # epoch keys, and the name forwarded to every worker all agree
-        # on one concrete backend (workers on compiler-less hosts still
-        # run native's shards in Python).
-        backend = resolve_backend_name(backend)
+    # Resolve `auto` and None (bigint) once, up front, so shard sizing,
+    # cache and epoch keys, and the name forwarded to every worker all
+    # agree on one concrete backend (workers on compiler-less hosts
+    # still run native's shards in Python): a sweep that names no
+    # backend and one that names bigint share one epoch.
+    backend = resolve_backend_name(backend)
     if shard_size is None:
         shard_size = _default_pair_shard_size(width, jobs, backend)
     shards = pair_shards(width, shard_size)
     # The sweep's shared-setup descriptor: remote workers compile once
     # per epoch and verify the circuit they deserialized against the
-    # content hash before any result merges.  `backend` stays the
-    # caller's *name* (None = bigint), matching the initargs.
+    # content hash before any result merges.  `backend` is the resolved
+    # *name*, matching the initargs.
     epoch = SweepEpoch(
         kind="verify-two-sort",
         circuit_name=circuit.name,

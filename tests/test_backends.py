@@ -49,6 +49,13 @@ from repro.circuits.gates import (
     XOR2,
 )
 from repro.backends.base import OP_AND, OP_BUF, OP_INV, OP_OR, OP_XOR
+from repro.backends.native import (
+    _FUSED,
+    _INNER_SHIFT,
+    _SWAP_A,
+    _SWAP_B,
+    _SWAP_C,
+)
 from repro.core.two_sort import build_two_sort
 from repro.networks.comparator import from_comparator_list
 from repro.networks.simulate import sort_words, sort_words_batch
@@ -286,9 +293,30 @@ class TestKernelBuild:
         source = self._source(loader)
         plain = loader._kernel_name(source, cc, loader._CFLAGS)
         avx2 = loader._kernel_name(
-            source, cc, [*loader._CFLAGS, *loader._ISA_FLAGS]
+            source, cc, [*loader._CFLAGS, *loader._ISA_TIERS[0][1]]
         )
         assert os.listdir(tmp_path / "cache") == [plain] and plain != avx2
+        self._check_reports_equal_bigint(native)
+
+    def test_avx2_tier_on_an_avx512_cpu(self, loader, monkeypatch, tmp_path):
+        """On an AVX-512 CPU a cpuinfo without ``avx512f`` builds the
+        AVX2 tier, whose fused ops report as bigint does."""
+        self._needs_compiler()
+        every_tier = [f for _, flags in loader._ISA_TIERS for f in flags]
+        if loader._isa_flags() != every_tier:
+            pytest.skip("needs a CPU that lists avx512f and avx512vl")
+        fake = tmp_path / "cpuinfo"
+        fake.write_text("processor\t: 0\nflags\t\t: fpu popcnt avx2\n")
+        monkeypatch.setattr(loader, "_CPUINFO", str(fake))
+        native = NativeBackend()
+        assert native.variant == "built"
+        assert loader.isa_flags() == ["-mavx2", "-mpopcnt"]
+        self._check_reports_equal_bigint(native)
+
+    @staticmethod
+    def _check_reports_equal_bigint(native):
+        """``native`` as the registry's native backend: its B=6 reports,
+        correct and AND2<->OR2-swapped, equal bigint's."""
         base = build_two_sort(6)
         site = next(g.output for g in base.gates if g.kind is OR2)
         original = get_backend("native")
@@ -309,9 +337,16 @@ class TestKernelBuild:
         monkeypatch.setattr(loader, "_CPUINFO", str(tmp_path / "missing"))
         assert loader._isa_flags() == []
         fake = tmp_path / "cpuinfo"
-        fake.write_text("processor\t: 0\nflags\t\t: fpu popcnt avx2\n")
         monkeypatch.setattr(loader, "_CPUINFO", str(fake))
+        fake.write_text("processor\t: 0\nflags\t\t: fpu popcnt avx2\n")
         assert loader._isa_flags() == ["-mavx2", "-mpopcnt"]
+        fake.write_text("flags\t\t: avx2 avx512vl popcnt avx512f\n")
+        assert loader._isa_flags() == [
+            "-mavx2", "-mpopcnt", "-mavx512f", "-mavx512vl",
+        ]
+        # A tier counts only on top of every lower one.
+        fake.write_text("flags\t\t: fpu popcnt avx512f avx512vl\n")
+        assert loader._isa_flags() == []
 
 
 class TestKernelFirstUse:
@@ -647,15 +682,20 @@ class TestSelectDiffContract:
             assert counts[-1] == lanes
 
 
+#: The single-gate mutations: AND2 <-> OR2 and INV -> BUF.
+_MUTATED_KIND = {AND2: OR2, OR2: AND2, INV: BUF}
+
+
 def _swap_gate(base, site):
-    """``base`` with gate ``site`` swapped AND2 <-> OR2 (a real fault)."""
+    """``base`` with gate ``site`` swapped AND2 <-> OR2, or an INV there
+    made a BUF (a real fault)."""
     out = Circuit(name=f"{base.name}-swap")
     for net in base.inputs:
         out.add_input(net=net)
     for gate in base.gates:
         kind = gate.kind
         if gate.output == site:
-            kind = OR2 if kind is AND2 else AND2
+            kind = _MUTATED_KIND[kind]
         out.add_gate(kind, gate.inputs, output=gate.output)
     for net in base.outputs:
         out.add_output(net)
@@ -854,6 +894,28 @@ def _random_netlist(width, seed):
     return circuit
 
 
+def _fused_forms(width):
+    """A netlist over 2*width inputs, width >= 2, with one output
+    ``OUTER(INNER(x, y), z)`` for each choice of OUTER and INNER (AND2 or
+    OR2), of an inverter or none on x, y, the inner gate's output and z,
+    and of the outer gate's side the inner one feeds: its pair-shard
+    program runs each of the four fused forms with every combination of
+    swap bits."""
+    circuit = Circuit(name=f"fused-forms{width}")
+    x, y, z = circuit.add_inputs(2 * width)[:3]
+
+    def inv(net, flip):
+        return _add(circuit, INV, net) if flip else net
+
+    for outer, inner, *flips in itertools.product(
+        (AND2, OR2), (AND2, OR2), *[(0, 1)] * 5
+    ):
+        g = _add(circuit, inner, inv(x, flips[0]), inv(y, flips[1]))
+        operands = [inv(g, flips[2]), inv(z, flips[3])]
+        circuit.add_output(_add(circuit, outer, *operands[::1 - 2 * flips[4]]))
+    return circuit
+
+
 class TestPairShardFused:
     """run_pair_shard: the native kernel generates the pair product in
     C; its diff plane and mismatch counts must equal the base-class
@@ -994,6 +1056,37 @@ class TestPairShardFused:
         for seed in range(3):
             circuit = _random_netlist(width, 20180319 + 97 * width + seed)
             self._check_both(circuit, width)
+
+    @pytest.mark.parametrize("width", [2, 6, 10])
+    def test_fused_forms(self, width):
+        """Each fused form with every combination of swap bits: diff and
+        per-output counts equal the reference's.  From width 10 on a
+        g-row spans whole tiles."""
+        from repro.verify.exhaustive import _string_bit_masks, pair_shards
+
+        S = (1 << (width + 1)) - 1
+        circuit = _fused_forms(width)
+        pairs = [
+            (o, o % width, width + o % width)
+            for o in range(len(circuit.outputs))
+        ]
+        if width >= 10:
+            shards = [(3, 7), (S - 2, S)]
+        else:
+            shards = _sampled(pair_shards(width, 100))
+        assert self._check(circuit, width, pairs, shards) > 0
+        masks = _string_bit_masks(width)
+        ref = compile_circuit(circuit, "bigint")
+        native = compile_circuit(circuit, "native")
+        for g_lo, g_hi in shards:
+            want, got = [0] * len(pairs), [0] * len(pairs)
+            result = ref.run_pair_shard(
+                width, masks, g_lo, g_hi, pairs, counts=want
+            )
+            assert native.run_pair_shard(
+                width, masks, g_lo, g_hi, pairs, counts=got
+            ) == result
+            assert got == want, (g_lo, g_hi)
 
     # -- per-output mismatch counts over the same grid -----------------
     @staticmethod
@@ -1185,21 +1278,26 @@ class TestPairShardFused:
 
 
 class TestCompactPairShardProgram:
-    """The native pair-shard program folds INV/BUF into plane swaps and
-    shares rows by liveness, so 2-sort(13)'s 340 one-per-net slots become
-    77 rows (38.5 KB of tile scratch instead of 170 KB)."""
+    """The native pair-shard program folds INV/BUF into plane swaps,
+    folds each single-read AND/OR value into its reader as one fused
+    three-input op, and shares rows by liveness: 2-sort(13)'s 314 ops
+    over 340 one-per-net slots become 122 ops over 75 rows (37.5 KB of
+    tile scratch instead of 170 KB)."""
+
+    MAX_OPS = {13: 130, 16: 160}
 
     @staticmethod
-    def _lowered(circuit, width):
+    def _lowered(circuit, width, pairs=None):
         from repro.backends.native import _lower_pair_shard
         from repro.verify.exhaustive import _two_sort_select_pairs
 
         program = compile_circuit(circuit, "bigint")
         outs, ins = program.output_slots, program.input_slots
-        pairs = _two_sort_select_pairs(width)
+        if pairs is None:
+            pairs = _two_sort_select_pairs(width)
         cmp = [(outs[o], ins[a], ins[b]) for o, a, b in pairs]
         prog, cmp_rows, fill, n_rows = _lower_pair_shard(program, cmp)
-        ops = [tuple(prog[i:i + 4]) for i in range(0, len(prog), 4)]
+        ops = [tuple(prog[i:i + 5]) for i in range(0, len(prog), 5)]
         return program, ops, cmp_rows, fill, n_rows
 
     @pytest.mark.parametrize("width, max_rows", [(13, 80), (16, 96)])
@@ -1208,9 +1306,13 @@ class TestCompactPairShardProgram:
             build_two_sort(width), width
         )
         assert n_rows <= max_rows < program.n_slots
+        assert len(ops) <= self.MAX_OPS[width]
         assert not [op for op in ops if op[0] & 7 in (OP_INV, OP_BUF)]
+        # One op per AND/OR/XOR of the compiled program, less one per
+        # fused op (each absorbs exactly one).
         kept = [op for op in program.ops if op[0] not in (OP_INV, OP_BUF)]
-        assert len(ops) == len(kept)
+        fused = [op for op in ops if op[0] & _FUSED]
+        assert len(ops) + len(fused) == len(kept)
         self._check_rows(width, ops, cmp_rows, fill, n_rows)
 
     def test_tile_scratch_is_64_byte_aligned(self):
@@ -1235,16 +1337,100 @@ class TestCompactPairShardProgram:
 
     @staticmethod
     def _check_rows(width, ops, cmp_rows, fill, n_rows):
-        """No op writes one of its own source rows; input and preset rows
-        are never written, and each compared root's row only by the op
-        computing it."""
-        dsts = [d for _, d, _, _ in ops]
-        assert all(d not in (a, b) for _, d, a, b in ops)
+        """No op writes one of its up to three source rows (``c`` only
+        when fused); input and preset rows are never written, and each
+        compared root's row only by the op computing it."""
+        dsts = [op[1] for op in ops]
+        for word, d, a, b, c in ops:
+            assert d not in ((a, b, c) if word & _FUSED else (a, b))
         assert all(0 <= r < n_rows for op in ops for r in op[1:])
         pinned = set(range(2 * width)) | set(fill[0::3])
         assert not pinned & set(dsts)
         for r in {~c if c < 0 else c for c in cmp_rows} - pinned:
             assert dsts.count(r) == 1
+
+    @staticmethod
+    def _run_lowered(ops, fill, n_rows, inputs, full):
+        """The lowered program in Python: row planes after every op."""
+        p0, p1 = [0] * n_rows, [0] * n_rows
+        for r, (a0, a1) in enumerate(inputs):
+            p0[r], p1[r] = a0, a1
+        for r, can0, can1 in zip(fill[0::3], fill[1::3], fill[2::3]):
+            p0[r], p1[r] = full * can0, full * can1
+
+        def read(r, swap):
+            return (p1[r], p0[r]) if swap else (p0[r], p1[r])
+
+        def kleene(code, x, y):
+            if code == OP_AND:
+                return x[0] | y[0], x[1] & y[1]
+            if code == OP_OR:
+                return x[0] & y[0], x[1] | y[1]
+            assert code == OP_XOR
+            return (x[0] & y[0]) | (x[1] & y[1]), (x[0] & y[1]) | (x[1] & y[0])
+
+        for word, d, a, b, c in ops:
+            x, y = read(a, word & _SWAP_A), read(b, word & _SWAP_B)
+            if word & _FUSED:
+                x = kleene(word >> _INNER_SHIFT & 7, x, y)
+                y = read(c, word & _SWAP_C)
+            p0[d], p1[d] = kleene(word & 7, x, y)
+        return p0, p1
+
+    @pytest.mark.parametrize("width", [3, 7])
+    def test_lowered_program_equals_run_ops(self, width):
+        """A Python run of each lowered grid program gives every
+        compared root the planes ``run_ops`` gives its slot, on random
+        ternary inputs; the fused-forms netlist runs all four fused
+        forms with every combination of swap bits."""
+        lanes = 256
+        full = (1 << lanes) - 1
+        rng = random.Random(20180319 + width)
+        forms = set()
+        for circuit in (
+            build_two_sort(width),
+            _fused_forms(width),
+            _composite_cells(width),
+            _inverted_input_reads(width),
+            _spliced_outputs(width, fault=True),
+            _with_constants(width, fault=True),
+            _odd_outputs(width),
+            _dead_gates(width),
+            *(_random_netlist(width, width + seed) for seed in range(3)),
+        ):
+            pairs = [
+                (o, o % width, width + o % width)
+                for o in range(len(circuit.outputs))
+            ]
+            program, ops, cmp_rows, fill, n_rows = self._lowered(
+                circuit, width, pairs
+            )
+            inputs = []
+            for _ in program.input_slots:  # each lane 0, 1 or M
+                can0 = rng.getrandbits(lanes)
+                inputs.append((can0, (can0 ^ full) | rng.getrandbits(lanes)))
+            p0, p1 = [0] * program.n_slots, [0] * program.n_slots
+            for slot, (a0, a1) in zip(program.input_slots, inputs):
+                p0[slot], p1[slot] = a0, a1
+            for slot, can0, can1 in program.const_slots:
+                p0[slot], p1[slot] = full * can0, full * can1
+            BigIntBackend().run_ops(program.ops, p0, p1)
+            r0, r1 = self._run_lowered(ops, fill, n_rows, inputs, full)
+            outs, ins = program.output_slots, program.input_slots
+            slots = [s for o, a, b in pairs for s in (outs[o], ins[a], ins[b])]
+            for slot, r in zip(slots, cmp_rows):
+                got = (r1[~r], r0[~r]) if r < 0 else (r0[r], r1[r])
+                assert got == (p0[slot], p1[slot]), (circuit.name, slot)
+            swaps = _SWAP_A | _SWAP_B | _SWAP_C
+            forms |= {
+                (w & 7, w >> _INNER_SHIFT & 7, w & swaps)
+                for w, *_ in ops if w & _FUSED
+            }
+        assert forms == set(itertools.product(
+            (OP_AND, OP_OR), (OP_AND, OP_OR),
+            (a | b | c for a in (0, _SWAP_A) for b in (0, _SWAP_B)
+             for c in (0, _SWAP_C)),
+        ))
 
 
 # ----------------------------------------------------------------------
@@ -1343,6 +1529,23 @@ class TestVerifyBackends:
         out = verify_two_sort_sharded(broken, 3, jobs=2, backend="native")
         assert not out.ok
         assert out.to_json() == ref.to_json()
+
+    @pytest.mark.parametrize("width", [2, 3, 4])
+    def test_single_gate_mutants_report_as_bigint(self, width):
+        """Every AND2<->OR2 and INV->BUF mutant of 2-sort(width), each
+        one a fault somewhere in a fused op: native's report, failing
+        pairs included, is bigint's."""
+        base = build_two_sort(width)
+        sites = [g.output for g in base.gates if g.kind in _MUTATED_KIND]
+        assert {g.kind for g in base.gates} >= {AND2, OR2, INV}
+        failing = 0
+        for site in sites:
+            mutant = _swap_gate(base, site)
+            ref = verify_two_sort_circuit(mutant, width, backend="bigint")
+            out = verify_two_sort_circuit(mutant, width, backend="native")
+            assert out.to_json() == ref.to_json(), site
+            failing += not ref.ok
+        assert failing == len(sites)
 
     def test_process_pool_forwards_backend_name(self):
         """--backend native across a real pool: workers compile on the

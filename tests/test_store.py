@@ -354,6 +354,22 @@ class TestRegionSweep:
             assert all(r.mode == "regions" and r.ok for r in runs)
             assert runs[0].circuit_hash == circuit.content_hash()
 
+    @pytest.mark.parametrize("granularity", ["cache", "store"])
+    def test_no_backend_and_bigint_share_one_epoch(self, tmp_path, granularity):
+        """``backend=None`` means bigint: both sweeps write one epoch
+        record naming it, and the second reads the first's keys."""
+        circuit = build_two_sort(5)
+        with JournalStore(str(tmp_path / "j.jsonl"), fsync=False) as journal:
+            verify_two_sort_sharded(circuit, 5, jobs=1, **{granularity: journal})
+            keys = journal.keys()
+            assert keys and all("bigint" in key for key in keys)
+            verify_two_sort_sharded(
+                circuit, 5, jobs=1, backend="bigint", **{granularity: journal}
+            )
+            assert journal.keys() == keys
+            assert [e.backend for e in journal.epochs()] == ["bigint"]
+            assert journal.stats()["epochs"] == 1
+
     def test_cache_granularity_records_audit_too(self, tmp_path):
         store = MemoryStore()
         result = verify_two_sort_sharded(
