@@ -310,21 +310,27 @@ def _cmd_verify(args) -> int:
             file=sys.stderr,
             flush=True,
         )
+    store = None
+    if request.store is not None:
+        # Opened here (not inside run()) so the handle's hit/miss/put
+        # counters and audit trail are reportable afterwards, and before
+        # any sweep or bind, so a bad spec is a usage error.
+        store = _open_store(request.store)
+        if store is None:
+            return 2
     if args.executor == "distributed":
         bad = _start_coordinator(args)
         if bad:
+            if store is not None:
+                store.close()
             return bad
     store_counters = None
     start = time.perf_counter()
     try:
-        if request.store is not None:
-            # Opened here (not inside run()) so the handle's hit/miss/
-            # put counters and audit trail are reportable afterwards.
+        if store is not None:
             import dataclasses
 
-            from .store import open_store
-
-            with open_store(request.store) as store:
+            with store:
                 result = dataclasses.replace(request, store=None).run(
                     store=store
                 )
@@ -353,6 +359,23 @@ def _cmd_verify(args) -> int:
     return _print_verify_result(
         width, result, args.json, store_counters=store_counters
     )
+
+
+def _open_store(spec):
+    """``open_store(spec)``, or ``None`` after printing why it failed.
+
+    A store that cannot be opened is a usage error (exit 2), like an
+    unbindable port -- never exit 1, which means a failing circuit.
+    """
+    import sqlite3
+
+    from .store import open_store
+
+    try:
+        return open_store(spec)
+    except (OSError, ValueError, sqlite3.Error) as exc:
+        print(f"error: store {spec} -- {exc}", file=sys.stderr)
+        return None
 
 
 def _cmd_export(args) -> int:
@@ -472,6 +495,11 @@ def _cmd_serve(args) -> int:
     bad = _check_positive_args(args)
     if bad:
         return bad
+    durable = None
+    if args.store is not None:
+        durable = _open_store(args.store)
+        if durable is None:
+            return 2
     if args.listen is not None:
         from .distributed import ensure_coordinator
 
@@ -482,6 +510,8 @@ def _cmd_serve(args) -> int:
             print(
                 f"error: cannot start coordinator -- {exc}", file=sys.stderr
             )
+            if durable is not None:
+                durable.close()
             return 2
         print(
             f"shard coordinator listening on {coordinator.host}:"
@@ -491,11 +521,6 @@ def _cmd_serve(args) -> int:
         )
 
     async def _serve() -> None:
-        durable = None
-        if args.store is not None:
-            from .store import open_store
-
-            durable = open_store(args.store)
         # --jobs 0 follows the verify convention: one (job slot) per core.
         manager = JobManager(
             jobs=args.jobs or os.cpu_count() or 1,
@@ -515,8 +540,6 @@ def _cmd_serve(args) -> int:
             pass
         finally:
             await server.aclose()
-            if durable is not None:
-                durable.close()
 
     try:
         asyncio.run(_serve())
@@ -529,6 +552,9 @@ def _cmd_serve(args) -> int:
             file=sys.stderr,
         )
         return 2
+    finally:
+        if durable is not None:
+            durable.close()
     return 0
 
 
@@ -681,8 +707,6 @@ def _cmd_worker(args) -> int:
 
 def _cmd_store_log(args) -> int:
     """Print a store's audit trail: one line per completed sweep."""
-    from .store import open_store
-
     if args.limit is not None and args.limit <= 0:
         print(
             f"error: --limit must be a positive record count, got "
@@ -690,12 +714,11 @@ def _cmd_store_log(args) -> int:
             file=sys.stderr,
         )
         return 2
-    try:
-        with open_store(args.store) as store:
-            runs = store.runs(args.limit)
-    except (OSError, ValueError) as exc:
-        print(f"error: store {args.store!r} -- {exc}", file=sys.stderr)
+    store = _open_store(args.store)
+    if store is None:
         return 2
+    with store:
+        runs = store.runs(args.limit)
     for run in runs or []:
         if args.json:
             print(json.dumps(run.to_dict(), sort_keys=True))

@@ -26,9 +26,9 @@ A backend is an argument of the verification sweep only
 (``verify_two_sort_sharded(backend=...)``, ``verify --backend``, and
 the sweep's pool initializers, which forward it by name) and of
 ``compile_circuit(..., backend=...)``, whose cache keys on
-``(circuit.version, name)``.  Everywhere else -- sorts, containment
-checks, scalar evaluation -- programs compile for the default, and
-``None`` means ``"bigint"`` on every host.
+``(circuit.version, name)``.  Everywhere else -- sorts, scalar
+evaluation -- programs compile for the default, and ``None`` means
+``"bigint"`` on every host.
 """
 
 from __future__ import annotations

@@ -65,7 +65,6 @@ from .builder import (
     or_tree,
     xor_cell,
 )
-from .verify import Mismatch, assert_equivalent, check_equivalence
 from .export import to_dot, to_verilog
 
 __all__ = [
@@ -123,7 +122,4 @@ __all__ = [
     "or2",
     "or_tree",
     "xor_cell",
-    "Mismatch",
-    "assert_equivalent",
-    "check_equivalence",
 ]

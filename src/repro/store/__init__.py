@@ -8,8 +8,6 @@ Public surface of the ``repro.store`` subsystem (see
   path (``.jsonl``/``.journal`` suffix selects the journal backend,
   anything else sqlite) -- and returns an opened
   :class:`~repro.store.base.ResultStore`;
-* :func:`register_store_backend` is the registry hook, exactly like
-  the executor and plane-backend registries;
 * :func:`shared_store` returns a per-process cached handle for a spec
   -- the worker-side entry point: pool and remote workers receive a
   shareable store's spec through the sweep initargs and consult the
@@ -19,7 +17,7 @@ Public surface of the ``repro.store`` subsystem (see
 from __future__ import annotations
 
 import os
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
 from .base import ResultStore, RunRecord, result_digest
 from .journal import JournalStore
@@ -34,58 +32,45 @@ __all__ = [
     "RunRecord",
     "SqliteStore",
     "StackedStore",
-    "available_store_backends",
     "open_store",
-    "register_store_backend",
     "result_digest",
     "shared_store",
 ]
-
-#: Backend factories: ``factory(arg)`` where ``arg`` is the text after
-#: the first ``:`` of the spec (possibly empty).
-_BACKENDS: Dict[str, Callable[[str], ResultStore]] = {}
-
-
-def register_store_backend(
-    name: str, factory: Callable[[str], ResultStore]
-) -> None:
-    """Register (or replace) a store backend under ``name``."""
-    _BACKENDS[name] = factory
-
-
-def available_store_backends() -> List[str]:
-    return sorted(_BACKENDS)
-
-
-def _make_memory(arg: str) -> ResultStore:
-    return MemoryStore(maxsize=int(arg)) if arg else MemoryStore()
-
-
-register_store_backend("memory", _make_memory)
-register_store_backend("journal", lambda arg: JournalStore(arg))
-register_store_backend("sqlite", lambda arg: SqliteStore(arg))
 
 
 def open_store(spec: str) -> ResultStore:
     """Open the store a spec names.
 
-    ``"memory"``/``"memory:4096"`` -> LRU; ``"journal:PATH"`` ->
-    JSON-lines journal; ``"sqlite:PATH"`` -> shared WAL-mode SQLite.  A
-    bare path picks the backend by suffix: ``.jsonl``/``.journal`` mean
-    journal, everything else (``.db``, ``.sqlite``, ...) sqlite -- so
-    ``verify --store s.db`` does the expected thing with no ceremony.
+    ``"memory"``/``"memory:4096"`` -> LRU (a size <= 0 stores nothing);
+    ``"journal:PATH"`` -> JSON-lines journal; ``"sqlite:PATH"`` ->
+    shared WAL-mode SQLite.  Any other spec is a bare path, and its
+    suffix picks the backend: ``.jsonl``/``.journal`` mean journal,
+    everything else (``.db``, ``.sqlite``, ``foo:bar.db``, ...) sqlite
+    -- so ``verify --store s.db`` does the expected thing with no
+    ceremony.  An empty spec or path and a non-integer size raise
+    :class:`ValueError`; a path that cannot be opened raises the
+    backend's own error (:class:`OSError` or :class:`sqlite3.Error`).
     """
     if not isinstance(spec, str) or not spec:
         raise ValueError(f"store spec must be a non-empty string, got {spec!r}")
-    name, sep, arg = spec.partition(":")
-    if sep and name in _BACKENDS:
-        return _BACKENDS[name](arg)
-    if not sep and spec in _BACKENDS:
-        return _BACKENDS[spec]("")
-    # A bare path: infer the backend from the suffix.
+    name, _, arg = spec.partition(":")
+    if name == "memory":
+        if not arg:
+            return MemoryStore()
+        try:
+            size = int(arg)
+        except ValueError:
+            raise ValueError(
+                f"memory store size must be an integer, got {arg!r}"
+            ) from None
+        return MemoryStore(maxsize=size)
+    if name in ("journal", "sqlite"):
+        if not arg:
+            raise ValueError(f"a {name} store needs a path ({name}:PATH)")
+        return JournalStore(arg) if name == "journal" else SqliteStore(arg)
     if spec.endswith((".jsonl", ".journal")):
-        return _BACKENDS["journal"](spec)
-    return _BACKENDS["sqlite"](spec)
+        return JournalStore(spec)
+    return SqliteStore(spec)
 
 
 #: Worker-side handle cache, keyed on (pid, spec).  The pid guards

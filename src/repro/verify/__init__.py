@@ -6,8 +6,6 @@ from .exhaustive import (
     VerificationResult,
     pair_shards,
     valid_pairs,
-    verify_containment,
-    verify_function_agreement,
     verify_two_sort_circuit,
     verify_two_sort_shard,
 )
@@ -30,8 +28,6 @@ __all__ = [
     "VerificationResult",
     "pair_shards",
     "valid_pairs",
-    "verify_containment",
-    "verify_function_agreement",
     "verify_two_sort_circuit",
     "verify_two_sort_shard",
     "available_executors",

@@ -1,12 +1,12 @@
-"""Exhaustive verification of MC properties over the valid-string domain.
+"""Exhaustive verification of 2-sort(B) over the valid-string domain.
 
-The paper validates by proof + spot simulation; these routines check
-every claim *exhaustively* at small widths (|S^B_rg|² pairs -- e.g.
-261k pairs at B = 8 for the containment lint, 3.8k at B = 5 for full
-closure equality), giving the reproduction its ground truth.
+The paper validates by proof + spot simulation; this module checks
+closure equality (Definition 2.8) on *every* valid pair -- |S^B_rg|²
+of them, e.g. 3,969 at B = 5 and 261,121 at B = 8 -- giving the
+reproduction its ground truth.  Equality also implies containment,
+since the max and min of two valid strings are valid strings.
 
-Since the bit-parallel engine landed, both circuit-level sweeps run the
-whole pair domain as a handful of two-plane batches
+The sweep runs the whole pair domain as a handful of two-plane batches
 (:mod:`repro.circuits.compiled`), one g-row shard at a time, through
 :meth:`PlaneBackend.run_pair_shard <repro.backends.PlaneBackend.run_pair_shard>`:
 
@@ -46,14 +46,14 @@ import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import (
-    Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
+    Any, Dict, Iterable, List, Optional, Sequence, Tuple,
 )
 
 from ..backends import PlaneBackend, get_backend
 from ..circuits.compiled import BackendLike, compile_circuit
 from ..circuits.netlist import Circuit
 from ..graycode.ops import two_sort_closure
-from ..graycode.valid import all_valid_strings, is_valid
+from ..graycode.valid import all_valid_strings
 from ..ternary.word import Word
 
 #: Default lanes per batch.  2^14 lanes keep each plane integer ~2 KB,
@@ -264,9 +264,8 @@ def _shard_input_planes(be: PlaneBackend, width: int, g_lo: int, g_hi: int):
     The 2*width input planes (g bits then h bits) and the lane count of
     :meth:`PlaneBackend.pair_shard_planes`.  The sweeps themselves never
     build these (:meth:`PlaneBackend.run_pair_shard` owns the pair
-    product); they are for the paths that need every slot plane of a
-    shard -- failure decode, which re-runs the program on a failing
-    shard, and :func:`verify_containment`.  Memoized because input
+    product); only failure decode does, which re-runs the program on a
+    failing shard for every slot plane.  Memoized because input
     planes are immutable (``run_ops`` never writes a preset slot's
     plane), so successive edits of one design that fail on the same
     shard reuse them; backends hash by identity and registry entries
@@ -430,54 +429,3 @@ def verify_two_sort_circuit(
             width, program.backend.preferred_shard_lanes
         )
     )
-
-
-def verify_containment(circuit: Circuit, width: int) -> VerificationResult:
-    """Weaker property: outputs are valid strings for all valid inputs.
-
-    This is the "containment" contract on its own, checkable even for
-    designs that are not closure-exact.  Circuit evaluation is batched
-    over int planes; validity is then checked per decoded output pair.
-    No verification shard runs, so the program compiles for the default
-    backend and shards are sized by its int-plane budget, as batch
-    sorts are.
-    """
-    check_two_sort_shape(circuit, width)
-    strings = all_valid_strings(width)
-    S = len(strings)
-    program = compile_circuit(circuit)
-    result = VerificationResult()
-
-    for g_lo, g_hi in pair_shards(width, PlaneBackend.preferred_shard_lanes):
-        planes, lanes = _shard_input_planes(
-            program.backend, width, g_lo, g_hi
-        )
-        p0, p1 = program.run_planes(planes, lanes)
-        outputs = program.decode_outputs(p0, p1, lanes)
-        for lane, out in enumerate(outputs):
-            result.checked += 1
-            parts = ((out[:width], "max"), (out[width:], "min"))
-            for part, name in parts:
-                if not is_valid(part):
-                    g = strings[g_lo + lane // S]
-                    h = strings[lane % S]
-                    result.record(
-                        f"({g}, {h}): {name} output {part} invalid"
-                    )
-    return result
-
-
-def verify_function_agreement(
-    f: Callable[[Word, Word], Tuple[Word, Word]],
-    g_fn: Callable[[Word, Word], Tuple[Word, Word]],
-    width: int,
-) -> VerificationResult:
-    """Two value-level 2-sort implementations agree on all valid pairs."""
-    result = VerificationResult()
-    for g, h in valid_pairs(width):
-        a = f(g, h)
-        b = g_fn(g, h)
-        result.checked += 1
-        if a != b:
-            result.record(f"({g}, {h}): {a} vs {b}")
-    return result

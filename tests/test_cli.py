@@ -370,6 +370,54 @@ class TestCli:
             main([])
 
 
+class TestStoreSpecErrors:
+    """A ``--store`` that cannot be opened is a usage error: exit 2 and
+    one ``error: store SPEC -- REASON`` line on stderr, before any sweep
+    or bind.  Exit 1 stays reserved for a failing circuit."""
+
+    SPECS = [
+        "journal:", "sqlite:", "/nonexistent/dir/x.db", "memory:x",
+        "journal:{dir}",
+    ]
+
+    @staticmethod
+    def _check(capsys, spec, code):
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "", out
+        assert err.startswith(f"error: store {spec} -- "), err
+        assert err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_verify(self, spec, tmp_path, monkeypatch, capsys):
+        import repro.service.jobs as jobs
+
+        def boom(*a, **kw):  # pragma: no cover - must not run
+            raise AssertionError("verification ran despite a bad store")
+
+        monkeypatch.setattr(jobs, "verify_two_sort_sharded", boom)
+        spec = spec.format(dir=tmp_path)
+        self._check(capsys, spec, main(["verify", "-B", "2", "--store", spec]))
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_store_log(self, spec, tmp_path, capsys):
+        spec = spec.format(dir=tmp_path)
+        self._check(capsys, spec, main(["store", "log", "--store", spec]))
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_serve(self, spec, tmp_path, monkeypatch, capsys):
+        import asyncio
+
+        def no_bind(coro):  # pragma: no cover - must not run
+            coro.close()
+            raise AssertionError("serve started despite a bad store")
+
+        monkeypatch.setattr(asyncio, "run", no_bind)
+        spec = spec.format(dir=tmp_path)
+        self._check(
+            capsys, spec, main(["serve", "--port", "0", "--store", spec])
+        )
+
+
 class TestCliJson:
     """--json: machine-readable output so scripts stop parsing summary()."""
 

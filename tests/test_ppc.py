@@ -1,10 +1,12 @@
 """Tests for the parallel prefix framework (repro.ppc)."""
 
+import itertools
 import operator
 
 import pytest
 
-from repro.circuits.builder import or2
+from repro.circuits.builder import and2, or2
+from repro.circuits.compiled import compile_circuit
 from repro.circuits.netlist import Circuit
 from repro.circuits.analysis import logic_depth
 from repro.ppc.circuit import build_ppc, build_serial, build_sklansky
@@ -17,6 +19,7 @@ from repro.ppc.prefix import (
     serial_prefixes,
 )
 from repro.ppc.schedules import SCHEDULES, get_schedule
+from repro.verify.exhaustive import _tile
 
 
 class TestValueLevelPrefixes:
@@ -90,13 +93,16 @@ class TestDepth:
 
 
 class TestCircuitGenerators:
-    def _count_circuit(self, builder, n):
-        """Build an OR-prefix circuit and return (circuit, outputs)."""
+    def _count_circuit(self, builder, n, and_at=None):
+        """Build an OR-prefix circuit; op number ``and_at`` (in build
+        order) becomes an AND2, a one-gate fault."""
         c = Circuit("ppc")
         items = [(c.add_input(f"i{k}"),) for k in range(n)]
+        built = itertools.count()
 
         def op(circuit, a, b):
-            return (or2(circuit, a[0], b[0]),)
+            gate = and2 if next(built) == and_at else or2
+            return (gate(circuit, a[0], b[0]),)
 
         outs = builder(c, items, op)
         c.add_outputs(net for (net,) in outs)
@@ -107,22 +113,39 @@ class TestCircuitGenerators:
         c = self._count_circuit(build_ppc, n)
         assert c.gate_count() == lf_op_count(n)
 
+    @staticmethod
+    def _or_prefix_mismatches(c, n):
+        """Outputs of an n-input OR-prefix circuit that are wrong on any
+        of the 2^n stable inputs, all run as one plane batch.
+
+        Lane x carries bit k of x on input k, so input k's 1-plane is
+        runs of 2^k zeros and 2^k ones; output k, the OR of inputs
+        0..k, is 0 exactly on the lanes where x mod 2^(k+1) is 0.
+        """
+        lanes = 1 << n
+        full = (1 << lanes) - 1
+        ones = [
+            _tile(((1 << (1 << k)) - 1) << (1 << k), 2 << k, lanes)
+            for k in range(n)
+        ]
+        zeros = [_tile(1, 2 << k, lanes) for k in range(n)]
+        program = compile_circuit(c)
+        p0, p1 = program.run_planes([(full ^ one, one) for one in ones], lanes)
+        return [
+            k for k, slot in enumerate(program.output_slots)
+            if (p0[slot], p1[slot]) != (zeros[k], full ^ zeros[k])
+        ]
+
     @pytest.mark.parametrize("builder", [build_ppc, build_serial, build_sklansky])
     @pytest.mark.parametrize("n", [1, 2, 3, 6, 9, 16])
     def test_all_schedules_compute_or_prefixes(self, builder, n):
-        from repro.circuits.evaluate import evaluate_words
-        from repro.ternary.word import Word
-
+        """Every stable input at once; at n = 16 the same check must
+        also reject a one-gate OR2 -> AND2 fault."""
         c = self._count_circuit(builder, n)
-        for pattern in range(1 << n):
-            bits = [(pattern >> k) & 1 for k in range(n)]
-            out = evaluate_words(c, Word(bits))
-            want = []
-            acc = 0
-            for bit in bits:
-                acc |= bit
-                want.append(acc)
-            assert out == Word(want), (builder.__name__, bits)
+        assert self._or_prefix_mismatches(c, n) == []
+        if n == 16:  # every schedule builds at least 15 ops here
+            mutant = self._count_circuit(builder, n, and_at=n // 2)
+            assert self._or_prefix_mismatches(mutant, n)
 
     def test_serial_cost_and_depth(self):
         n = 9

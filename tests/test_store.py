@@ -233,9 +233,13 @@ class TestStacked:
 
 
 class TestOpenStore:
-    def test_spec_forms(self, tmp_path):
+    def test_spec_forms(self, tmp_path, monkeypatch):
         assert isinstance(open_store("memory"), MemoryStore)
         assert open_store("memory:4").maxsize == 4
+        for spec in ("memory:0", "memory:-3"):  # a size <= 0 stores nothing
+            store = open_store(spec)
+            store.put(("k",), 1)
+            assert store.get(("k",)) is None
         j = open_store(f"journal:{tmp_path}/a.log")
         assert isinstance(j, JournalStore)
         j.close()
@@ -246,10 +250,16 @@ class TestOpenStore:
             assert isinstance(s, JournalStore)
         with open_store(str(tmp_path / "b.db")) as s:
             assert isinstance(s, SqliteStore)
+        # A prefix that names no backend is part of a bare path.
+        monkeypatch.chdir(tmp_path)
+        with open_store("foo:bar.db") as s:
+            assert isinstance(s, SqliteStore)
+        assert (tmp_path / "foo:bar.db").is_file()
 
     def test_bad_spec(self):
-        with pytest.raises(ValueError):
-            open_store("")
+        for spec in ("", "journal:", "sqlite:", "journal", "memory:x"):
+            with pytest.raises(ValueError):
+                open_store(spec)
 
 
 # ----------------------------------------------------------------------

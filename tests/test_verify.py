@@ -17,7 +17,6 @@ from repro.verify.exhaustive import (
     VerificationResult,
     _string_bit_masks,
     valid_pairs,
-    verify_containment,
     verify_two_sort_circuit,
 )
 from repro.verify.parallel import verify_two_sort_sharded
@@ -123,10 +122,6 @@ class TestExhaustive:
         result = verify_two_sort_circuit(broken, 2)
         assert not result.ok
         assert result.failure_count > 0
-
-    def test_containment_weaker_than_equality(self):
-        result = verify_containment(build_two_sort(3), 3)
-        assert result.ok
 
 
 class TestStringBitMasks:
