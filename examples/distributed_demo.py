@@ -22,10 +22,12 @@ run ``--resume``\\ s the journal on the same port: only the shards not
 already on file are executed, and the final report is byte-identical
 to the serial reference.
 
-Across real machines the only difference is addressing::
+Across real machines the only difference is addressing (a worker runs
+one shard at a time, so a host contributes N cores by running N
+workers)::
 
     host-a$ python -m repro verify --width 10 --executor distributed --listen 7422
-    host-b$ python -m repro worker --connect host-a:7422 --jobs 8
+    host-b$ for i in $(seq 8); do python -m repro worker --connect host-a:7422 & done
 
 Run me::
 
@@ -95,7 +97,7 @@ def scene_one() -> None:
     # every shard in the range has its own lease, so only the
     # unreported tail is re-queued when the holder dies.
     doomed = LineChannel.connect("127.0.0.1", coordinator.port)
-    doomed.request({"op": "hello", "name": "doomed", "slots": 1})
+    doomed.request({"op": "hello", "name": "doomed"})
     leased = doomed.request({"op": "next"})
     while leased.get("kind") != "task":  # queue may not be filled yet
         time.sleep(0.05)

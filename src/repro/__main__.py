@@ -40,9 +40,10 @@ serve               run the async job service (JSON lines over TCP)
                     submitted jobs may use executor "distributed"
      --store S      server-wide store for jobs that name none (keyed
                     per whole-circuit shard, unlike verify --store)
-worker              attach a shard worker to a running coordinator
+worker              attach a shard worker to a running coordinator; it
+                    runs one shard at a time, so a host contributes N
+                    cores by running N workers
      --connect H:P  coordinator address
-     --jobs N       local process fan-out under this one connection
      --retry-max    consecutive failed connects tolerated before giving
                     up (default 10; 0 = fail fast) -- startup order is
                     free: workers may start before the coordinator
@@ -69,6 +70,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -193,22 +195,34 @@ def _check_checkpoint_args(args, *, local: bool = True) -> int:
     return 0
 
 
-def _parse_listen(value):
-    """``--listen`` accepts ``PORT`` or ``HOST:PORT``.
+def _is_port(port) -> bool:
+    """The one port check behind ``--listen``, ``--connect`` and every
+    ``--port`` (text or int): a decimal 0-65535, 0 = ephemeral when
+    binding.
 
-    The bare form binds all interfaces (cross-host is the point); the
-    ``HOST:`` prefix is how a user restricts the coordinator -- which
-    moves pickles, so exposure matters -- to e.g. ``127.0.0.1`` or an
-    internal interface.  Returns ``(host, port)`` or raises
-    ``ValueError`` with a usage message.
+    Past 65535 the socket layer raises ``OverflowError`` on a bind and
+    dials the port modulo 65536, so the CLI refuses it up front.
+    """
+    text = str(port)
+    return text.isascii() and text.isdigit() and int(text) <= 65535
+
+
+def _parse_address(flag, value, bare_host=None):
+    """``HOST:PORT`` as ``(host, port)``, or ``ValueError`` naming ``flag``.
+
+    With ``bare_host``, a bare ``PORT`` is accepted too and means
+    ``bare_host:PORT``.  ``--listen`` passes ``0.0.0.0``: the bare form
+    binds all interfaces (cross-host is the point), and the ``HOST:``
+    prefix is how a user restricts the coordinator -- which moves
+    pickles, so exposure matters -- to e.g. ``127.0.0.1``.
     """
     host, sep, port_text = value.rpartition(":")
-    if not sep:
-        host, port_text = "0.0.0.0", value
-    if not port_text.isdigit() or not 0 <= int(port_text) <= 65535 or not host:
+    if not sep and bare_host is not None:
+        host, port_text = bare_host, value
+    if not host or not _is_port(port_text):
+        form = "HOST:PORT" if bare_host is None else "PORT or HOST:PORT"
         raise ValueError(
-            f"--listen expects PORT or HOST:PORT (port 0-65535, "
-            f"0 = ephemeral), got {value!r}"
+            f"{flag} expects {form} (port 0-65535), got {value!r}"
         )
     return host, int(port_text)
 
@@ -223,7 +237,7 @@ def _start_coordinator(args) -> int:
     from .distributed import ensure_coordinator
 
     try:
-        host, port = _parse_listen(args.listen)
+        host, port = _parse_address("--listen", args.listen, "0.0.0.0")
         coordinator = ensure_coordinator(host=host, port=port)
     except (ValueError, OSError) as exc:
         print(f"error: cannot start coordinator -- {exc}", file=sys.stderr)
@@ -504,7 +518,9 @@ def _cmd_serve(args) -> int:
         from .distributed import ensure_coordinator
 
         try:
-            listen_host, listen_port = _parse_listen(args.listen)
+            listen_host, listen_port = _parse_address(
+                "--listen", args.listen, "0.0.0.0"
+            )
             coordinator = ensure_coordinator(host=listen_host, port=listen_port)
         except (ValueError, OSError) as exc:
             print(
@@ -652,17 +668,15 @@ def _cmd_submit(args) -> int:
 def _cmd_worker(args) -> int:
     from .distributed import ShardWorker
 
-    host, sep, port_text = args.connect.rpartition(":")
-    if not sep or not host or not port_text.isdigit():
-        print(
-            f"error: --connect expects HOST:PORT, got {args.connect!r}",
-            file=sys.stderr,
-        )
+    try:
+        host, port = _parse_address("--connect", args.connect)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.jobs < 0:
+    if not (math.isfinite(args.throttle) and args.throttle >= 0):
         print(
-            f"error: --jobs must be >= 0 (0 = one worker per core), "
-            f"got {args.jobs}",
+            f"error: --throttle must be a finite delay >= 0 seconds, "
+            f"got {args.throttle}",
             file=sys.stderr,
         )
         return 2
@@ -680,11 +694,9 @@ def _cmd_worker(args) -> int:
             file=sys.stderr,
         )
         return 2
-    jobs = args.jobs or os.cpu_count() or 1
     worker = ShardWorker(
         host,
-        int(port_text),
-        jobs=jobs,
+        port,
         name=args.name,
         throttle=args.throttle,
         retry_max=args.retry_max,
@@ -951,14 +963,6 @@ def main(argv=None) -> int:
         metavar="HOST:PORT",
         help="address of the coordinator (verify --listen / serve --listen)",
     )
-    p.add_argument(
-        "--jobs",
-        "-j",
-        type=int,
-        default=1,
-        help="local worker processes under this connection "
-        "(default %(default)s; 0 = one per core)",
-    )
     p.add_argument("--name", default=None, help="worker name in coordinator stats")
     p.add_argument(
         "--retry-max",
@@ -982,7 +986,8 @@ def main(argv=None) -> int:
         type=float,
         default=0.0,
         metavar="SECONDS",
-        help="sleep after each completed shard (load shaping / testing)",
+        help="sleep after each completed shard (load shaping / testing; "
+        "finite and >= 0)",
     )
     p.set_defaults(fn=_cmd_worker)
 
@@ -1044,6 +1049,13 @@ def main(argv=None) -> int:
     p.set_defaults(fn=_cmd_cancel)
 
     args = parser.parse_args(argv)
+    if hasattr(args, "port") and not _is_port(args.port):
+        # Every command with a --port, before any bind or dial.
+        print(
+            f"error: --port expects a port 0-65535, got {args.port}",
+            file=sys.stderr,
+        )
+        return 2
     return args.fn(args)
 
 

@@ -24,7 +24,9 @@ is the ``journal`` result store (:class:`repro.store.JournalStore`).
 Quickstart (two shells, or two hosts)::
 
     python -m repro verify --width 10 --executor distributed --listen 7422
-    python -m repro worker --connect COORDINATOR_HOST:7422 --jobs 4
+    python -m repro worker --connect COORDINATOR_HOST:7422
+
+A worker runs one task at a time; start N of them to contribute N cores.
 """
 
 import importlib

@@ -69,14 +69,13 @@ class _Worker:
     """Connection-scoped record of one attached worker agent."""
 
     __slots__ = (
-        "id", "name", "slots", "last_seen", "results", "channel",
+        "id", "name", "last_seen", "results", "channel",
         "range_size", "lease_rpcs", "tasks_leased", "last_lease_time",
     )
 
-    def __init__(self, worker_id: str, name: str, slots: int, channel):
+    def __init__(self, worker_id: str, name: str, channel):
         self.id = worker_id
         self.name = name
-        self.slots = slots
         self.last_seen = time.monotonic()
         self.results = 0
         self.channel = channel
@@ -404,7 +403,6 @@ class ShardCoordinator:
                     {
                         "id": w.id,
                         "name": w.name,
-                        "slots": w.slots,
                         "results": w.results,
                         "range_size": w.range_size,
                         "lease_rpcs": w.lease_rpcs,
@@ -556,7 +554,6 @@ class ShardCoordinator:
             worker = _Worker(
                 worker_id=f"w{next(self._worker_seq):03d}",
                 name=str(msg.get("name") or "worker"),
-                slots=max(1, int(msg.get("slots") or 1)),
                 channel=channel,
             )
             self._workers[worker.id] = worker

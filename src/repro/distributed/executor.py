@@ -18,8 +18,9 @@ The process-wide coordinator is explicit, not ambient:
 the executor with no coordinator raises immediately with instructions
 rather than hanging.
 
-``jobs`` is deliberately ignored here: parallelism is decided by each
-*worker's* ``--jobs``, not by the submitting process.
+``jobs`` is deliberately ignored here: parallelism is decided by how
+many workers attach, each running one task at a time, not by the
+submitting process.  A host contributes N cores by running N workers.
 """
 
 from __future__ import annotations

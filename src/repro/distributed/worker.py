@@ -1,15 +1,12 @@
 """Worker agent: pull leased shards from a coordinator and run them.
 
-``python -m repro worker --connect HOST:PORT [--jobs N]``
-starts one :class:`ShardWorker`.  It dials *out* to the coordinator
-(so worker boxes need no open ports), announces how many slots it
-offers, and then pulls task *ranges* one lease at a time:
-
-* ``--jobs 1`` (default): tasks run inline in the agent process;
-* ``--jobs N``: tasks fan out over a local ``multiprocessing`` pool,
-  so an 8-core box contributes 8-way process sharding under a single
-  connection -- the same pool initializer contract as the local
-  ``"process"`` executor, just fed over the wire.
+``python -m repro worker --connect HOST:PORT`` starts one
+:class:`ShardWorker`.  It dials *out* to the coordinator (so worker
+boxes need no open ports) and then pulls task *ranges* one lease at a
+time, running each task inline in the agent process.  One agent runs
+one task at a time, so a host contributes N cores by running N
+workers: the coordinator caps each grant at a per-worker share of the
+pending queue, which spreads a sweep over all of them.
 
 The worker picks no plane backend: a sweep's initargs name the one it
 resolved, and everything else runs ``bigint``.
@@ -17,11 +14,12 @@ resolved, and everything else runs ``bigint``.
 **Epochs.**  Tasks arrive tagged with their
 :class:`~repro.verify.exhaustive.SweepEpoch`: the ``(circuit, backend,
 width)`` setup every shard of one sweep shares.  The worker keys its
-compile state on the epoch, so the circuit is unpickled, validated
+compile state on the epoch, so the circuit is unpickled and validated
 (its :meth:`~repro.circuits.netlist.Circuit.content_hash` must match
 the coordinator's -- a mismatch refuses the batch rather than merging
-wrong results), and compiled exactly once per epoch, no matter how
-many shards of that sweep it executes or how batches interleave.
+wrong results) once per epoch, and compiled once however many shards
+of that sweep it executes: the epoch's initializer runs again only
+when the agent switches to it from another sweep's tasks.
 
 **Result stores.**  When the coordinator's sweep runs against a
 shareable :class:`~repro.store.base.ResultStore` (``verify --store
@@ -55,7 +53,7 @@ retry budget is exhausted (``ConnectionError``).
 from __future__ import annotations
 
 import json
-import multiprocessing
+import math
 import random
 import threading
 import time
@@ -73,10 +71,9 @@ from .wire import (
 
 __all__ = ["ShardWorker"]
 
-#: Epochs (and their pools, at jobs > 1) kept live per agent; a
-#: long-running worker serving many distinct sweeps releases the
-#: least-recently-used setup instead of accumulating one pool per
-#: sweep ever seen.
+#: Epochs kept live per agent; a long-running worker serving many
+#: distinct sweeps releases the least-recently-used setup instead of
+#: accumulating one per sweep ever seen.
 MAX_LIVE_EPOCHS = 4
 #: Per-batch routing entries retained (batches complete without any
 #: notice to workers, so old entries are pruned by recency).
@@ -86,13 +83,12 @@ MAX_BATCH_ROUTES = 64
 class _EpochState:
     """Worker-side setup shared by every task of one epoch."""
 
-    __slots__ = ("key", "initializer", "initargs", "pool")
+    __slots__ = ("key", "initializer", "initargs")
 
     def __init__(self, key: str, initializer, initargs):
         self.key = key
         self.initializer = initializer
         self.initargs = initargs
-        self.pool = None  # lazy; only for jobs > 1
 
 
 class _EpochMismatch(RuntimeError):
@@ -112,7 +108,9 @@ class ShardWorker:
 
     ``throttle`` sleeps that many seconds after each completed task --
     a load-shaping knob, and what tests use to hold a lease open long
-    enough to kill the worker mid-sweep.  ``stop`` (an optional
+    enough to kill the worker mid-sweep; it must be finite and >= 0
+    (``ValueError`` otherwise: a sleep that raises after every task
+    would re-lease the same range forever).  ``stop`` (an optional
     ``threading.Event`` passed to :meth:`run`) makes in-process agents
     shut down cleanly: the goodbye re-queues any leased-but-unfinished
     shards immediately.
@@ -131,7 +129,6 @@ class ShardWorker:
         self,
         host: str,
         port: int = DEFAULT_WORK_PORT,
-        jobs: int = 1,
         name: Optional[str] = None,
         throttle: float = 0.0,
         retry_max: int = 10,
@@ -141,9 +138,13 @@ class ShardWorker:
         seed: Optional[int] = None,
         channel_wrapper: Optional[Callable[[LineChannel], Any]] = None,
     ):
+        if not (math.isfinite(throttle) and throttle >= 0):
+            raise ValueError(
+                f"throttle must be a finite delay >= 0 seconds, got "
+                f"{throttle!r}"
+            )
         self.host = host
         self.port = port
-        self.jobs = max(1, jobs)
         self.name = name or f"worker@{host}"
         self.throttle = throttle
         self.retry_max = max(0, retry_max)
@@ -161,8 +162,6 @@ class ShardWorker:
         self._batch_epoch: "OrderedDict[str, str]" = OrderedDict()
         self._batch_fn: Dict[str, Callable[[Any], Any]] = {}
         self._active_key: Optional[str] = None
-        self._outstanding = 0
-        self._pending_cond = threading.Condition()
         self._replay: List[Dict[str, Any]] = []
         self._replay_lock = threading.Lock()
         # Session liveness, refreshed by the heartbeat thread; defaults
@@ -181,74 +180,62 @@ class ShardWorker:
         Returns the number of task results this agent sent; raises
         ``ConnectionError`` when the retry budget is exhausted.
         """
-        if stop is not None:
-            threading.Thread(
-                target=self._stop_watcher,
-                args=(stop,),
-                name="repro-worker-stopwatch",
-                daemon=True,
-            ).start()
         attempts = 0
         connected_before = False
-        try:
-            while not self._stop_requested(stop):
-                try:
-                    channel = LineChannel.connect(
-                        self.host, self.port, timeout=self.connect_timeout
-                    )
-                except OSError as exc:
-                    attempts += 1
-                    if attempts > self.retry_max:
-                        raise ConnectionError(
-                            f"coordinator at {self.host}:{self.port} "
-                            f"unreachable after {attempts} connect "
-                            f"attempt(s): {exc}"
-                        ) from exc
-                    if self._backoff_wait(attempts, stop):
-                        break
-                    continue
-                if connected_before:
-                    self.reconnects += 1
-                connected_before = True
-                self._greeted = False
-                try:
-                    orderly = self._session(channel, stop)
-                finally:
-                    try:
-                        channel.send({"op": "goodbye"})
-                    except OSError:
-                        pass
-                    channel.close()
-                if orderly:
+        while not self._stop_requested(stop):
+            try:
+                channel = LineChannel.connect(
+                    self.host, self.port, timeout=self.connect_timeout
+                )
+            except OSError as exc:
+                attempts += 1
+                if attempts > self.retry_max:
+                    raise ConnectionError(
+                        f"coordinator at {self.host}:{self.port} "
+                        f"unreachable after {attempts} connect "
+                        f"attempt(s): {exc}"
+                    ) from exc
+                if self._sleep(self._backoff_delay(attempts), stop):
                     break
-                if self._greeted:
-                    # A real conversation happened: the budget counts
-                    # *consecutive* failures, so it refills here.
-                    attempts = 0
-                else:
-                    # Connected but never got a hello-ok (e.g. a proxy
-                    # whose upstream is down accepts then hangs up):
-                    # counts against the budget and backs off, or this
-                    # would be a tight redial loop.
-                    attempts += 1
-                    if attempts > self.retry_max:
-                        raise ConnectionError(
-                            f"coordinator at {self.host}:{self.port} "
-                            f"unreachable after {attempts} connect "
-                            f"attempt(s): connected but the handshake "
-                            f"never completed"
-                        )
-                    if self._backoff_wait(attempts, stop):
-                        break
-        finally:
-            self._drain_pools()
+                continue
+            if connected_before:
+                self.reconnects += 1
+            connected_before = True
+            self._greeted = False
+            try:
+                orderly = self._session(channel, stop)
+            finally:
+                try:
+                    channel.send({"op": "goodbye"})
+                except OSError:
+                    pass
+                channel.close()
+            if orderly:
+                break
+            if self._greeted:
+                # A real conversation happened: the budget counts
+                # *consecutive* failures, so it refills here.
+                attempts = 0
+            else:
+                # Connected but never got a hello-ok (e.g. a proxy
+                # whose upstream is down accepts then hangs up):
+                # counts against the budget and backs off, or this
+                # would be a tight redial loop.
+                attempts += 1
+                if attempts > self.retry_max:
+                    raise ConnectionError(
+                        f"coordinator at {self.host}:{self.port} "
+                        f"unreachable after {attempts} connect "
+                        f"attempt(s): connected but the handshake "
+                        f"never completed"
+                    )
+                if self._sleep(self._backoff_delay(attempts), stop):
+                    break
         return self.completed
 
-    def _backoff_wait(
-        self, attempts: int, stop: Optional[threading.Event]
-    ) -> bool:
-        """Sleep the backoff delay; True if ``stop`` fired meanwhile."""
-        delay = self._backoff_delay(attempts)
+    @staticmethod
+    def _sleep(delay: float, stop: Optional[threading.Event]) -> bool:
+        """Sleep ``delay`` seconds; True if ``stop`` fired meanwhile."""
         if stop is not None:
             return stop.wait(delay)
         time.sleep(delay)
@@ -264,13 +251,6 @@ class ShardWorker:
     @staticmethod
     def _stop_requested(stop: Optional[threading.Event]) -> bool:
         return stop is not None and stop.is_set()
-
-    def _stop_watcher(self, stop: threading.Event) -> None:
-        # The serve loop's condition waits are notify-driven (no
-        # polling); a stop request must therefore wake them explicitly.
-        stop.wait()
-        with self._pending_cond:
-            self._pending_cond.notify_all()
 
     # ------------------------------------------------------------------
     def _session(
@@ -288,9 +268,7 @@ class ShardWorker:
         self._hb_dead = False
         self._hb_last = time.monotonic()
         try:
-            hello = self._request(
-                channel, {"op": "hello", "name": self.name, "slots": self.jobs}
-            )
+            hello = self._request(channel, {"op": "hello", "name": self.name})
         except (ConnectionError, OSError, ValueError):
             return False
         if not hello.get("ok"):
@@ -355,40 +333,16 @@ class ShardWorker:
     def _serve(
         self, channel: LineChannel, stop: Optional[threading.Event]
     ) -> bool:
-        while True:
-            # Keep up to `jobs` tasks in flight; the wait is woken by
-            # pool completions (or the stop watcher), not a poll timer.
-            with self._pending_cond:
-                while (
-                    self._outstanding >= self.jobs
-                    and not self._stop_requested(stop)
-                ):
-                    self._pending_cond.wait()
-            if self._stop_requested(stop):
-                return True
+        while not self._stop_requested(stop):
             reply = self._request(channel, {"op": "next"})
             kind = reply.get("kind")
             if kind == "bye" or not reply.get("ok"):
-                self._wait_outstanding()
                 return True
             if kind == "wait":
-                delay = float(reply.get("delay") or 0.25)
-                if self._outstanding == 0:
-                    if stop is not None:
-                        if stop.wait(delay):
-                            return True
-                    else:
-                        time.sleep(delay)
-                else:
-                    with self._pending_cond:
-                        self._pending_cond.wait(timeout=delay)
-                continue
-            self._execute(channel, reply, stop)
-
-    def _wait_outstanding(self) -> None:
-        with self._pending_cond:
-            while self._outstanding:
-                self._pending_cond.wait()
+                self._sleep(float(reply.get("delay") or 0.25), stop)
+            else:
+                self._execute(channel, reply, stop)
+        return True
 
     def _execute(
         self,
@@ -397,9 +351,7 @@ class ShardWorker:
         stop: Optional[threading.Event],
     ) -> None:
         batch = str(reply["batch"])
-        items = reply.get("items")
-        if items is None:  # single-task reply shape (pre-range protocol)
-            items = [[reply["index"], reply["task"]]]
+        items = reply["items"]
         first_index = int(items[0][0])
         try:
             epoch, worker_fn = self._resolve_epoch(channel, batch, reply)
@@ -409,53 +361,28 @@ class ShardWorker:
         except Exception as exc:
             self._send_error(channel, batch, first_index, exc)
             return
-        if self.jobs == 1:
-            try:
-                if self._active_key != epoch.key:
-                    if epoch.initializer is not None:
-                        epoch.initializer(*epoch.initargs)
-                    self._active_key = epoch.key
-            except Exception as exc:
-                self._send_error(channel, batch, first_index, exc)
-                return
-            for index, task in tasks:
-                if self._stop_requested(stop):
-                    # Abandon the unexecuted tail: the goodbye (or the
-                    # lease deadline) re-queues it -- partial-range
-                    # reporting means everything already sent counts.
-                    return
-                try:
-                    result = worker_fn(task)
-                except Exception as exc:
-                    self._send_error(channel, batch, index, exc)
-                    return
-                if self.throttle:
-                    time.sleep(self.throttle)
-                self._post_result(channel, batch, index, pack(result))
+        try:
+            if self._active_key != epoch.key:
+                if epoch.initializer is not None:
+                    epoch.initializer(*epoch.initargs)
+                self._active_key = epoch.key
+        except Exception as exc:
+            self._send_error(channel, batch, first_index, exc)
             return
-        # Pool path: compile once per pool worker via the initializer,
-        # then pipeline leased tasks through it.  Always the spawn
-        # context: this agent is multithreaded by construction (the
-        # heartbeat daemon), and forking a multithreaded process can
-        # deadlock children on locks held at fork time -- the hazard
-        # repro.verify.parallel._pool_context guards against, whose
-        # main-thread heuristic would misclassify this process.
-        if epoch.pool is None:
-            ctx = multiprocessing.get_context("spawn")
-            epoch.pool = ctx.Pool(
-                processes=self.jobs,
-                initializer=epoch.initializer,
-                initargs=epoch.initargs,
-            )
-        with self._pending_cond:
-            self._outstanding += len(tasks)
         for index, task in tasks:
-            epoch.pool.apply_async(
-                worker_fn,
-                (task,),
-                callback=self._pool_done(channel, batch, index),
-                error_callback=self._pool_failed(channel, batch, index),
-            )
+            if self._stop_requested(stop):
+                # Abandon the unexecuted tail: the goodbye (or the
+                # lease deadline) re-queues it -- partial-range
+                # reporting means everything already sent counts.
+                return
+            try:
+                result = worker_fn(task)
+            except Exception as exc:
+                self._send_error(channel, batch, index, exc)
+                return
+            if self.throttle:
+                time.sleep(self.throttle)
+            self._post_result(channel, batch, index, pack(result))
 
     # ------------------------------------------------------------------
     # Result / error delivery (replay-buffered)
@@ -511,43 +438,6 @@ class ShardWorker:
                 f"error send failed: {send_exc}"
             ) from send_exc
 
-    def _pool_done(self, channel, batch: str, index: int):
-        def callback(result) -> None:
-            if self.throttle:
-                time.sleep(self.throttle)
-            msg = {"op": "result", "batch": batch, "index": index,
-                   "result": pack(result)}
-            try:
-                channel.send(msg)
-                self.completed += 1
-            except OSError:
-                with self._replay_lock:
-                    self._replay.append(msg)
-            with self._pending_cond:
-                self._outstanding -= 1
-                self._pending_cond.notify_all()
-
-        return callback
-
-    def _pool_failed(self, channel, batch: str, index: int):
-        def callback(exc) -> None:
-            try:
-                channel.send(
-                    {
-                        "op": "error",
-                        "batch": batch,
-                        "index": index,
-                        "error": f"{type(exc).__name__}: {exc}",
-                    }
-                )
-            except OSError:
-                pass
-            with self._pending_cond:
-                self._outstanding -= 1
-                self._pending_cond.notify_all()
-
-        return callback
-
     # ------------------------------------------------------------------
     def _resolve_epoch(
         self, channel: LineChannel, batch: str, reply: Dict[str, Any]
@@ -588,25 +478,16 @@ class ShardWorker:
         return self._epochs[epoch_key], self._batch_fn[batch]
 
     def _prune_epochs(self, keep: str) -> None:
-        """Release least-recently-used epochs (and their pools).
+        """Release least-recently-used epochs.
 
-        Eviction is deferred while tasks are in flight -- a pool may
-        only be terminated once nothing references it -- and never
-        touches ``keep`` (the epoch just installed) or the inline
-        path's active setup.
+        Never touches ``keep`` (the epoch just installed) or the
+        active setup.
         """
-        if len(self._epochs) <= MAX_LIVE_EPOCHS or self._outstanding:
-            return
         for key in list(self._epochs):
             if len(self._epochs) <= MAX_LIVE_EPOCHS:
                 return
-            if key in (keep, self._active_key):
-                continue
-            epoch = self._epochs.pop(key)
-            if epoch.pool is not None:
-                epoch.pool.terminate()
-                epoch.pool.join()
-                epoch.pool = None
+            if key not in (keep, self._active_key):
+                del self._epochs[key]
 
     @staticmethod
     def _validate_epoch(meta: Dict[str, Any], initargs: Tuple) -> None:
@@ -626,13 +507,6 @@ class ShardWorker:
                 f"{meta.get('circuit_name')!r} {expected}, worker "
                 f"deserialized {circuits[0].name!r} {got}"
             )
-
-    def _drain_pools(self) -> None:
-        for epoch in self._epochs.values():
-            if epoch.pool is not None:
-                epoch.pool.terminate()
-                epoch.pool.join()
-                epoch.pool = None
 
     def _heartbeat_loop(self, channel, interval: float, stop) -> None:
         while not stop.wait(interval):

@@ -264,8 +264,9 @@ def _distributed_executor(
     lease/heartbeat/re-queue run loop, in-order merge) lives in
     :mod:`repro.distributed`, imported lazily so the registry can
     always list the name without the CLI paying the import.  ``jobs``
-    is ignored: parallelism is each *worker's* ``--jobs``.  Requires a
-    running coordinator (``--listen`` on the CLI, or
+    is ignored: parallelism is the number of attached workers, each
+    running one task at a time.  Requires a running coordinator
+    (``--listen`` on the CLI, or
     :func:`repro.distributed.ensure_coordinator`).
     """
     from ..distributed.executor import run_distributed

@@ -283,6 +283,54 @@ class TestCli:
         ) == 2
         assert "--backoff-base" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("throttle", ["-1", "nan", "inf"])
+    def test_worker_rejects_bad_throttle_before_dialing(
+        self, throttle, capsys
+    ):
+        """A sleep that raises after every shard made the agent redial
+        and re-lease the same range forever; refuse it up front."""
+        assert main(
+            ["worker", "--connect", "127.0.0.1:1", "--throttle", throttle,
+             "--retry-max", "0"]
+        ) == 2
+        err = capsys.readouterr().err
+        assert "--throttle" in err
+        assert "connect attempt" not in err
+
+    def test_worker_rejects_out_of_range_port_before_dialing(self, capsys):
+        """Port 70000 used to dial port 4464 (70000 - 65536)."""
+        assert main(
+            ["worker", "--connect", "127.0.0.1:70000", "--retry-max", "0"]
+        ) == 2
+        err = capsys.readouterr().err
+        assert "--connect expects HOST:PORT" in err
+        assert "connect attempt" not in err
+
+    def test_worker_has_no_jobs_flag(self, capsys):
+        """A host contributes N cores by running N workers."""
+        with pytest.raises(SystemExit) as exc:
+            main(["worker", "--connect", "127.0.0.1:1", "--jobs", "2",
+                  "--retry-max", "0"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--port", "70000"],
+            ["serve", "--port", "-1"],
+            ["status", "j1", "--port", "70000"],
+            ["cancel", "j1", "--port", "70000"],
+            ["submit", "sort", "01", "--port", "70000"],
+        ],
+    )
+    def test_out_of_range_port_is_a_usage_error(self, argv, capsys):
+        """The socket layer raised OverflowError (a traceback, exit 1)."""
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --port expects a port 0-65535")
+        assert err.count("\n") == 1
+
     def test_verify_resume_requires_existing_journal(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.jsonl")
         assert main(["verify", "--width", "4", "--resume", missing]) == 2

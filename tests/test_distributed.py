@@ -273,11 +273,10 @@ class TestDistributedExecution:
         assert all(a.completed >= 1 for a in agents)
 
     def test_worker_pool_runs_sorts_and_sweeps(self):
-        """A worker with ``jobs=2`` fans leased tasks over a spawned pool
-        whose initializer is the batch's own: none for a sharded sort
-        (its worker is ``sort_strings_batch`` bound to the network),
-        the sweep's compile setup for a verification.  Both equal the
-        serial results."""
+        """One inline agent switches from a batch with no initializer
+        (a sharded sort: its worker is ``sort_strings_batch`` bound to
+        the network) to one with an initializer (the sweep's compile
+        setup).  Both equal the serial results."""
         from repro.networks.simulate import sort_strings_batch
         from repro.networks.topologies import best_known
         from repro.verify.random_valid import ValidStringSource
@@ -288,7 +287,7 @@ class TestDistributedExecution:
         serial = verify_two_sort_sharded(
             circuit, 4, jobs=1, executor="serial", shard_size=100
         )
-        with _cluster(workers=1, jobs=2) as (coordinator, agents):
+        with _cluster(workers=1) as (coordinator, agents):
             rows = sort_strings_batch(
                 best_known(4), vectors, executor="distributed", shard_size=3
             )

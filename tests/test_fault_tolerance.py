@@ -301,6 +301,14 @@ class TestWorkerReconnect:
             thread.join(timeout=10)
         assert not thread.is_alive()
 
+    @pytest.mark.parametrize("throttle", [-1.0, float("nan"), float("inf")])
+    def test_throttle_that_cannot_sleep_is_refused(self, throttle):
+        """``time.sleep`` raising after each shard read as a lost
+        connection, so the agent redialed and re-leased the same range
+        forever."""
+        with pytest.raises(ValueError, match="throttle"):
+            ShardWorker("127.0.0.1", 1, throttle=throttle)
+
     def test_retry_budget_exhaustion_raises_connection_error(self):
         port = _free_port()  # nothing listens here
         worker = ShardWorker(
