@@ -377,6 +377,20 @@ def bench_native_backend(
     return section
 
 
+def _fixed_shard_size(width: int, jobs: int, word: int = 8) -> int:
+    """Lanes for about four g-row ranges per worker, at most 2^14 and
+    rounded up to ``word`` lanes.
+
+    A sweep's default plan is as many whole g-rows as fit its backend's
+    lane budget, whatever ``jobs``; the sections below that time a
+    fixed split of the domain pass this size explicitly instead, so
+    the ratios they record keep measuring the plans they always did.
+    """
+    S = (1 << (width + 1)) - 1
+    size = min(1 << 14, max(S, -(-S * S // (4 * jobs))))
+    return -(-size // word) * word
+
+
 def bench_parallel_verification(width: int, jobs_list) -> dict:
     """Worker-count scaling of the sharded exhaustive sweep.
 
@@ -390,12 +404,10 @@ def bench_parallel_verification(width: int, jobs_list) -> dict:
     """
     import os
 
-    from repro.verify.parallel import _default_pair_shard_size
-
     circuit = build_two_sort(width)
     compile_circuit(circuit)  # warm the program cache outside the timers
     total_pairs = len(all_valid_strings(width)) ** 2
-    shard_size = _default_pair_shard_size(width, max(jobs_list))
+    shard_size = _fixed_shard_size(width, max(jobs_list))
 
     t0 = time.perf_counter()
     baseline = verify_two_sort_sharded(
@@ -448,12 +460,11 @@ def bench_distributed_verification(width: int, workers_list) -> dict:
     import threading
 
     from repro.distributed import ShardCoordinator, ShardWorker, use_coordinator
-    from repro.verify.parallel import _default_pair_shard_size
 
     circuit = build_two_sort(width)
     compile_circuit(circuit)
     total_pairs = len(all_valid_strings(width)) ** 2
-    shard_size = _default_pair_shard_size(width, max(workers_list))
+    shard_size = _fixed_shard_size(width, max(workers_list))
 
     t0 = time.perf_counter()
     baseline = verify_two_sort_sharded(
@@ -536,12 +547,11 @@ def bench_fault_tolerance(width: int, repeats: int = 5) -> dict:
 
     from repro.distributed import ShardCoordinator, ShardWorker, use_coordinator
     from repro.store import JournalStore
-    from repro.verify.parallel import _default_pair_shard_size
 
     circuit = build_two_sort(width)
     compile_circuit(circuit)
     total_pairs = len(all_valid_strings(width)) ** 2
-    shard_size = _default_pair_shard_size(width, 4)
+    shard_size = _fixed_shard_size(width, 4)
 
     def sweep(cache=None):
         t0 = time.perf_counter()
@@ -664,7 +674,6 @@ def bench_verification_store(width: int, repeats: int = 3) -> dict:
     from repro.backends import get_backend
     from repro.circuits.gates import INV
     from repro.store import open_store
-    from repro.verify.parallel import _default_pair_shard_size
 
     total_pairs = len(all_valid_strings(width)) ** 2
     regions = 2 * width
@@ -681,7 +690,10 @@ def bench_verification_store(width: int, repeats: int = 3) -> dict:
     def row(backend: str) -> dict:
         circuit = build_two_sort(width)
         compile_circuit(circuit, get_backend(backend))
-        shard_size = _default_pair_shard_size(width, 4, backend)
+        # The native rows were recorded with sizes rounded to 64 lanes.
+        shard_size = _fixed_shard_size(
+            width, 4, 64 if backend == "native" else 8
+        )
 
         def sweep(target, store=None):
             before = dict(store.counters()) if store is not None else {}

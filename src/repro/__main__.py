@@ -6,7 +6,8 @@ table7              regenerate Table 7 (2-sort costs, measured vs published)
 table8              regenerate Table 8 (sorting-network costs)
 verify --width B    exhaustively verify 2-sort(B) against the closure spec
        --jobs N     shard the sweep across N worker processes (0 = cores)
-       --shard-size approximate pair-lanes per shard
+       --shard-size pair-lanes per shard (default: as many whole
+                    g-rows as fit the backend's lane budget)
        --executor   execution strategy: serial/process/distributed
        --listen A   (with --executor distributed) coordinator address,
                     PORT or HOST:PORT (bare port binds all interfaces)
@@ -687,9 +688,9 @@ def _cmd_worker(args) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.backoff_base <= 0:
+    if not (math.isfinite(args.backoff_base) and args.backoff_base > 0):
         print(
-            f"error: --backoff-base must be a positive delay in "
+            f"error: --backoff-base must be a finite delay > 0 "
             f"seconds, got {args.backoff_base}",
             file=sys.stderr,
         )
@@ -813,7 +814,8 @@ def _add_verify_args(parser) -> None:
         "--shard-size",
         type=int,
         default=None,
-        help="approximate pair-lanes per shard (default: auto)",
+        help="pair-lanes per shard (default: as many whole g-rows as "
+        "fit the backend's lane budget)",
     )
     parser.add_argument(
         "--executor",
@@ -978,8 +980,9 @@ def main(argv=None) -> int:
         type=float,
         default=0.5,
         metavar="SECONDS",
-        help="first reconnect delay; later attempts back off "
-        "exponentially with jitter, capped at 15s (default %(default)s)",
+        help="first reconnect delay, finite and > 0; later attempts "
+        "back off exponentially with jitter, capped at 15s "
+        "(default %(default)s)",
     )
     p.add_argument(
         "--throttle",

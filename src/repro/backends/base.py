@@ -9,7 +9,8 @@ outside the C kernel, so callers use int operators on it directly.
 A :class:`PlaneBackend` owns what still differs between backends: how
 an exhaustive-verification shard runs, and how big a shard should be.
 
-* **shard sizing** -- ``preferred_shard_lanes`` and ``word_bits``;
+* **shard sizing** -- ``preferred_shard_lanes``, the lane budget a
+  verification sweep fills with whole g-rows;
 * **the shard** -- :meth:`~PlaneBackend.run_pair_shard` checks one
   g-row shard of the 2-sort pair product (pair product, op sweep,
   compare) in one call.  This class runs it in Python, from the
@@ -51,21 +52,18 @@ class PlaneBackend:
 
     Instances are stateless (safe to share across threads/processes and
     to key compile caches on ``name``); all methods are pure functions
-    of their arguments.  ``word_bits`` is the preferred lane-word
-    granularity: shard planners align lane budgets to it so no shard
-    ends mid-word (:func:`repro.verify.parallel._default_pair_shard_size`).
+    of their arguments.
     """
 
     #: Registry name; also the compile-cache key component.
     name: str = "reference"
-    #: Preferred lane-word size in bits (int planes byte-walk at 8; the
-    #: native kernel's shards end on 64-bit words).
-    word_bits: int = 8
-    #: Preferred lanes per int-plane batch: the size at which the op
-    #: sweep runs best (planes that keep the whole slot file
-    #: cache-resident).  Batch sorts always size their shards by this
-    #: class value; a verification shard reads its backend's, which the
-    #: native kernel widens to amortize each Python-to-C crossing.
+    #: Preferred lanes per int-plane batch: 2^14 lanes keep each plane
+    #: ~2 KB, so a 2-sort program's slot file stays cache-resident
+    #: (2-10x faster at B >= 8 than 2^22 lanes of 0.5 MB planes).  The
+    #: class value is the default budget of sharded batch sorts and of
+    #: :func:`~repro.verify.exhaustive.pair_shards`; a verification
+    #: sweep fills its own backend's, which the native kernel widens to
+    #: amortize each Python-to-C crossing.
     preferred_shard_lanes: int = 1 << 14
 
     # ------------------------------------------------------------------

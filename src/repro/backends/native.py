@@ -22,7 +22,7 @@ values share rows by liveness -- 2-sort(13) goes from 314 ops over 340
 slots to 122 ops (120 of them fused) over 75 rows, whose 32-word tiles
 fit in L1.
 
-The kernel loads on first use of ``built``, ``variant``, ``word_bits``,
+The kernel loads on first use of ``built``, ``variant``,
 ``preferred_shard_lanes`` or ``run_pair_shard``.  A sort reads none of
 them, so a sort on ``native`` never builds it (resolving ``auto``
 does).  When it is unavailable (no compiler, build failure,
@@ -302,10 +302,6 @@ class NativeBackend(BigIntBackend):
     def variant(self) -> str:
         """``"built"`` or ``"fallback"`` -- recorded by bench/CLI."""
         return "built" if self.built else "fallback"
-
-    @property
-    def word_bits(self) -> int:  # type: ignore[override]
-        return _WORD_BITS if self.built else BigIntBackend.word_bits
 
     @property
     def preferred_shard_lanes(self) -> int:  # type: ignore[override]

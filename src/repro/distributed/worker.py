@@ -118,10 +118,12 @@ class ShardWorker:
     Reconnection knobs: ``retry_max`` bounds *consecutive* failed
     connect attempts (a successful session resets the count);
     ``backoff_base`` and ``backoff_max`` shape the jittered exponential
-    delay between attempts (``retry_max=0`` restores fail-fast dialing
-    for tests and impatient scripts).  ``seed`` pins the jitter for
-    reproducible chaos runs; ``channel_wrapper`` is the fault-injection
-    seam (:class:`repro.testing.chaos.FlakyChannel`) -- it wraps every
+    delay between attempts, which never exceeds ``backoff_max``; both
+    must be finite and > 0 (``ValueError`` otherwise).  ``retry_max=0``
+    restores fail-fast dialing for tests and impatient scripts.
+    ``seed`` pins the jitter for reproducible chaos runs;
+    ``channel_wrapper`` is the fault-injection seam
+    (:class:`repro.testing.chaos.FlakyChannel`) -- it wraps every
     freshly connected channel, heartbeats included.
     """
 
@@ -143,13 +145,21 @@ class ShardWorker:
                 f"throttle must be a finite delay >= 0 seconds, got "
                 f"{throttle!r}"
             )
+        for knob, delay in (
+            ("backoff_base", backoff_base), ("backoff_max", backoff_max)
+        ):
+            if not (math.isfinite(delay) and delay > 0):
+                raise ValueError(
+                    f"{knob} must be a finite delay > 0 seconds, got "
+                    f"{delay!r}"
+                )
         self.host = host
         self.port = port
         self.name = name or f"worker@{host}"
         self.throttle = throttle
         self.retry_max = max(0, retry_max)
-        self.backoff_base = max(0.0, backoff_base)
-        self.backoff_max = max(self.backoff_base, backoff_max)
+        self.backoff_base = backoff_base
+        self.backoff_max = backoff_max
         self.connect_timeout = connect_timeout
         self.channel_wrapper = channel_wrapper
         self.completed = 0
@@ -242,9 +252,12 @@ class ShardWorker:
         return False
 
     def _backoff_delay(self, attempts: int) -> float:
-        """Jittered exponential backoff for connect attempt ``attempts``."""
+        """Jittered exponential backoff for connect attempt ``attempts``,
+        never above ``backoff_max``."""
+        # 2.0 ** 1024 overflows; a product that reaches inf is capped.
         base = min(
-            self.backoff_max, self.backoff_base * (2 ** (attempts - 1))
+            self.backoff_max,
+            self.backoff_base * 2.0 ** min(attempts - 1, 1023),
         )
         return base * (0.5 + self._rng.random() * 0.5)
 

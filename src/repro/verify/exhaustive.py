@@ -56,12 +56,6 @@ from ..graycode.ops import two_sort_closure
 from ..graycode.valid import all_valid_strings
 from ..ternary.word import Word
 
-#: Default lanes per batch.  2^14 lanes keep each plane integer ~2 KB,
-#: so the whole slot file of a 2-sort program stays cache-resident
-#: during the op sweep -- measured 2-10x faster at B >= 8 than the old
-#: 2^22 budget, whose 0.5 MB planes thrashed cache across ~200 slots.
-_MAX_LANES = 1 << 14
-
 #: Hard ceiling on lanes per shard, whatever the caller requests
 #: (0.5 MB plane integers -- the pre-sharding memory bound).  Without it
 #: a huge --shard-size would materialise every program slot as a
@@ -302,18 +296,20 @@ def pair_shards(
 
     Each shard ``(g_lo, g_hi)`` covers the pairs ``(strings[gi], *)``
     for ``gi`` in ``[g_lo, g_hi)`` -- ``(g_hi - g_lo) * S`` lanes of the
-    plane-space pair product.  ``shard_size`` is the approximate lane
-    budget per shard (default :data:`_MAX_LANES`, clamped to
+    plane-space pair product.  ``shard_size`` is the lane budget per
+    shard (default :attr:`PlaneBackend.preferred_shard_lanes
+    <repro.backends.PlaneBackend.preferred_shard_lanes>`, clamped to
     :data:`_MAX_SHARD_LANES` so a huge request cannot blow the memory
-    bound); shards are disjoint, cover the domain exactly, and can be
-    verified in any order -- the unit of work for
-    :mod:`repro.verify.parallel`.
+    bound); each shard is as many whole g-rows as fit it, and at least
+    one.  Every sweep plans with this rule, so its ranges -- and the
+    store keys on them -- depend only on the width and the budget.
+    Shards are disjoint, cover the domain exactly, and can be verified
+    in any order -- the unit of work for :mod:`repro.verify.parallel`.
     """
     S = (1 << (width + 1)) - 1  # |S^B_rg|
     if shard_size is None:
-        size = _MAX_LANES
-    else:
-        size = min(max(1, shard_size), _MAX_SHARD_LANES)
+        shard_size = PlaneBackend.preferred_shard_lanes
+    size = min(max(1, shard_size), _MAX_SHARD_LANES)
     step = max(1, size // S)
     return [(g_lo, min(S, g_lo + step)) for g_lo in range(0, S, step)]
 

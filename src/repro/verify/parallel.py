@@ -38,7 +38,11 @@ name, never the backend object).  Batch sorts name none.
 **Determinism.**  Executors must return results in task order; callers
 merge with :meth:`VerificationResult.merge` (or plain concatenation for
 batch workloads), so the outcome is bit-identical for any job count --
-``--jobs N`` changes wall-clock time, never the report.
+``--jobs N`` changes wall-clock time, never the report.  Nor does it
+change the plan: a sweep's g-row ranges are as many whole rows as fit
+the backend's lane budget (or ``shard_size``), so they -- and the store
+keys and journal records on them -- never depend on the job count, the
+executor or the host.
 
 **Stores.**  A sweep takes at most one
 :class:`~repro.store.base.ResultStore` and keys it at one of two
@@ -75,7 +79,6 @@ from ..backends import PlaneBackend, get_backend, resolve_backend_name
 from ..circuits.compiled import BackendLike, compile_circuit
 from ..circuits.netlist import Circuit
 from .exhaustive import (
-    _MAX_SHARD_LANES,
     SweepEpoch,
     VerificationResult,
     check_two_sort_shape,
@@ -470,41 +473,6 @@ def _verify_region_worker(task: RegionTask) -> List[Dict[str, int]]:
     )
 
 
-def _default_pair_shard_size(
-    width: int, jobs: int, backend: BackendLike = None
-) -> int:
-    """Lane budget per shard, balanced for the width and plane backend.
-
-    Three forces, in order:
-
-    * **load balance** -- ~4 shards per worker, but never above the
-      backend's preferred per-shard lane count (big-int planes want the
-      slot file cache-resident; the native kernel wants wide shards to
-      amortize each Python-to-C call);
-    * **plane-construction/run split at B = 10..13** -- a g-row of the
-      pair product is ``S = 2^(B+1)-1`` lanes, and building its planes
-      costs O(width * S) big-int block work *per row* while the program
-      run costs O(ops * lanes).  Once ``S`` is a sizable fraction of
-      the lane budget (B >= 10), fractional-row remainders would leave
-      shards whose construction/run ratio differs wildly, so the budget
-      is spent on a whole number of g-rows per shard;
-    * **word alignment** -- the result is rounded up to the backend's
-      preferred lane-word size so no shard ends mid-word.
-
-    Deterministic (pinned by ``tests/test_backends.py``) and capped at
-    the hard :data:`~repro.verify.exhaustive._MAX_SHARD_LANES` bound.
-    """
-    be = get_backend(backend)
-    S = (1 << (width + 1)) - 1
-    budget = be.preferred_shard_lanes
-    per_worker = -(-S * S // max(1, 4 * jobs))  # ceil
-    size = min(budget, max(S, per_worker))
-    if width >= 10:
-        size = max(1, budget // S) * S  # whole g-rows per shard
-    word = max(1, be.word_bits)
-    return min(_MAX_SHARD_LANES, -(-size // word) * word)
-
-
 #: Per-shard progress hook: ``on_shard(done, total, result)`` where
 #: ``done`` is the number of shards finished so far (cached hits
 #: included) and ``result`` is that shard's VerificationResult.
@@ -525,15 +493,22 @@ def verify_two_sort_sharded(
 ) -> VerificationResult:
     """Exhaustively verify a 2-sort circuit with sharded execution.
 
-    Splits the ``|S^B_rg|^2`` pair domain into lane-block shards
+    Splits the ``|S^B_rg|^2`` pair domain into g-row ranges
     (:func:`~repro.verify.exhaustive.pair_shards`), dispatches them on
     the chosen executor, and merges the per-shard results in shard
     order.  For any ``jobs``/``shard_size``/``executor``/``backend``
     the returned :class:`VerificationResult` counts are identical to the
     single-process :func:`~repro.verify.exhaustive.verify_two_sort_circuit`.
-    ``jobs=None`` or ``0`` means one worker per core; ``backend`` names
-    a plane backend (:mod:`repro.backends`) and is forwarded to every
-    worker through the pool initializer (by name, so it pickles).
+    ``backend`` names a plane backend (:mod:`repro.backends`) and is
+    forwarded to every worker through the pool initializer (by name, so
+    it pickles).
+
+    The plan is that of ``verify_two_sort_circuit``: each range is as
+    many whole g-rows as fit ``shard_size`` lanes, by default the
+    backend's ``preferred_shard_lanes``.  ``jobs`` (``None`` or ``0``:
+    one worker per core) only sizes the worker pool and picks it when
+    no ``executor`` is named, so the ranges -- and every key stored on
+    them -- depend on the width, the backend and ``shard_size`` alone.
 
     This is the one code path behind the CLI, the async service layer
     (:mod:`repro.service`), and the sharded tests:
@@ -581,7 +556,7 @@ def verify_two_sort_sharded(
     # backend and one that names bigint share one epoch.
     backend = resolve_backend_name(backend)
     if shard_size is None:
-        shard_size = _default_pair_shard_size(width, jobs, backend)
+        shard_size = get_backend(backend).preferred_shard_lanes
     shards = pair_shards(width, shard_size)
     # The sweep's shared-setup descriptor: remote workers compile once
     # per epoch and verify the circuit they deserialized against the

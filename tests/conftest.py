@@ -34,3 +34,40 @@ def plane_backend(request):
     if request.param == "native" and not get_backend("native").built:
         pytest.skip("C kernel not built on this host")
     return request.param
+
+
+@pytest.fixture
+def sweep_plan():
+    """``plan(width, **kwargs)``: the g-row ranges a sweep of
+    2-sort(``width``) hands its executor, recorded without running
+    them (``kwargs`` go to ``verify_two_sort_sharded``)."""
+    from repro.core.two_sort import build_two_sort
+    from repro.verify.parallel import (
+        _EXECUTORS,
+        register_executor,
+        verify_two_sort_sharded,
+    )
+
+    class Planned(Exception):
+        pass
+
+    seen = []
+
+    def recording(worker, tasks, **_):
+        seen[:] = [task[1:3] for task in tasks]
+        raise Planned
+
+    circuits = {}
+
+    def plan(width, **kwargs):
+        if width not in circuits:
+            circuits[width] = build_two_sort(width)
+        with pytest.raises(Planned):
+            verify_two_sort_sharded(
+                circuits[width], width, executor="plan-recorder", **kwargs
+            )
+        return list(seen)
+
+    register_executor("plan-recorder", recording)
+    yield plan
+    del _EXECUTORS["plan-recorder"]

@@ -59,11 +59,8 @@ from repro.networks.comparator import from_comparator_list
 from repro.networks.simulate import sort_words, sort_words_batch
 from repro.ternary.kleene import kleene_and, kleene_not, kleene_or, kleene_xor
 from repro.ternary.trit import ALL_TRITS, Trit
-from repro.verify.exhaustive import verify_two_sort_circuit
-from repro.verify.parallel import (
-    _default_pair_shard_size,
-    verify_two_sort_sharded,
-)
+from repro.verify.exhaustive import pair_shards, verify_two_sort_circuit
+from repro.verify.parallel import verify_two_sort_sharded
 from repro.graycode.valid import from_rank, rank
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
@@ -161,7 +158,7 @@ class TestNativeFallback:
         be = NativeBackend()
         assert be.variant == "fallback"
         assert not be.built
-        assert be.word_bits == BigIntBackend.word_bits
+        assert be.preferred_shard_lanes == BigIntBackend.preferred_shard_lanes
 
     def test_auto_resolves_to_bigint_without_kernel(self, no_native):
         original = get_backend("native")
@@ -1518,63 +1515,54 @@ class TestVerifyBackends:
 
 
 # ----------------------------------------------------------------------
-# Width-adaptive default shard sizing (pinned)
+# Default sweep plan: whole g-rows per backend lane budget (pinned)
 # ----------------------------------------------------------------------
 class TestDefaultShardSize:
-    def test_pinned_sizes_bigint(self):
-        # (width, jobs) -> lanes; B<10 balances ~4 shards/worker within
-        # the backend budget, B>=10 spends the budget on whole g-rows.
-        expected = {
-            (5, 1): 1000,   # ceil(S*S/4) = 993 lanes, word-aligned up
-            (8, 1): 16384,
-            (8, 4): 16328,
-            (9, 4): 16384,  # the value recorded in BENCH_engines.json
-            (10, 1): 16376,  # 8 whole g-rows of S=2047
-            (11, 1): 16384,  # 4 rows of 4095 = 16380, word-aligned up
-            (12, 1): 16384,  # 2 rows of 8191 = 16382, word-aligned up
-            (13, 1): 16384,  # 1 row of 16383, word-aligned up
-        }
-        for (width, jobs), want in expected.items():
-            got = _default_pair_shard_size(width, jobs, "bigint")
-            assert got == want, (width, jobs, got, want)
+    """The ranges a default sweep plans: as many whole g-rows as fit
+    the backend's lane budget (``sweep_plan`` records them)."""
 
-    def test_pinned_sizes_native(self):
+    def test_pinned_sizes_bigint(self, sweep_plan):
+        # width -> g-rows per range within the 2^14-lane budget: the
+        # whole domain while S*S fits (B <= 6), then 16384 // S rows.
+        expected = {1: 3, 5: 63, 6: 127, 7: 64, 8: 32, 9: 16, 10: 8,
+                    11: 4, 12: 2, 13: 1}
+        # The lane sizes earlier versions planned at B >= 8 (jobs=1)
+        # give the same ranges, so stores keyed there stay warm.
+        earlier = {8: 16384, 9: 16384, 10: 16376, 11: 16384, 12: 16384,
+                   13: 16384}
+        for width, rows in expected.items():
+            S = (1 << (width + 1)) - 1
+            plan = sweep_plan(width, jobs=1, backend="bigint")
+            assert plan == pair_shards(width, rows * S), (width, plan[:2])
+            if width in earlier:
+                assert plan == pair_shards(width, earlier[width]), width
+
+    def test_pinned_sizes_native(self, sweep_plan):
         if not get_backend("native").built:
             pytest.skip("native kernel not built: native sizes as bigint")
-        # The native budget (1<<18 lanes) runs the whole B=8 pair domain
-        # as one shard when serial; B>=10 spends it on whole g-rows.
-        expected = {
-            (5, 1): 1024,
-            (8, 1): 65344,   # ceil(S*S/4) word-aligned: one real shard
-            (8, 4): 16384,
-            (10, 1): 262016,  # 128 whole g-rows of S=2047
-            (12, 1): 262144,  # 32 rows of 8191, word-aligned up
-            (13, 1): 262144,  # 16 rows of 16383, word-aligned up
-        }
-        for (width, jobs), want in expected.items():
-            got = _default_pair_shard_size(width, jobs, "native")
-            assert got == want, (width, jobs, got, want)
+        # The 2^18-lane budget runs the whole domain as one range up to
+        # B=8 (S*S = 261,121 lanes), then 262144 // S rows.
+        expected = {1: 3, 5: 63, 8: 511, 9: 256, 10: 128, 11: 64,
+                    12: 32, 13: 16}
+        # ... and so do those earlier versions planned at B >= 10.
+        earlier = {10: 262016, 12: 262144, 13: 262144}
+        for width, rows in expected.items():
+            S = (1 << (width + 1)) - 1
+            plan = sweep_plan(width, jobs=1, backend="native")
+            assert plan == pair_shards(width, rows * S), (width, plan[:2])
+            if width in earlier:
+                assert plan == pair_shards(width, earlier[width]), width
 
-    def test_word_alignment(self):
-        # Native shards end on 64-bit words when the kernel built and on
-        # bigint bytes otherwise.
-        native_word = 64 if get_backend("native").built else 8
-        for width in range(4, 14):
-            for jobs in (1, 2, 8):
-                assert _default_pair_shard_size(width, jobs, "bigint") % 8 == 0
-                assert (
-                    _default_pair_shard_size(width, jobs, "native")
-                    % native_word == 0
-                )
-
-    def test_whole_rows_at_wide_widths(self):
+    def test_whole_rows_at_wide_widths(self, sweep_plan):
         for width in (10, 11, 12, 13):
             S = (1 << (width + 1)) - 1
-            size = _default_pair_shard_size(width, 1, "bigint")
-            # aligned up from a whole-row budget: never more than one
-            # word short of covering the rounded row count
-            assert size >= (size // S) * S
-            assert size // S >= 1
+            plan = sweep_plan(width, jobs=1, backend="bigint")
+            rows = {hi - lo for lo, hi in plan[:-1]}
+            # every range but the last is the same whole number of rows,
+            # as many as fit the budget
+            assert rows == {(1 << 14) // S}
+            assert plan[0] == (0, (1 << 14) // S)
+            assert plan[-1][1] == S
 
 
 # ----------------------------------------------------------------------

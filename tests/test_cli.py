@@ -1,5 +1,6 @@
 """Tests for the command-line interface (python -m repro)."""
 
+import json
 import os
 import subprocess
 import sys
@@ -283,6 +284,20 @@ class TestCli:
         ) == 2
         assert "--backoff-base" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("base", ["inf", "nan"])
+    def test_worker_rejects_nonfinite_backoff_before_dialing(
+        self, base, capsys
+    ):
+        """inf died with an OverflowError traceback in the first
+        backoff sleep, and nan slipped past the ``<= 0`` check."""
+        assert main(
+            ["worker", "--connect", "127.0.0.1:1", "--backoff-base", base,
+             "--retry-max", "1"]
+        ) == 2
+        err = capsys.readouterr().err
+        assert "--backoff-base" in err
+        assert "connect attempt" not in err
+
     @pytest.mark.parametrize("throttle", ["-1", "nan", "inf"])
     def test_worker_rejects_bad_throttle_before_dialing(
         self, throttle, capsys
@@ -357,6 +372,39 @@ class TestCli:
         second = capsys.readouterr()
         assert second.out == first.out
         assert "shard result(s) on file" in second.err
+
+    def test_verify_store_keys_do_not_follow_jobs(self, tmp_path, capsys):
+        """The ranges a sweep keys its store on do not depend on --jobs:
+        a warm store answers a re-run with another job count in full."""
+        store = f"sqlite:{tmp_path / 's.db'}"
+        assert main(["verify", "-B", "8", "--store", store]) == 0
+        cold = capsys.readouterr()
+        assert main(
+            ["verify", "-B", "8", "--store", store, "--jobs", "2"]
+        ) == 0
+        warm = capsys.readouterr()
+        assert "0 miss(es), 0 new result(s)" in warm.err
+        assert warm.out == cold.out
+
+    def test_verify_resume_with_other_jobs_reruns_nothing(
+        self, tmp_path, capsys
+    ):
+        journal = tmp_path / "j.jsonl"
+
+        def results():
+            records = [json.loads(line) for line in journal.open()]
+            return sum(r.get("type") == "result" for r in records)
+
+        assert main(["verify", "-B", "8", "--checkpoint", str(journal)]) == 0
+        first = capsys.readouterr()
+        on_file = results()
+        assert main(
+            ["verify", "-B", "8", "--resume", str(journal), "--jobs", "2",
+             "--executor", "serial"]
+        ) == 0
+        second = capsys.readouterr()
+        assert results() == on_file
+        assert second.out == first.out
 
     def test_sort_command(self, capsys):
         assert main(["sort", "0110", "0M10", "0010", "1000"]) == 0

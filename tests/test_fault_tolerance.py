@@ -17,6 +17,7 @@ Three layers of test, matching the three layers of machinery:
 """
 
 import json
+import math
 import os
 import signal
 import socket
@@ -339,6 +340,18 @@ class TestWorkerReconnect:
             "127.0.0.1", 1, backoff_base=0.5, backoff_max=15.0, seed=42
         )
         assert [again._backoff_delay(n) for n in range(1, 12)] == delays
+
+    def test_backoff_knobs_are_finite_positive_and_capped(self):
+        """An inf base overflowed time.sleep, a nan one slept not at
+        all, and a base above backoff_max raised the cap to itself."""
+        for bad in (math.inf, math.nan, 0.0, -1.0):
+            with pytest.raises(ValueError, match="backoff_base"):
+                ShardWorker("127.0.0.1", 1, backoff_base=bad)
+            with pytest.raises(ValueError, match="backoff_max"):
+                ShardWorker("127.0.0.1", 1, backoff_max=bad)
+        worker = ShardWorker("127.0.0.1", 1, backoff_base=1e308, seed=7)
+        delays = [worker._backoff_delay(n) for n in (1, 2, 3, 5000)]
+        assert all(7.5 <= d <= 15.0 for d in delays), delays
 
     def test_worker_survives_abrupt_coordinator_death_and_restart(self):
         """SIGKILL-equivalent: the listener and every connection die

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.backends import get_backend
 from repro.circuits.netlist import Circuit
 from repro.core.two_sort import build_two_sort
+from repro.store import MemoryStore
 from repro.verify.exhaustive import (
     VerificationResult,
     pair_shards,
@@ -300,6 +302,53 @@ class TestStreamingAndCancellation:
         assert tasks == [(4,) + s for s in pair_shards(4, 100)]
         assert on_result is None and should_stop is None
         assert cache_hook is not None
+
+
+class _KeyLog(MemoryStore):
+    """A memory store that lists every key written to it."""
+
+    def __init__(self):
+        super().__init__()
+        self.written = []
+
+    def put(self, key, value):
+        self.written.append(tuple(key))
+        super().put(key, value)
+
+
+class TestPlanIgnoresJobs:
+    """A sweep's g-row ranges -- and so every key stored on them --
+    depend on the width, the backend and ``shard_size`` alone: never on
+    ``jobs``, the executor or the host's core count."""
+
+    @pytest.mark.parametrize("backend", ["bigint", "native"])
+    def test_ranges_are_the_budget_plan_for_any_jobs(
+        self, backend, sweep_plan, monkeypatch
+    ):
+        # jobs=0 means one worker per core: pretend to be a big host.
+        monkeypatch.setattr("os.cpu_count", lambda: 64)
+        budget = get_backend(backend).preferred_shard_lanes
+        if backend == "native" and get_backend("native").built:
+            assert budget == 1 << 18
+        else:
+            assert budget == 1 << 14
+        for width in range(1, 13):
+            for jobs in (1, 2, 4, 0):
+                plan = sweep_plan(width, jobs=jobs, backend=backend)
+                assert plan == pair_shards(width, budget), (width, jobs)
+
+    def test_process_pool_writes_the_serial_keys(self):
+        circuit = build_two_sort(6)
+        keys = []
+        for jobs, executor in ((1, "serial"), (2, "process")):
+            store = _KeyLog()
+            result = verify_two_sort_sharded(
+                circuit, 6, jobs=jobs, executor=executor, store=store
+            )
+            assert result.ok
+            keys.append(sorted(store.written))
+        assert keys[0] == keys[1]
+        assert len(keys[0]) == 12 * len(pair_shards(6))
 
 
 def _double(t):

@@ -810,7 +810,8 @@ class TestSyncClient:
     def test_round_trip(self, live_server):
         with ServiceClient(port=live_server) as client:
             assert client.ping()
-            job_id = client.submit(VerifyRequest(width=6))
+            # Four ranges: a default B=6 plan is one.
+            job_id = client.submit(VerifyRequest(width=6, shard_size=32 * 127))
             events = list(client.stream(job_id))
             response = client.result(job_id)
         assert response["state"] == "done"

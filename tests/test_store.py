@@ -404,9 +404,7 @@ class TestRegionSweep:
                 circuit, width, jobs=1, store=store
             )
             n_cold = len(count_executions)
-            shards = len(pair_shards(
-                width, parallel._default_pair_shard_size(width, 1)
-            ))
+            shards = len(pair_shards(width))
             assert n_cold == shards * n_regions
             assert cold.to_json() == plain.to_json()
 

@@ -356,14 +356,11 @@ class TestCounterPins:
     def test_cli_width7_summary(self, tmp_path, capsys):
         from repro.backends import get_backend, resolve_backend_name
 
-        # 4 ranges x 14 cones with the C kernel; the bigint fallback on
-        # a host without a compiler sizes its shards differently.
-        backend = resolve_backend_name("auto")
-        n = 14 * len(pair_shards(
-            7, parallel._default_pair_shard_size(7, 1, backend)
-        ))
-        if get_backend("native").built:
-            assert n == 56
+        # One range x 14 cones with the C kernel; the bigint fallback on
+        # a host without a compiler plans 4 ranges of its smaller budget.
+        backend = get_backend(resolve_backend_name("auto"))
+        n = 14 * len(pair_shards(7, backend.preferred_shard_lanes))
+        assert n == (14 if get_backend("native").built else 56)
         db = str(tmp_path / "cli7.db")
         assert main(["verify", "--width", "7", "--store", db]) == 0
         cold = capsys.readouterr()
