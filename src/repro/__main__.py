@@ -9,6 +9,8 @@ verify --width B    exhaustively verify 2-sort(B) against the closure spec
        --shard-size pair-lanes per shard (default: as many whole
                     g-rows as fit the backend's lane budget)
        --executor   execution strategy: serial/process/distributed
+                    (default: process when --jobs > 1 and the plan
+                    has more than one range, else serial)
        --listen A   (with --executor distributed) coordinator address,
                     PORT or HOST:PORT (bare port binds all interfaces)
        --backend    plane backend: auto (default -- native when its C
@@ -32,13 +34,12 @@ backends            list registered plane backends, their variant on
      --json         machine-readable registry
 sort g h [...]      sort valid strings with the paper's circuit
      --engine       2-sort engine (fsm default; compiled = batch path)
-     --executor     execution strategy for the sharded batch path
      --json         machine-readable sorted output
 serve               run the async job service (JSON lines over TCP)
      --port/--host  bind address (default 127.0.0.1:7421)
      --jobs         max concurrently *running* jobs
      --listen A     also run a shard coordinator ([HOST:]PORT), so
-                    submitted jobs may use executor "distributed"
+                    submitted verify jobs may use executor "distributed"
      --store S      server-wide store for jobs that name none (keyed
                     per whole-circuit shard, unlike verify --store)
 worker              attach a shard worker to a running coordinator; it
@@ -458,35 +459,15 @@ def _cmd_backends(args) -> int:
 def _sort_request(args):
     from .service.jobs import SortRequest
 
-    return SortRequest.single(
-        list(args.values), engine=args.engine, executor=args.executor
-    )
+    return SortRequest.single(list(args.values), engine=args.engine)
 
 
 def _cmd_sort(args) -> int:
-    from .graycode.valid import InvalidStringError
-
-    bad = _check_executor_args(args)
-    if bad:
-        return bad
-    if args.executor == "distributed":
-        # sort has no --listen to host a coordinator; keep this a
-        # one-line usage error, not a RuntimeError from run_sharded.
-        print(
-            "error: sort cannot host a shard coordinator; run one with "
-            "`serve --listen PORT` and use "
-            "`submit sort --executor distributed` instead",
-            file=sys.stderr,
-        )
-        return 2
     try:
         rows = _sort_request(args).run()
-    except InvalidStringError:
-        # Word validity errors propagate (hard usage errors), as before
-        # the service refactor.
-        raise
     except ValueError as exc:
-        # e.g. mixed widths: a friendly exit 2 from the shared validator.
+        # e.g. mixed widths or an invalid word: a friendly exit 2 from
+        # the shared validator.
         print(exc, file=sys.stderr)
         return 2
     sorted_words = rows[0]
@@ -821,7 +802,8 @@ def _add_verify_args(parser) -> None:
         "--executor",
         default=None,
         help="execution strategy (serial, process, distributed; "
-        "default: process when --jobs > 1, else serial)",
+        "default: process when --jobs > 1 and the plan has more than "
+        "one range, else serial)",
     )
     parser.add_argument(
         "--backend",
@@ -869,12 +851,6 @@ def _add_sort_args(parser) -> None:
         default="fsm",
         choices=sorted(ENGINES),
         help="2-sort engine (default: fsm; 'compiled' is the batch path)",
-    )
-    parser.add_argument(
-        "--executor",
-        default=None,
-        help="execution strategy for the sharded batch path "
-        "(serial, process, distributed)",
     )
     parser.add_argument(
         "--json", action="store_true", help="print the sorted words as JSON"
@@ -941,7 +917,8 @@ def main(argv=None) -> int:
         default=None,
         metavar="[HOST:]PORT",
         help="also run a shard coordinator here (bare PORT binds all "
-        "interfaces), so submitted jobs may use executor \"distributed\"",
+        "interfaces), so submitted verify jobs may use executor "
+        "\"distributed\"",
     )
     p.add_argument(
         "--store",

@@ -60,7 +60,7 @@ class PlaneBackend:
     #: Preferred lanes per int-plane batch: 2^14 lanes keep each plane
     #: ~2 KB, so a 2-sort program's slot file stays cache-resident
     #: (2-10x faster at B >= 8 than 2^22 lanes of 0.5 MB planes).  The
-    #: class value is the default budget of sharded batch sorts and of
+    #: class value is the default budget of
     #: :func:`~repro.verify.exhaustive.pair_shards`; a verification
     #: sweep fills its own backend's, which the native kernel widens to
     #: amortize each Python-to-C crossing.

@@ -15,8 +15,8 @@ queue.
 * :mod:`~repro.distributed.worker` -- :class:`ShardWorker`, the agent
   behind ``python -m repro worker --connect HOST:PORT``;
 * :mod:`~repro.distributed.executor` -- the ``"distributed"`` entry in
-  the executor registry, so every sharded code path (CLI ``verify``,
-  ``sort_words_batch``, service jobs) can fan out cross-host by name.
+  the executor registry, so the verification sweep (CLI ``verify``,
+  service verify jobs) can fan out cross-host by name.
 
 The durable shard-result journal behind ``--checkpoint``/``--resume``
 is the ``journal`` result store (:class:`repro.store.JournalStore`).

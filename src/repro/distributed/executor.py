@@ -6,10 +6,10 @@ executor contract (tasks in, ordered results out, streaming
 ``on_result``/``should_stop`` honoured) by submitting the batch to a
 :class:`~repro.distributed.coordinator.ShardCoordinator` and
 collecting the leased results in task order.  Everything above the
-registry -- ``verify_two_sort_sharded``, ``sort_words_batch``, the
-service layer's :class:`~repro.service.jobs.JobManager`, the CLI --
-gains cross-host execution by naming ``executor="distributed"``,
-with no other code change.
+registry -- ``verify_two_sort_sharded``, the service layer's verify
+jobs, the CLI's ``verify`` -- gains cross-host execution by naming
+``executor="distributed"``, with no other code change.  A batch sort
+runs in the calling process and names no executor.
 
 The process-wide coordinator is explicit, not ambient:
 :func:`ensure_coordinator` starts one (idempotently) -- the CLI's

@@ -38,24 +38,19 @@ is built and no Python loop runs per lane or per word until the sorted
 text is cut into words.  This is the high-throughput path for
 system-level workloads (the service's sort jobs run on it);
 :func:`sort_words_batch` is the same computation with ``Word`` values
-at the edges.  Sharded compiled-engine runs grow each
-shard toward the int-plane budget
-(:attr:`PlaneBackend.preferred_shard_lanes
-<repro.backends.base.PlaneBackend.preferred_shard_lanes>` vectors; one
-vector is one lane), since every shard pays one run of the 2-sort
-program per comparator, but never past an even split over the workers.
-A sort names no plane backend: its programs compile for the default
-(``bigint``), so no backend's own budget (nor ``native``'s kernel)
-enters into it.
+at the edges.  A batch sort runs in the calling process, as one batch:
+it is not sharded and takes no executor, since only the verification
+sweep (:mod:`repro.verify.parallel`) fans out.  A sort names no plane
+backend either: its programs compile for the default (``bigint``), so
+no backend (nor ``native``'s kernel) enters into it.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import chain
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
-from ..backends import PlaneBackend
 from ..circuits.compiled import compile_circuit, planes_from_str, planes_to_str
 from ..circuits.evaluate import evaluate_interpreted
 from ..core.functional import two_sort_via_fsm
@@ -128,42 +123,18 @@ def sort_words_batch(
     network: SortingNetwork,
     vectors: Sequence[Sequence[Word]],
     engine: str = "compiled",
-    jobs: Optional[int] = None,
-    shard_size: Optional[int] = None,
-    executor: Optional[str] = None,
-    on_shard: Optional[Callable[[int, int, Any], None]] = None,
-    should_stop: Optional[Callable[[], bool]] = None,
 ) -> List[List[Word]]:
     """:func:`sort_strings_batch` on :class:`Word` values.
 
     ``vectors[j]`` is one measurement vector (``network.channels`` words
     of equal width); the result's ``j``-th element is that vector after
     sorting, ascending on channel 0.  Equivalent to calling
-    :func:`sort_words` per vector with the same engine.  Every argument
-    means what it means for :func:`sort_strings_batch`; words go in
-    through ``str(w)`` and come out through ``Word(s)``, and the rows
-    ``on_shard`` receives are rows of words too.
+    :func:`sort_words` per vector with the same engine.  Words go in
+    through ``str(w)`` and come out through ``Word(s)``.
     """
-    on_rows = None
-    if on_shard is not None:
-
-        def on_rows(done: int, total: int, rows: List[List[str]]) -> None:
-            on_shard(done, total, _to_words(rows))
-
     rows = sort_strings_batch(
-        network,
-        [[str(w) for w in v] for v in vectors],
-        engine=engine,
-        jobs=jobs,
-        shard_size=shard_size,
-        executor=executor,
-        on_shard=on_rows,
-        should_stop=should_stop,
+        network, [[str(w) for w in v] for v in vectors], engine=engine
     )
-    return _to_words(rows)
-
-
-def _to_words(rows: List[List[str]]) -> List[List[Word]]:
     return [[Word(s) for s in row] for row in rows]
 
 
@@ -171,11 +142,6 @@ def sort_strings_batch(
     network: SortingNetwork,
     vectors: Sequence[Sequence[str]],
     engine: str = "compiled",
-    jobs: Optional[int] = None,
-    shard_size: Optional[int] = None,
-    executor: Optional[str] = None,
-    on_shard: Optional[Callable[[int, int, Any], None]] = None,
-    should_stop: Optional[Callable[[], bool]] = None,
 ) -> List[List[str]]:
     """Sort many measurement vectors of word strings through ``network``.
 
@@ -198,50 +164,19 @@ def sort_strings_batch(
     :meth:`~repro.ternary.trit.Trit.from_char` ``ValueError`` of the
     first one in the joined batch.  Other engine names fall back to the
     per-vector :func:`sort_words` loop (same results, provided for API
-    uniformity).
-
-    Passing any of ``jobs``/``shard_size``/``executor`` shards the
-    vector batch across the executor registry of
-    :mod:`repro.verify.parallel` (lane-block shards, results
-    concatenated in order -- identical to the serial output).
-    ``jobs=0`` (or ``None`` with another sharding argument) means one
-    worker per core; ``jobs=1`` alone keeps the single-process path.
-    This is the million-vector path: each worker runs the compiled
-    batch on its own shard.  Without ``shard_size`` there are about
-    four shards per worker; a compiled-engine shard grows toward the
-    int-plane budget, ``PlaneBackend.preferred_shard_lanes`` vectors,
-    while every worker still gets one (``jobs=1`` runs up to that many
-    as one shard).
-
-    ``on_shard(done, total, rows)`` and ``should_stop()`` are the same
-    progress/cancellation hooks as
-    :func:`repro.verify.parallel.verify_two_sort_sharded` (``rows`` is
-    the shard's sorted vectors); passing either routes the batch
-    through the sharded path, and a true ``should_stop`` raises
-    :class:`~repro.verify.parallel.SweepCancelled` between shards.
+    uniformity).  Either way the whole batch runs in this process.
     """
     _engine_fn(engine)  # uniform validation, even for the empty batch
     vectors = [list(v) for v in vectors]
-    _check_batch_shapes(network, vectors)
-    # Width uniformity is validated before any dispatch so the sharded
-    # path rejects exactly the batches the serial compiled path rejects
-    # (a per-shard check would depend on where shard boundaries fall).
+    for v in vectors:
+        if len(v) != network.channels:
+            raise ValueError(
+                f"{network.name} expects {network.channels} values, "
+                f"got {len(v)}"
+            )
     if engine == "compiled" and vectors:
         if len(set(map(len, chain.from_iterable(vectors)))) > 1:
             raise ValueError("all words in a batch must share one width")
-    # Any sharding argument routes through the executor registry, so
-    # e.g. an unknown executor name raises regardless of batch size.
-    if (
-        jobs not in (None, 1)
-        or shard_size is not None
-        or executor is not None
-        or on_shard is not None
-        or should_stop is not None
-    ):
-        return _sort_strings_batch_sharded(
-            network, vectors, engine, jobs, shard_size, executor, on_shard,
-            should_stop,
-        )
     if engine != "compiled":
         return [
             [str(w) for w in sort_words(network, map(Word, v), engine=engine)]
@@ -275,67 +210,3 @@ def sort_strings_batch(
     words = [text[i : i + width] for i in range(0, len(text), width)]
     return [words[i : i + channels] for i in range(0, len(words), channels)]
 
-
-# ----------------------------------------------------------------------
-# Sharded batch path (reuses the verify-layer sharding helpers)
-# ----------------------------------------------------------------------
-def _check_batch_shapes(
-    network: SortingNetwork, vectors: Sequence[Sequence[str]]
-) -> None:
-    for v in vectors:
-        if len(v) != network.channels:
-            raise ValueError(
-                f"{network.name} expects {network.channels} values, "
-                f"got {len(v)}"
-            )
-
-
-def _sort_strings_batch_sharded(
-    network: SortingNetwork,
-    vectors: List[List[str]],
-    engine: str,
-    jobs: int,
-    shard_size: Optional[int],
-    executor: Optional[str],
-    on_shard: Optional[Callable[[int, int, Any], None]] = None,
-    should_stop: Optional[Callable[[], bool]] = None,
-) -> List[List[str]]:
-    """Dispatch vector shards over the executor registry and concatenate.
-
-    The worker is ``sort_strings_batch`` bound to the network and engine
-    (a picklable ``partial``), and each task is one slice of vectors, so
-    the batch crosses a process boundary once in total.
-    """
-    from ..verify.parallel import default_jobs, plan_shards, run_sharded
-
-    # None and 0 both mean "one worker per core", matching run_sharded.
-    jobs = default_jobs() if not jobs else max(1, jobs)
-    if shard_size is None:
-        n = len(vectors)
-        shard_size = -(-n // (4 * jobs))  # ~4 shards per worker
-        if engine == "compiled":
-            # A shard pays one 2-sort program run per comparator, so it
-            # grows toward the int-plane lane budget (a vector is a
-            # lane) -- but never past an even split, so every worker
-            # still gets a shard.
-            budget = PlaneBackend.preferred_shard_lanes
-            shard_size = max(shard_size, min(budget, -(-n // jobs)))
-    tasks = [vectors[lo:hi] for lo, hi in plan_shards(len(vectors), shard_size)]
-    on_result = None
-    if on_shard is not None:
-        total = len(tasks)
-
-        def on_result(i: int, rows: List[List[str]]) -> None:
-            # run_sharded fires on_result in task order, so i+1 is the
-            # number of shards done -- same contract as the verify path.
-            on_shard(i + 1, total, rows)
-
-    results = run_sharded(
-        partial(sort_strings_batch, network, engine=engine),
-        tasks,
-        jobs=jobs,
-        executor=executor,
-        on_result=on_result,
-        should_stop=should_stop,
-    )
-    return [row for chunk in results for row in chunk]

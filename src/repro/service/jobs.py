@@ -17,7 +17,8 @@ Layering:
   the blocking sweep is offloaded to a thread pool, per-shard progress
   re-enters the event loop via ``call_soon_threadsafe``, and
   cancellation is a ``threading.Event`` the sweep polls between shards
-  (:class:`~repro.verify.parallel.SweepCancelled`).
+  (:class:`~repro.verify.parallel.SweepCancelled`).  A sort job is one
+  shard: it polls the event once, before its batch runs.
 * Progress, failures, and state changes are published as event dicts,
   buffered per job (late subscribers replay from the start) and fanned
   out to any number of ``async for`` consumers.
@@ -88,24 +89,6 @@ OnShard = Callable[[int, int, Any], None]
 ShouldStop = Callable[[], bool]
 
 
-def _validate_sharding(
-    jobs: Optional[int], shard_size: Optional[int], executor: Optional[str]
-) -> None:
-    if jobs is not None and jobs < 0:
-        raise ValueError(
-            f"jobs must be >= 0 (0 = one worker per core), got {jobs}"
-        )
-    if shard_size is not None and shard_size <= 0:
-        raise ValueError(
-            f"shard_size must be a positive lane count, got {shard_size}"
-        )
-    if executor is not None and executor not in available_executors():
-        raise ValueError(
-            f"unknown executor {executor!r}; "
-            f"available: {available_executors()}"
-        )
-
-
 @dataclass(frozen=True)
 class VerifyRequest:
     """Exhaustively verify 2-sort(``width``) against the closure spec.
@@ -160,7 +143,22 @@ class VerifyRequest:
                 "checkpoint and store are mutually exclusive "
                 "(a checkpoint is the journal store; pass one or the other)"
             )
-        _validate_sharding(self.jobs, self.shard_size, self.executor)
+        if self.jobs is not None and self.jobs < 0:
+            raise ValueError(
+                f"jobs must be >= 0 (0 = one worker per core), got {self.jobs}"
+            )
+        if self.shard_size is not None and self.shard_size <= 0:
+            raise ValueError(
+                f"shard_size must be a positive lane count, "
+                f"got {self.shard_size}"
+            )
+        if self.executor is not None and (
+            self.executor not in available_executors()
+        ):
+            raise ValueError(
+                f"unknown executor {self.executor!r}; "
+                f"available: {available_executors()}"
+            )
         names = known_backend_names()
         if self.backend is not None and self.backend not in names:
             raise ValueError(
@@ -246,14 +244,12 @@ class SortRequest:
     ``vectors`` carries words as plain strings (the JSON interchange
     form, ``'m'`` reading as ``M``); each inner tuple is one measurement
     vector.  All vectors must have the same channel count and word
-    width, at least one bit.
+    width, at least one bit.  The batch runs in the executing process;
+    a sort takes no ``jobs``, ``shard_size`` or ``executor``.
     """
 
     vectors: Tuple[Tuple[str, ...], ...]
     engine: str = "compiled"
-    jobs: int = 1
-    shard_size: Optional[int] = None
-    executor: Optional[str] = None
 
     kind: ClassVar[str] = "sort"
 
@@ -268,7 +264,6 @@ class SortRequest:
                 f"unknown simulation engine {self.engine!r}; "
                 f"available: {sorted(ENGINES)}"
             )
-        _validate_sharding(self.jobs, self.shard_size, self.executor)
         if not self.vectors:
             raise ValueError("sort request needs at least one vector")
         channels = set(map(len, self.vectors))
@@ -299,18 +294,11 @@ class SortRequest:
         return f"sort {n} vector(s) x {ch} channel(s)"
 
     def to_dict(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {
+        return {
             "kind": self.kind,
             "vectors": [list(v) for v in self.vectors],
             "engine": self.engine,
         }
-        if self.jobs != 1:
-            out["jobs"] = self.jobs
-        for name in ("shard_size", "executor"):
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = value
-        return out
 
     def run(
         self,
@@ -323,26 +311,27 @@ class SortRequest:
         :func:`~repro.graycode.valid.validate_all` (one regular-expression
         match per 256 words; a bad word raises what
         :func:`~repro.graycode.valid.validate` raises for the first one)
-        and the batch runs on
-        :func:`~repro.networks.simulate.sort_strings_batch`, which reads
-        and writes the bit planes straight from and into the joined
-        strings.  The result is rows of word strings (``M`` upper-case);
-        no :class:`~repro.ternary.word.Word` or
+        and the batch runs in this process as one
+        :func:`~repro.networks.simulate.sort_strings_batch` call, which
+        reads and writes the bit planes straight from and into the
+        joined strings.  The result is rows of word strings (``M``
+        upper-case); no :class:`~repro.ternary.word.Word` or
         :class:`~repro.circuits.compiled.TritVec` is built.
+
+        The hooks are those :class:`JobManager` passes every request: a
+        true ``should_stop()`` before the sort raises
+        :class:`~repro.verify.parallel.SweepCancelled`, and the sorted
+        batch is reported as one shard, ``on_shard(1, 1, rows)``.
         """
         self.validate()
         validate_all(list(itertools.chain.from_iterable(self.vectors)))
+        if should_stop is not None and should_stop():
+            raise SweepCancelled([])
         network = best_known(len(self.vectors[0]))
-        return sort_strings_batch(
-            network,
-            self.vectors,
-            engine=self.engine,
-            jobs=self.jobs,
-            shard_size=self.shard_size,
-            executor=self.executor,
-            on_shard=on_shard,
-            should_stop=should_stop,
-        )
+        rows = sort_strings_batch(network, self.vectors, engine=self.engine)
+        if on_shard is not None:
+            on_shard(1, 1, rows)
+        return rows
 
     def result_to_dict(self, result: List[List[str]]) -> Dict[str, Any]:
         return {"vectors": result}
@@ -492,9 +481,10 @@ class JobManager:
 
     ``jobs`` bounds how many submitted jobs *run* concurrently (the
     rest wait in queue order); each running job occupies one thread of
-    an internal pool and may itself fan out over process workers via
-    its request's ``jobs``/``executor`` fields.  Constructed and used
-    from within a running event loop.
+    an internal pool.  A verify job may itself fan out over process or
+    remote workers via its request's ``jobs``/``executor`` fields; a
+    sort job runs on its thread.  Constructed and used from within a
+    running event loop.
     """
 
     def __init__(

@@ -12,7 +12,6 @@ from .exhaustive import (
 from .parallel import (
     available_executors,
     default_jobs,
-    plan_shards,
     register_executor,
     run_sharded,
     verify_two_sort_sharded,
@@ -32,7 +31,6 @@ __all__ = [
     "verify_two_sort_shard",
     "available_executors",
     "default_jobs",
-    "plan_shards",
     "register_executor",
     "run_sharded",
     "verify_two_sort_sharded",

@@ -8,7 +8,9 @@ g-row block of the pair product (:func:`repro.verify.exhaustive.pair_shards`)
 is an independent unit of work whose
 :class:`~repro.verify.exhaustive.VerificationResult` merges
 deterministically with the others.  This module dispatches those shards
-across worker processes.
+across worker processes.  The verification sweep is the one workload
+that fans out: a batch sort (:mod:`repro.networks.simulate`) runs in
+the calling process.
 
 **Executor registry.**  An executor is a strategy for running a worker
 function over a task list, with one calling convention::
@@ -20,7 +22,7 @@ function over a task list, with one calling convention::
 Three executors ship:
 
 * ``"serial"``  -- in-process loop; the semantic reference and the
-  zero-overhead path for one job,
+  zero-overhead path for one job or one task,
 * ``"process"`` -- a ``multiprocessing`` pool; the initializer runs once
   per worker (compiling the circuit there, so the netlist is pickled
   once and the program is reused across that worker's shards),
@@ -30,14 +32,13 @@ Three executors ship:
 
 :func:`register_executor` is the hook, exactly like the engine registry
 in :mod:`repro.networks.simulate`.  Orthogonally, the verification
-sweep -- the one sharded entry point that takes a ``backend`` -- has
-its pool initializers forward the backend to workers **by name**, so
-any executor can run either shard engine (process pools pickle the
-name, never the backend object).  Batch sorts name none.
+sweep has its pool initializers forward the backend to workers **by
+name**, so any executor can run either shard engine (process pools
+pickle the name, never the backend object).
 
 **Determinism.**  Executors must return results in task order; callers
-merge with :meth:`VerificationResult.merge` (or plain concatenation for
-batch workloads), so the outcome is bit-identical for any job count --
+merge with :meth:`VerificationResult.merge`, so the outcome is
+bit-identical for any job count --
 ``--jobs N`` changes wall-clock time, never the report.  Nor does it
 change the plan: a sweep's g-row ranges are as many whole rows as fit
 the backend's lane budget (or ``shard_size``), so they -- and the store
@@ -94,7 +95,6 @@ __all__ = [
     "SweepCancelled",
     "available_executors",
     "default_jobs",
-    "plan_shards",
     "register_executor",
     "run_sharded",
     "verify_two_sort_sharded",
@@ -149,18 +149,17 @@ def default_jobs() -> int:
     return os.cpu_count() or 1
 
 
-def plan_shards(total: int, shard_size: int) -> List[Tuple[int, int]]:
-    """Split ``range(total)`` into ``[lo, hi)`` blocks of ``shard_size``.
+def _executor_name(executor: Optional[str], jobs: int, tasks: int) -> str:
+    """The executor a run of ``tasks`` tasks on ``jobs`` workers uses.
 
-    The generic index-space twin of
-    :func:`repro.verify.exhaustive.pair_shards`: disjoint, exactly
-    covering, in ascending order -- so concatenating per-shard results
-    reproduces the unsharded output.
+    A named executor always wins.  Otherwise ``"process"`` only when
+    the pool would get more than one worker -- ``min(jobs, tasks) > 1``
+    -- since a one-task plan on a forked one-worker pool is the serial
+    loop plus the fork.
     """
-    if total <= 0:
-        return []
-    size = max(1, shard_size)
-    return [(lo, min(total, lo + size)) for lo in range(0, total, size)]
+    if executor:
+        return executor
+    return "process" if min(jobs, tasks) > 1 else "serial"
 
 
 # ----------------------------------------------------------------------
@@ -221,9 +220,11 @@ def _process_executor(
 ) -> List[Any]:
     """Fan tasks out over a ``multiprocessing`` pool, order-preserving.
 
-    A pool is spawned even for ``jobs=1`` -- callers asked for process
-    isolation by name, and benchmarks need the honest single-worker
-    pool overhead, not a silent serial fallback.  With streaming hooks
+    :func:`run_sharded` picks this executor unnamed only when the pool
+    gets more than one worker.  Named, a pool is spawned even for
+    ``jobs=1`` or one task -- callers asked for process isolation by
+    name, and benchmarks need the honest single-worker pool overhead,
+    not a silent serial fallback.  With streaming hooks
     the pool switches from ``map`` to ordered ``imap`` so each result
     surfaces (and ``should_stop`` is polled) as it completes; a stop
     terminates the pool, abandoning in-flight shards.
@@ -305,7 +306,8 @@ def run_sharded(
     """Run ``worker`` over ``tasks`` on a registered executor.
 
     ``jobs=None`` or ``0`` means every core; ``executor=None`` picks
-    ``"process"`` for more than one job and ``"serial"`` otherwise.
+    ``"process"`` when both ``jobs`` and the task list exceed one and
+    ``"serial"`` otherwise, so a one-task plan never starts a pool.
     Results come back in task order regardless of backend, which is
     what makes sharded sweeps deterministic.
 
@@ -322,7 +324,7 @@ def run_sharded(
     """
     tasks = list(tasks)
     jobs = default_jobs() if not jobs else max(1, jobs)
-    name = executor or ("process" if jobs > 1 else "serial")
+    name = _executor_name(executor, jobs, len(tasks))
     try:
         run = _EXECUTORS[name]
     except KeyError:
@@ -506,9 +508,11 @@ def verify_two_sort_sharded(
     The plan is that of ``verify_two_sort_circuit``: each range is as
     many whole g-rows as fit ``shard_size`` lanes, by default the
     backend's ``preferred_shard_lanes``.  ``jobs`` (``None`` or ``0``:
-    one worker per core) only sizes the worker pool and picks it when
-    no ``executor`` is named, so the ranges -- and every key stored on
-    them -- depend on the width, the backend and ``shard_size`` alone.
+    one worker per core) only sizes the worker pool and, when no
+    ``executor`` is named, picks it if the plan has more than one
+    range (:func:`run_sharded`), so the ranges -- and every key stored
+    on them -- depend on the width, the backend and ``shard_size``
+    alone.
 
     This is the one code path behind the CLI, the async service layer
     (:mod:`repro.service`), and the sharded tests:
@@ -588,7 +592,7 @@ def verify_two_sort_sharded(
             circuit=circuit.name,
             circuit_hash=epoch.circuit_hash,
             backend=get_backend(backend).name,
-            executor=executor or ("process" if jobs > 1 else "serial"),
+            executor=_executor_name(executor, jobs, len(shards)),
             width=width,
             shards=len(shards),
             checked=merged.checked,

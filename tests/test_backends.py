@@ -444,8 +444,12 @@ class TestKernelFirstUse:
     def test_sharded_sort_never_builds_the_kernel(self, tmp_path):
         """Regression: a sharded sort (``--executor serial``) on native
         sized its shards by native's kernel budget, and reading that
-        budget built the kernel it never calls."""
-        self._check_sort_builds_nothing(tmp_path, "--executor", "serial")
+        budget built the kernel it never calls.  A sort is not sharded
+        now, so the flag is a usage error that builds nothing."""
+        proc, cached = self._sort(tmp_path, "--executor", "serial")
+        assert proc.returncode == 2 and proc.stdout == "", proc.stdout
+        assert "--executor" in proc.stderr
+        assert cached == []
 
     def test_sort_has_no_backend_flag(self, tmp_path):
         """Regression: ``sort --backend auto`` resolved the alias, and
@@ -1597,8 +1601,9 @@ def layered_networks(max_channels=5, max_comparators=8):
 @settings(max_examples=20, deadline=None)
 @given(st.data())
 def test_batch_serial_equals_sharded_on_random_networks(data):
-    """The serial batch path and the sharded dispatch path sort random
-    layered networks identically, and both match the fsm engine."""
+    """The compiled batch path sorts random layered networks exactly as
+    the per-vector fsm engine does (the id predates the removal of
+    sharded batch sorts)."""
     width = data.draw(st.integers(min_value=1, max_value=3))
     net = data.draw(layered_networks())
     vectors = data.draw(
@@ -1611,12 +1616,8 @@ def test_batch_serial_equals_sharded_on_random_networks(data):
             max_size=5,
         )
     )
-    reference = sort_words_batch(net, vectors)
-    assert reference == [sort_words(net, v, engine="fsm") for v in vectors]
-    sharded = sort_words_batch(
-        net, vectors, jobs=2, shard_size=2, executor="serial"
-    )
-    assert sharded == reference
+    batch = sort_words_batch(net, vectors)
+    assert batch == [sort_words(net, v, engine="fsm") for v in vectors]
 
 
 @settings(max_examples=10, deadline=None)

@@ -238,24 +238,43 @@ class TestCli:
 
             shutdown_coordinator()
 
+    @staticmethod
+    def _usage_error(argv, capsys):
+        """``main(argv)`` must stop in argparse (exit 2), print nothing
+        on stdout, and return the stderr it printed."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return captured.err
+
     def test_sort_rejects_unknown_executor(self, capsys):
-        assert main(["sort", "01", "00", "--executor", "quantum"]) == 2
-        assert "unknown executor" in capsys.readouterr().err
+        """A batch sort runs in this process: ``sort`` takes no
+        ``--executor``, so any name is a usage error."""
+        err = self._usage_error(
+            ["sort", "01", "00", "--executor", "quantum"], capsys
+        )
+        assert "unrecognized arguments: --executor" in err
 
     def test_sort_rejects_distributed_executor(self, capsys):
-        """sort has no --listen; demand the serve/submit route instead
-        of dying in run_sharded with a traceback."""
-        assert main(["sort", "01", "00", "--executor", "distributed"]) == 2
-        err = capsys.readouterr().err
-        assert "serve --listen" in err and "submit sort" in err
+        """Neither ``sort`` nor ``submit sort`` can send a sort to
+        workers; both refuse the flag before connecting anywhere."""
+        for argv in (
+            ["sort", "01", "00", "--executor", "distributed"],
+            ["submit", "sort", "01", "00", "--executor", "distributed",
+             "--port", "1"],
+        ):
+            err = self._usage_error(argv, capsys)
+            assert "unrecognized arguments: --executor" in err
 
     def test_sort_executor_flag(self, capsys):
-        assert main(
+        err = self._usage_error(
             ["sort", "0110", "0M10", "0010", "--engine", "compiled",
-             "--executor", "serial"]
-        ) == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert lines == ["0010", "0M10", "0110"]
+             "--executor", "serial"],
+            capsys,
+        )
+        assert "unrecognized arguments: --executor serial" in err
 
     def test_worker_rejects_malformed_connect(self, capsys):
         assert main(["worker", "--connect", "nonsense"]) == 2
@@ -445,9 +464,16 @@ class TestCli:
         assert main(["submit", "sort", "", "", "--port", "1"]) == 2
         assert "at least one bit" in capsys.readouterr().err
 
-    def test_sort_rejects_invalid_strings(self):
-        with pytest.raises(Exception):
-            main(["sort", "MM", "00"])
+    def test_sort_rejects_invalid_strings(self, capsys):
+        """A word outside S^B_rg is a usage error like a bad character:
+        exit 2 and one line naming it, not a traceback."""
+        for bad in ("MM", "0M1M"):
+            assert main(["sort", bad, "0" * len(bad)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines() == [
+                f"Word({bad!r}) is not a valid string"
+            ]
 
     def test_export(self, capsys):
         assert main(["export", "--width", "2"]) == 0

@@ -274,27 +274,22 @@ class TestDistributedExecution:
 
     def test_worker_pool_runs_sorts_and_sweeps(self):
         """One inline agent switches from a batch with no initializer
-        (a sharded sort: its worker is ``sort_strings_batch`` bound to
-        the network) to one with an initializer (the sweep's compile
-        setup).  Both equal the serial results."""
-        from repro.networks.simulate import sort_strings_batch
-        from repro.networks.topologies import best_known
-        from repro.verify.random_valid import ValidStringSource
-
-        source = ValidStringSource(4, meta_rate=0.5, seed=5)
-        vectors = [[str(w) for w in source.sample_vector(4)] for _ in range(9)]
+        (a generic ``run_sharded`` batch of ``_triple`` tasks) to one
+        with an initializer (the sweep's compile setup).  Both equal
+        the serial results.  (The id predates the removal of sharded
+        batch sorts.)"""
         circuit = build_two_sort(4)
         serial = verify_two_sort_sharded(
             circuit, 4, jobs=1, executor="serial", shard_size=100
         )
         with _cluster(workers=1) as (coordinator, agents):
-            rows = sort_strings_batch(
-                best_known(4), vectors, executor="distributed", shard_size=3
+            tripled = run_sharded(
+                _triple, list(range(3)), jobs=1, executor="distributed"
             )
             swept = verify_two_sort_sharded(
                 circuit, 4, executor="distributed", shard_size=100
             )
-        assert rows == sort_strings_batch(best_known(4), vectors)
+        assert tripled == [0, 3, 6]
         assert swept.to_json() == serial.to_json()
         assert agents[0].completed == 3 + len(pair_shards(4, 100))
 

@@ -1,10 +1,10 @@
 """Tests for word-level network simulation (repro.networks.simulate)."""
 
 import random
+from functools import partial
 
 import pytest
 
-from repro.backends import PlaneBackend
 from repro.graycode.rgc import gray_encode
 from repro.graycode.valid import rank
 from repro.networks.properties import check_mc_sort, is_sorted_by_rank, outputs_all_valid
@@ -23,6 +23,7 @@ from repro.networks.topologies import (
 )
 from repro.ternary.trit import Trit
 from repro.ternary.word import Word
+from repro.verify.parallel import run_sharded
 from repro.verify.random_valid import ValidStringSource
 
 
@@ -97,78 +98,6 @@ class TestSortWordsBatch:
             sort_words_batch(SORT4, bad)
 
 
-class TestSortWordsBatchSharded:
-    def _workload(self, n, width=4, channels=None, seed=3):
-        channels = channels or SORT4.channels
-        source = ValidStringSource(width, meta_rate=0.5, seed=seed)
-        return [source.sample_vector(channels) for _ in range(n)]
-
-    def test_process_shards_match_serial(self):
-        vectors = self._workload(24)
-        serial = sort_words_batch(SORT4, vectors)
-        sharded = sort_words_batch(SORT4, vectors, jobs=2, shard_size=5)
-        assert sharded == serial
-
-    def test_serial_executor_shards_match(self):
-        vectors = self._workload(17)
-        serial = sort_words_batch(SORT4, vectors)
-        for shard_size in (1, 3, 100):
-            assert (
-                sort_words_batch(
-                    SORT4,
-                    vectors,
-                    jobs=3,
-                    shard_size=shard_size,
-                    executor="serial",
-                )
-                == serial
-            )
-
-    def test_sharded_non_compiled_engine(self):
-        vectors = self._workload(9)
-        serial = sort_words_batch(SORT4, vectors, engine="fsm")
-        sharded = sort_words_batch(
-            SORT4, vectors, engine="fsm", jobs=2, shard_size=4,
-            executor="serial",
-        )
-        assert sharded == serial
-
-    def test_jobs_one_stays_single_process(self):
-        vectors = self._workload(5)
-        assert sort_words_batch(SORT4, vectors, jobs=1) == sort_words_batch(
-            SORT4, vectors
-        )
-
-    def test_sharded_rejects_mixed_widths_like_serial(self):
-        """The sharded path must reject exactly what the serial path
-        rejects, independent of where shard boundaries fall."""
-        mixed = self._workload(4, width=2) + self._workload(4, width=3)
-        with pytest.raises(ValueError, match="width"):
-            sort_words_batch(SORT4, mixed)
-        with pytest.raises(ValueError, match="width"):
-            sort_words_batch(SORT4, mixed, jobs=2, shard_size=4)
-
-    def test_sharded_unknown_executor(self):
-        with pytest.raises(KeyError, match="unknown executor"):
-            sort_words_batch(
-                SORT4, self._workload(4), jobs=2, executor="quantum"
-            )
-
-    def test_executor_validated_regardless_of_batch_size(self):
-        """A bad executor name must raise even for 0- or 1-vector
-        batches -- validation must not depend on batch size."""
-        for n in (0, 1):
-            with pytest.raises(KeyError, match="unknown executor"):
-                sort_words_batch(
-                    SORT4, self._workload(n), jobs=2, executor="quantum"
-                )
-
-    def test_executor_alone_routes_through_registry(self):
-        vectors = self._workload(6)
-        out = sort_words_batch(SORT4, vectors, executor="serial")
-        assert out == sort_words_batch(SORT4, vectors)
-
-
 def _string_workload(n, width=4, seed=17, channels=SORT7.channels):
     """Seeded rows of valid word strings (SORT7's by default), about
     half their ``M``s as ``m``."""
@@ -191,31 +120,48 @@ def _per_vector(vectors, engine="circuit"):
     ]
 
 
+def _in_slices(vectors, size):
+    """``vectors`` cut into consecutive slices of ``size`` (``None``:
+    one slice), as a caller that sorts a batch piecewise cuts it."""
+    if size is None:
+        return [vectors]
+    return [vectors[i : i + size] for i in range(0, len(vectors), size)]
+
+
 class TestSortStringsBatch:
     """The string entry point, the ``Word`` facade over it and the
     per-vector gate-level engine agree row for row.
 
     A sort names no plane backend; the ``plane_backend`` parametrization
     stays only so that these test ids stay stable, and both halves run
-    the same sort."""
+    the same sort.  A batch sort runs in the calling process; the
+    ``shard_size`` and ``sharding`` axes cut the batch into slices
+    sorted by separate calls, whose rows must not depend on the cut."""
 
     @pytest.mark.parametrize("executor", ["serial", "process"])
     @pytest.mark.parametrize("shard_size", [None, 1, 7])
     def test_agrees_with_word_paths(self, plane_backend, executor, shard_size):
+        """``executor`` runs the slices through the generic
+        :func:`run_sharded`, which takes any module-level worker."""
         vectors = _string_workload(23)
         assert any("m" in s for v in vectors for s in v)
         expect = _per_vector(vectors)
-        kwargs = dict(jobs=2, shard_size=shard_size, executor=executor)
-        assert sort_strings_batch(SORT7, vectors, **kwargs) == expect
+        assert sort_strings_batch(SORT7, vectors) == expect
+        slices = run_sharded(
+            partial(sort_strings_batch, SORT7),
+            _in_slices(vectors, shard_size),
+            jobs=2,
+            executor=executor,
+        )
+        assert [row for rows in slices for row in rows] == expect
         words = sort_words_batch(
-            SORT7, [[Word(s) for s in v] for v in vectors], **kwargs
+            SORT7, [[Word(s) for s in v] for v in vectors]
         )
         assert all(type(w) is Word for row in words for w in row)
         assert [[str(w) for w in row] for row in words] == expect
 
     @pytest.mark.parametrize(
-        "sharding", [{}, {"jobs": 1, "shard_size": 64}],
-        ids=["serial", "shards64"],
+        "sharding", [None, 64], ids=["serial", "shards64"]
     )
     @pytest.mark.parametrize("width", [1, 5, 16])
     @pytest.mark.parametrize(
@@ -233,7 +179,12 @@ class TestSortStringsBatch:
         )
         assert any("m" in s for v in vectors for s in v) or n == 1
         expect = [sorted((s.upper() for s in v), key=rank) for v in vectors]
-        assert sort_strings_batch(network, vectors, **sharding) == expect
+        got = [
+            row
+            for part in _in_slices(vectors, sharding)
+            for row in sort_strings_batch(network, part)
+        ]
+        assert got == expect
 
     @pytest.mark.parametrize("bad", ["x", " ", "١"])
     def test_bad_character_raises_the_trit_error(self, plane_backend, bad):
@@ -249,9 +200,6 @@ class TestSortStringsBatch:
         vectors = _string_workload(9, seed=8)
         expect = _per_vector(vectors, engine="fsm")
         assert sort_strings_batch(SORT7, vectors, engine="fsm") == expect
-        assert sort_strings_batch(
-            SORT7, vectors, engine="fsm", shard_size=4, executor="serial"
-        ) == expect
 
     def test_empty_and_shape_checks(self):
         assert sort_strings_batch(SORT4, []) == []
@@ -259,57 +207,6 @@ class TestSortStringsBatch:
             sort_strings_batch(SORT4, [["00"] * 3])
         with pytest.raises(ValueError, match="width"):
             sort_strings_batch(SORT4, [["00", "01", "000", "11"]])
-
-    def test_word_facade_on_shard_gets_words(self):
-        vectors = [[Word(s) for s in v] for v in _string_workload(5)]
-        seen = []
-        sort_words_batch(
-            SORT7, vectors, shard_size=2,
-            on_shard=lambda done, total, rows: seen.append(rows),
-        )
-        assert [len(rows) for rows in seen] == [2, 2, 1]
-        assert all(type(w) is Word for rows in seen for r in rows for w in r)
-
-
-class TestSortShardSize:
-    """A default compiled-engine shard grows toward the int-plane budget
-    (``PlaneBackend.preferred_shard_lanes`` vectors)
-    but never past an even split over the workers; past the budget, ~4
-    shards per worker."""
-
-    @staticmethod
-    def _totals(vectors, **kwargs):
-        totals = []
-        sort_strings_batch(
-            SORT7, vectors, executor="serial",
-            on_shard=lambda done, total, rows: totals.append(total),
-            **kwargs,
-        )
-        return set(totals)
-
-    def test_small_batch_is_one_shard(self):
-        assert self._totals(_string_workload(256), jobs=1) == {1}
-
-    def test_past_the_budget_four_shards_per_worker(self, monkeypatch):
-        monkeypatch.setattr(PlaneBackend, "preferred_shard_lanes", 8)
-        vectors = _string_workload(100)
-        assert self._totals(vectors, jobs=1) == {4}
-        monkeypatch.setattr(PlaneBackend, "preferred_shard_lanes", 64)
-        assert self._totals(vectors, jobs=1) == {2}
-
-    @pytest.mark.parametrize("jobs", [2, 3, 4])
-    def test_every_worker_gets_a_shard(self, jobs):
-        # 1,000 vectors are far below the 16,384-lane int-plane budget; the
-        # budget must not leave workers idle.
-        vectors = _string_workload(1000)
-        assert self._totals(vectors, jobs=jobs) == {jobs}
-
-    def test_explicit_shard_size_wins(self):
-        assert self._totals(_string_workload(10), shard_size=3) == {4}
-
-    def test_non_compiled_engines_keep_four_per_worker(self):
-        vectors = _string_workload(12)
-        assert self._totals(vectors, jobs=1, engine="rank") == {4}
 
 
 class TestMcSortContract:

@@ -14,8 +14,8 @@ from repro.verify.exhaustive import (
     verify_two_sort_circuit,
 )
 from repro.verify.parallel import (
+    _EXECUTORS,
     available_executors,
-    plan_shards,
     register_executor,
     run_sharded,
     verify_two_sort_sharded,
@@ -30,24 +30,6 @@ def _broken_two_sort(width):
     outs = broken.instantiate(good, ins)
     broken.add_outputs(outs[width:] + outs[:width])
     return broken
-
-
-class TestPlanShards:
-    def test_exact_cover(self):
-        shards = plan_shards(10, 3)
-        assert shards == [(0, 3), (3, 6), (6, 9), (9, 10)]
-
-    def test_empty(self):
-        assert plan_shards(0, 4) == []
-
-    def test_degenerate_size_clamped(self):
-        assert plan_shards(3, 0) == [(0, 1), (1, 2), (2, 3)]
-
-    def test_cover_is_disjoint_and_ordered(self):
-        for total, size in [(1, 1), (7, 7), (100, 13)]:
-            shards = plan_shards(total, size)
-            flat = [i for lo, hi in shards for i in range(lo, hi)]
-            assert flat == list(range(total))
 
 
 class TestPairShards:
@@ -97,6 +79,37 @@ class TestExecutorRegistry:
     def test_results_in_task_order(self):
         out = run_sharded(lambda t: -t, list(range(20)), jobs=1)
         assert out == [-t for t in range(20)]
+
+    @pytest.mark.parametrize("backend", ["bigint", "native"])
+    def test_one_range_plan_starts_no_pool(self, backend, monkeypatch):
+        """With no executor named, a pool is picked only when it would
+        get more than one worker: ``min(jobs, tasks) > 1``.  The audit
+        row names the executor that rule picks for the sweep's plan."""
+
+        class PoolStarted(Exception):
+            pass
+
+        def no_pool(worker, tasks, **_):
+            raise PoolStarted(len(tasks))
+
+        monkeypatch.setitem(_EXECUTORS, "process", no_pool)
+        circuit = build_two_sort(6)
+        budget = get_backend(backend).preferred_shard_lanes
+        assert len(pair_shards(6, budget)) == 1
+        store = MemoryStore()
+        result = verify_two_sort_sharded(
+            circuit, 6, jobs=2, backend=backend, store=store
+        )
+        assert result.ok and result.checked == 127 * 127
+        assert [run.executor for run in store.runs()] == ["serial"]
+        assert run_sharded(lambda t: t + 1, [1], jobs=4) == [2]
+        # Two ranges on two jobs still reach the pool.
+        with pytest.raises(PoolStarted):
+            verify_two_sort_sharded(
+                circuit, 6, jobs=2, backend=backend, shard_size=127 * 64
+            )
+        with pytest.raises(PoolStarted):
+            run_sharded(lambda t: t, [1, 2], jobs=2)
 
 
 class TestMerge:

@@ -161,8 +161,7 @@ def layered_networks(max_channels=5, max_comparators=8):
 @given(st.data())
 def test_batch_agrees_with_per_vector_all_engines(data):
     """sort_words_batch == per-vector sort_words for every registered
-    engine on randomized M-laden words and random layered networks,
-    including the sharded dispatch path."""
+    engine on randomized M-laden words and random layered networks."""
     width = data.draw(st.integers(min_value=1, max_value=3))
     net = data.draw(layered_networks())
     vectors = data.draw(
@@ -184,12 +183,6 @@ def test_batch_agrees_with_per_vector_all_engines(data):
             reference = per_vector
         else:
             assert per_vector == reference
-    # the sharded path (serial executor: same shard/merge code, no fork
-    # cost per hypothesis example)
-    sharded = sort_words_batch(
-        net, vectors, jobs=3, shard_size=2, executor="serial"
-    )
-    assert sharded == reference
 
 
 # ----------------------------------------------------------------------

@@ -121,6 +121,19 @@ class TestRequests:
                 "engine": "compiled", "backend": "native",
             })
 
+    @pytest.mark.parametrize(
+        "field, value", [("jobs", 2), ("shard_size", 4), ("executor", "serial")]
+    )
+    def test_sort_request_has_no_sharding(self, field, value):
+        """A batch sort runs where it is served: the wire form refuses a
+        sharding field like any other unknown field."""
+        with pytest.raises(
+            ValueError, match=rf"unknown sort request field\(s\): \['{field}'\]"
+        ):
+            request_from_dict({
+                "kind": "sort", "vectors": [["0110", "0010"]], field: value,
+            })
+
     def test_sort_rejects_mixed_widths(self):
         with pytest.raises(ValueError, match="share one width"):
             SortRequest.single(["01", "011"]).validate()
@@ -328,35 +341,41 @@ class TestJobLifecycle:
 
         asyncio.run(go())
 
-    def test_sort_job_progress_per_shard(self):
-        """Sort jobs report per-shard progress (items, not pairs)."""
+    def test_sort_job_progress_per_shard(self, monkeypatch):
+        """A sort job is one shard, whatever the plane budget: it runs in
+        the job's thread, through no executor, and publishes one
+        progress event (items, not pairs)."""
+        from repro.backends import PlaneBackend
+
+        def no_executor(worker, tasks, **_):
+            raise AssertionError("a sort job reached the executor registry")
+
+        for name in list(_EXECUTORS):
+            monkeypatch.setitem(_EXECUTORS, name, no_executor)
+        monkeypatch.setattr(PlaneBackend, "preferred_shard_lanes", 8)
+        vectors = _sort_vectors(100, channels=4)
+
         async def go():
             manager = JobManager(jobs=1)
             try:
-                job = manager.submit(
-                    SortRequest(
-                        vectors=(("0110", "0010"), ("0M10", "0110")),
-                        shard_size=1,
-                    )
-                )
+                job = manager.submit(SortRequest(vectors=vectors))
                 events = [e async for e in manager.stream(job.id)]
                 return job, events
             finally:
                 await manager.aclose()
 
         job, events = asyncio.run(go())
-        assert job.state is JobState.DONE
-        assert job.result == [
-            [Word("0010"), Word("0110")],
-            [Word("0M10"), Word("0110")],
-        ]
+        assert job.state is JobState.DONE, job.error
+        assert job.result == SortRequest(vectors=vectors).run()
         progress = [e for e in events if e["event"] == "progress"]
-        assert [p["shards_done"] for p in progress] == [1, 2]
-        assert progress[-1]["items_done"] == 2
+        assert [
+            (p["shards_done"], p["shards_total"], p["items_done"])
+            for p in progress
+        ] == [(1, 1, 100)]
 
     def test_small_sort_job_is_one_shard(self):
-        """A 256-vector sort fits one shard of the plane backend's lane
-        budget, so it runs all comparator programs once, not per 64."""
+        """A 256-vector sort is one shard: it runs all comparator
+        programs once, not per 64."""
         vectors = _sort_vectors(256)
 
         async def go():
