@@ -20,9 +20,10 @@ an exhaustive-verification shard runs, and how big a shard should be.
   :meth:`~PlaneBackend.run_ops_select_diff`; this is the reference
   semantics, and ``native`` overrides it with one C kernel call
   (:mod:`repro.backends.native`);
-* **the op sweep** -- :meth:`~PlaneBackend.run_ops`, the compiled
-  program over plane slots with inline int operators, which batch
-  simulation runs too (:meth:`CompiledCircuit.run_planes
+* **the op sweep** -- :meth:`~PlaneBackend.run_ops`, the one Python op
+  loop: a :class:`PlaneProgram` (:func:`lower_ops`), whose every op is
+  ``P[x] = P[y] & P[z]; P[u] = P[v] | P[w]`` over one list of planes,
+  which batch simulation runs too (:meth:`CompiledCircuit.run_planes
   <repro.circuits.compiled.CompiledCircuit.run_planes>`);
 * **mismatch lanes** -- :meth:`~PlaneBackend.iter_set_lanes`, for
   failure reports.
@@ -32,15 +33,87 @@ from __future__ import annotations
 
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
-__all__ = ["PlaneBackend"]
+__all__ = ["PlaneBackend", "PlaneProgram", "lower_ops"]
 
 #: Compiled-program opcodes (used by repro.circuits.compiled to emit
-#: programs and here to run them).
+#: programs, by :func:`lower_ops` and repro.backends.native to lower them).
 OP_AND = 0
 OP_OR = 1
 OP_INV = 2
 OP_XOR = 3
 OP_BUF = 4
+
+#: One plane-program op ``(x, y, z, u, v, w)``:
+#: ``P[x] = P[y] & P[z]``, then ``P[u] = P[v] | P[w]``.
+PlaneOp = Tuple[int, int, int, int, int, int]
+
+
+class PlaneProgram:
+    """A compiled program as plane ops over one list ``P`` of planes.
+
+    ``can0[s]`` / ``can1[s]`` index the planes holding slot ``s``'s
+    can-be-0 / can-be-1 plane once the ops have run.  A slot no op
+    writes (an input, a constant, a slot nothing computes) keeps planes
+    ``2s`` and ``2s + 1``, which is where callers preset it; every
+    other plane starts at 0.  (A plain class: as a ``typing.NamedTuple``
+    it added ~2 ms to the import of every CLI command.)
+    """
+
+    __slots__ = ("ops", "n_planes", "can0", "can1")
+
+    def __init__(
+        self,
+        ops: Tuple[PlaneOp, ...],
+        n_planes: int,
+        can0: Tuple[int, ...],
+        can1: Tuple[int, ...],
+    ):
+        self.ops = ops
+        self.n_planes = n_planes
+        self.can0 = can0
+        self.can1 = can1
+
+
+def lower_ops(
+    ops: Sequence[Tuple[int, int, int, int]], n_slots: int
+) -> PlaneProgram:
+    """Lower compiled ``(opcode, dst, a, b)`` ops to a :class:`PlaneProgram`.
+
+    In the two-plane encoding an AND is one AND and one OR of planes
+    (``c1 = a1 & b1``, ``c0 = a0 | b0``) and an OR is its plane dual,
+    so each is one op writing planes ``2d`` and ``2d + 1`` of its
+    destination slot ``d``.  Negation is a plane swap, so INV and BUF
+    emit nothing: their destination is renamed to the source's planes,
+    swapped or not.  XOR (``c1 = a0 & b1 | a1 & b0``, ``c0 = a0 & b0 |
+    a1 & b1``) is four ops through two scratch planes past the slots'
+    (``t | t`` is a no-op OR half; an op's OR half reads its AND half's
+    result).  ``ops`` must write each slot at most once, as compiled
+    programs do.
+    """
+    can0 = list(range(0, 2 * n_slots, 2))
+    can1 = list(range(1, 2 * n_slots, 2))
+    t, u = 2 * n_slots, 2 * n_slots + 1
+    out: List[PlaneOp] = []
+    for op, d, a, b in ops:
+        if op == OP_AND:
+            out.append((can1[d], can1[a], can1[b], can0[d], can0[a], can0[b]))
+        elif op == OP_OR:
+            out.append((can0[d], can0[a], can0[b], can1[d], can1[a], can1[b]))
+        elif op == OP_INV:
+            can0[d], can1[d] = can1[a], can0[a]
+        elif op == OP_BUF:
+            can0[d], can1[d] = can0[a], can1[a]
+        elif op == OP_XOR:
+            a0, a1, b0, b1 = can0[a], can1[a], can0[b], can1[b]
+            out += [
+                (t, a0, b1, t, t, t),
+                (u, a1, b0, can1[d], t, u),
+                (t, a0, b0, t, t, t),
+                (u, a1, b1, can0[d], t, u),
+            ]
+        else:
+            raise ValueError(f"unknown opcode {op!r}")
+    return PlaneProgram(tuple(out), 2 * n_slots + 2, tuple(can0), tuple(can1))
 
 
 def _popcount(plane: int) -> int:
@@ -175,43 +248,23 @@ class PlaneBackend:
     # ------------------------------------------------------------------
     # Compiled-program execution
     # ------------------------------------------------------------------
-    def run_ops(
-        self,
-        ops: Sequence[Tuple[int, int, int, int]],
-        p0: List[int],
-        p1: List[int],
-    ) -> None:
-        """Execute a compiled op list over the slot planes, in place.
+    def run_ops(self, ops: Sequence[PlaneOp], planes: List[int]) -> None:
+        """Execute plane-program ops over ``planes``, in place.
 
-        ``ops`` entries are ``(opcode, dst, a, b)`` over slot indices
-        (two-plane Kleene semantics, :mod:`repro.circuits.compiled`);
-        input and constant slots of ``p0``/``p1`` are pre-filled, and
-        every ``dst`` slot is written exactly once.  Inline int
-        operators, no per-op call: this is the hot loop of batch
-        simulation.
+        Each op ``(x, y, z, u, v, w)`` is ``planes[x] = planes[y] &
+        planes[z]`` followed by ``planes[u] = planes[v] | planes[w]``
+        (:func:`lower_ops`): no branch and no per-op call.  This is the
+        one Python op loop -- batch simulation, failure decode and this
+        class's verification shard all run it.
         """
-        for op, d, a, b in ops:
-            if op == OP_AND:
-                p1[d] = p1[a] & p1[b]
-                p0[d] = p0[a] | p0[b]
-            elif op == OP_OR:
-                p0[d] = p0[a] & p0[b]
-                p1[d] = p1[a] | p1[b]
-            elif op == OP_INV:
-                p0[d] = p1[a]
-                p1[d] = p0[a]
-            elif op == OP_XOR:
-                a0, a1, b0, b1 = p0[a], p1[a], p0[b], p1[b]
-                p1[d] = (a0 & b1) | (a1 & b0)
-                p0[d] = (a0 & b0) | (a1 & b1)
-            else:  # OP_BUF
-                p0[d] = p0[a]
-                p1[d] = p1[a]
+        P = planes
+        for x, y, z, u, v, w in ops:
+            P[x] = P[y] & P[z]
+            P[u] = P[v] | P[w]
 
     def run_ops_select_diff(
         self,
-        ops: Sequence[Tuple[int, int, int, int]],
-        n_slots: int,
+        program: PlaneProgram,
         inputs: Sequence[Tuple[int, int, int]],
         cmp: Sequence[Tuple[int, int, int]],
         sel: int,
@@ -221,8 +274,9 @@ class PlaneBackend:
     ) -> Tuple[int, int]:
         """Run a program and reduce it to a mismatch plane in one step.
 
-        ``inputs`` presets slots (``(slot, p0, p1)``); every other slot
-        starts all-zero.  Each ``cmp`` triple ``(slot, a_slot, b_slot)``
+        ``program`` is a :class:`PlaneProgram`; ``inputs`` presets slots
+        (``(slot, p0, p1)``), and every other slot no op writes reads
+        all-zero planes.  Each ``cmp`` triple ``(slot, a_slot, b_slot)``
         checks ``slot`` against the lane-wise mux of two other slots,
 
             ``expected = (sel & a_slot) | (nsel & b_slot)``
@@ -236,17 +290,17 @@ class PlaneBackend:
         given (one int per triple), each triple's own mismatch popcount
         is added to its entry.
         """
-        p0 = [0] * n_slots
-        p1 = [0] * n_slots
+        P = [0] * program.n_planes
         for slot, a0, a1 in inputs:
-            p0[slot] = a0
-            p1[slot] = a1
-        self.run_ops(ops, p0, p1)
+            P[2 * slot] = a0
+            P[2 * slot + 1] = a1
+        self.run_ops(program.ops, P)
+        c0, c1 = program.can0, program.can1
         diff = 0
         for j, (slot, a, b) in enumerate(cmp):
-            e0 = (sel & p0[a]) | (nsel & p0[b])
-            e1 = (sel & p1[a]) | (nsel & p1[b])
-            miss = (p0[slot] ^ e0) | (p1[slot] ^ e1)
+            e0 = (sel & P[c0[a]]) | (nsel & P[c0[b]])
+            e1 = (sel & P[c1[a]]) | (nsel & P[c1[b]])
+            miss = (P[c0[slot]] ^ e0) | (P[c1[slot]] ^ e1)
             diff |= miss
             if counts is not None:
                 counts[j] += _popcount(miss)
@@ -264,7 +318,7 @@ class PlaneBackend:
     ) -> Tuple[int, int]:
         """Check one g-row shard of the 2-sort pair product in one step.
 
-        ``program`` is a compiled program (``ops``, ``n_slots``,
+        ``program`` is a compiled program (``plane_program``,
         ``input_slots`` -- g bits then h bits -- and ``const_slots`` as
         ``(slot, can0, can1)``, :class:`repro.circuits.compiled.CompiledCircuit`);
         ``cmp`` holds :meth:`run_ops_select_diff` slot triples.  The
@@ -294,8 +348,7 @@ class PlaneBackend:
         for slot, can0, can1 in program.const_slots:
             inputs.append((slot, full if can0 else 0, full if can1 else 0))
         return self.run_ops_select_diff(
-            program.ops,
-            program.n_slots,
+            program.plane_program,
             inputs,
             cmp,
             sel,

@@ -45,6 +45,14 @@ caches the program per netlist identity, keyed on the circuit's mutation
 ``version`` *and* the backend name.  :class:`TritVec` is the
 user-facing batch value type.
 
+**One op form in Python.**  On its first Python run a program lowers
+its ops once more, into an inverter-free
+:class:`~repro.backends.base.PlaneProgram`
+(:func:`~repro.backends.base.lower_ops`: INV and BUF become renames of
+plane indices), which :meth:`~repro.backends.base.PlaneBackend.run_ops`
+runs for every Python caller.  The native kernel lowers ``ops`` its own
+way (:mod:`repro.backends.native`), so a native sweep never builds it.
+
 Throughput: one gate visit now processes thousands of vectors, which is
 what makes exhaustive verification over all ``|S^B_rg|^2`` valid pairs
 (261k pairs at B = 8) and large measurement-sorting workloads run in
@@ -53,10 +61,20 @@ milliseconds instead of minutes (see ``benchmarks/bench_engines.py``).
 
 from __future__ import annotations
 
+from functools import cached_property
+from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..backends import PlaneBackend, get_backend
-from ..backends.base import OP_AND, OP_BUF, OP_INV, OP_OR, OP_XOR
+from ..backends.base import (
+    OP_AND,
+    OP_BUF,
+    OP_INV,
+    OP_OR,
+    OP_XOR,
+    PlaneProgram,
+    lower_ops,
+)
 from ..ternary.trit import Trit, TritLike, canonical_trit_string
 from ..ternary.word import Word
 from .netlist import Circuit, CircuitError
@@ -347,11 +365,12 @@ class CompiledCircuit:
 
     Compilation walks the topological gate order once and emits a list
     of primitive ops over integer *slots* (one slot per net, plus
-    temporaries for composite cells).  :meth:`evaluate_batch` then runs
-    the whole program over a batch of input vectors, each bitwise op
-    processing every vector simultaneously.  The program's ``backend``
-    (:class:`~repro.backends.PlaneBackend`) runs the op sweep and, for
-    :meth:`run_pair_shard`, the whole verification shard.
+    temporaries for composite cells); the first Python run lowers them
+    to the inverter-free :attr:`plane_program`.  :meth:`evaluate_batch`
+    then runs the whole program over a batch of input vectors, each
+    bitwise op processing every vector simultaneously.  The program's
+    ``backend`` (:class:`~repro.backends.PlaneBackend`) runs the op
+    sweep and, for :meth:`run_pair_shard`, the whole verification shard.
 
     Instances are immutable snapshots: they record the circuit's
     mutation ``version`` at compile time, and :func:`compile_circuit`
@@ -450,35 +469,66 @@ class CompiledCircuit:
     # ------------------------------------------------------------------
     # Core executor
     # ------------------------------------------------------------------
+    @cached_property
+    def plane_program(self) -> PlaneProgram:
+        """:attr:`ops` lowered to plane ops, built on first Python run.
+
+        :func:`~repro.backends.base.lower_ops`: input slot ``i``'s
+        planes are plane ``2i`` (can-0) and ``2i + 1`` (can-1).
+        """
+        return lower_ops(self.ops, self.n_slots)
+
+    @cached_property
+    def _output_planes(self) -> Tuple[int, ...]:
+        """Plane indices of each output's can-0 and can-1 plane, in turn."""
+        prog = self.plane_program
+        return tuple(
+            i for s in self.output_slots for i in (prog.can0[s], prog.can1[s])
+        )
+
+    def _run(self, planes: Sequence[int], n_vectors: int) -> List[int]:
+        """Run the plane program on flat input planes; returns every plane."""
+        if len(planes) != 2 * self.n_inputs:
+            raise ValueError(
+                f"{self.name}: expected {2 * self.n_inputs} planes for "
+                f"{self.n_inputs} inputs, got {len(planes)}"
+            )
+        prog = self.plane_program
+        P = [0] * prog.n_planes
+        P[: len(planes)] = planes
+        if self.const_slots:
+            full = (1 << n_vectors) - 1
+            for slot, can0, can1 in self.const_slots:
+                P[2 * slot] = full if can0 else 0
+                P[2 * slot + 1] = full if can1 else 0
+        self.backend.run_ops(prog.ops, P)
+        return P
+
     def run_planes(
         self, input_planes: Sequence[Tuple[int, int]], n_vectors: int
     ) -> Tuple[List[int], List[int]]:
         """Execute the program on raw planes; returns all slot planes.
 
         ``input_planes[i]`` is the ``(p0, p1)`` int pair for primary
-        input ``i`` over ``n_vectors`` lanes.  Callers project the
-        returned per-slot plane lists through :attr:`output_slots` or
-        :attr:`net_slot`.
+        input ``i`` over ``n_vectors`` lanes.  The ops run as the
+        :attr:`plane_program`, whose renames are then read back into
+        one ``p0`` and one ``p1`` list indexed by slot; callers project
+        them through :attr:`output_slots` or :attr:`net_slot`.
         """
-        if len(input_planes) != self.n_inputs:
-            raise ValueError(
-                f"{self.name}: expected planes for {self.n_inputs} inputs, "
-                f"got {len(input_planes)}"
-            )
-        p0 = [0] * self.n_slots
-        p1 = [0] * self.n_slots
-        for slot, (a0, a1) in zip(self.input_slots, input_planes):
-            p0[slot] = a0
-            p1[slot] = a1
-        if self.const_slots:
-            full = (1 << n_vectors) - 1
-            for slot, can0, can1 in self.const_slots:
-                if can0:
-                    p0[slot] = full
-                if can1:
-                    p1[slot] = full
-        self.backend.run_ops(self.ops, p0, p1)
-        return p0, p1
+        P = self._run(list(chain.from_iterable(input_planes)), n_vectors)
+        prog = self.plane_program
+        return [P[i] for i in prog.can0], [P[i] for i in prog.can1]
+
+    def run_outputs(self, planes: Sequence[int], n_vectors: int) -> List[int]:
+        """Execute the program on flat planes; returns the output planes.
+
+        ``planes`` is ``p0, p1`` of input 0, then of input 1, and so on,
+        over ``n_vectors`` lanes; the result is laid out the same way
+        over the outputs.  No per-slot list is built: this is the batch
+        sort's per-layer pass.
+        """
+        P = self._run(planes, n_vectors)
+        return [P[i] for i in self._output_planes]
 
     def run_pair_shard(
         self,
@@ -611,11 +661,11 @@ class CompiledCircuit:
 
         ``inputs[i]`` carries input ``i`` across all lanes; returns one
         :class:`TritVec` per primary output.  The planes go to
-        :meth:`run_planes` as they are and come back wrapped unchecked,
+        :meth:`run_outputs` as they are and come back wrapped unchecked,
         with no copy.  (The batched
         sorting-network simulator skips the wrappers: it keeps plain
-        plane pairs from :func:`planes_from_str` and calls
-        :meth:`run_planes` itself.)
+        planes from :func:`planes_from_str` and calls
+        :meth:`run_outputs` itself.)
         """
         if not inputs and self.n_inputs:
             raise ValueError(f"{self.name}: expected {self.n_inputs} inputs")
@@ -623,9 +673,10 @@ class CompiledCircuit:
         for tv in inputs:
             if tv.n != n:
                 raise ValueError("all input TritVecs must have equal lanes")
-        planes = [(tv.p0, tv.p1) for tv in inputs]
-        p0, p1 = self.run_planes(planes, n)
-        return [TritVec._wrap(n, p0[s], p1[s]) for s in self.output_slots]
+        out = self.run_outputs([p for tv in inputs for p in (tv.p0, tv.p1)], n)
+        return [
+            TritVec._wrap(n, p0, p1) for p0, p1 in zip(out[::2], out[1::2])
+        ]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -23,14 +23,16 @@ directly on :class:`~repro.ternary.word.Word` values using a pluggable
 **Batching.**  :func:`sort_words` runs one vector;
 :func:`sort_strings_batch` runs many measurement vectors through the
 network *simultaneously*: every bit of every channel is one pair of
-bit planes over all vectors, and each comparator visit executes the
-compiled 2-sort program once for all vectors (layer by layer, exactly
-the hardware dataflow).  Its unit is the word *string*, and the batch
-travels as one string: the words joined back to back are lane-major
-(vector ``j`` is lane ``j``), so bit ``b`` of channel ``c`` is the
-strided column ``c * width + b``, read with one slice and one
-``int(..., 2)`` per plane and written back by one strided ``bytearray``
-slice assignment per plane (the codec of
+bit planes over all vectors, and each network layer executes the
+compiled 2-sort program once for all vectors and all its comparators
+(exactly the hardware dataflow): the layer's comparators sit side by
+side in lane space, comparator ``i`` on lanes ``[i * n, (i + 1) * n)``
+of ``n`` vectors, as far as :data:`_PASS_LANES` allows.  Its unit is
+the word *string*, and the batch travels as one string: the words
+joined back to back are lane-major (vector ``j`` is lane ``j``), so bit
+``b`` of channel ``c`` is the strided column ``c * width + b``, read
+with one slice and one ``int(..., 2)`` per plane and written back by
+one strided ``bytearray`` slice assignment per plane (the codec of
 :func:`~repro.circuits.compiled.planes_from_str` /
 :func:`~repro.circuits.compiled.planes_to_str`).  No
 :class:`~repro.ternary.word.Word` or :class:`~repro.ternary.trit.Trit`
@@ -49,7 +51,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Sized, Tuple
 
 from ..circuits.compiled import compile_circuit, planes_from_str, planes_to_str
 from ..circuits.evaluate import evaluate_interpreted
@@ -60,6 +62,16 @@ from ..ternary.word import Word
 from .comparator import SortingNetwork
 
 TwoSortFn = Callable[[Word, Word], Tuple[Word, Word]]
+
+#: Lanes of one batch-sort pass: a layer's comparators share a pass
+#: while ``comparators * vectors`` fits.  Packing one in costs four int
+#: ops per plane, on ints that grow with the lane count, and saves one
+#: program run, whose ~300 ops cost about the same at any lane count up
+#: to a few thousand, so packing pays on small batches only.  On 10 x
+#: 16-bit batches (2-core host) this budget made the comparator loop
+#: 0.39-0.89x the one-run-per-comparator loop from 1 to 16,384 vectors;
+#: the shard budget, 1 << 14, read ~1.0x at 2,048.
+_PASS_LANES = 1 << 12
 
 
 @lru_cache(maxsize=None)
@@ -110,13 +122,44 @@ def _engine_fn(engine: str) -> TwoSortFn:
         ) from None
 
 
+def _side_by_side(blocks: Sequence[List[int]], n: int) -> List[int]:
+    """Equal-length plane lists over ``n`` lanes as one plane list:
+    ``blocks[i]`` on lanes ``[i * n, (i + 1) * n)``."""
+    packed = blocks[-1]
+    for block in blocks[-2::-1]:
+        packed = [(a << n) | b for a, b in zip(packed, block)]
+    return packed
+
+
+def _apart(planes: List[int], n: int, k: int) -> List[List[int]]:
+    """Inverse of :func:`_side_by_side`: ``k`` plane lists of ``n`` lanes."""
+    mask = (1 << n) - 1
+    blocks = []
+    for _ in range(k - 1):
+        blocks.append([p & mask for p in planes])
+        planes = [p >> n for p in planes]
+    blocks.append(planes)
+    return blocks
+
+
+def _check_one_width(words: Iterable[Sized]) -> None:
+    if len(set(map(len, words))) > 1:
+        raise ValueError("all words in a batch must share one width")
+
+
 def sort_words(
     network: SortingNetwork,
-    values: Sequence[Word],
+    values: Iterable[Word],
     engine: str = "rank",
 ) -> List[Word]:
-    """Run ``network`` on Gray-coded words; channel 0 gets the minimum."""
-    return network.apply(list(values), two_sort=_engine_fn(engine))
+    """Run ``network`` on Gray-coded words; channel 0 gets the minimum.
+
+    The words must share one width, whatever the engine.
+    """
+    two_sort = _engine_fn(engine)
+    values = list(values)
+    _check_one_width(values)
+    return network.apply(values, two_sort=two_sort)
 
 
 def sort_words_batch(
@@ -151,9 +194,12 @@ def sort_strings_batch(
     ascending on channel 0, as strings with ``M`` upper-case.
 
     With the default ``"compiled"`` engine all vectors advance through
-    the network together: per comparator, one two-plane program run
-    (:meth:`~repro.circuits.compiled.CompiledCircuit.run_planes`) sorts
-    lane ``j`` of every channel simultaneously.  The batch is joined
+    the network together: per layer, one two-plane program run
+    (:meth:`~repro.circuits.compiled.CompiledCircuit.run_outputs`) sorts
+    lane ``j`` of every channel simultaneously, the layer's comparators
+    side by side in lane space (up to :data:`_PASS_LANES` lanes a run;
+    SORT10_SIZE's 29 comparators take 8 runs on up to 819 vectors).  All
+    words must share one width, whatever the engine.  The batch is joined
     into one string and canonicalized once; each input plane (channel
     ``c``, bit ``b``) is one strided slice of it (step ``channels *
     width``) read with ``int(..., 2)``, and each sorted plane goes back
@@ -174,9 +220,7 @@ def sort_strings_batch(
                 f"{network.name} expects {network.channels} values, "
                 f"got {len(v)}"
             )
-    if engine == "compiled" and vectors:
-        if len(set(map(len, chain.from_iterable(vectors)))) > 1:
-            raise ValueError("all words in a batch must share one width")
+    _check_one_width(chain.from_iterable(vectors))
     if engine != "compiled":
         return [
             [str(w) for w in sort_words(network, map(Word, v), engine=engine)]
@@ -189,24 +233,31 @@ def sort_strings_batch(
     width = len(vectors[0][0])
 
     program = compile_circuit(_cached_circuit(width))
-    outputs = program.output_slots
     # The joined batch is lane-major (lane j is vector j's words back to
     # back), so bit b of channel c over all lanes is column c*width + b.
     planes = planes_from_str(
         "".join(chain.from_iterable(vectors)), channels * width
     )
-    # state[c][b]: the (p0, p1) planes of bit b of channel c.
-    state: List[List[Tuple[int, int]]] = [
-        planes[c * width : (c + 1) * width] for c in range(channels)
+    # state[c]: channel c's planes, p0 and p1 of bit 0, then of bit 1...
+    state: List[List[int]] = [
+        list(chain.from_iterable(planes[c * width : (c + 1) * width]))
+        for c in range(channels)
     ]
+    half = 2 * width
+    per_pass = max(1, _PASS_LANES // n)
     for layer in network.layers:
-        for comp in layer:
-            p0, p1 = program.run_planes(state[comp.lo] + state[comp.hi], n)
-            outs = [(p0[s], p1[s]) for s in outputs]
-            state[comp.hi] = outs[:width]  # max
-            state[comp.lo] = outs[width:]  # min
+        for at in range(0, len(layer), per_pass):
+            group = layer[at : at + per_pass]
+            outs = program.run_outputs(
+                _side_by_side([state[c.lo] + state[c.hi] for c in group], n),
+                len(group) * n,
+            )
+            for comp, block in zip(group, _apart(outs, n, len(group))):
+                state[comp.hi] = block[:half]  # max
+                state[comp.lo] = block[half:]  # min
     # ...and back: the sorted columns in the same layout, cut into words.
-    text = planes_to_str([p for columns in state for p in columns], n)
+    text = planes_to_str(
+        [(c[k], c[k + 1]) for c in state for k in range(0, half, 2)], n
+    )
     words = [text[i : i + width] for i in range(0, len(text), width)]
     return [words[i : i + channels] for i in range(0, len(words), channels)]
-

@@ -259,6 +259,14 @@ class SortRequest:
         return cls(vectors=(tuple(values),), **kwargs)
 
     def validate(self) -> None:
+        """Check the request's shape; a ValueError names the problem.
+
+        The checks run once per request object, however many entry
+        points call this (the wire decoder, :meth:`JobManager.submit`,
+        :meth:`run`): the request is frozen, so a pass stays a pass.
+        """
+        if self.__dict__.get("_validated"):
+            return
         if self.engine not in ENGINES:
             raise ValueError(
                 f"unknown simulation engine {self.engine!r}; "
@@ -287,6 +295,9 @@ class SortRequest:
             raise ValueError("all inputs must share one width")
         if widths == {0}:
             raise ValueError("words must be at least one bit wide")
+        # Past the frozen __setattr__; no dataclass field, so equality,
+        # hashing and to_dict() never see it.
+        self.__dict__["_validated"] = True
 
     def describe(self) -> str:
         n = len(self.vectors)
@@ -307,9 +318,11 @@ class SortRequest:
     ) -> List[List[str]]:
         """Sort every vector; identical to the CLI ``sort`` semantics.
 
-        All word strings are checked together with
-        :func:`~repro.graycode.valid.validate_all` (one regular-expression
-        match per 256 words; a bad word raises what
+        The shape is checked by :meth:`validate` (once per request, so
+        a request the wire decoder or :class:`JobManager` already checked
+        is not walked again), and all word strings are checked together
+        with :func:`~repro.graycode.valid.validate_all` (one
+        regular-expression match per 256 words; a bad word raises what
         :func:`~repro.graycode.valid.validate` raises for the first one)
         and the batch runs in this process as one
         :func:`~repro.networks.simulate.sort_strings_batch` call, which

@@ -46,7 +46,14 @@ from repro.circuits.gates import (
     XNOR2,
     XOR2,
 )
-from repro.backends.base import OP_AND, OP_BUF, OP_INV, OP_OR, OP_XOR
+from repro.backends.base import (
+    OP_AND,
+    OP_BUF,
+    OP_INV,
+    OP_OR,
+    OP_XOR,
+    lower_ops,
+)
 from repro.backends.native import (
     _FUSED,
     _INNER_SHIFT,
@@ -355,6 +362,18 @@ class TestKernelFirstUse:
         p0, p1 = program.run_planes(planes, n)
         assert all(type(p) is int for p in p0 + p1)
 
+    def test_native_sweep_builds_no_plane_program(self):
+        """The kernel lowers ``ops`` its own way: a clean native sweep
+        never builds the Python plane program, a bigint sweep does."""
+        native = get_backend("native")
+        if not native.built:
+            pytest.skip("native kernel not built")
+        for backend, built in (("native", False), ("bigint", True)):
+            circuit = build_two_sort(5)
+            assert verify_two_sort_circuit(circuit, 5, backend=backend).ok
+            program = compile_circuit(circuit, backend)
+            assert ("plane_program" in vars(program)) is built, backend
+
     def test_concurrent_first_use_waits_for_the_load(self, monkeypatch, capsys):
         """Regression: a thread that asked while another was still loading
         got no kernel, printed the fallback notice and took the fallback.
@@ -602,8 +621,9 @@ def _select_diff_per_lane(ops, cmp, lane_inputs, sel_bits):
 
 
 class TestSelectDiffContract:
-    """run_ops_select_diff against the program evaluated lane by lane
-    with the Kleene tables (``repro.ternary.kleene``), at every word
+    """run_ops_select_diff, on the random program lowered by
+    ``lower_ops``, against the raw program evaluated lane by lane with
+    the Kleene tables (``repro.ternary.kleene``), at every word
     boundary: diff, mismatch count and per-triple counts."""
 
     @pytest.mark.parametrize("lanes", EDGE_LANES)
@@ -624,8 +644,7 @@ class TestSelectDiffContract:
                 inputs.append((slot, can0, can1))
             counts = [0] * len(cmp)
             diff, count = backend.run_ops_select_diff(
-                ops,
-                n_slots,
+                lower_ops(ops, n_slots),
                 inputs,
                 cmp,
                 sel,
@@ -1340,7 +1359,8 @@ class TestCompactPairShardProgram:
     @pytest.mark.parametrize("width", [3, 7])
     def test_lowered_program_equals_run_ops(self, width):
         """A Python run of each lowered grid program gives every
-        compared root the planes ``run_ops`` gives its slot, on random
+        compared root the planes the plane program (``lower_ops``, then
+        ``run_ops``) gives its slot, on random
         ternary inputs; the fused-forms netlist runs all four fused
         forms with every combination of swap bits."""
         lanes = 256
@@ -1369,12 +1389,14 @@ class TestCompactPairShardProgram:
             for _ in program.input_slots:  # each lane 0, 1 or M
                 can0 = rng.getrandbits(lanes)
                 inputs.append((can0, (can0 ^ full) | rng.getrandbits(lanes)))
-            p0, p1 = [0] * program.n_slots, [0] * program.n_slots
+            plane = lower_ops(program.ops, program.n_slots)
+            P = [0] * plane.n_planes
             for slot, (a0, a1) in zip(program.input_slots, inputs):
-                p0[slot], p1[slot] = a0, a1
+                P[2 * slot], P[2 * slot + 1] = a0, a1
             for slot, can0, can1 in program.const_slots:
-                p0[slot], p1[slot] = full * can0, full * can1
-            BigIntBackend().run_ops(program.ops, p0, p1)
+                P[2 * slot], P[2 * slot + 1] = full * can0, full * can1
+            BigIntBackend().run_ops(plane.ops, P)
+            p0, p1 = [P[i] for i in plane.can0], [P[i] for i in plane.can1]
             r0, r1 = self._run_lowered(ops, fill, n_rows, inputs, full)
             outs, ins = program.output_slots, program.input_slots
             slots = [s for o, a, b in pairs for s in (outs[o], ins[a], ins[b])]

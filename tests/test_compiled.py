@@ -14,14 +14,20 @@ import random
 
 import pytest
 
-from repro.circuits.compiled import CompiledCircuit, TritVec, compile_circuit
+from repro.backends.base import OP_AND, OP_OR, OP_XOR, PlaneProgram
+from repro.circuits.compiled import (
+    CompiledCircuit,
+    TritVec,
+    compile_circuit,
+    trit_from_planes,
+)
 from repro.circuits.evaluate import (
     evaluate,
     evaluate_all_resolutions,
     evaluate_interpreted,
     evaluate_words,
 )
-from repro.circuits.gates import ALL_GATE_KINDS, AND2, INV, OR2
+from repro.circuits.gates import ALL_GATE_KINDS, AND2, BUF, INV, OR2
 from repro.circuits.netlist import Circuit, CircuitError
 from repro.core.two_sort import build_two_sort
 from repro.ternary.kleene import kleene_and, kleene_not, kleene_or, kleene_xor
@@ -274,6 +280,104 @@ class TestCircuitEquivalence:
         c.add_output(c.add_gate(xor, [a, na]))
         assert evaluate_words(c, Word("M")) == Word("M")
         assert evaluate_all_resolutions(c, Word("M")) == Word("1")
+
+
+def _mixed_netlist(seed, n_inputs=4, extra_gates=20):
+    """A random netlist with every gate kind (XNOR, AOI/OAI, MUX and the
+    CONST drivers among them), INV/BUF chains, constant nets, and
+    outputs that include a primary input and both constants."""
+    rng = random.Random(seed)
+    c = Circuit(f"mixed{seed}")
+    nets = c.add_inputs(n_inputs)
+    consts = [c.const(ZERO), c.const(ONE)]
+    nets += consts
+    kinds = list(ALL_GATE_KINDS.values())
+    kinds += [rng.choice(kinds) for _ in range(extra_gates)]
+    rng.shuffle(kinds)
+    for kind in kinds:
+        net = c.add_gate(kind, [rng.choice(nets) for _ in range(kind.arity)])
+        if kind in (INV, BUF):
+            for _ in range(rng.randrange(4)):
+                net = c.add_gate(rng.choice([INV, BUF]), [net])
+        nets.append(net)
+    c.add_outputs(rng.sample(nets[n_inputs + 2 :], 6))
+    c.add_outputs([nets[rng.randrange(n_inputs)], *consts])
+    return c
+
+
+def _plane_mismatches(circuit, plane_program=None):
+    """Nets on which the compiled program disagrees with the scalar
+    interpreter, over all ``3**inputs`` assignments as lanes of one
+    batch: every named net through ``run_planes``, every output through
+    ``run_outputs``.  ``plane_program`` replaces the lowered program."""
+    program = CompiledCircuit(circuit)
+    if plane_program is not None:
+        program.plane_program = plane_program
+    combos = list(itertools.product(ALL_TRITS, repeat=len(circuit.inputs)))
+    planes, lanes = program.encode_inputs(combos)
+    p0, p1 = program.run_planes(planes, lanes)
+    outs = program.run_outputs([p for pair in planes for p in pair], lanes)
+    bad = set()
+    for j, combo in enumerate(combos):
+        ref = evaluate_interpreted(circuit, dict(zip(circuit.inputs, combo)))
+        for net, slot in program.net_slot.items():
+            got = trit_from_planes(p0[slot] >> j & 1, p1[slot] >> j & 1)
+            if got != ref[net]:
+                bad.add(net)
+        for k, net in enumerate(circuit.outputs):
+            can0, can1 = outs[2 * k] >> j & 1, outs[2 * k + 1] >> j & 1
+            got = trit_from_planes(can0, can1)
+            if got != ref[net]:
+                bad.add(("output", k))
+    return bad
+
+
+class TestPlaneProgram:
+    """The inverter-free plane program every Python run goes through
+    (``lower_ops``), against the scalar interpreter net by net."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_netlists_match_interpreter(self, seed):
+        circuit = _mixed_netlist(seed)
+        program = compile_circuit(circuit)
+        assert "plane_program" not in vars(program)  # built on first run
+        assert _plane_mismatches(circuit) == set()
+        # One op per AND and OR, four per XOR; INV and BUF are renames.
+        kinds = [op[0] for op in program.ops]
+        assert len(program.plane_program.ops) == (
+            kinds.count(OP_AND) + kinds.count(OP_OR) + 4 * kinds.count(OP_XOR)
+        )
+
+    def test_rejects_an_and_or_swap(self):
+        """Swapping one lowered AND op for its plane dual (an OR) shows
+        up on that gate's net."""
+        circuit = _mixed_netlist(3)
+        a, b = circuit.inputs[:2]
+        circuit.add_output(circuit.add_gate(AND2, [a, b], output="probe"))
+        program = CompiledCircuit(circuit)
+        d = program.net_slot["probe"]
+        ops = list(program.plane_program.ops)
+        k = next(i for i, op in enumerate(ops) if op[0] == 2 * d + 1)
+        x, y, z, u, v, w = ops[k]
+        ops[k] = (u, v, w, x, y, z)
+        lowered = program.plane_program
+        mutant = PlaneProgram(
+            tuple(ops), lowered.n_planes, lowered.can0, lowered.can1
+        )
+        assert "probe" in _plane_mismatches(circuit, mutant)
+
+    def test_inverter_chains_take_no_op(self):
+        c = Circuit("chain")
+        a = c.add_input("a")
+        net = a
+        for kind in (INV, BUF, INV, INV, BUF):
+            net = c.add_gate(kind, [net])
+        c.add_output(net)
+        program = compile_circuit(c)
+        assert program.plane_program.ops == ()
+        assert program.evaluate_batch([[t] for t in ALL_TRITS]) == [
+            Word([kleene_not(t)]) for t in ALL_TRITS
+        ]
 
 
 class TestCompileCache:

@@ -5,8 +5,9 @@ from functools import partial
 
 import pytest
 
+from repro.circuits.compiled import CompiledCircuit
 from repro.graycode.rgc import gray_encode
-from repro.graycode.valid import rank
+from repro.graycode.valid import rank, validate_all
 from repro.networks.properties import check_mc_sort, is_sorted_by_rank, outputs_all_valid
 from repro.networks.simulate import (
     ENGINES,
@@ -201,12 +202,127 @@ class TestSortStringsBatch:
         expect = _per_vector(vectors, engine="fsm")
         assert sort_strings_batch(SORT7, vectors, engine="fsm") == expect
 
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_mixed_widths_rejected_on_every_engine(self, engine):
+        """Regression: only ``compiled`` checked widths; ``rank``
+        returned ``[['000', '00', '01', '11']]`` as if sorted and
+        ``circuit`` named a netlist input (``h3``)."""
+        bad = ["00", "01", "000", "11"]
+        message = "all words in a batch must share one width"
+        with pytest.raises(ValueError, match=message):
+            sort_strings_batch(SORT4, [bad], engine=engine)
+        with pytest.raises(ValueError, match=message):
+            sort_words(SORT4, map(Word, bad), engine=engine)
+
     def test_empty_and_shape_checks(self):
         assert sort_strings_batch(SORT4, []) == []
         with pytest.raises(ValueError, match="expects 4 values"):
             sort_strings_batch(SORT4, [["00"] * 3])
         with pytest.raises(ValueError, match="width"):
             sort_strings_batch(SORT4, [["00", "01", "000", "11"]])
+
+
+#: The layer-packing matrix's networks: the fixed 4-, 7- and 10-channel
+#: ones and Batcher networks from no comparator up to 8 in a layer.
+_PACKED_NETWORKS = [SORT4, SORT7, SORT10_SIZE] + [
+    batcher_odd_even(c) for c in (1, 2, 3, 5, 12, 16)
+]
+
+
+def _valid_rows(n, width, channels, seed):
+    """``n`` seeded rows of valid word strings, built straight from the
+    Gray code (``ValidStringSource`` builds Words, too slow for this
+    matrix): a codeword, or half the time the superposition of it and
+    its successor, whose one differing bit reads ``M`` or ``m``."""
+    rng = random.Random(seed)
+
+    def word():
+        x = rng.randrange(1 << width)
+        text = format(x ^ (x >> 1), f"0{width}b")
+        if x + 1 < 1 << width and rng.random() < 0.5:
+            i = width - (x ^ (x + 1) ^ ((x ^ (x + 1)) >> 1)).bit_length()
+            text = text[:i] + rng.choice("Mm") + text[i + 1 :]
+        return text
+
+    rows = [[word() for _ in range(channels)] for _ in range(n)]
+    validate_all([s for row in rows for s in row])
+    return rows
+
+
+def _edge_rows(n):
+    """The rows on the edges of each comparator's lane block."""
+    return sorted({0, n - 1})
+
+
+class TestLayerPacking:
+    """A compiled batch sort runs each layer as one pass, the layer's
+    comparators side by side in lane space.  Every row equals the rank
+    order (what the ``rank`` engine computes; 63-65 rows cross a 64-lane
+    word), and the rows on block edges equal the per-vector ``rank`` and
+    gate-level ``circuit`` engines."""
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 256])
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6, 16])
+    @pytest.mark.parametrize(
+        "network", _PACKED_NETWORKS, ids=[n.name for n in _PACKED_NETWORKS]
+    )
+    def test_matches_per_vector_engines(self, network, width, n):
+        vectors = _valid_rows(n, width, network.channels, seed=7 * n + width)
+        assert any("m" in s for v in vectors for s in v) or n < 63
+        got = sort_strings_batch(network, vectors)
+        assert got == [
+            sorted((s.upper() for s in v), key=rank) for v in vectors
+        ]
+        edges = [vectors[j] for j in _edge_rows(n)]
+        for engine in ("rank", "circuit"):
+            assert [got[j] for j in _edge_rows(n)] == sort_strings_batch(
+                network, edges, engine=engine
+            ), engine
+
+    @pytest.mark.parametrize("n", [1, 63, 65, 256])
+    @pytest.mark.parametrize(
+        "network", [SORT10_SIZE, batcher_odd_even(16)], ids=["10", "16"]
+    )
+    def test_layers_split_across_passes(self, monkeypatch, network, n):
+        """A pass smaller than a layer splits it; rows do not change."""
+        import repro.networks.simulate as simulate
+
+        vectors = _valid_rows(n, 3, network.channels, seed=n)
+        runs = []
+        real = CompiledCircuit.run_outputs
+
+        def counted(self, planes, lanes):
+            runs.append(lanes)
+            return real(self, planes, lanes)
+
+        monkeypatch.setattr(simulate, "_PASS_LANES", 130)
+        monkeypatch.setattr(CompiledCircuit, "run_outputs", counted)
+        assert sort_strings_batch(network, vectors) == [
+            sorted((s.upper() for s in v), key=rank) for v in vectors
+        ]
+        per_pass = max(1, 130 // n)
+        assert runs == [
+            min(per_pass, len(layer) - at) * n
+            for layer in network.layers
+            for at in range(0, len(layer), per_pass)
+        ]
+
+    def test_sort10_runs_one_pass_per_layer(self, monkeypatch):
+        """SORT10_SIZE's 29 comparators (layers of 5, 4, 3, 4, 4, 4, 3,
+        2) take 8 program runs on 256 vectors of 16-bit words."""
+        from repro.backends.base import PlaneBackend
+
+        runs = []
+        real = PlaneBackend.run_ops
+
+        def counted(self, ops, planes):
+            runs.append(len(ops))
+            return real(self, ops, planes)
+
+        vectors = _string_workload(256, width=16, channels=10)
+        monkeypatch.setattr(PlaneBackend, "run_ops", counted)
+        sort_strings_batch(SORT10_SIZE, vectors)
+        assert runs == [314] * 8
 
 
 class TestMcSortContract:

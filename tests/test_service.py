@@ -29,7 +29,7 @@ from repro.verify.parallel import _EXECUTORS, _serial_executor, register_executo
 from repro.core.two_sort import build_two_sort
 from repro.networks.simulate import ENGINES, sort_words
 from repro.networks.topologies import best_known
-from repro.graycode.valid import validate
+from repro.graycode.valid import validate, validate_all
 from repro.ternary.word import Word
 from repro.verify.random_valid import ValidStringSource
 
@@ -151,6 +151,20 @@ class TestRequests:
             request_from_dict({"kind": "sort", "vectors": [[10, 11]]})
         with pytest.raises(ValueError, match="must be strings"):
             SortRequest(vectors=(("0110", 10),)).validate()
+
+    def test_validated_flag_is_not_part_of_the_request(self):
+        request = SortRequest(vectors=(("0110", "0M10"),))
+        request.validate()
+        assert request == SortRequest(vectors=(("0110", "0M10"),))
+        assert request.to_dict() == {
+            "kind": "sort",
+            "vectors": [["0110", "0M10"]],
+            "engine": "compiled",
+        }
+        bad = SortRequest(vectors=(("01", "011"),))
+        for _ in range(2):  # a failed check is not remembered
+            with pytest.raises(ValueError, match="one width"):
+                bad.validate()
 
     def test_sort_run_builds_no_words(self, monkeypatch):
         """A sort request goes from strings to planes and back: no Word
@@ -731,6 +745,42 @@ class TestServerRoundTrip:
         result = asyncio.run(go())
         assert result["state"] == "done"
         assert result["result"]["vectors"] == [["0010", "0M10", "0110"]]
+
+    def test_served_sort_checks_the_batch_once(self, monkeypatch):
+        """A 256-vector job over the wire runs the body of
+        ``SortRequest.validate`` once (counted by its engine-name check),
+        though the wire decoder, ``JobManager.submit`` and ``run`` all
+        call it, and ``validate_all`` once."""
+        import repro.service.jobs as jobs
+
+        class CountingEngines(dict):
+            checks = 0
+
+            def __contains__(self, name):
+                CountingEngines.checks += 1
+                return super().__contains__(name)
+
+        gray_checks = []
+
+        def counted_validate_all(words):
+            gray_checks.append(len(words))
+            return validate_all(words)
+
+        monkeypatch.setattr(jobs, "ENGINES", CountingEngines(ENGINES))
+        monkeypatch.setattr(jobs, "validate_all", counted_validate_all)
+        vectors = _sort_vectors(256)
+
+        async def go():
+            async with ReproServer(JobManager(jobs=1), port=0) as server:
+                async with AsyncServiceClient(port=server.port) as client:
+                    job_id = await client.submit(SortRequest(vectors=vectors))
+                    return await client.result(job_id)
+
+        result = asyncio.run(go())
+        assert result["state"] == "done"
+        assert len(result["result"]["vectors"]) == 256
+        assert CountingEngines.checks == 1
+        assert gray_checks == [2560]
 
     def test_protocol_errors_keep_connection(self):
         async def go():
