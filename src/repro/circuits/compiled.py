@@ -75,7 +75,7 @@ from ..backends.base import (
     PlaneProgram,
     lower_ops,
 )
-from ..ternary.trit import Trit, TritLike, canonical_trit_string
+from ..ternary.trit import Trit, TritLike
 from ..ternary.word import Word
 from .netlist import Circuit, CircuitError
 from .wire import NetId
@@ -91,14 +91,15 @@ BackendLike = Union[str, PlaneBackend, None]
 
 #: The string codec (:func:`planes_from_str`, :func:`planes_to_str`,
 #: and :class:`TritVec` through them): ``str.translate`` tables from
-#: each canonical trit character to its can-be-0 / can-be-1 plane bit
-#: (:func:`~repro.ternary.trit.canonical_trit_string` reads ``'m'`` as
-#: ``'M'`` and rejects everything else first), and the
-#: ``bytes.translate`` table from a lane's byte sum in
-#: :func:`planes_to_str` (``0x90 + can0 + 2 * can1``) to its character.
-_CAN0 = str.maketrans("01M", "101")
-_CAN1 = str.maketrans("01M", "011")
-_LANE_CHAR = bytes.maketrans(b"\x91\x92\x93", b"01M")
+#: each trit character (``'m'`` reads as ``'M'``) to its can-be-0 /
+#: can-be-1 plane bit, one deleting the trit characters (whatever
+#: survives it is not a trit), and the ``bytes.translate`` table from a
+#: lane's byte sum in :func:`planes_to_str` (``0x90 + can0 + 2 *
+#: can1``, or 0 where no column is written) to its character.
+_CAN0 = str.maketrans("01Mm", "1011")
+_CAN1 = str.maketrans("01Mm", "0111")
+_NOT_TRIT = str.maketrans("", "", "01Mm")
+_LANE_CHAR = bytes.maketrans(b"\x91\x92\x93\x00", b"01M,")
 
 
 # ----------------------------------------------------------------------
@@ -112,9 +113,12 @@ def planes_from_str(text: str, stride: int) -> List[Tuple[int, int]]:
     (a batch of equal-width words joined back to back is one).  Column
     ``k`` -- character ``k`` of every lane, ``text[k::stride]`` --
     becomes one ``(p0, p1)`` pair over the ``n`` lanes, lane ``j`` at
-    bit ``j``.  The whole text is canonicalized and translated once per
-    plane; each column is then one strided slice and one ``int(..., 2)``,
-    with no per-lane loop.  Returns the ``stride`` pairs in column order.
+    bit ``j``.  The whole text is checked by one deleting ``translate``
+    (the first character outside ``{0, 1, M, m}`` raises the
+    :meth:`~repro.ternary.trit.Trit.from_char` ``ValueError``) and
+    translated once per plane; each column is then one strided slice and
+    one ``int(..., 2)``, with no per-lane loop.  Returns the ``stride``
+    pairs in column order.
     """
     n, extra = divmod(len(text), stride)
     if extra:
@@ -123,9 +127,12 @@ def planes_from_str(text: str, stride: int) -> List[Tuple[int, int]]:
         )
     if not n:
         return [(0, 0)] * stride
+    bad = text.translate(_NOT_TRIT)
+    if bad:
+        Trit.from_char(bad[0])
     # int() reads the first character as the top bit; lane 0 is bit 0,
     # so the text goes in reversed and column k starts at stride-1-k.
-    lanes = canonical_trit_string(text)[::-1]
+    lanes = text[::-1]
     can0 = lanes.translate(_CAN0)
     can1 = lanes.translate(_CAN1)
     return [
@@ -134,35 +141,49 @@ def planes_from_str(text: str, stride: int) -> List[Tuple[int, int]]:
     ]
 
 
-def planes_to_str(columns: Sequence[Tuple[int, int]], lanes: int) -> str:
+def planes_to_str(
+    columns: Sequence[Tuple[int, int]], lanes: int, width: int = 0
+) -> str:
     """Inverse of :func:`planes_from_str`: the lane-major string.
 
     ``columns[k]`` is the ``(p0, p1)`` pair of column ``k`` over
     ``lanes`` lanes; the result holds ``lanes`` runs of
-    ``len(columns)`` characters, ``M`` upper-case.  Whole-plane integer
-    ops, no per-lane loop: each plane is written out as one ASCII
+    ``len(columns)`` characters, ``M`` upper-case.  With ``width`` (which
+    must divide ``len(columns)``), a ``,`` also stands between each two
+    consecutive runs of ``width`` characters (the words of a batch), so
+    one ``split(",")`` cuts the words.  Whole-plane integer ops, no
+    per-lane or per-word loop: each plane is written out as one ASCII
     ``'0'``/``'1'`` byte per lane into its column's strided slice of one
     of two buffers, the buffers are summed as integers (``0x30 + can0 +
-    2 * (0x30 + can1)`` never carries across a byte), and one
-    ``translate`` maps the three sums to characters.
+    2 * (0x30 + can1)`` never carries across a byte; the byte after each
+    word is never written and sums to 0), and one ``translate`` maps the
+    sums to characters.
     """
     stride = len(columns)
-    size = lanes * stride
+    # Per lane: the columns, plus with `width` one separator per word.
+    span = stride + stride // width if width else stride
+    size = lanes * span
     if not size:
         return ""
     fmt = f"0{lanes}b"
     # format() writes the top lane first, so both buffers hold the text
-    # reversed, column k starting at stride-1-k.
+    # reversed: column k, at place `at` of a lane (k plus the separators
+    # of the words before it), starts at span-1-at.
     buf0 = bytearray(size)
     buf1 = bytearray(size)
     for k, (p0, p1) in enumerate(columns):
-        col = slice(stride - 1 - k, None, stride)
+        at = k + k // width if width else k
+        col = slice(span - 1 - at, None, span)
         buf0[col] = format(p0, fmt).encode()
         buf1[col] = format(p1, fmt).encode()
     codes = (
         int.from_bytes(buf0, "big") + (int.from_bytes(buf1, "big") << 1)
     ).to_bytes(size, "big")
-    return codes.translate(_LANE_CHAR)[::-1].decode("ascii")
+    # Reversed back; with `width` the reversed buffer starts with the
+    # separator after the last word, which the slice leaves out.
+    return codes.translate(_LANE_CHAR)[: 0 if width else None : -1].decode(
+        "ascii"
+    )
 
 
 # ----------------------------------------------------------------------

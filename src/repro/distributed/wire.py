@@ -112,6 +112,9 @@ class LineChannel:
         sock.settimeout(None)  # reads are select-bounded, writes blocking
         self._sock = sock
         self._buf = bytearray()
+        # Bytes at the head of _buf already searched for a newline, so a
+        # long line is scanned once, not once per received chunk.
+        self._scanned = 0
         self._wlock = threading.Lock()
         self._closed = False
         self.read_timeout = read_timeout
@@ -140,11 +143,13 @@ class LineChannel:
     def _pop_line(self) -> Optional[Dict[str, Any]]:
         """Decode and remove the first complete buffered line, if any."""
         while True:
-            nl = self._buf.find(b"\n")
+            nl = self._buf.find(b"\n", self._scanned)
             if nl < 0:
+                self._scanned = len(self._buf)
                 return None
             line = bytes(self._buf[: nl + 1])
             del self._buf[: nl + 1]
+            self._scanned = 0
             if line.strip():
                 return decode_line(line)
 

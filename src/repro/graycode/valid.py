@@ -28,7 +28,10 @@ its prefix, and in ``...M10..0`` the odd-parity resolution is an odd
 ``x`` whose next codeword flips exactly the ``M`` bit.  (Hamming
 distance one alone is not enough: ``rg(0) = 000`` and ``rg(7) = 100``
 are not neighbours.)  :func:`all_valid` checks a batch of words
-against this language with one regular-expression match per 256 words.
+against this language with one regular-expression match per 256 words;
+:func:`invalid_lanes` checks it on the bit planes of a packed batch
+(the batch sort's codec packs them anyway), a few int operations per
+plane and no per-word step.
 """
 
 from __future__ import annotations
@@ -190,6 +193,39 @@ def all_valid(words: Sequence[str]) -> bool:
         ):
             return False
     return True
+
+
+def invalid_lanes(planes: Sequence[Tuple[int, int]], width: int) -> int:
+    """The lanes of packed words that are not in ``S^B_rg``, as a mask.
+
+    ``planes`` holds the ``(p0, p1)`` can-be-0 / can-be-1 plane pairs of
+    consecutive ``width``-character words, character by character (pair
+    ``c * width + b`` is character ``b`` of word ``c`` in every lane, as
+    :func:`~repro.circuits.compiled.planes_from_str` packs a lane-major
+    batch), each over the same lanes; every lane must have ``p0`` or
+    ``p1`` set, so ``~p1`` marks a ``0`` and ``~p0`` a ``1``.  Per word,
+    with ``m = p0 & p1`` marking an ``M``, a lane is invalid where it
+    holds, after an ``M``,
+
+    * a second ``M`` anywhere,
+    * a ``0`` right after it, or
+    * a ``1`` two or more places after it,
+
+    which is the module docstring's language ``[01]*(M(10*)?)?``.  The
+    three terms are disjoint (each names the character it finds), so
+    none is implied by the others.  Bit ``j`` of the result is set iff
+    some word of lane ``j`` is invalid.
+    """
+    bad = 0
+    for lo in range(0, len(planes), width):
+        seen = prev = later = 0  # M anywhere before, just before, 2+ before
+        for p0, p1 in planes[lo : lo + width]:
+            m = p0 & p1
+            bad |= m & seen | prev & ~p1 | later & ~p0
+            later = seen
+            seen |= m
+            prev = m
+    return bad
 
 
 def validate_all(words: Sequence[str]) -> None:

@@ -32,13 +32,16 @@ the word *string*, and the batch travels as one string: the words
 joined back to back are lane-major (vector ``j`` is lane ``j``), so bit
 ``b`` of channel ``c`` is the strided column ``c * width + b``, read
 with one slice and one ``int(..., 2)`` per plane and written back by
-one strided ``bytearray`` slice assignment per plane (the codec of
-:func:`~repro.circuits.compiled.planes_from_str` /
-:func:`~repro.circuits.compiled.planes_to_str`).  No
+one strided ``bytearray`` slice assignment per plane, a separator after
+each word, so one ``split`` cuts the sorted text into words (the codec
+of :func:`~repro.circuits.compiled.planes_from_str` /
+:func:`~repro.circuits.compiled.planes_to_str`).  The words are checked
+against the valid strings on the same planes
+(:func:`~repro.graycode.valid.invalid_lanes`), on every engine.  No
 :class:`~repro.ternary.word.Word` or :class:`~repro.ternary.trit.Trit`
-is built and no Python loop runs per lane or per word until the sorted
-text is cut into words.  This is the high-throughput path for
-system-level workloads (the service's sort jobs run on it);
+is built and no Python loop runs per lane or per word.  This is the
+high-throughput path for system-level workloads (the service's sort
+jobs run on it);
 :func:`sort_words_batch` is the same computation with ``Word`` values
 at the edges.  A batch sort runs in the calling process, as one batch:
 it is not sharded and takes no executor, since only the verification
@@ -58,6 +61,7 @@ from ..circuits.evaluate import evaluate_interpreted
 from ..core.functional import two_sort_via_fsm
 from ..core.two_sort import build_two_sort
 from ..graycode.ops import two_sort_closure, two_sort_order
+from ..graycode.valid import invalid_lanes, validate
 from ..ternary.word import Word
 from .comparator import SortingNetwork
 
@@ -171,14 +175,32 @@ def sort_words_batch(
 
     ``vectors[j]`` is one measurement vector (``network.channels`` words
     of equal width); the result's ``j``-th element is that vector after
-    sorting, ascending on channel 0.  Equivalent to calling
-    :func:`sort_words` per vector with the same engine.  Words go in
+    sorting, ascending on channel 0.  On valid words, equivalent to
+    calling :func:`sort_words` per vector with the same engine (an
+    invalid word raises, as in :func:`sort_strings_batch`).  Words go in
     through ``str(w)`` and come out through ``Word(s)``.
     """
     rows = sort_strings_batch(
         network, [[str(w) for w in v] for v in vectors], engine=engine
     )
     return [[Word(s) for s in row] for row in rows]
+
+
+def _valid_planes(words: List[str], stride: int, width: int):
+    """:func:`~repro.circuits.compiled.planes_from_str` of the joined
+    ``words``, each checked against ``S^B_rg`` on those planes
+    (:func:`~repro.graycode.valid.invalid_lanes`).  Only a batch that
+    fails runs the per-word :func:`~repro.graycode.valid.validate` loop,
+    which raises exactly what it raises for the first bad word (a bad
+    character included)."""
+    try:
+        planes = planes_from_str("".join(words), stride)
+    except ValueError:  # a character outside {0, 1, M, m}
+        planes = None
+    if planes is None or invalid_lanes(planes, width):
+        for w in words:
+            validate(w)
+    return planes
 
 
 def sort_strings_batch(
@@ -193,24 +215,29 @@ def sort_strings_batch(
     The result's ``j``-th element is that vector after sorting,
     ascending on channel 0, as strings with ``M`` upper-case.
 
-    With the default ``"compiled"`` engine all vectors advance through
-    the network together: per layer, one two-plane program run
+    Whatever the engine, every word must be a valid string of one width
+    of at least one bit: the batch is joined into one string and packed
+    into bit planes once; each input plane (channel ``c``, bit ``b``) is
+    one strided slice of it (step ``channels * width``) read with
+    ``int(..., 2)`` (:func:`~repro.circuits.compiled.planes_from_str`),
+    and the words are checked on those planes.  A bad word raises what
+    :func:`~repro.graycode.valid.validate` raises for the first one: the
+    :class:`~repro.graycode.valid.InvalidStringError`, or the
+    :meth:`~repro.ternary.trit.Trit.from_char` ``ValueError`` of a
+    character outside ``{0, 1, M, m}``.
+
+    With the default ``"compiled"`` engine all vectors then advance
+    through the network together: per layer, one two-plane program run
     (:meth:`~repro.circuits.compiled.CompiledCircuit.run_outputs`) sorts
     lane ``j`` of every channel simultaneously, the layer's comparators
     side by side in lane space (up to :data:`_PASS_LANES` lanes a run;
-    SORT10_SIZE's 29 comparators take 8 runs on up to 819 vectors).  All
-    words must share one width, whatever the engine.  The batch is joined
-    into one string and canonicalized once; each input plane (channel
-    ``c``, bit ``b``) is one strided slice of it (step ``channels *
-    width``) read with ``int(..., 2)``, and each sorted plane goes back
-    into one output buffer by strided slice assignment
-    (:func:`~repro.circuits.compiled.planes_from_str`,
-    :func:`~repro.circuits.compiled.planes_to_str`).  A character
-    outside ``{0, 1, M, m}`` raises the
-    :meth:`~repro.ternary.trit.Trit.from_char` ``ValueError`` of the
-    first one in the joined batch.  Other engine names fall back to the
-    per-vector :func:`sort_words` loop (same results, provided for API
-    uniformity).  Either way the whole batch runs in this process.
+    SORT10_SIZE's 29 comparators take 8 runs on up to 819 vectors).
+    The sorted planes go back into one output buffer by strided slice
+    assignment, a separator after each word, and one ``split`` cuts the
+    words (:func:`~repro.circuits.compiled.planes_to_str`).  Other engine
+    names run the per-vector :func:`sort_words` loop (same results,
+    provided for API uniformity).  Either way the whole batch runs in
+    this process.
     """
     _engine_fn(engine)  # uniform validation, even for the empty batch
     vectors = [list(v) for v in vectors]
@@ -220,24 +247,25 @@ def sort_strings_batch(
                 f"{network.name} expects {network.channels} values, "
                 f"got {len(v)}"
             )
-    _check_one_width(chain.from_iterable(vectors))
+    words = list(chain.from_iterable(vectors))
+    _check_one_width(words)
+    if not vectors:
+        return []
+    n = len(vectors)
+    channels = network.channels
+    width = len(words[0])
+    if not width:
+        raise ValueError("words must be at least one bit wide")
+    # The joined batch is lane-major (lane j is vector j's words back to
+    # back), so bit b of channel c over all lanes is column c*width + b.
+    planes = _valid_planes(words, channels * width, width)
     if engine != "compiled":
         return [
             [str(w) for w in sort_words(network, map(Word, v), engine=engine)]
             for v in vectors
         ]
-    if not vectors:
-        return []
-    n = len(vectors)
-    channels = network.channels
-    width = len(vectors[0][0])
 
     program = compile_circuit(_cached_circuit(width))
-    # The joined batch is lane-major (lane j is vector j's words back to
-    # back), so bit b of channel c over all lanes is column c*width + b.
-    planes = planes_from_str(
-        "".join(chain.from_iterable(vectors)), channels * width
-    )
     # state[c]: channel c's planes, p0 and p1 of bit 0, then of bit 1...
     state: List[List[int]] = [
         list(chain.from_iterable(planes[c * width : (c + 1) * width]))
@@ -256,8 +284,9 @@ def sort_strings_batch(
                 state[comp.hi] = block[:half]  # max
                 state[comp.lo] = block[half:]  # min
     # ...and back: the sorted columns in the same layout, cut into words.
-    text = planes_to_str(
-        [(c[k], c[k + 1]) for c in state for k in range(0, half, 2)], n
-    )
-    words = [text[i : i + width] for i in range(0, len(text), width)]
+    words = planes_to_str(
+        [(c[k], c[k + 1]) for c in state for k in range(0, half, 2)],
+        n,
+        width,
+    ).split(",")
     return [words[i : i + channels] for i in range(0, len(words), channels)]

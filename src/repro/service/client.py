@@ -1,22 +1,29 @@
 """Clients for the JSON-lines service protocol.
 
 :class:`AsyncServiceClient` speaks the protocol natively inside an
-event loop; :class:`ServiceClient` is the blocking wrapper (it owns a
-private event loop), used by the ``submit``/``status`` CLI subcommands
-and any synchronous scripting.
+event loop; :class:`ServiceClient` is the blocking client, used by the
+``submit``/``status`` CLI subcommands and any synchronous scripting.
+It runs no event loop: each op is one line sent and read over a
+:class:`~repro.distributed.wire.LineChannel`, the blocking JSON-lines
+socket the distributed worker speaks, with ``TCP_NODELAY`` set as
+asyncio's transports set it.
 
 A client holds one connection and runs one op at a time on it; open
 more clients for pipelining.  Both clients raise :class:`ServiceError`
-when the server answers ``{"ok": false}``.
+when the server answers ``{"ok": false}``, sends a line that is not a
+JSON object, or closes the connection (one check, :func:`_reply`).
+:class:`AsyncServiceClient` reads lines up to
+:data:`~repro.service.LINE_LIMIT` bytes, as the server does.
 """
 
 from __future__ import annotations
 
 import asyncio
+import socket
 from typing import Any, AsyncIterator, Dict, Iterator, Optional, Union
 
-from ..distributed.wire import decode_line, encode_line
-from . import DEFAULT_HOST, DEFAULT_PORT
+from ..distributed.wire import LineChannel, decode_line, encode_line
+from . import DEFAULT_HOST, DEFAULT_PORT, LINE_LIMIT
 from .jobs import Request, SortRequest, VerifyRequest, request_from_dict
 
 __all__ = ["AsyncServiceClient", "ServiceClient", "ServiceError"]
@@ -40,6 +47,23 @@ def _as_request_dict(request: RequestLike) -> Dict[str, Any]:
     )
 
 
+def _reply(msg: Optional[Dict[str, Any]]) -> Dict[str, Any]:
+    """Both clients' response check: ``msg`` is the next decoded line,
+    or None at end of stream."""
+    if msg is None:
+        raise ServiceError("connection closed by server")
+    if not msg.get("ok"):
+        raise ServiceError(msg.get("error", "unknown server error"))
+    return msg
+
+
+def _stream_event(msg: Dict[str, Any]) -> Dict[str, Any]:
+    event = msg.get("event")
+    if not isinstance(event, dict):
+        raise ServiceError(f"malformed stream frame: {msg!r}")
+    return event
+
+
 class AsyncServiceClient:
     """Asyncio client: ``async with AsyncServiceClient(port=p) as c: ...``"""
 
@@ -51,7 +75,7 @@ class AsyncServiceClient:
 
     async def connect(self) -> "AsyncServiceClient":
         self._reader, self._writer = await asyncio.open_connection(
-            self.host, self.port
+            self.host, self.port, limit=LINE_LIMIT
         )
         return self
 
@@ -80,16 +104,17 @@ class AsyncServiceClient:
 
     async def _recv(self) -> Dict[str, Any]:
         assert self._reader is not None, "not connected"
-        line = await self._reader.readline()
-        if not line:
-            raise ServiceError("connection closed by server")
         try:
-            msg = decode_line(line)
+            line = await self._reader.readline()
+        except ValueError:  # the reader's limit
+            raise ServiceError(
+                f"response line longer than {LINE_LIMIT} bytes"
+            ) from None
+        try:
+            msg = decode_line(line) if line else None
         except ValueError as exc:
             raise ServiceError(f"malformed response: {exc}") from None
-        if not msg.get("ok"):
-            raise ServiceError(msg.get("error", "unknown server error"))
-        return msg
+        return _reply(msg)
 
     async def call(self, **payload: Any) -> Dict[str, Any]:
         await self._send(payload)
@@ -123,47 +148,37 @@ class AsyncServiceClient:
         """Yield the job's events (progress/failure/state) through ``done``."""
         await self._send({"op": "stream", "id": job_id})
         while True:
-            msg = await self._recv()
-            event = msg.get("event")
-            if not isinstance(event, dict):
-                raise ServiceError(f"malformed stream frame: {msg!r}")
+            event = _stream_event(await self._recv())
             yield event
             if event.get("event") == "done":
                 return
 
 
 class ServiceClient:
-    """Blocking wrapper: same surface, runs a private event loop.
+    """Blocking client: same surface as :class:`AsyncServiceClient`.
 
-    Safe anywhere *except* inside a running event loop (use
-    :class:`AsyncServiceClient` there).
+    Connects on :meth:`connect` (or ``with``), else on the first op.
+    It runs no event loop, so it also works inside one (where it blocks
+    the loop for each round trip).
     """
 
     def __init__(self, host: str = DEFAULT_HOST, port: int = DEFAULT_PORT):
-        self._loop = asyncio.new_event_loop()
-        self._client = AsyncServiceClient(host, port)
-
-    def _run(self, coro: Any) -> Any:
-        return self._loop.run_until_complete(coro)
+        self.host = host
+        self.port = port
+        self._channel: Optional[LineChannel] = None
 
     def connect(self) -> "ServiceClient":
-        try:
-            self._run(self._client.connect())
-        except BaseException:
-            # `with ServiceClient(...) as c` never reaches __exit__ when
-            # connect fails -- release the private loop (its selector fd)
-            # here instead of leaking one per retry.
-            self._loop.close()
-            raise
+        if self._channel is None:
+            # create_connection closes its socket when the dial fails.
+            sock = socket.create_connection((self.host, self.port))
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self._channel = LineChannel(sock)
         return self
 
     def close(self) -> None:
-        if self._loop.is_closed():
-            return
-        try:
-            self._run(self._client.aclose())
-        finally:
-            self._loop.close()
+        if self._channel is not None:
+            self._channel.close()
+            self._channel = None
 
     def __enter__(self) -> "ServiceClient":
         return self.connect()
@@ -172,30 +187,50 @@ class ServiceClient:
         self.close()
 
     # ------------------------------------------------------------------
+    def _send(self, payload: Dict[str, Any]) -> None:
+        self.connect()
+        self._channel.send(payload)
+
+    def _recv(self) -> Dict[str, Any]:
+        assert self._channel is not None, "not connected"
+        try:
+            msg = self._channel.recv()
+        except ValueError as exc:
+            raise ServiceError(f"malformed response: {exc}") from None
+        return _reply(msg)
+
+    def call(self, **payload: Any) -> Dict[str, Any]:
+        self._send(payload)
+        return self._recv()
+
+    # ------------------------------------------------------------------
     def ping(self) -> bool:
-        return self._run(self._client.ping())
+        return bool(self.call(op="ping").get("pong"))
 
     def submit(self, request: RequestLike) -> str:
-        return self._run(self._client.submit(request))
+        """Submit a job; returns its id immediately."""
+        return self.call(op="submit", request=_as_request_dict(request))["id"]
 
     def status(self, job_id: str) -> Dict[str, Any]:
-        return self._run(self._client.status(job_id))
+        return self.call(op="status", id=job_id)
 
     def result(self, job_id: str) -> Dict[str, Any]:
-        return self._run(self._client.result(job_id))
+        """Block until the job is terminal; returns state + payload."""
+        return self.call(op="result", id=job_id)
 
     def cancel(self, job_id: str) -> bool:
-        return self._run(self._client.cancel(job_id))
+        return bool(self.call(op="cancel", id=job_id).get("cancelled"))
 
     def jobs(self) -> Dict[str, Any]:
-        return self._run(self._client.jobs())
+        return self.call(op="list")
 
     def stream(self, job_id: str) -> Iterator[Dict[str, Any]]:
-        agen = self._client.stream(job_id)
+        """Yield the job's events (progress/failure/state) through ``done``."""
+        self._send({"op": "stream", "id": job_id})
         while True:
-            try:
-                yield self._run(agen.__anext__())
-            except StopAsyncIteration:
+            event = _stream_event(self._recv())
+            yield event
+            if event.get("event") == "done":
                 return
 
     def wait_for(self, job_id: str) -> Dict[str, Any]:

@@ -57,7 +57,6 @@ from typing import (
 
 from ..backends import known_backend_names
 from ..core.two_sort import build_two_sort
-from ..graycode.valid import validate_all
 from ..networks.simulate import ENGINES, sort_strings_batch
 from ..networks.topologies import best_known
 from ..verify.exhaustive import VerificationResult
@@ -320,15 +319,14 @@ class SortRequest:
 
         The shape is checked by :meth:`validate` (once per request, so
         a request the wire decoder or :class:`JobManager` already checked
-        is not walked again), and all word strings are checked together
-        with :func:`~repro.graycode.valid.validate_all` (one
-        regular-expression match per 256 words; a bad word raises what
-        :func:`~repro.graycode.valid.validate` raises for the first one)
-        and the batch runs in this process as one
+        is not walked again), and the batch runs in this process as one
         :func:`~repro.networks.simulate.sort_strings_batch` call, which
         reads and writes the bit planes straight from and into the
-        joined strings.  The result is rows of word strings (``M``
-        upper-case); no :class:`~repro.ternary.word.Word` or
+        joined strings and checks every word against the valid strings
+        on the planes it packs (a bad word raises what
+        :func:`~repro.graycode.valid.validate` raises for the first
+        one).  The result is rows of word strings (``M`` upper-case); no
+        :class:`~repro.ternary.word.Word` or
         :class:`~repro.circuits.compiled.TritVec` is built.
 
         The hooks are those :class:`JobManager` passes every request: a
@@ -337,7 +335,6 @@ class SortRequest:
         batch is reported as one shard, ``on_shard(1, 1, rows)``.
         """
         self.validate()
-        validate_all(list(itertools.chain.from_iterable(self.vectors)))
         if should_stop is not None and should_stop():
             raise SweepCancelled([])
         network = best_known(len(self.vectors[0]))

@@ -26,9 +26,11 @@ list     --                                           ``{"ok", "jobs",
 ======== ============================================ ==================
 
 Every response carries ``"ok"``; failures are ``{"ok": false,
-"error": msg}`` and leave the connection usable.  A connection handles
-one op at a time (pipeline by opening more connections -- they're
-cheap, and every connection shares the one JobManager).
+"error": msg}`` and leave the connection usable, except a line longer
+than :data:`~repro.service.LINE_LIMIT` bytes, which is answered so and
+ends the connection.  A connection handles one op at a time (pipeline
+by opening more connections -- they're cheap, and every connection
+shares the one JobManager).
 
 This socket seam is where cross-host sharding (ROADMAP) will plug in:
 the shard tasks dispatched by the manager are already picklable and
@@ -44,7 +46,7 @@ from typing import Any, Dict, Optional
 # lives in repro.distributed.wire (shared with the shard coordinator),
 # re-exported here for existing importers.
 from ..distributed.wire import decode_line, encode_line  # noqa: F401
-from . import DEFAULT_HOST, DEFAULT_PORT
+from . import DEFAULT_HOST, DEFAULT_PORT, LINE_LIMIT
 from .jobs import JobManager, request_from_dict
 
 __all__ = ["DEFAULT_HOST", "DEFAULT_PORT", "ReproServer", "encode_line"]
@@ -73,7 +75,7 @@ class ReproServer:
 
     async def start(self) -> "ReproServer":
         self._server = await asyncio.start_server(
-            self._handle_client, self.host, self.port
+            self._handle_client, self.host, self.port, limit=LINE_LIMIT
         )
         # Resolve the actual port for port=0 requests.
         sockets = self._server.sockets or []
@@ -104,7 +106,22 @@ class ReproServer:
     ) -> None:
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # Over the limit: the rest of the line cannot be told
+                    # from the next one, so answer and end the stream.
+                    # What the client still sends is read and dropped
+                    # until it closes: closing on unread bytes would
+                    # reset the connection and lose the answer.
+                    writer.write(encode_line({
+                        "ok": False,
+                        "error": f"line longer than {LINE_LIMIT} bytes",
+                    }))
+                    writer.write_eof()
+                    while await reader.read(1 << 16):
+                        pass
+                    break
                 if not line:
                     break
                 if not line.strip():

@@ -689,6 +689,34 @@ class TestBoundedRecv:
         channel.close()
         peer.close()
 
+    def test_long_line_is_scanned_once(self):
+        """A line arriving in many reads is searched for its newline
+        once per byte, not once per read from its start; the bytes
+        after it stay buffered for the next recv."""
+
+        class Counted(bytearray):
+            scanned = 0
+
+            def find(self, sub, start=0, *args):
+                Counted.scanned += len(self) - start
+                return super().find(sub, start, *args)
+
+        channel, peer = self._pair()
+        channel._buf = Counted()
+        line = encode_line({"ok": True, "pad": "x" * 100_000})
+        pieces = 20
+        step = len(line) // pieces
+        for i in range(pieces - 1):
+            peer.sendall(line[i * step : (i + 1) * step])
+            with pytest.raises(ChannelTimeout):
+                channel.recv(timeout=0.01)
+        peer.sendall(line[(pieces - 1) * step :] + encode_line({"ok": 1}))
+        assert channel.recv(timeout=1.0) == {"ok": True, "pad": "x" * 100_000}
+        assert Counted.scanned <= 2 * len(line)
+        assert channel.recv(timeout=1.0) == {"ok": 1}
+        channel.close()
+        peer.close()
+
     def test_default_recv_still_blocks(self):
         channel, peer = self._pair()
         got = {}

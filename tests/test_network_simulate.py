@@ -7,7 +7,7 @@ import pytest
 
 from repro.circuits.compiled import CompiledCircuit
 from repro.graycode.rgc import gray_encode
-from repro.graycode.valid import rank, validate_all
+from repro.graycode.valid import InvalidStringError, rank, validate_all
 from repro.networks.properties import check_mc_sort, is_sorted_by_rank, outputs_all_valid
 from repro.networks.simulate import (
     ENGINES,
@@ -213,6 +213,23 @@ class TestSortStringsBatch:
             sort_strings_batch(SORT4, [bad], engine=engine)
         with pytest.raises(ValueError, match=message):
             sort_words(SORT4, map(Word, bad), engine=engine)
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_invalid_word_rejected_on_every_engine(self, engine):
+        """Regression: only ``rank`` rejected an invalid word; the other
+        four engines returned ``[['00M0', '0MM0', 'MMM0', '1000']]``.
+        A zero-width batch gets one message on every engine (``compiled``
+        named the 2-sort width, ``rank`` and ``fsm`` returned it)."""
+        with pytest.raises(
+            InvalidStringError, match=r"^Word\('MM00'\) is not a valid string$"
+        ):
+            sort_strings_batch(
+                SORT4, [["MM00", "0110", "0010", "1000"]], engine=engine
+            )
+        with pytest.raises(
+            ValueError, match="^words must be at least one bit wide$"
+        ):
+            sort_strings_batch(SORT4, [[""] * 4], engine=engine)
 
     def test_empty_and_shape_checks(self):
         assert sort_strings_batch(SORT4, []) == []

@@ -6,12 +6,16 @@ workers via a registered executor instead of sleeping and hoping.
 """
 
 import asyncio
+import json
+import logging
 import threading
 import time
 
 import pytest
 
+from repro.distributed.wire import encode_line
 from repro.service import (
+    LINE_LIMIT,
     AsyncServiceClient,
     JobManager,
     JobState,
@@ -29,7 +33,7 @@ from repro.verify.parallel import _EXECUTORS, _serial_executor, register_executo
 from repro.core.two_sort import build_two_sort
 from repro.networks.simulate import ENGINES, sort_words
 from repro.networks.topologies import best_known
-from repro.graycode.valid import validate, validate_all
+from repro.graycode.valid import validate
 from repro.ternary.word import Word
 from repro.verify.random_valid import ValidStringSource
 
@@ -750,7 +754,13 @@ class TestServerRoundTrip:
         """A 256-vector job over the wire runs the body of
         ``SortRequest.validate`` once (counted by its engine-name check),
         though the wire decoder, ``JobManager.submit`` and ``run`` all
-        call it, and ``validate_all`` once."""
+        call it.  Its words are checked on the planes the sort packs, so
+        a valid batch calls neither ``validate_all`` nor ``validate``,
+        and one invalid word still fails the job with the text that
+        ``SortRequest.run`` raises directly."""
+        import sys
+
+        import repro.graycode.valid as valid
         import repro.service.jobs as jobs
 
         class CountingEngines(dict):
@@ -762,25 +772,52 @@ class TestServerRoundTrip:
 
         gray_checks = []
 
-        def counted_validate_all(words):
-            gray_checks.append(len(words))
-            return validate_all(words)
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                gray_checks.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
 
+        # Every binding of either checker in a loaded module.
+        for fn in (valid.validate_all, valid.validate):
+            wrapper = counted(fn)
+            for name, module in list(sys.modules.items()):
+                if module is None or not name.startswith("repro"):
+                    continue
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, wrapper)
         monkeypatch.setattr(jobs, "ENGINES", CountingEngines(ENGINES))
-        monkeypatch.setattr(jobs, "validate_all", counted_validate_all)
         vectors = _sort_vectors(256)
+        bad = [list(v) for v in vectors]
+        bad[100][4] = "0MM0M0"
+        bad = tuple(map(tuple, bad))
+        with pytest.raises(ValueError) as direct:
+            SortRequest(vectors=bad).run()
+        CountingEngines.checks = 0
+        gray_checks.clear()
 
         async def go():
             async with ReproServer(JobManager(jobs=1), port=0) as server:
                 async with AsyncServiceClient(port=server.port) as client:
                     job_id = await client.submit(SortRequest(vectors=vectors))
-                    return await client.result(job_id)
+                    done = await client.result(job_id)
+                    checks = (CountingEngines.checks, list(gray_checks))
+                    failed = await client.result(
+                        await client.submit(SortRequest(vectors=bad))
+                    )
+                    return done, checks, failed
 
-        result = asyncio.run(go())
+        result, (shape_checks, seen), failed = asyncio.run(go())
         assert result["state"] == "done"
         assert len(result["result"]["vectors"]) == 256
-        assert CountingEngines.checks == 1
-        assert gray_checks == [2560]
+        assert shape_checks == 1
+        assert seen == []
+        assert gray_checks  # the invalid batch ran the per-word loop
+        assert failed["state"] == "failed"
+        assert failed["error"] == (
+            f"{type(direct.value).__name__}: {direct.value}"
+        )
 
     def test_protocol_errors_keep_connection(self):
         async def go():
@@ -846,6 +883,89 @@ class TestServerRoundTrip:
         assert listing["stats"]["cache"]["misses"] >= 1
 
 
+class TestLineLimit:
+    """JSON lines beyond asyncio's default 64 KiB reader limit travel
+    both ways, and a line beyond ``LINE_LIMIT`` is answered, not
+    dropped with a traceback."""
+
+    def test_batches_beyond_64_kib_round_trip(self, caplog):
+        """A 1,000-vector 10 x 16-bit sort: request and result lines
+        are ~190 KB each, through both clients."""
+        request = SortRequest(vectors=_sort_vectors(1000, width=16))
+        assert len(encode_line({"op": "submit",
+                                "request": request.to_dict()})) > 1 << 16
+        expect = request.run()
+
+        def blocking_round_trip(port):
+            with ServiceClient(port=port) as client:
+                return client.wait_for(client.submit(request))
+
+        async def go():
+            async with ReproServer(JobManager(jobs=1), port=0) as server:
+                async with AsyncServiceClient(port=server.port) as client:
+                    served = await client.result(await client.submit(request))
+                blocking = await asyncio.to_thread(
+                    blocking_round_trip, server.port
+                )
+                return served, blocking
+
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            served, blocking = asyncio.run(go())
+        for response in (served, blocking):
+            assert response["state"] == "done"
+            assert response["result"]["vectors"] == expect
+        assert not caplog.records
+        assert LINE_LIMIT == 64 << 20
+
+    def test_longer_line_is_answered_then_closed(self, monkeypatch, caplog):
+        """The server reads at most ``LINE_LIMIT`` bytes of a line: a
+        longer one gets ``{"ok": false}`` naming the bound and the end
+        of the stream, even while the client is still sending it."""
+        import repro.service.server as server
+
+        monkeypatch.setattr(server, "LINE_LIMIT", 4096)
+        line = b'{"op":"ping","pad":"' + b"x" * (1 << 20) + b'"}\n'
+
+        async def go():
+            async with ReproServer(JobManager(jobs=1), port=0) as srv:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", srv.port
+                )
+                writer.write(line)
+                await writer.drain()
+                reply = await reader.readline()
+                rest = await reader.read()
+                writer.close()
+                await writer.wait_closed()
+                return reply, rest
+
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            reply, rest = asyncio.run(go())
+        assert json.loads(reply) == {
+            "ok": False, "error": "line longer than 4096 bytes",
+        }
+        assert rest == b""
+        assert not caplog.records
+
+    def test_async_client_names_its_bound(self, monkeypatch):
+        """A result line over the client's bound is a ServiceError that
+        names it, not a bare ValueError from the reader."""
+        import repro.service.client as client_module
+
+        monkeypatch.setattr(client_module, "LINE_LIMIT", 1024)
+        request = SortRequest(vectors=_sort_vectors(100))
+
+        async def go():
+            async with ReproServer(JobManager(jobs=1), port=0) as server:
+                async with AsyncServiceClient(port=server.port) as client:
+                    job_id = await client.submit(request)
+                    with pytest.raises(ServiceError) as got:
+                        await client.result(job_id)
+                    return str(got.value)
+
+        assert asyncio.run(go()) == "response line longer than 1024 bytes"
+
+
 class TestSyncClient:
     """The blocking wrapper drives a server running on another thread --
     the shape every synchronous script (and the CLI) uses."""
@@ -907,13 +1027,13 @@ class TestSyncClient:
         failed and cancelled jobs."""
         with ServiceClient(port=live_server) as client:
             sent = []
-            send = client._client._send
+            send = client._channel.send
 
-            async def spy(payload):
+            def spy(payload):
                 sent.append(payload["op"])
-                await send(payload)
+                send(payload)
 
-            client._client._send = spy
+            client._channel.send = spy
             vectors = _sort_vectors(8, channels=4, width=4)
             bad = (("0MM0",) + vectors[0][1:],) + vectors[1:]
             slow = VerifyRequest(width=6, shard_size=64,
@@ -938,11 +1058,23 @@ class TestSyncClient:
         )
         assert responses["failed"]["error"].startswith("InvalidStringError")
 
-    def test_failed_connect_releases_event_loop(self):
-        """`with ServiceClient(...)` against a dead server must not leak
-        the private event loop when __enter__ raises."""
+    def test_failed_connect_releases_event_loop(self, monkeypatch):
+        """`with ServiceClient(...)` against a dead server leaves no
+        socket open when __enter__ raises, and close() stays idempotent
+        (the client runs no event loop to release)."""
+        import socket
+
+        opened = []
+
+        class Recorded(socket.socket):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                opened.append(self)
+
+        monkeypatch.setattr(socket, "socket", Recorded)
         client = ServiceClient(port=1)  # nothing listens on port 1
         with pytest.raises(OSError):
             client.connect()
-        assert client._loop.is_closed()
-        client.close()  # idempotent on the closed loop
+        assert opened and all(s.fileno() == -1 for s in opened)
+        client.close()
+        client.close()

@@ -5,12 +5,14 @@ import itertools
 import pytest
 
 from repro.graycode.rgc import gray_decode, gray_encode
+from repro.circuits.compiled import planes_from_str
 from repro.graycode.valid import (
     InvalidStringError,
     all_valid,
     all_valid_strings,
     count_valid_strings,
     from_rank,
+    invalid_lanes,
     is_valid,
     make_valid,
     rank,
@@ -19,7 +21,10 @@ from repro.graycode.valid import (
     validate_all,
     value_interval,
 )
+from repro.networks.simulate import sort_strings_batch
+from repro.networks.topologies import SORT4
 from repro.ternary.word import Word
+from repro.verify.random_valid import ValidStringSource
 
 
 class TestTable2:
@@ -242,3 +247,49 @@ class TestBatchValidation:
         assert all_valid(["0", "1", "M"])
         assert not all_valid(["0", "1,M"])
         assert not all_valid(["0,1"])
+
+
+class TestPlaneCheck:
+    """``invalid_lanes`` decides ``S^B_rg`` on packed planes, and the
+    batch sort that packs them raises the per-word loop's error."""
+
+    @pytest.mark.parametrize("width", range(1, 9))
+    def test_matches_is_valid_on_every_string(self, width):
+        """Every string over ``0``, ``1``, ``M``, ``m`` as one batch,
+        one word a lane (65,536 lanes at width 8)."""
+        words = ["".join(c) for c in itertools.product("01Mm", repeat=width)]
+        bad = invalid_lanes(planes_from_str("".join(words), width), width)
+        assert bad >> len(words) == 0
+        for j, w in enumerate(words):
+            assert (bad >> j & 1) == (not is_valid(w)), w
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_each_word_of_a_lane_is_checked_alone(self, width):
+        """Two words a lane: the rule restarts at each word, so a lane
+        is bad iff one of its words is (``M`` then ``0`` across the word
+        edge is two valid words)."""
+        words = ["".join(c) for c in itertools.product("01M", repeat=width)]
+        pairs = list(itertools.product(words, repeat=2))
+        bad = invalid_lanes(
+            planes_from_str("".join(a + b for a, b in pairs), 2 * width),
+            width,
+        )
+        for j, (a, b) in enumerate(pairs):
+            assert (bad >> j & 1) == (not (is_valid(a) and is_valid(b))), (a, b)
+
+    @pytest.mark.parametrize("bad", BAD_WORDS)
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_bad_word_in_any_lane_of_any_channel(self, bad, where):
+        """A 130-vector SORT4 batch (lanes cross two 64-lane words)
+        with one bad word raises what the per-word loop raises."""
+        source = ValidStringSource(4, meta_rate=0.4, seed=4)
+        rows = [[str(w) for w in source.sample_vector(4)] for _ in range(130)]
+        j = {"first": 0, "middle": 65, "last": 129}[where]
+        for c in range(4):
+            batch = [list(row) for row in rows]
+            batch[j][c] = bad
+            expect = _first_error([s for row in batch for s in row])
+            with pytest.raises(ValueError) as got:
+                sort_strings_batch(SORT4, batch)
+            assert type(got.value) is type(expect)
+            assert str(got.value) == str(expect)
