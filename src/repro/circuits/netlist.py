@@ -288,19 +288,44 @@ class Circuit:
         contain the edited gate.  That is what makes per-region result
         keys incremental: re-verification after an edit only misses on
         the affected cones.  Cached per :attr:`version`.
+
+        After an edit -- of this circuit since its last digests, or of a
+        :meth:`copy` since the digests it was handed -- only the cones
+        the edit touched are digested again.  Gates are frozen and only
+        ever appended, and a net's driver never changes, so a cone whose
+        root is the same net and that holds no gate added since then
+        reaches exactly the members it reached before: its digest is
+        carried over.  A cone is digested again when its root changed
+        (:meth:`replace_output`) or when a gate added since then is in
+        it (its mask from the one :meth:`_cone_masks` pass, which also
+        catches a new gate driving a net a cone gate already read).
+        New inputs, constants or outputs change what every digest
+        covers, so they take the full computation.
         """
         cached = getattr(self, "_region_hash_cache", None)
         if cached is not None and cached[0] == self._version:
             return cached[1]
         head, consts, gates, outs = self._digest_fields()
         masks = self._cone_masks()
-        const_bits = [(c, masks.get(net, 0)) for net, c in consts]
-        gate_bits = [
-            (blob, masks.get(g.output, 0))
-            for g, blob in zip(self._gates, gates)
-        ]
-        digests = []
+        shape = (len(self._inputs), len(self._const_nets), len(outs))
+        digests: List[Optional[str]] = [None] * len(outs)
+        if cached is not None and cached[3] == shape:
+            _version, old, roots, _shape, n_gates = cached
+            touched = 0
+            for g in self._gates[n_gates:]:
+                touched |= masks.get(g.output, 0)
+            for o, (net, root) in enumerate(zip(self._outputs, roots)):
+                if net == root and not touched >> o & 1:
+                    digests[o] = old[o]
+        if None in digests:
+            const_bits = [(c, masks.get(net, 0)) for net, c in consts]
+            gate_bits = [
+                (blob, masks.get(g.output, 0))
+                for g, blob in zip(self._gates, gates)
+            ]
         for o, tail in enumerate(outs):
+            if digests[o] is not None:
+                continue
             bit = 1 << o
             blob = b"".join([
                 head,
@@ -308,9 +333,12 @@ class Circuit:
                 *(g for g, m in gate_bits if m & bit),
                 tail,
             ])
-            digests.append(hashlib.sha256(blob).hexdigest()[:16])
+            digests[o] = hashlib.sha256(blob).hexdigest()[:16]
         result = tuple(digests)
-        self._region_hash_cache = (self._version, result)
+        self._region_hash_cache = (
+            self._version, result, tuple(self._outputs), shape,
+            len(self._gates),
+        )
         return result
 
     def extract_cone(self, output_index: int) -> "Circuit":
@@ -331,7 +359,9 @@ class Circuit:
         gates under their original net names, gates in insertion order
         -- and exposes the requested outputs in the order given.  The
         region sweep runs one such program per g-row range over the
-        cones it still has to check.
+        cones it still has to check.  The gates are this circuit's own
+        frozen ``Gate`` objects, picked by the cached cone masks, not
+        re-added one by one (:meth:`_subcircuit`).
         """
         union = 0
         for index in output_indices:
@@ -342,23 +372,44 @@ class Circuit:
                 )
             union |= 1 << index
         masks = self._cone_masks()
-        sub = Circuit(
-            name=f"{self.name}#o{','.join(map(str, output_indices))}"
+        return self._subcircuit(
+            f"{self.name}#o{','.join(map(str, output_indices))}",
+            {
+                net: value for net, value in self._const_nets.items()
+                if masks.get(net, 0) & union
+            },
+            [g for g in self._gates if masks.get(g.output, 0) & union],
+            [self._outputs[index] for index in output_indices],
         )
-        for net in self._inputs:
-            sub.add_input(net=net)
-        # Copy constants under their original names: Circuit.const()
-        # would mint fresh names, breaking gate input references.
-        # Direct private access is why this lives in netlist.py.
-        for net, value in self._const_nets.items():
-            if masks.get(net, 0) & union:
-                sub._const_nets[net] = value
-                sub._version += 1
-        for gate in self._gates:
-            if masks.get(gate.output, 0) & union:
-                sub.add_gate(gate.kind, gate.inputs, output=gate.output)
-        for index in output_indices:
-            sub.add_output(self._outputs[index])
+
+    def _subcircuit(
+        self,
+        name: str,
+        consts: Dict[NetId, Trit],
+        gates: List[Gate],
+        outputs: List[NetId],
+    ) -> "Circuit":
+        """A new circuit over all of this one's inputs and the given
+        constants, gates (in this circuit's order) and outputs.
+
+        It holds this circuit's own ``Gate`` objects: they are frozen,
+        and a subset of a well-formed netlist's gates, inputs and
+        constants has one driver per net, so nothing is re-checked or
+        rebuilt per gate.  Constants keep their original names, which
+        :meth:`const` would not.  Its :attr:`version` is what building
+        it with :meth:`add_input`, :meth:`add_gate` and
+        :meth:`add_output` would have counted.
+        """
+        sub = Circuit(name=name)
+        sub._inputs = list(self._inputs)
+        sub._input_set = set(self._input_set)
+        sub._const_nets = consts
+        sub._gates = gates
+        sub._driver = {g.output: g for g in gates}
+        sub._outputs = outputs
+        sub._version = (
+            len(sub._inputs) + len(consts) + len(gates) + len(outputs)
+        )
         return sub
 
     def copy(self) -> "Circuit":
@@ -369,20 +420,24 @@ class Circuit:
         controlled structural edit -- e.g. the incremental
         re-verification demo splices gates into one output cone of a
         copy and checks that only that region's digest changes.
+
+        The copy shares this circuit's frozen ``Gate`` objects and
+        encoded gate records (both only ever appended to), and it is
+        handed this circuit's region digests when they are current for
+        this circuit's :attr:`version`; nothing is computed here.  An
+        edit of the copy then digests again only the cones it touched
+        (:meth:`region_hashes` says why the others still hold).
         """
-        dup = Circuit(name=self.name)
-        for net in self._inputs:
-            dup.add_input(net=net)
-        for net, value in self._const_nets.items():
-            dup._const_nets[net] = value
-            dup._version += 1
-        for gate in self._gates:
-            dup.add_gate(gate.kind, gate.inputs, output=gate.output)
-        for net in self._outputs:
-            dup.add_output(net)
+        dup = self._subcircuit(
+            self.name, dict(self._const_nets), list(self._gates),
+            list(self._outputs),
+        )
         dup._gate_fields_cache = list(
             getattr(self, "_gate_fields_cache", None) or ()
         )
+        cached = getattr(self, "_region_hash_cache", None)
+        if cached is not None and cached[0] == self._version:
+            dup._region_hash_cache = (dup._version,) + cached[1:]
         return dup
 
     def replace_output(self, index: int, net: NetId) -> None:

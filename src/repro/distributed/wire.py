@@ -10,6 +10,7 @@ Python payloads (shard tasks, :class:`VerificationResult`\\ s, compiled
 initializers) that have no natural JSON form as base64 pickles inside
 a JSON field, and :class:`LineChannel` wraps a blocking socket for the
 synchronous endpoints (the worker agent, tests, ``nc``-style tools).
+:data:`LINE_LIMIT` bounds a line on every endpoint of both stacks.
 
 Dependency-free by design: both sides of every connection are this
 repository, but nothing here assumes more than a byte stream.
@@ -29,7 +30,9 @@ from typing import Any, Dict, Optional
 __all__ = [
     "ChannelTimeout",
     "DEFAULT_WORK_PORT",
+    "LINE_LIMIT",
     "LineChannel",
+    "LineTooLong",
     "decode_line",
     "encode_line",
     "pack",
@@ -40,9 +43,31 @@ __all__ = [
 #: uses 7421; keeping them distinct lets one host run both).
 DEFAULT_WORK_PORT = 7422
 
+#: The longest line, in bytes before its newline, that any endpoint
+#: reads: :class:`LineChannel` (the coordinator, the worker and the
+#: blocking service client), the service server and
+#: :class:`~repro.service.AsyncServiceClient` (asyncio's
+#: ``StreamReader`` limit; its default, 64 KiB, is a 400-vector
+#: 10 x 16-bit sort).  64 MiB carries a sort request of some 300,000
+#: such vectors, which one in-process batch takes seconds to sort,
+#: while still bounding what one connection can make its reader buffer.
+LINE_LIMIT = 64 << 20
+
 #: Sentinel distinguishing "no per-call timeout given" from an explicit
 #: ``timeout=None`` (block forever).
 _UNSET = object()
+
+
+class LineTooLong(ValueError):
+    """A line longer than :data:`LINE_LIMIT` bytes arrived.
+
+    :meth:`LineChannel.recv` drops what it had buffered of the line, so
+    the rest of it cannot be told from the next one: end the connection.
+    """
+
+    def __init__(self, limit: int):
+        super().__init__(f"line longer than {limit} bytes")
+        self.limit = limit
 
 
 class ChannelTimeout(OSError):
@@ -141,9 +166,18 @@ class LineChannel:
             self._sock.sendall(data)
 
     def _pop_line(self) -> Optional[Dict[str, Any]]:
-        """Decode and remove the first complete buffered line, if any."""
+        """Decode and remove the first complete buffered line, if any.
+
+        Raises :class:`LineTooLong`, with the buffer dropped, on a line
+        longer than :data:`LINE_LIMIT`, or once more than that many
+        bytes are buffered with no newline among them.
+        """
         while True:
             nl = self._buf.find(b"\n", self._scanned)
+            if (len(self._buf) if nl < 0 else nl) > LINE_LIMIT:
+                self._buf.clear()
+                self._scanned = 0
+                raise LineTooLong(LINE_LIMIT)
             if nl < 0:
                 self._scanned = len(self._buf)
                 return None
@@ -158,7 +192,9 @@ class LineChannel:
 
         ``timeout`` overrides the channel's ``read_timeout`` for this
         call (``None`` = block forever); expiry raises
-        :class:`ChannelTimeout` with any partial line kept buffered.
+        :class:`ChannelTimeout` with any partial line kept buffered.  A
+        line longer than :data:`LINE_LIMIT` raises :class:`LineTooLong`
+        as soon as more than that many bytes of it are buffered.
         """
         effective = self.read_timeout if timeout is _UNSET else timeout
         deadline = (

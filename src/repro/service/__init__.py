@@ -32,14 +32,6 @@ from .. import _lazy_exports
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 7421
 
-#: The longest JSON line the server and :class:`AsyncServiceClient` read
-#: (asyncio's ``StreamReader`` limit; its default, 64 KiB, is a
-#: 400-vector 10 x 16-bit sort).  64 MiB carries a sort request of some
-#: 300,000 such vectors, which one in-process batch takes seconds to
-#: sort, while still bounding what one connection can make the server
-#: buffer; the server answers a longer line with an error and closes.
-LINE_LIMIT = 64 << 20
-
 _EXPORTS = {
     "AsyncServiceClient": "client",
     "Job": "jobs",
@@ -52,8 +44,11 @@ _EXPORTS = {
     "SortRequest": "jobs",
     "VerifyRequest": "jobs",
     "request_from_dict": "jobs",
+    # The one line bound of every socket endpoint, defined in
+    # repro.distributed.wire; the client imports it from there.
+    "LINE_LIMIT": "client",
 }
 
-__all__ = sorted([*_EXPORTS, "DEFAULT_HOST", "DEFAULT_PORT", "LINE_LIMIT"])
+__all__ = sorted([*_EXPORTS, "DEFAULT_HOST", "DEFAULT_PORT"])
 
 __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -12,8 +12,9 @@ A client holds one connection and runs one op at a time on it; open
 more clients for pipelining.  Both clients raise :class:`ServiceError`
 when the server answers ``{"ok": false}``, sends a line that is not a
 JSON object, or closes the connection (one check, :func:`_reply`).
-:class:`AsyncServiceClient` reads lines up to
-:data:`~repro.service.LINE_LIMIT` bytes, as the server does.
+Both read lines up to :data:`~repro.service.LINE_LIMIT` bytes, as the
+server does, and raise :class:`ServiceError` naming the bound on a
+longer one.
 """
 
 from __future__ import annotations
@@ -22,8 +23,10 @@ import asyncio
 import socket
 from typing import Any, AsyncIterator, Dict, Iterator, Optional, Union
 
-from ..distributed.wire import LineChannel, decode_line, encode_line
-from . import DEFAULT_HOST, DEFAULT_PORT, LINE_LIMIT
+from ..distributed.wire import (
+    LINE_LIMIT, LineChannel, LineTooLong, decode_line, encode_line,
+)
+from . import DEFAULT_HOST, DEFAULT_PORT
 from .jobs import Request, SortRequest, VerifyRequest, request_from_dict
 
 __all__ = ["AsyncServiceClient", "ServiceClient", "ServiceError"]
@@ -195,6 +198,12 @@ class ServiceClient:
         assert self._channel is not None, "not connected"
         try:
             msg = self._channel.recv()
+        except LineTooLong as exc:
+            # The rest of the line would read as the next response.
+            self.close()
+            raise ServiceError(
+                f"response line longer than {exc.limit} bytes"
+            ) from None
         except ValueError as exc:
             raise ServiceError(f"malformed response: {exc}") from None
         return _reply(msg)

@@ -45,8 +45,8 @@ from typing import Any, Dict, Optional
 # One wire format for every socket in the repo: the JSON-lines framing
 # lives in repro.distributed.wire (shared with the shard coordinator),
 # re-exported here for existing importers.
-from ..distributed.wire import decode_line, encode_line  # noqa: F401
-from . import DEFAULT_HOST, DEFAULT_PORT, LINE_LIMIT
+from ..distributed.wire import LINE_LIMIT, decode_line, encode_line  # noqa: F401
+from . import DEFAULT_HOST, DEFAULT_PORT
 from .jobs import JobManager, request_from_dict
 
 __all__ = ["DEFAULT_HOST", "DEFAULT_PORT", "ReproServer", "encode_line"]

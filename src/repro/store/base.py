@@ -44,7 +44,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..verify.exhaustive import SweepEpoch, VerificationResult
@@ -148,7 +148,9 @@ class RunRecord:
     timestamp: float
 
     def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
+        # Every field is a scalar, so the instance dict is the record;
+        # `asdict` would deep-copy it field by field.
+        return dict(self.__dict__)
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "RunRecord":

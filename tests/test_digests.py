@@ -235,3 +235,240 @@ class TestExtractCones:
     def test_out_of_range(self):
         with pytest.raises(CircuitError, match="out of range"):
             build_two_sort(2).extract_cones([0, 4])
+
+
+# ----------------------------------------------------------------------
+# Digests handed on by copy() and carried over by region_hashes()
+# ----------------------------------------------------------------------
+def _hashed(circuit):
+    circuit.region_hashes()
+    return circuit
+
+
+def _reading_undriven(width=3):
+    """2-sort(width) whose output 1 goes through a gate reading a net
+    that nothing drives yet ("n_dangle")."""
+    circuit = build_two_sort(width).copy()
+    held = circuit.add_gate(
+        AND2, [circuit.outputs[1], "n_dangle"], output="n_held"
+    )
+    circuit.replace_output(1, held)
+    return circuit
+
+
+class TestHandedOnDigests:
+    """A copy starts from its source's digests and an edit digests
+    again only the cones it touched; every result must still equal the
+    reference walk."""
+
+    @pytest.fixture
+    def sha_calls(self, monkeypatch):
+        """How many cone digests ``region_hashes`` computes."""
+        import repro.circuits.netlist as netlist
+
+        calls = []
+
+        class Counting:
+            @staticmethod
+            def sha256(blob):
+                calls.append(blob)
+                return hashlib.sha256(blob)
+
+        monkeypatch.setattr(netlist, "hashlib", Counting)
+        return calls
+
+    def test_splice_digests_only_its_cone(self, sha_calls):
+        base = _hashed(build_two_sort(5))
+        sha_calls.clear()
+        copy = base.copy()
+        assert copy.region_hashes() == base.region_hashes()
+        assert sha_calls == []  # handed on, nothing computed
+        edited = double_inv_splice(base, 3, 0)
+        got = edited.region_hashes()
+        assert len(sha_calls) == 1
+        assert got == reference_region_hashes(edited)
+        assert [o for o in range(10) if got[o] != base.region_hashes()[o]] == [3]
+
+    def test_second_edit_of_a_copy_digests_only_its_cone(self, sha_calls):
+        base = _hashed(build_two_sort(5))
+        once = _hashed(double_inv_splice(base, 3, 0))
+        sha_calls.clear()
+        twice = double_inv_splice(once, 7, 1)
+        assert twice.region_hashes() == reference_region_hashes(twice)
+        assert len(sha_calls) == 1
+
+    def test_new_gate_driving_a_net_a_cone_gate_reads(self):
+        base = _hashed(_reading_undriven())
+        edited = base.copy()
+        edited.add_gate(OR2, [edited.inputs[0], edited.inputs[1]],
+                        output="n_dangle")
+        got = edited.region_hashes()
+        assert got == reference_region_hashes(edited)
+        # Same root, one new gate in its cone: only output 1 changed.
+        assert [o for o in range(6) if got[o] != base.region_hashes()[o]] == [1]
+
+    def test_replace_output_onto_an_existing_net(self):
+        base = _hashed(build_two_sort(4))
+        edited = base.copy()
+        edited.replace_output(2, base.outputs[5])
+        edited.replace_output(6, base.inputs[0])
+        assert edited.region_hashes() == reference_region_hashes(edited)
+        # ... and back onto the original root, with no gate added.
+        edited.replace_output(2, base.outputs[2])
+        assert edited.region_hashes() == reference_region_hashes(edited)
+
+    @pytest.mark.parametrize("change", ["const", "input", "output"])
+    def test_constants_inputs_outputs_added_after_the_copy(self, change):
+        """None of these adds a gate or moves a root, yet each changes
+        what a cone covers: the new constant takes the name a cone gate
+        already reads, and a new input joins every digest."""
+        base = build_two_sort(3).copy()
+        # "const10" is the name a fresh circuit's const(ONE) mints.
+        held = base.add_gate(
+            AND2, [base.outputs[1], "const10"], output="n_held"
+        )
+        base.replace_output(1, held)
+        _hashed(base)
+        edited = base.copy()
+        if change == "const":
+            assert edited.const(Trit.ONE) == "const10"
+        elif change == "input":
+            edited.add_input(net="late_in")
+        else:
+            edited.add_output(base.outputs[0])
+        got = edited.region_hashes()
+        assert got == reference_region_hashes(edited)
+        changed = [o for o in range(6) if got[o] != base.region_hashes()[o]]
+        assert changed == {"const": [1], "input": list(range(6)),
+                           "output": []}[change]
+
+    def test_stale_source_hands_on_nothing(self):
+        base = _hashed(build_two_sort(4).copy())
+        # Edited after its digests: they are stale for its new version.
+        a = base.add_gate(INV, [base.outputs[0]], output="s_a")
+        base.replace_output(0, a)
+        copy = base.copy()
+        assert copy.region_hashes() == reference_region_hashes(copy)
+        assert base.region_hashes() == reference_region_hashes(base)
+
+    def test_copy_of_an_unhashed_circuit(self):
+        copy = build_two_sort(4).copy().copy()
+        copy.replace_output(1, copy.outputs[0])
+        assert copy.region_hashes() == reference_region_hashes(copy)
+
+    def test_pickled_copy(self):
+        import pickle
+
+        base = _hashed(build_two_sort(4))
+        clone = pickle.loads(pickle.dumps(base.copy()))
+        assert clone.region_hashes() == base.region_hashes()
+        edited = double_inv_splice(clone, 5, 0)
+        assert edited.region_hashes() == reference_region_hashes(edited)
+        again = pickle.loads(pickle.dumps(edited))
+        again.replace_output(0, again.outputs[7])
+        assert again.region_hashes() == reference_region_hashes(again)
+
+    def test_copy_shares_gates_and_counts_versions(self):
+        base = with_constant_ties(3)
+        copy = base.copy()
+        assert all(a is b for a, b in zip(copy.gates, base.gates))
+        assert copy.version == (
+            len(base.inputs) + len(base.const_nets) + len(base.gates)
+            + len(base.outputs)
+        )
+        assert copy.content_hash() == base.content_hash()
+        # Independent: editing the copy leaves the source alone.
+        before = base.gates
+        copy.add_gate(INV, [copy.inputs[0]], output="only_in_copy")
+        copy.add_input(net="late_in")
+        copy.replace_output(0, "only_in_copy")
+        assert base.gates == before and "late_in" not in base.inputs
+        assert copy.driver_of("only_in_copy") is not None
+        assert base.driver_of("only_in_copy") is None
+        with pytest.raises(CircuitError, match="already driven"):
+            copy.add_gate(INV, [copy.inputs[0]], output=base.gates[0].output)
+
+
+def _random_step(rng, circuit, k):
+    """One random edit of ``circuit`` (or a new circuit); returns it.
+
+    Every net it names starts with ``e_``, which no builder uses.
+    """
+    nets = list(circuit.inputs) + [g.output for g in circuit.gates]
+    o = rng.randrange(len(circuit.outputs))
+    step = rng.randrange(12)
+    if step == 0:
+        return double_inv_splice(circuit, o, k)
+    if step == 1:
+        # A gate no cone reads, then maybe a cone root onto it.
+        out = circuit.add_gate(
+            rng.choice([AND2, OR2]), rng.sample(nets, 2), output=f"e_r{k}"
+        )
+        if rng.random() < 0.5:
+            circuit.replace_output(o, out)
+    elif step == 2:
+        circuit.replace_output(o, rng.choice(nets))
+    elif step == 3:
+        # A gate that reads a net nothing drives yet...
+        out = circuit.add_gate(
+            AND2, [rng.choice(nets), f"e_u{k}"], output=f"e_h{k}"
+        )
+        circuit.replace_output(o, out)
+    elif step == 4:
+        # ... and, later, a driver for one of them.
+        driven = {g.output for g in circuit.gates} | set(circuit.inputs)
+        waiting = sorted({
+            n for g in circuit.gates for n in g.inputs
+            if n not in driven and n not in circuit.const_nets
+        })
+        if waiting:
+            circuit.add_gate(
+                INV, [rng.choice(nets)], output=rng.choice(waiting)
+            )
+    elif step == 5:
+        tie = circuit.const(rng.choice([Trit.ZERO, Trit.ONE]))
+        if rng.random() < 0.5:
+            out = circuit.add_gate(OR2, [tie, rng.choice(nets)],
+                                   output=f"e_t{k}")
+            circuit.replace_output(o, out)
+    elif step == 6:
+        circuit.add_input(net=f"e_x{k}")
+    elif step == 7:
+        circuit.add_output(rng.choice(nets))
+    elif step == 8:
+        return circuit.copy()
+    elif step == 9:
+        import pickle
+
+        return pickle.loads(pickle.dumps(circuit))
+    elif step == 10:
+        sites = [g.output for g in circuit.gates if g.kind in (AND2, OR2)]
+        if sites and not circuit.const_nets:
+            return and_or_swap(circuit, rng.choice(sites))
+    else:
+        circuit.add_gate(INV, [rng.choice(nets)], output=f"e_d{k}")
+    return circuit
+
+
+class TestRandomCopyEditSequences:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_every_step_equals_the_reference(self, seed):
+        """100 random copy/edit sequences per seed: splices, gates on
+        read-but-undriven nets, re-pointed outputs, constants, inputs
+        and outputs added after a copy, copies of copies (hashed or
+        not), pickled copies and rebuilds; digests are checked at
+        random steps (so some copies are handed none) and at the end."""
+        rng = random.Random(1000 + seed)
+        for _ in range(100):
+            width = rng.choice([2, 3, 4])
+            circuit = rng.choice([build_two_sort, with_constant_ties])(width)
+            if rng.random() < 0.7:
+                circuit.region_hashes()
+            for k in range(rng.randrange(1, 9)):
+                circuit = _random_step(rng, circuit, k)
+                if rng.random() < 0.5:
+                    assert circuit.region_hashes() == (
+                        reference_region_hashes(circuit)
+                    )
+            assert circuit.region_hashes() == reference_region_hashes(circuit)
+            assert circuit.content_hash() == reference_content_hash(circuit)

@@ -39,7 +39,8 @@ from repro.distributed import (
     pack,
     use_coordinator,
 )
-from repro.distributed.wire import ChannelTimeout, encode_line
+from repro.distributed import wire
+from repro.distributed.wire import ChannelTimeout, LineTooLong, encode_line
 from repro.store import JournalStore, MemoryStore, StackedStore
 from repro.testing import ChaosProxy, FaultSchedule, FlakyChannel
 from repro.verify.exhaustive import SweepEpoch, VerificationResult
@@ -714,6 +715,42 @@ class TestBoundedRecv:
         assert channel.recv(timeout=1.0) == {"ok": True, "pad": "x" * 100_000}
         assert Counted.scanned <= 2 * len(line)
         assert channel.recv(timeout=1.0) == {"ok": 1}
+        channel.close()
+        peer.close()
+
+    def test_line_of_the_bound_decodes_one_byte_more_raises(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(wire, "LINE_LIMIT", 4096)
+        channel, peer = self._pair()
+        pad = "x" * (4096 + 1 - len(encode_line({"pad": ""})))
+        fits = encode_line({"pad": pad})
+        assert len(fits) == 4096 + 1  # the bound, then the newline
+        peer.sendall(fits)
+        assert channel.recv(timeout=1.0) == {"pad": pad}
+        # One byte more (JSON whitespace), arriving in one read with
+        # the line after it.
+        peer.sendall(b" " + fits + encode_line({"ok": 1}))
+        with pytest.raises(ValueError, match="line longer than 4096 bytes"):
+            channel.recv(timeout=1.0)
+        assert len(channel._buf) == 0
+        channel.close()
+        peer.close()
+
+    def test_unterminated_line_stops_at_the_bound(self, monkeypatch):
+        """A peer sending bytes and no newline makes the channel buffer
+        at most the bound, then raise, not wait for the rest."""
+        monkeypatch.setattr(wire, "LINE_LIMIT", 4096)
+        channel, peer = self._pair()
+        peer.sendall(b"y" * 4096)
+        with pytest.raises(ChannelTimeout):
+            channel.recv(timeout=0.1)
+        assert len(channel._buf) == 4096
+        peer.sendall(b"y")
+        with pytest.raises(LineTooLong) as got:
+            channel.recv(timeout=1.0)
+        assert got.value.limit == 4096
+        assert len(channel._buf) == 0
         channel.close()
         peer.close()
 

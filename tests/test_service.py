@@ -965,6 +965,31 @@ class TestLineLimit:
 
         assert asyncio.run(go()) == "response line longer than 1024 bytes"
 
+    def test_blocking_client_names_its_bound(self, monkeypatch):
+        """The blocking client reads through ``LineChannel``, whose
+        bound is ``repro.distributed.wire.LINE_LIMIT``: a longer result
+        line is the same ServiceError, and the connection is dropped
+        (the rest of the line would read as the next response)."""
+        import repro.distributed.wire as wire
+
+        monkeypatch.setattr(wire, "LINE_LIMIT", 1024)
+        request = SortRequest(vectors=_sort_vectors(100))
+
+        def blocking(port):
+            with ServiceClient(port=port) as client:
+                job_id = client.submit(request)
+                with pytest.raises(ServiceError) as got:
+                    client.result(job_id)
+                return str(got.value), client._channel
+
+        async def go():
+            async with ReproServer(JobManager(jobs=1), port=0) as server:
+                return await asyncio.to_thread(blocking, server.port)
+
+        message, channel = asyncio.run(go())
+        assert message == "response line longer than 1024 bytes"
+        assert channel is None
+
 
 class TestSyncClient:
     """The blocking wrapper drives a server running on another thread --

@@ -205,6 +205,121 @@ class TestPersistence:
             assert len(calls) == 1
 
 
+class TestSqliteMemo:
+    """A handle remembers the stored text of what it read: a repeated
+    read runs no SQL, yet every read sees what a fresh handle would."""
+
+    KEYS = [("c", f"r{o:02d}", "native", 7, "r", o, 0, 255) for o in range(14)]
+
+    @staticmethod
+    def value(o):
+        return {"lanes": 65025, "mismatches": o % 3}
+
+    @pytest.fixture
+    def handles(self, tmp_path):
+        """A writer and a reader on one file, with the reader's SQL
+        statements that read results recorded."""
+        path = str(tmp_path / "m.db")
+        with SqliteStore(path) as writer, SqliteStore(path) as reader:
+            writer.put_many([(k, self.value(o)) for o, k in enumerate(self.KEYS)])
+            selects = []
+            reader._conn.set_trace_callback(
+                lambda sql: selects.append(sql) if "FROM results" in sql
+                and sql.lstrip().upper().startswith("SELECT") else None
+            )
+            yield writer, reader, selects
+
+    def test_repeated_get_many_issues_no_select(self, handles):
+        _writer, reader, selects = handles
+        want = [self.value(o) for o in range(14)]
+        assert reader.get_many(self.KEYS) == want
+        assert len(selects) == 1
+        assert reader.get_many(self.KEYS) == want
+        assert reader.get(self.KEYS[3]) == want[3]
+        assert len(selects) == 1
+        # A batch with one unread key selects that key only.
+        asked = []
+        select = reader._select
+        reader._select = lambda sql, texts: asked.append(texts) or select(
+            sql, texts
+        )
+        new = ("c", "edited", "native", 7, "r", 3, 0, 255)
+        assert reader.get_many(self.KEYS[:3] + [new]) == want[:3] + [None]
+        assert len(selects) == 2 and len(asked) == 1 and len(asked[0]) == 1
+
+    def test_miss_then_written_by_another_handle_is_found(self, handles):
+        writer, reader, _selects = handles
+        key = ("c", "late", "native", 7, "r", 0, 0, 255)
+        assert reader.get_many([key, self.KEYS[0]]) == [None, self.value(0)]
+        writer.put(key, {"lanes": 1, "mismatches": 0})
+        assert reader.get(key) == {"lanes": 1, "mismatches": 0}
+
+    def test_own_puts_are_not_remembered(self, handles):
+        _writer, reader, selects = handles
+        key = ("c", "mine", "native", 7, "r", 0, 0, 255)
+        reader.put(key, {"lanes": 2, "mismatches": 0})
+        assert reader.get(key) == {"lanes": 2, "mismatches": 0}
+        assert len(selects) == 1
+
+    def test_counters_read_as_without_a_memo(self, handles):
+        """Hits, misses and puts count keys, remembered or not."""
+        _writer, reader, _selects = handles
+        new = ("c", "absent", "native", 7, "r", 0, 0, 255)
+        reader.get_many(self.KEYS + [new])
+        reader.get_many(self.KEYS + [new, new])
+        reader.get(self.KEYS[0])
+        reader.put(new, {"lanes": 3, "mismatches": 0})
+        reader.get(new)
+        assert (reader.hits, reader.misses, reader.puts) == (30, 3, 1)
+        stats = reader.stats()
+        assert (stats["hits"], stats["misses"], stats["puts"]) == (30, 3, 1)
+
+    def test_mutating_a_returned_value_changes_no_later_read(self, handles):
+        writer, reader, _selects = handles
+        first = reader.get(self.KEYS[1])
+        first["mismatches"] = 99
+        assert reader.get(self.KEYS[1]) == self.value(1)
+        ckey = ("c", "h" * 16, "native", 7, 0, 255)
+        writer.put(ckey, sample_result())
+        result = reader.get(ckey)
+        result.failures.append("not stored")
+        result.failure_count += 1
+        assert reader.get(ckey).to_json() == sample_result().to_json()
+        a, b = reader.get_many([self.KEYS[2], self.KEYS[2]])
+        assert a == b and a is not b
+
+    def test_memo_stays_within_its_bound(self, handles, monkeypatch):
+        from repro.store import sqlite_store
+
+        monkeypatch.setattr(sqlite_store, "_MEMO_KEYS", 4)
+        _writer, reader, selects = handles
+        want = [self.value(o) for o in range(14)]
+        assert reader.get_many(self.KEYS) == want
+        assert len(reader._memo) <= 4
+        for o in range(14):
+            assert reader.get(self.KEYS[o]) == want[o]
+            assert len(reader._memo) <= 4
+        # Remembered keys still answer without SQL.
+        before = len(selects)
+        assert reader.get_many(list(reader._memo)) == [
+            want[self.KEYS.index(k)] for k in reader._memo
+        ]
+        assert len(selects) == before
+
+
+class TestRunRecord:
+    def test_to_dict_equals_asdict(self):
+        from dataclasses import asdict, fields
+
+        run = sample_run()
+        data = run.to_dict()
+        assert data == asdict(run)
+        assert list(data) == [f.name for f in fields(RunRecord)]
+        assert RunRecord.from_dict(data) == run
+        data["host"] = "elsewhere"
+        assert run.host == "testhost"
+
+
 class TestStacked:
     def test_backfill_and_write_through(self, tmp_path):
         front = MemoryStore()
