@@ -90,14 +90,16 @@ __all__ = [
 BackendLike = Union[str, PlaneBackend, None]
 
 #: The string codec (:func:`planes_from_str`, :func:`planes_to_str`,
-#: and :class:`TritVec` through them): ``str.translate`` tables from
+#: and :class:`TritVec` through them): ``bytes.translate`` tables from
 #: each trit character (``'m'`` reads as ``'M'``) to its can-be-0 /
-#: can-be-1 plane bit, one deleting the trit characters (whatever
-#: survives it is not a trit), and the ``bytes.translate`` table from a
-#: lane's byte sum in :func:`planes_to_str` (``0x90 + can0 + 2 *
-#: can1``, or 0 where no column is written) to its character.
-_CAN0 = str.maketrans("01Mm", "1011")
-_CAN1 = str.maketrans("01Mm", "0111")
+#: can-be-1 plane bit, the ``str.translate`` table deleting the trit
+#: characters (whatever survives it is not a trit; only a text that
+#: holds one runs it), and the ``bytes.translate`` table from a lane's
+#: byte sum in :func:`planes_to_str` (``0x90 + can0 + 2 * can1``, or 0
+#: where no column is written) to its character.
+_TRITS = b"01Mm"
+_CAN0 = bytes.maketrans(_TRITS, b"1011")
+_CAN1 = bytes.maketrans(_TRITS, b"0111")
 _NOT_TRIT = str.maketrans("", "", "01Mm")
 _LANE_CHAR = bytes.maketrans(b"\x91\x92\x93\x00", b"01M,")
 
@@ -113,12 +115,12 @@ def planes_from_str(text: str, stride: int) -> List[Tuple[int, int]]:
     (a batch of equal-width words joined back to back is one).  Column
     ``k`` -- character ``k`` of every lane, ``text[k::stride]`` --
     becomes one ``(p0, p1)`` pair over the ``n`` lanes, lane ``j`` at
-    bit ``j``.  The whole text is checked by one deleting ``translate``
-    (the first character outside ``{0, 1, M, m}`` raises the
-    :meth:`~repro.ternary.trit.Trit.from_char` ``ValueError``) and
-    translated once per plane; each column is then one strided slice and
-    one ``int(..., 2)``, with no per-lane loop.  Returns the ``stride``
-    pairs in column order.
+    bit ``j``.  The whole text is encoded to ASCII and checked by one
+    deleting ``bytes.translate`` (the first character outside
+    ``{0, 1, M, m}`` raises the :meth:`~repro.ternary.trit.Trit.from_char`
+    ``ValueError``) and translated once per plane; each column is then
+    one strided slice and one ``int(..., 2)``, with no per-lane loop.
+    Returns the ``stride`` pairs in column order.
     """
     n, extra = divmod(len(text), stride)
     if extra:
@@ -127,12 +129,12 @@ def planes_from_str(text: str, stride: int) -> List[Tuple[int, int]]:
         )
     if not n:
         return [(0, 0)] * stride
-    bad = text.translate(_NOT_TRIT)
-    if bad:
-        Trit.from_char(bad[0])
+    data = text.encode("ascii", "replace")  # a non-ASCII character: "?"
+    if data.translate(None, _TRITS):
+        Trit.from_char(text.translate(_NOT_TRIT)[0])
     # int() reads the first character as the top bit; lane 0 is bit 0,
     # so the text goes in reversed and column k starts at stride-1-k.
-    lanes = text[::-1]
+    lanes = data[::-1]
     can0 = lanes.translate(_CAN0)
     can1 = lanes.translate(_CAN1)
     return [

@@ -83,10 +83,28 @@ class Circuit:
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
+    def _driven(self, net: NetId) -> bool:
+        """Whether a gate, a primary input or a constant drives ``net``."""
+        return (
+            net in self._driver or net in self._input_set
+            or net in self._const_nets
+        )
+
+    def _mint(self, base: str) -> NetId:
+        """The scope's next ``base`` name that nothing drives yet.
+
+        The scope counts only the names it minted, so one a caller
+        chose (a gate output ``inv0``, say) is skipped, not reused.
+        """
+        net = self.scope.net(base)
+        while self._driven(net):
+            net = self.scope.net(base)
+        return net
+
     def add_input(self, net: Optional[NetId] = None, base: str = "in") -> NetId:
         """Declare a primary input; returns its net id."""
         if net is None:
-            net = self.scope.net(base)
+            net = self._mint(base)
         if net in self._input_set:
             raise CircuitError(f"duplicate primary input {net!r}")
         if net in self._driver or net in self._const_nets:
@@ -119,7 +137,7 @@ class Circuit:
         for net, v in self._const_nets.items():
             if v is value:
                 return net
-        net = self.scope.net(f"const{value.to_int()}")
+        net = self._mint(f"const{value.to_int()}")
         self._const_nets[net] = value
         self._topo_cache = None
         self._version += 1
@@ -133,8 +151,8 @@ class Circuit:
     ) -> NetId:
         """Instantiate a gate; returns (and possibly creates) its output net."""
         if output is None:
-            output = self.scope.net(kind.name.lower())
-        if output in self._driver or output in self._input_set or output in self._const_nets:
+            output = self._mint(kind.name.lower())
+        elif self._driven(output):
             raise CircuitError(f"net {output!r} already driven")
         gate = Gate(kind, tuple(inputs), output)
         self._gates.append(gate)

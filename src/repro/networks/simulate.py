@@ -22,26 +22,32 @@ directly on :class:`~repro.ternary.word.Word` values using a pluggable
 
 **Batching.**  :func:`sort_words` runs one vector;
 :func:`sort_strings_batch` runs many measurement vectors through the
-network *simultaneously*: every bit of every channel is one pair of
-bit planes over all vectors, and each network layer executes the
-compiled 2-sort program once for all vectors and all its comparators
-(exactly the hardware dataflow): the layer's comparators sit side by
-side in lane space, comparator ``i`` on lanes ``[i * n, (i + 1) * n)``
-of ``n`` vectors, as far as :data:`_PASS_LANES` allows.  Its unit is
-the word *string*, and the batch travels as one string: the words
-joined back to back are lane-major (vector ``j`` is lane ``j``), so bit
-``b`` of channel ``c`` is the strided column ``c * width + b``, read
-with one slice and one ``int(..., 2)`` per plane and written back by
-one strided ``bytearray`` slice assignment per plane, a separator after
-each word, so one ``split`` cuts the sorted text into words (the codec
-of :func:`~repro.circuits.compiled.planes_from_str` /
-:func:`~repro.circuits.compiled.planes_to_str`).  The words are checked
-against the valid strings on the same planes
+network *simultaneously*, one lane per word: the words joined back to
+back are packed once (:func:`~repro.circuits.compiled.planes_from_str`
+with stride ``width``), so lane ``w`` holds word ``w`` -- channel
+``w % channels`` of vector ``w // channels`` -- and bit ``b`` of every
+word is one pair of bit planes.  Each network layer then runs the
+compiled 2-sort program once over all lanes (exactly the hardware
+dataflow): the planes are its ``g`` input, and the planes shifted right
+by each comparator distance ``d = hi - lo`` its ``h`` input (masked to
+those comparators' ``lo`` lanes when the layer has more than one
+distance), so a ``lo`` lane meets its partner ``d`` lanes up in the same
+vector.  The minimum goes back onto the ``lo`` lanes and the maximum,
+shifted left by ``d``, onto the ``hi`` lanes; every other lane keeps its
+planes.  The program is lane-wise and ``d < channels``, so whatever it
+computes on other lanes is masked away and never reaches another
+vector.  The masks are channel patterns tiled over the vectors, built
+once per network and vector count; a pass covers at most
+:data:`_PASS_VECTORS` vectors.  The sorted planes are written out by
+:func:`~repro.circuits.compiled.planes_to_str`, a separator after each
+word, so one ``split`` cuts the sorted text into words.  The words are
+checked against the valid strings on the same planes
 (:func:`~repro.graycode.valid.invalid_lanes`), on every engine.  No
 :class:`~repro.ternary.word.Word` or :class:`~repro.ternary.trit.Trit`
 is built and no Python loop runs per lane or per word.  This is the
 high-throughput path for system-level workloads (the service's sort
-jobs run on it);
+jobs run on it, through :func:`sort_shaped_batch` once the request has
+checked its own shape);
 :func:`sort_words_batch` is the same computation with ``Word`` values
 at the edges.  A batch sort runs in the calling process, as one batch:
 it is not sharded and takes no executor, since only the verification
@@ -67,15 +73,15 @@ from .comparator import SortingNetwork
 
 TwoSortFn = Callable[[Word, Word], Tuple[Word, Word]]
 
-#: Lanes of one batch-sort pass: a layer's comparators share a pass
-#: while ``comparators * vectors`` fits.  Packing one in costs four int
-#: ops per plane, on ints that grow with the lane count, and saves one
-#: program run, whose ~300 ops cost about the same at any lane count up
-#: to a few thousand, so packing pays on small batches only.  On 10 x
-#: 16-bit batches (2-core host) this budget made the comparator loop
-#: 0.39-0.89x the one-run-per-comparator loop from 1 to 16,384 vectors;
-#: the shard budget, 1 << 14, read ~1.0x at 2,048.
-_PASS_LANES = 1 << 12
+#: Vectors of one batch-sort pass (whole vectors, so every comparator's
+#: partner lane is in the pass).  A larger batch runs in passes of this
+#: many vectors, each packed, sorted and written out on its own, so the
+#: planes of a program run stay small enough for the cache.  On 10 x
+#: 16-bit batches (2-core host, caps interleaved in one process) 2,048
+#: was the fastest of 512, 1,024, 2,048 and 4,096 or within 3.5 % of it
+#: at every size from 1,024 to 16,384 vectors; 1,024 was up to 15 %
+#: slower at 16,384 and 512 up to 27 % slower at 4,096.
+_PASS_VECTORS = 1 << 11
 
 
 @lru_cache(maxsize=None)
@@ -126,26 +132,6 @@ def _engine_fn(engine: str) -> TwoSortFn:
         ) from None
 
 
-def _side_by_side(blocks: Sequence[List[int]], n: int) -> List[int]:
-    """Equal-length plane lists over ``n`` lanes as one plane list:
-    ``blocks[i]`` on lanes ``[i * n, (i + 1) * n)``."""
-    packed = blocks[-1]
-    for block in blocks[-2::-1]:
-        packed = [(a << n) | b for a, b in zip(packed, block)]
-    return packed
-
-
-def _apart(planes: List[int], n: int, k: int) -> List[List[int]]:
-    """Inverse of :func:`_side_by_side`: ``k`` plane lists of ``n`` lanes."""
-    mask = (1 << n) - 1
-    blocks = []
-    for _ in range(k - 1):
-        blocks.append([p & mask for p in planes])
-        planes = [p >> n for p in planes]
-    blocks.append(planes)
-    return blocks
-
-
 def _check_one_width(words: Iterable[Sized]) -> None:
     if len(set(map(len, words))) > 1:
         raise ValueError("all words in a batch must share one width")
@@ -186,20 +172,80 @@ def sort_words_batch(
     return [[Word(s) for s in row] for row in rows]
 
 
-def _valid_planes(words: List[str], stride: int, width: int):
+def _valid_planes(vectors: Sequence[Sequence[str]], width: int):
     """:func:`~repro.circuits.compiled.planes_from_str` of the joined
-    ``words``, each checked against ``S^B_rg`` on those planes
-    (:func:`~repro.graycode.valid.invalid_lanes`).  Only a batch that
-    fails runs the per-word :func:`~repro.graycode.valid.validate` loop,
-    which raises exactly what it raises for the first bad word (a bad
-    character included)."""
+    words of ``vectors``, one word per lane, each checked against
+    ``S^B_rg`` on those planes (:func:`~repro.graycode.valid.invalid_lanes`).
+    Only a batch that fails runs the per-word
+    :func:`~repro.graycode.valid.validate` loop, which raises exactly
+    what it raises for the first bad word (a bad character included)."""
     try:
-        planes = planes_from_str("".join(words), stride)
+        planes = planes_from_str("".join(chain.from_iterable(vectors)), width)
     except ValueError:  # a character outside {0, 1, M, m}
         planes = None
     if planes is None or invalid_lanes(planes, width):
-        for w in words:
+        for w in chain.from_iterable(vectors):
             validate(w)
+    return planes
+
+
+Route = Tuple[int, int, Tuple[Tuple[int, int], ...]]
+
+
+@lru_cache(maxsize=32)
+def _routes(
+    channels: int, layers: Tuple[Tuple[Tuple[int, int], ...], ...], n: int
+) -> Tuple[Route, ...]:
+    """Per layer, ``(keep, lo, shifts)`` over ``n`` vectors' lanes.
+
+    ``keep`` masks the lanes of the channels no comparator of the layer
+    touches, ``lo`` those of every comparator's ``lo`` channel, and
+    ``shifts`` holds one ``(d, lanes)`` pair per distance ``d = hi - lo``
+    in the layer, ``lanes`` masking the ``lo`` channels of its
+    comparators.  Each mask is a channel pattern tiled over the vectors.
+    """
+    tile = ((1 << n * channels) - 1) // ((1 << channels) - 1)
+
+    def lanes(chans: Iterable[int]) -> int:
+        return sum(1 << c for c in set(chans)) * tile
+
+    routes = []
+    for layer in filter(None, layers):  # an empty layer moves nothing
+        touched = {c for pair in layer for c in pair}
+        shifts = tuple(
+            (d, lanes(lo for lo, hi in layer if hi - lo == d))
+            for d in sorted({hi - lo for lo, hi in layer})
+        )
+        routes.append((
+            lanes(set(range(channels)) - touched),
+            lanes(lo for lo, _ in layer),
+            shifts,
+        ))
+    return tuple(routes)
+
+
+def _layer_pass(program, planes: List[int], route: Route, lanes: int) -> List[int]:
+    """One network layer on the flat ``planes`` (``p0, p1`` of bit 0,
+    then of bit 1...) of one word per lane: one program run whose ``g``
+    is every lane's word and whose ``h`` is, on each ``lo`` lane, the
+    word ``d`` lanes up (its comparator's ``hi`` channel)."""
+    keep, lo, ((d, mask), *more) = route
+    if more:
+        h = [(p >> d) & mask for p in planes]
+        for e, m in more:
+            h = [x | (p >> e) & m for x, p in zip(h, planes)]
+    else:
+        h = [p >> d for p in planes]
+    out = program.run_outputs(planes + h, lanes)
+    half = len(planes)
+    high = out[:half]
+    # min stays on the lo lanes, max moves d lanes up onto the hi lanes.
+    planes = [
+        p & keep | q & lo | (r & mask) << d
+        for p, q, r in zip(planes, out[half:], high)
+    ]
+    for e, m in more:
+        planes = [x | (r & m) << e for x, r in zip(planes, high)]
     return planes
 
 
@@ -216,11 +262,11 @@ def sort_strings_batch(
     ascending on channel 0, as strings with ``M`` upper-case.
 
     Whatever the engine, every word must be a valid string of one width
-    of at least one bit: the batch is joined into one string and packed
-    into bit planes once; each input plane (channel ``c``, bit ``b``) is
-    one strided slice of it (step ``channels * width``) read with
-    ``int(..., 2)`` (:func:`~repro.circuits.compiled.planes_from_str`),
-    and the words are checked on those planes.  A bad word raises what
+    of at least one bit: the batch's shape is checked here, then
+    :func:`sort_shaped_batch` joins the words into one string, packs it
+    into bit planes one word per lane
+    (:func:`~repro.circuits.compiled.planes_from_str`) and checks the
+    words on those planes.  A bad word raises what
     :func:`~repro.graycode.valid.validate` raises for the first one: the
     :class:`~repro.graycode.valid.InvalidStringError`, or the
     :meth:`~repro.ternary.trit.Trit.from_char` ``ValueError`` of a
@@ -229,12 +275,13 @@ def sort_strings_batch(
     With the default ``"compiled"`` engine all vectors then advance
     through the network together: per layer, one two-plane program run
     (:meth:`~repro.circuits.compiled.CompiledCircuit.run_outputs`) sorts
-    lane ``j`` of every channel simultaneously, the layer's comparators
-    side by side in lane space (up to :data:`_PASS_LANES` lanes a run;
-    SORT10_SIZE's 29 comparators take 8 runs on up to 819 vectors).
-    The sorted planes go back into one output buffer by strided slice
-    assignment, a separator after each word, and one ``split`` cuts the
-    words (:func:`~repro.circuits.compiled.planes_to_str`).  Other engine
+    every comparator of every vector at once, its ``h`` input the planes
+    shifted down by the comparator distance (up to
+    :data:`_PASS_VECTORS` vectors a pass; SORT10_SIZE's 29 comparators
+    take 8 runs a pass).  The sorted planes go back into one output buffer by
+    strided slice assignment, a separator after each word, and one
+    ``split`` cuts the words
+    (:func:`~repro.circuits.compiled.planes_to_str`).  Other engine
     names run the per-vector :func:`sort_words` loop (same results,
     provided for API uniformity).  Either way the whole batch runs in
     this process.
@@ -251,42 +298,46 @@ def sort_strings_batch(
     _check_one_width(words)
     if not vectors:
         return []
-    n = len(vectors)
-    channels = network.channels
     width = len(words[0])
     if not width:
         raise ValueError("words must be at least one bit wide")
-    # The joined batch is lane-major (lane j is vector j's words back to
-    # back), so bit b of channel c over all lanes is column c*width + b.
-    planes = _valid_planes(words, channels * width, width)
+    return sort_shaped_batch(network, vectors, width, engine)
+
+
+def sort_shaped_batch(
+    network: SortingNetwork,
+    vectors: Sequence[Sequence[str]],
+    width: int,
+    engine: str = "compiled",
+) -> List[List[str]]:
+    """:func:`sort_strings_batch` on a batch whose shape is checked.
+
+    The caller vouches for the shape: ``vectors`` is a non-empty
+    sequence of sequences of ``network.channels`` strings each, all
+    ``width >= 1`` characters long, and ``engine`` is registered (a
+    :class:`~repro.service.jobs.SortRequest` checks exactly this in its
+    ``validate``).  Only validity is checked here, on the packed planes.
+    """
+    channels = network.channels
     if engine != "compiled":
+        _valid_planes(vectors, width)
         return [
             [str(w) for w in sort_words(network, map(Word, v), engine=engine)]
             for v in vectors
         ]
-
     program = compile_circuit(_cached_circuit(width))
-    # state[c]: channel c's planes, p0 and p1 of bit 0, then of bit 1...
-    state: List[List[int]] = [
-        list(chain.from_iterable(planes[c * width : (c + 1) * width]))
-        for c in range(channels)
-    ]
-    half = 2 * width
-    per_pass = max(1, _PASS_LANES // n)
-    for layer in network.layers:
-        for at in range(0, len(layer), per_pass):
-            group = layer[at : at + per_pass]
-            outs = program.run_outputs(
-                _side_by_side([state[c.lo] + state[c.hi] for c in group], n),
-                len(group) * n,
-            )
-            for comp, block in zip(group, _apart(outs, n, len(group))):
-                state[comp.hi] = block[:half]  # max
-                state[comp.lo] = block[half:]  # min
-    # ...and back: the sorted columns in the same layout, cut into words.
-    words = planes_to_str(
-        [(c[k], c[k + 1]) for c in state for k in range(0, half, 2)],
-        n,
-        width,
-    ).split(",")
+    layers = tuple(
+        tuple((c.lo, c.hi) for c in layer) for layer in network.layers
+    )
+    out = []
+    for at in range(0, len(vectors), _PASS_VECTORS):
+        part = vectors[at : at + _PASS_VECTORS]
+        lanes = len(part) * channels
+        planes = list(chain.from_iterable(_valid_planes(part, width)))
+        for route in _routes(channels, layers, len(part)):
+            planes = _layer_pass(program, planes, route, lanes)
+        out.append(
+            planes_to_str(list(zip(planes[::2], planes[1::2])), lanes, width)
+        )
+    words = ",".join(out).split(",")
     return [words[i : i + channels] for i in range(0, len(words), channels)]

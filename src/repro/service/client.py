@@ -14,7 +14,8 @@ when the server answers ``{"ok": false}``, sends a line that is not a
 JSON object, or closes the connection (one check, :func:`_reply`).
 Both read lines up to :data:`~repro.service.LINE_LIMIT` bytes, as the
 server does, and raise :class:`ServiceError` naming the bound on a
-longer one.
+longer one; either then drops its connection, since the rest of that
+line would read as the next response, and its next op dials anew.
 """
 
 from __future__ import annotations
@@ -110,6 +111,9 @@ class AsyncServiceClient:
         try:
             line = await self._reader.readline()
         except ValueError:  # the reader's limit
+            # The rest of the line would read as the next response: drop
+            # the connection, so the next op dials a fresh one.
+            await self.aclose()
             raise ServiceError(
                 f"response line longer than {LINE_LIMIT} bytes"
             ) from None

@@ -57,7 +57,7 @@ from typing import (
 
 from ..backends import known_backend_names
 from ..core.two_sort import build_two_sort
-from ..networks.simulate import ENGINES, sort_strings_batch
+from ..networks.simulate import ENGINES, sort_shaped_batch
 from ..networks.topologies import best_known
 from ..verify.exhaustive import VerificationResult
 from ..verify.parallel import (
@@ -263,8 +263,10 @@ class SortRequest:
         The checks run once per request object, however many entry
         points call this (the wire decoder, :meth:`JobManager.submit`,
         :meth:`run`): the request is frozen, so a pass stays a pass.
+        This is the one walk over the words for shape; a pass records
+        their width, which :meth:`run` hands to the sort.
         """
-        if self.__dict__.get("_validated"):
+        if "_width" in self.__dict__:
             return
         if self.engine not in ENGINES:
             raise ValueError(
@@ -295,8 +297,9 @@ class SortRequest:
         if widths == {0}:
             raise ValueError("words must be at least one bit wide")
         # Past the frozen __setattr__; no dataclass field, so equality,
-        # hashing and to_dict() never see it.
-        self.__dict__["_validated"] = True
+        # hashing and to_dict() never see it.  An int, not the words:
+        # a finished job keeps one copy of them, in ``vectors``.
+        self.__dict__["_width"] = next(iter(widths), 0)
 
     def describe(self) -> str:
         n = len(self.vectors)
@@ -320,10 +323,11 @@ class SortRequest:
         The shape is checked by :meth:`validate` (once per request, so
         a request the wire decoder or :class:`JobManager` already checked
         is not walked again), and the batch runs in this process as one
-        :func:`~repro.networks.simulate.sort_strings_batch` call, which
-        reads and writes the bit planes straight from and into the
-        joined strings and checks every word against the valid strings
-        on the planes it packs (a bad word raises what
+        :func:`~repro.networks.simulate.sort_shaped_batch` call with the
+        width that check found, so the words are not walked for shape a
+        second time.  It reads and writes the bit planes straight from
+        and into the joined strings and checks every word against the
+        valid strings on the planes it packs (a bad word raises what
         :func:`~repro.graycode.valid.validate` raises for the first
         one).  The result is rows of word strings (``M`` upper-case); no
         :class:`~repro.ternary.word.Word` or
@@ -338,7 +342,9 @@ class SortRequest:
         if should_stop is not None and should_stop():
             raise SweepCancelled([])
         network = best_known(len(self.vectors[0]))
-        rows = sort_strings_batch(network, self.vectors, engine=self.engine)
+        rows = sort_shaped_batch(
+            network, self.vectors, self.__dict__["_width"], self.engine
+        )
         if on_shard is not None:
             on_shard(1, 1, rows)
         return rows
@@ -424,7 +430,8 @@ class JobProgress:
     items_done: int = 0  # sort jobs: vectors sorted so far
 
     def to_dict(self) -> Dict[str, int]:
-        return dataclasses.asdict(self)
+        # Flat int fields: a shallow copy is what asdict's deep copy gives.
+        return dict(self.__dict__)
 
 
 class Job:

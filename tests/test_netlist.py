@@ -72,6 +72,39 @@ class TestCircuitStructure:
         assert c.const(ONE) == c.const(ONE)
         assert c.const(ONE) != c.const(ZERO)
 
+    def test_minted_const_skips_a_driven_name(self):
+        """Regression: ``const`` reused ``const10`` although a gate
+        drove it, giving the net two drivers and no error."""
+        c = Circuit("x")
+        x = c.add_input("x")
+        c.add_gate(INV, [x], output="const10")
+        one = c.const(ONE)
+        assert one == "const11"
+        assert c.driver_of("const10").kind is INV
+        assert c.const_nets == {"const11": ONE}
+        copy = c.copy()
+        assert copy.const(ONE) == "const11"  # shared, as in its source
+        assert copy.add_gate(INV, [x], output="n") == "n"
+        with pytest.raises(CircuitError, match="'const10' already driven"):
+            copy.add_gate(INV, [x], output="const10")
+
+    def test_minted_gate_and_input_names_skip_driven_names(self):
+        """Regression: an auto-named gate after a gate the caller named
+        ``inv0`` raised ``net 'inv0' already driven``."""
+        c = Circuit()
+        a = c.add_input("a")
+        c.add_gate(INV, [a], output="inv0")
+        c.add_gate(INV, [a], output="in0")
+        c.add_input("inv2")
+        assert c.add_gate(INV, [a]) == "inv1"
+        assert c.add_gate(INV, [a]) == "inv3"
+        assert c.add_input() == "in1"
+        fresh = Circuit()  # names that collide with nothing do not move
+        fresh_a = fresh.add_input()
+        assert [fresh_a, fresh.add_gate(INV, [fresh_a]), fresh.const(ZERO)] == [
+            "in0", "inv0", "const00",
+        ]
+
     def test_const_meta_rejected(self):
         with pytest.raises(CircuitError):
             Circuit().const(META)

@@ -267,16 +267,18 @@ def _valid_rows(n, width, channels, seed):
 
 
 def _edge_rows(n):
-    """The rows on the edges of each comparator's lane block."""
+    """The first and the last row of a batch."""
     return sorted({0, n - 1})
 
 
 class TestLayerPacking:
-    """A compiled batch sort runs each layer as one pass, the layer's
-    comparators side by side in lane space.  Every row equals the rank
-    order (what the ``rank`` engine computes; 63-65 rows cross a 64-lane
-    word), and the rows on block edges equal the per-vector ``rank`` and
-    gate-level ``circuit`` engines."""
+    """A compiled batch sort packs one word per lane and runs each layer
+    as one pass over all of them, each comparator's ``h`` input its
+    ``hi`` word shifted down onto its ``lo`` lane.  Every row equals the
+    rank order (what the ``rank`` engine computes; 63-65 rows cross a
+    64-lane word, and so do words at every channel count here), and the
+    first and last rows equal the per-vector ``rank`` and gate-level
+    ``circuit`` engines."""
 
     @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 256])
     @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6, 16])
@@ -301,9 +303,12 @@ class TestLayerPacking:
         "network", [SORT10_SIZE, batcher_odd_even(16)], ids=["10", "16"]
     )
     def test_layers_split_across_passes(self, monkeypatch, network, n):
-        """A pass smaller than a layer splits it; rows do not change."""
+        """A batch over the words-per-pass cap runs in passes of whole
+        vectors, every layer once per pass over all of its words; the
+        rows do not change, on a pass boundary or away from it."""
         import repro.networks.simulate as simulate
 
+        cap = 25  # 250 and 400 lanes a pass: not a whole 64-lane word
         vectors = _valid_rows(n, 3, network.channels, seed=n)
         runs = []
         real = CompiledCircuit.run_outputs
@@ -312,17 +317,25 @@ class TestLayerPacking:
             runs.append(lanes)
             return real(self, planes, lanes)
 
-        monkeypatch.setattr(simulate, "_PASS_LANES", 130)
+        monkeypatch.setattr(simulate, "_PASS_VECTORS", cap)
         monkeypatch.setattr(CompiledCircuit, "run_outputs", counted)
-        assert sort_strings_batch(network, vectors) == [
+        got = sort_strings_batch(network, vectors)
+        assert got == [
             sorted((s.upper() for s in v), key=rank) for v in vectors
         ]
-        per_pass = max(1, 130 // n)
         assert runs == [
-            min(per_pass, len(layer) - at) * n
-            for layer in network.layers
-            for at in range(0, len(layer), per_pass)
+            min(cap, n - at) * network.channels
+            for at in range(0, n, cap)
+            for _ in network.layers
         ]
+        edges = sorted(
+            {j for at in range(0, n, cap) for j in (at - 1, at) if j >= 0}
+            | {n - 1}
+        )
+        for engine in ("rank", "circuit"):
+            assert [got[j] for j in edges] == sort_strings_batch(
+                network, [vectors[j] for j in edges], engine=engine
+            ), engine
 
     def test_sort10_runs_one_pass_per_layer(self, monkeypatch):
         """SORT10_SIZE's 29 comparators (layers of 5, 4, 3, 4, 4, 4, 3,

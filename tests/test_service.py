@@ -6,6 +6,7 @@ workers via a registered executor instead of sleeping and hoping.
 """
 
 import asyncio
+import dataclasses
 import json
 import logging
 import threading
@@ -31,8 +32,8 @@ from repro.store import MemoryStore
 from repro.verify.exhaustive import verify_two_sort_circuit
 from repro.verify.parallel import _EXECUTORS, _serial_executor, register_executor
 from repro.core.two_sort import build_two_sort
-from repro.networks.simulate import ENGINES, sort_words
-from repro.networks.topologies import best_known
+from repro.networks.simulate import ENGINES, sort_strings_batch, sort_words
+from repro.networks.topologies import SORT4, best_known
 from repro.graycode.valid import validate
 from repro.ternary.word import Word
 from repro.verify.random_valid import ValidStringSource
@@ -261,6 +262,138 @@ class TestRequests:
             request.run()
         assert type(got.value) is type(expect.value)
         assert str(got.value) == str(expect.value)
+
+    def test_job_progress_to_dict_is_a_flat_copy(self):
+        """``JobProgress.to_dict`` (three calls per job) copies the
+        fields without ``asdict``'s deep copy, to the same dict."""
+        from repro.service.jobs import JobProgress
+
+        progress = JobProgress(*range(3, 3 + len(dataclasses.fields(JobProgress))))
+        assert progress.to_dict() == dataclasses.asdict(progress)
+        assert list(progress.to_dict()) == [
+            f.name for f in dataclasses.fields(JobProgress)
+        ]
+        progress.to_dict()["checked"] = -1
+        assert progress.checked == 5
+
+    def test_served_sort_walks_its_words_for_shape_once(self):
+        """A served request reads each word's length once, in
+        ``validate``; the sort takes the width found there instead of
+        walking the words again.  The library entry point does its own
+        walk, which the same spy counts."""
+        reads = []
+
+        class Spy(str):
+            def __len__(self):
+                reads.append(id(self))
+                return super().__len__()
+
+        plain = _sort_vectors(40, width=16)
+        vectors = tuple(tuple(Spy(s) for s in v) for v in plain)
+        words = [id(s) for v in vectors for s in v]
+        request = SortRequest(vectors=vectors)
+
+        async def go():
+            manager = JobManager(jobs=1)
+            job = manager.submit(request)
+            await manager.wait(job.id)
+            await manager.aclose()
+            return job
+
+        job = asyncio.run(go())
+        assert job.state is JobState.DONE, job.error
+        assert job.result == SortRequest(vectors=plain).run()
+        assert sorted(reads) == sorted(words)
+        # The finished job holds its words once: the request keeps the
+        # width it found, not a copy of them.
+        assert set(request.__dict__) == {"vectors", "engine", "_width"}
+        assert request.__dict__["_width"] == 16
+        reads.clear()
+        sort_strings_batch(best_known(10), vectors)
+        assert set(reads) == set(words)
+
+
+#: A sort's shape and validity errors at each entry point, as the
+#: parent words them: the library ``sort_strings_batch`` on SORT4, then
+#: ``SortRequest.run`` and the wire (a shape error is the ServiceError
+#: of the submit, a bad word the failed job's ``error``).
+_SORT_ERRORS = [
+    ("mixed widths", [["00", "01", "000", "11"]],
+     "ValueError: all words in a batch must share one width",
+     "ValueError: all inputs must share one width"),
+    ("non-string word", [["00", "01", 10, "11"]],
+     "TypeError: object of type 'int' has no len()",
+     "ValueError: words must be strings over 0/1/M, got int 10"),
+    ("empty word", [["", "", "", ""]],
+     "ValueError: words must be at least one bit wide",
+     "ValueError: words must be at least one bit wide"),
+    ("invalid word", [["0M10", "MM00", "0110", "0010"]],
+     "InvalidStringError: Word('MM00') is not a valid string",
+     "InvalidStringError: Word('MM00') is not a valid string"),
+    ("invalid before a bad character", [["MM00", "0x10", "0110", "0010"]],
+     "InvalidStringError: Word('MM00') is not a valid string",
+     "InvalidStringError: Word('MM00') is not a valid string"),
+    ("bad character", [["0110", "0010", "01\u0661\u0030", "0010"]],
+     "ValueError: invalid trit character '\u0661'; expected '0', '1' or 'M'",
+     "ValueError: invalid trit character '\u0661'; expected '0', '1' or 'M'"),
+    ("wrong channel count", [["00", "01", "11", "10"], ["00", "01", "11"]],
+     "ValueError: 4-sort expects 4 values, got 3",
+     "ValueError: all vectors must have the same channel count, got [3, 4]"),
+]
+_SHAPE_ERRORS = {"mixed widths", "non-string word", "empty word",
+                 "wrong channel count"}
+
+
+def _error_text(fn):
+    with pytest.raises(Exception) as got:
+        fn()
+    return f"{type(got.value).__name__}: {got.value}"
+
+
+class TestSortErrorTexts:
+    """Each entry point keeps its own error text for every bad batch,
+    on every engine, whichever of them walks the words for shape."""
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    @pytest.mark.parametrize(
+        "name, vectors, library, request_text", _SORT_ERRORS,
+        ids=[case[0] for case in _SORT_ERRORS],
+    )
+    def test_library_and_request(
+        self, name, vectors, library, request_text, engine
+    ):
+        assert _error_text(
+            lambda: sort_strings_batch(SORT4, vectors, engine=engine)
+        ) == library
+        request = SortRequest(vectors=tuple(map(tuple, vectors)), engine=engine)
+        assert _error_text(request.run) == request_text
+
+    def test_wire(self):
+        def blocking(port):
+            answers = []
+            with ServiceClient(port=port) as client:
+                for name, vectors, _, _ in _SORT_ERRORS:
+                    try:
+                        job_id = client.call(
+                            op="submit",
+                            request={"kind": "sort", "vectors": vectors},
+                        )["id"]
+                    except ServiceError as exc:
+                        answers.append(("refused", str(exc)))
+                    else:
+                        job = client.wait_for(job_id)
+                        answers.append((job["state"], job["error"]))
+            return answers
+
+        async def go():
+            async with ReproServer(JobManager(jobs=1), port=0) as server:
+                return await asyncio.to_thread(blocking, server.port)
+
+        assert asyncio.run(go()) == [
+            ("refused", text.split(": ", 1)[1]) if name in _SHAPE_ERRORS
+            else ("failed", text)
+            for name, _, _, text in _SORT_ERRORS
+        ]
 
 
 # ----------------------------------------------------------------------
@@ -964,6 +1097,26 @@ class TestLineLimit:
                     return str(got.value)
 
         assert asyncio.run(go()) == "response line longer than 1024 bytes"
+
+    def test_async_client_redials_after_a_long_line(self, monkeypatch):
+        """After a result line over its bound, the async client drops
+        the connection: the next ops dial a fresh one and answer, rather
+        than read the rest of that line as their responses."""
+        import repro.service.client as client_module
+
+        monkeypatch.setattr(client_module, "LINE_LIMIT", 1024)
+        request = SortRequest(vectors=_sort_vectors(300, width=16))
+
+        async def go():
+            async with ReproServer(JobManager(jobs=1), port=0) as server:
+                async with AsyncServiceClient(port=server.port) as client:
+                    job_id = await client.submit(request)
+                    with pytest.raises(ServiceError, match="longer than 1024"):
+                        await client.result(job_id)
+                    closed = client._writer is None
+                    return closed, [await client.ping() for _ in range(2)]
+
+        assert asyncio.run(go()) == (True, [True, True])
 
     def test_blocking_client_names_its_bound(self, monkeypatch):
         """The blocking client reads through ``LineChannel``, whose
